@@ -35,7 +35,8 @@ from .core import (
     TimeGrid,
     commutes,
 )
-from .propagator import CostateBoundary, _u_stack, propagate_costate, propagate_forward
+from .propagator import CostateBoundary, propagate_costate, propagate_forward
+from .propagator import _adjoint, _march_forward, _u_stack, _worst_defect
 
 __all__ = [
     "ContinuityReport",
@@ -176,9 +177,7 @@ def check_continuous_family(
     discontinuity.
     """
     chi = propagate_costate(psi_traj, O, field, H, grid, CostateBoundary.continuous(n))
-    us = _u_stack(H, field.samples, grid.dt, sign=-1.0)
-    stepped = np.einsum("kij,kj->ki", us, chi.states[:-1])
-    residual = float(np.max(np.linalg.norm(chi.states[1:] - stepped, axis=1)))
+    residual = _worst_defect(_u_stack(H, field.samples, grid.dt), chi.states)
     value = (1j / (2.0 * np.pi * n)) * (O.matrix @ psi_traj.node(grid.index_T))
     phi_defect = np.pi * (2 * n - 1)
     return ContinuityReport(
@@ -199,19 +198,16 @@ def check_conjugate_independence(
 ) -> float:
     """Worst deviation of the sign-flipped solution from beta * conj(forward).
 
-    The companion function starts at beta * conj(psi0) and advances with
-    the backward stepper run forward in time; for real-valued H0 and mu
-    it must track the conjugate forward solution to round-off at every
-    node, for any complex beta.
+    The companion function starts at beta * conj(psi0) and advances
+    forward in time with the adjoint of each forward step, i.e. the
+    backward stepper; for real-valued H0 and mu it must track the
+    conjugate forward solution to round-off at every node, for any
+    complex beta.
     """
     psi = propagate_forward(psi0, field, H, grid)
-    us = _u_stack(H, field.samples, grid.dt, sign=1.0)
-    phi = beta * psi0.amplitudes.conj()
-    worst = 0.0
-    for k in range(grid.n_steps):
-        phi = us[k] @ phi
-        worst = max(worst, float(np.linalg.norm(phi - beta * psi.node(k + 1).conj())))
-    return worst
+    back = _adjoint(_u_stack(H, field.samples, grid.dt))
+    phi = _march_forward(back, beta * psi0.amplitudes.conj())
+    return float(np.max(np.linalg.norm(phi - beta * psi.states.conj(), axis=1)))
 
 
 def _require_canonical(solution: Solution) -> None:

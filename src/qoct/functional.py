@@ -26,7 +26,7 @@ from .core import (
     TimeGrid,
     expectation,
 )
-from .propagator import _u_stack
+from .propagator import _step_defects, _u_stack
 
 __all__ = [
     "FunctionalBreakdown",
@@ -98,8 +98,8 @@ def eval_j_tdse(
 
     r_k is the one-step defect (psi_{k+1} - U_k psi_k) / dt, i.e. the
     discrete realization of (i d/dt - H) psi consistent with the exact
-    stepper, so propagated trajectories give zero to round-off for any
-    costate.
+    stepper; it reuses the forward march's product, so propagated
+    trajectories give exactly zero for any costate.
     """
     if psi_traj.n_nodes != grid.n_steps + 1 or chi_traj.states.shape[0] != grid.n_steps + 1:
         raise ValueError("trajectory lengths do not match the grid")
@@ -107,8 +107,7 @@ def eval_j_tdse(
         raise ValueError(
             f"field has {field.n_samples} samples but grid has {grid.n_steps} steps"
         )
-    us = _u_stack(H, field.samples, grid.dt, sign=-1.0)
-    defects = psi_traj.states[1:] - np.einsum("kij,kj->ki", us, psi_traj.states[:-1])
+    defects = _step_defects(_u_stack(H, field.samples, grid.dt), psi_traj.states)
     overlaps = np.einsum("ki,ki->k", chi_traj.states[:-1].conj(), defects)
     return float(-2.0 * np.imag(np.sum(overlaps)))
 

@@ -28,7 +28,7 @@ from .core import (
 )
 from .functional import FunctionalBreakdown, eval_total
 from .gradient import stationarity_residual
-from .propagator import _expm_hermitian, _u_stack
+from .propagator import _expm_hermitian, _march_backward, _march_forward, _u_stack
 
 __all__ = ["OptimizationConfig", "OptimizationResult", "optimize"]
 
@@ -110,7 +110,7 @@ def optimize(
     obs = O.matrix
 
     field = np.array(config.initial_field.samples)
-    psi_nodes = _forward_nodes(psi0.amplitudes, field, H, grid.dt)
+    psi_nodes = _march_forward(_u_stack(H, field, grid.dt), psi0.amplitudes)
     chi_nodes = _backward_nodes(psi_nodes, obs, field, H, grid)
 
     history = [_breakdown(psi_nodes, chi_nodes, field, eps_ref, alpha, O, H, grid)]
@@ -154,24 +154,15 @@ def optimize(
     )
 
 
-def _forward_nodes(psi0, field, H: ControlHamiltonian, dt: float):
-    us = _u_stack(H, field, dt, sign=-1.0)
-    nodes = np.empty((field.size + 1, psi0.size), dtype=np.complex128)
-    nodes[0] = psi0
-    for k in range(field.size):
-        nodes[k + 1] = us[k] @ nodes[k]
-    return nodes
-
-
 def _backward_nodes(psi_nodes, obs, field, H: ControlHamiltonian, grid: TimeGrid):
-    """Canonical costate nodes: zero at and after the measurement node."""
+    """Canonical costate nodes: zero at and after the measurement node.
+
+    The sweep's own trajectory needs no consistency check, which would
+    cost a full forward stack per sweep.
+    """
     m = grid.index_T
     nodes = np.zeros_like(psi_nodes)
-    us = _u_stack(H, field[:m], grid.dt, sign=1.0)
-    prev = obs @ psi_nodes[m]
-    for k in range(m - 1, -1, -1):
-        prev = us[k] @ prev
-        nodes[k] = prev
+    nodes[:m] = _march_backward(_u_stack(H, field[:m], grid.dt), obs @ psi_nodes[m])[:-1]
     return nodes
 
 
@@ -191,13 +182,10 @@ def _feedback_sweep(psi0, chi_nodes, field, eps_ref, alpha, H: ControlHamiltonia
     psi = psi0
     for k in range(m):
         new_field[k] = eps_ref[k] + np.vdot(chi_nodes[k], mu @ psi).imag / alpha
-        psi = _expm_hermitian(H.evaluate(new_field[k]), dt, sign=-1.0) @ psi
+        psi = _expm_hermitian(H.evaluate(new_field[k]), dt) @ psi
         nodes[k + 1] = psi
     new_field[m:] = eps_ref[m:]
-    tail_us = _u_stack(H, new_field[m:], dt, sign=-1.0)
-    for k in range(m, n):
-        psi = tail_us[k - m] @ psi
-        nodes[k + 1] = psi
+    nodes[m:] = _march_forward(_u_stack(H, new_field[m:], dt), psi)
     return new_field, nodes
 
 

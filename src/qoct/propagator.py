@@ -1,8 +1,11 @@
 """Exact-exponential time stepping for the state and costate equations.
 
 The one-step propagator is the matrix exponential of H(eps_k) over one
-interval, computed through a Hermitian eigendecomposition, so each step
-is unitary to round-off and Backward exactly inverts Forward. The
+interval, computed through a Hermitian eigendecomposition (closed SU(2)
+form for two levels), so each step is unitary to round-off. This module
+is the only place that exponentiates or steps: a field gets one stack of
+forward steps, a backward step is the conjugate transpose of a forward
+one, and the step defects reuse the forward march's product. The
 delta source feeding the costate at the measurement time is never
 discretized as a narrow pulse; it is imposed as an exact boundary
 condition in one of two regimes:
@@ -81,58 +84,81 @@ class CostateBoundary:
         return cls(mode="continuous", n=n)
 
 
-def _expm_hermitian(h: NDArrayComplex, tau: float, sign: float) -> NDArrayComplex:
-    """exp(sign * 1j * h * tau) for Hermitian h, via eigendecomposition.
+def _adjoint(u: NDArrayComplex) -> NDArrayComplex:
+    """Conjugate transpose over the last two axes: the backward step of u."""
+    return u.conj().swapaxes(-1, -2)
+
+
+def _expm_hermitian(h: NDArrayComplex, tau: float) -> NDArrayComplex:
+    """exp(-1j * h * tau) for one Hermitian matrix or a stack (..., d, d).
 
     Two-level matrices take the closed SU(2) form (same result, much
-    cheaper in per-step sweeps).
+    cheaper in per-step sweeps); larger ones go through a batched
+    eigendecomposition.
     """
-    if h.shape == (2, 2):
-        s = 0.5 * (h[0, 0].real + h[1, 1].real)
-        d = 0.5 * (h[0, 0].real - h[1, 1].real)
-        b = h[0, 1]
-        omega = np.sqrt(d * d + (b * b.conjugate()).real)
-        phase = np.exp(sign * 1j * s * tau)
-        cs = np.cos(omega * tau)
-        sn = sign * 1j * tau * np.sinc(omega * tau / np.pi)
-        return np.array(
-            [
-                [phase * (cs + sn * d), phase * sn * b],
-                [phase * sn * b.conjugate(), phase * (cs - sn * d)],
-            ]
-        )
-    lam, v = np.linalg.eigh(h)
-    return (v * np.exp(sign * 1j * lam * tau)) @ v.conj().T
-
-
-def _u_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float, sign: float) -> NDArrayComplex:
-    """Per-interval propagators exp(sign * 1j * H(eps_k) * dt), batched over k."""
-    hs = H.drift.matrix[None, :, :] + samples[:, None, None] * H.coupling.matrix[None, :, :]
-    if H.dim == 2:
-        a = hs[:, 0, 0].real
-        c = hs[:, 1, 1].real
-        b = hs[:, 0, 1]
+    if h.shape[-2:] == (2, 2):
+        a = h[..., 0, 0].real
+        c = h[..., 1, 1].real
+        b = h[..., 0, 1]
         s = 0.5 * (a + c)
         d = 0.5 * (a - c)
         omega = np.sqrt(d * d + (b * b.conj()).real)
-        phase = np.exp(sign * 1j * s * dt)
-        cs = np.cos(omega * dt)
-        sn = sign * 1j * dt * np.sinc(omega * dt / np.pi)
-        us = np.empty_like(hs)
-        us[:, 0, 0] = phase * (cs + sn * d)
-        us[:, 0, 1] = phase * sn * b
-        us[:, 1, 0] = phase * sn * b.conj()
-        us[:, 1, 1] = phase * (cs - sn * d)
-        return us
-    lam, v = np.linalg.eigh(hs)
-    phases = np.exp(sign * 1j * lam * dt)
-    return np.einsum("kij,kj,klj->kil", v, phases, v.conj())
+        phase = np.exp(-1j * s * tau)
+        cs = np.cos(omega * tau)
+        sn = -1j * tau * np.sinc(omega * tau / np.pi)
+        u = np.empty(h.shape, dtype=np.complex128)
+        u[..., 0, 0] = phase * (cs + sn * d)
+        u[..., 0, 1] = phase * sn * b
+        u[..., 1, 0] = phase * sn * b.conj()
+        u[..., 1, 1] = phase * (cs - sn * d)
+        return u
+    lam, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * lam * tau)[..., None, :]) @ _adjoint(v)
+
+
+def _u_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayComplex:
+    """Forward per-interval propagators exp(-1j * H(eps_k) * dt), batched over k."""
+    hs = H.drift.matrix[None, :, :] + samples[:, None, None] * H.coupling.matrix[None, :, :]
+    return _expm_hermitian(hs, dt)
+
+
+def _march_forward(us: NDArrayComplex, x0: NDArrayComplex) -> NDArrayComplex:
+    """Nodes x_0 = x0 and x_{k+1} = U_k x_k over a forward stack."""
+    nodes = np.empty((us.shape[0] + 1, x0.size), dtype=np.complex128)
+    nodes[0] = x0
+    for k, u in enumerate(us):
+        nodes[k + 1] = u @ nodes[k]
+    return nodes
+
+
+def _march_backward(us: NDArrayComplex, x_end: NDArrayComplex) -> NDArrayComplex:
+    """Nodes x_K = x_end and x_k = U_k^dagger x_{k+1}: the forward march undone."""
+    return _march_forward(_adjoint(us[::-1]), x_end)[::-1]
+
+
+def _step_defects(us: NDArrayComplex, nodes: NDArrayComplex) -> NDArrayComplex:
+    """Per-interval defects x_{k+1} - U_k x_k.
+
+    The batched matmul forms each U_k x_k with the same product as
+    ``_march_forward``, so a forward-marched trajectory has bitwise zero
+    defects.
+    """
+    return nodes[1:] - (us @ nodes[:-1, :, None])[:, :, 0]
+
+
+def _worst_defect(us: NDArrayComplex, nodes: NDArrayComplex) -> float:
+    return float(np.max(np.linalg.norm(_step_defects(us, nodes), axis=1)))
 
 
 def step_matrix(H: ControlHamiltonian, eps_k: float, dt: float, direction: Direction) -> NDArrayComplex:
-    """One-interval propagator matrix at field value eps_k."""
-    sign = -1.0 if direction is Direction.FORWARD else 1.0
-    return _expm_hermitian(H.evaluate(eps_k), dt, sign)
+    """One-interval propagator matrix at field value eps_k.
+
+    Backward is exponentiated directly, exp(+i H(eps_k) dt), not taken as
+    the adjoint of Forward, so per-step ``step`` marches stay an
+    independent check on the stack marches.
+    """
+    tau = dt if direction is Direction.FORWARD else -dt
+    return _expm_hermitian(H.evaluate(eps_k), tau)
 
 
 def step_control_derivative(H: ControlHamiltonian, eps_k: float, dt: float) -> NDArrayComplex:
@@ -196,19 +222,8 @@ def propagate_forward(
         raise ValueError(
             f"field has {field.n_samples} samples but grid has {grid.n_steps} steps"
         )
-    nodes = _propagate_nodes(psi0.amplitudes, field.samples, H, grid.dt)
+    nodes = _march_forward(_u_stack(H, field.samples, grid.dt), psi0.amplitudes)
     return StateTrajectory(nodes)
-
-
-def _propagate_nodes(
-    psi0: NDArrayComplex, samples: np.ndarray, H: ControlHamiltonian, dt: float
-) -> NDArrayComplex:
-    us = _u_stack(H, samples, dt, sign=-1.0)
-    nodes = np.empty((samples.size + 1, psi0.size), dtype=np.complex128)
-    nodes[0] = psi0
-    for k in range(samples.size):
-        nodes[k + 1] = us[k] @ nodes[k]
-    return nodes
 
 
 def propagate_costate(
@@ -237,7 +252,8 @@ def propagate_costate(
     _check_lengths(psi_traj, field, grid)
     if O.dim != psi_traj.dim:
         raise ValueError(f"dimension mismatch: operator {O.dim} vs trajectory {psi_traj.dim}")
-    resid = tdse_residual(psi_traj, field, H, grid)
+    us = _u_stack(H, field.samples, grid.dt)
+    resid = _worst_defect(us, psi_traj.states)
     if resid > consistency_tol:
         raise ValueError(
             f"state trajectory violates the equation of motion (residual {resid:.3e} "
@@ -245,28 +261,16 @@ def propagate_costate(
         )
 
     m = grid.index_T
-    n = grid.n_steps
-    dim = psi_traj.dim
     source = O.matrix @ psi_traj.node(m)
-    nodes = np.zeros((n + 1, dim), dtype=np.complex128)
+    nodes = np.zeros((grid.n_steps + 1, psi_traj.dim), dtype=np.complex128)
 
     if boundary.mode == "canonical":
         chi_minus = source
-        chi_plus = np.zeros(dim, dtype=np.complex128)
+        chi_plus = np.zeros(psi_traj.dim, dtype=np.complex128)
     else:
-        value = (1j / (2.0 * np.pi * boundary.n)) * source
-        chi_minus = value
-        chi_plus = value
-        nodes[m] = value
-        us_fwd = _u_stack(H, field.samples[m:], grid.dt, sign=-1.0)
-        for k in range(m, n):
-            nodes[k + 1] = us_fwd[k - m] @ nodes[k]
-
-    us_back = _u_stack(H, field.samples[:m], grid.dt, sign=1.0)
-    prev = chi_minus
-    for k in range(m - 1, -1, -1):
-        prev = us_back[k] @ prev
-        nodes[k] = prev
+        chi_minus = chi_plus = (1j / (2.0 * np.pi * boundary.n)) * source
+        nodes[m:] = _march_forward(us[m:], chi_plus)
+    nodes[:m] = _march_backward(us[:m], chi_minus)[:-1]
 
     return CostateTrajectory(
         states=nodes, chi_T_minus=chi_minus, chi_T_plus=chi_plus, index_T=m
@@ -282,16 +286,11 @@ def tdse_residual(
     """Worst one-step defect of a trajectory against the exact stepper.
 
     Exactly zero (bitwise) when the trajectory came out of
-    ``propagate_forward`` with the same field and grid: the defect is
-    recomputed with the identical per-step product.
+    ``propagate_forward`` with the same field and grid: the defects are
+    formed with the forward march's own per-step product.
     """
     _check_lengths(traj, field, grid)
-    us = _u_stack(H, field.samples, grid.dt, sign=-1.0)
-    worst = 0.0
-    for k in range(grid.n_steps):
-        defect = traj.states[k + 1] - us[k] @ traj.states[k]
-        worst = max(worst, float(np.linalg.norm(defect)))
-    return worst
+    return _worst_defect(_u_stack(H, field.samples, grid.dt), traj.states)
 
 
 def _check_lengths(traj: StateTrajectory, field: ControlField, grid: TimeGrid) -> None:

@@ -218,6 +218,52 @@ class TestConjugationSymmetry:
         assert worst < 1e-12
 
 
+def random_hermitian(rng: np.random.Generator, dim: int) -> qoct.HermitianOperator:
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return qoct.HermitianOperator((a + a.conj().T) / 2.0)
+
+
+def march_by_step(x0, H, samples, dt, direction):
+    """Nodes of a per-step march with qoct.step, in the order the steps are applied."""
+    nodes = [np.asarray(x0, dtype=complex)]
+    for eps in samples:
+        nodes.append(qoct.step(qoct.StateVector(nodes[-1]), H, float(eps), dt, direction).amplitudes)
+    return np.array(nodes)
+
+
+class TestComplexHermitian:
+    def test_propagators_match_per_step_march(self):
+        # complex-Hermitian H has a non-symmetric U, so U^dagger differs
+        # from conj(U); dim 2 runs the closed form, dim 4 the eigh route
+        rng = np.random.default_rng(30)
+        for dim in (2, 4):
+            H = qoct.ControlHamiltonian(
+                drift=random_hermitian(rng, dim), coupling=random_hermitian(rng, dim)
+            )
+            O = random_hermitian(rng, dim)
+            psi0 = random_state(rng, dim)
+            grid = qoct.TimeGrid(dt=0.07, n_steps=40, index_T=29)
+            field = qoct.ControlField(rng.uniform(-1.5, 1.5, 40))
+            m, eps = grid.index_T, field.samples
+
+            traj = qoct.propagate_forward(psi0, field, H, grid)
+            ref = march_by_step(psi0.amplitudes, H, eps, grid.dt, Direction.FORWARD)
+            assert np.max(np.abs(traj.states - ref)) < 1e-12
+
+            source = O.matrix @ traj.node(m)
+            chi = qoct.propagate_costate(traj, O, field, H, grid, qoct.CostateBoundary.canonical())
+            back = march_by_step(source, H, eps[:m][::-1], grid.dt, Direction.BACKWARD)[::-1]
+            assert np.max(np.abs(chi.states[:m] - back[:m])) < 1e-12
+            assert not chi.states[m:].any()
+
+            value = (1j / (2.0 * np.pi)) * source
+            chi = qoct.propagate_costate(traj, O, field, H, grid, qoct.CostateBoundary.continuous(1))
+            back = march_by_step(value, H, eps[:m][::-1], grid.dt, Direction.BACKWARD)[::-1]
+            ahead = march_by_step(value, H, eps[m:], grid.dt, Direction.FORWARD)
+            assert np.max(np.abs(chi.states[:m] - back[:m])) < 1e-12
+            assert np.max(np.abs(chi.states[m:] - ahead)) < 1e-12
+
+
 class TestTdseResidual:
     def test_zero_for_propagated_trajectory(self):
         problem, field = seeded_problem(26, 3, 50, 1.0)
