@@ -35,8 +35,8 @@ from .core import (
     TimeGrid,
     commutes,
 )
-from .propagator import CostateBoundary, propagate_costate, propagate_forward
-from .propagator import _adjoint, _march_forward, _u_stack, _worst_defect
+from .propagator import CostateBoundary
+from .propagator import _adjoint, _costate, _forward, _march_forward, _u_stack, _worst_defect
 
 __all__ = [
     "ContinuityReport",
@@ -101,11 +101,9 @@ class Solution:
 
 
 def solve(problem: ControlProblem, field: ControlField, boundary: CostateBoundary) -> Solution:
-    """Propagate the state forward and the costate in the given regime."""
-    psi = propagate_forward(problem.psi0, field, problem.hamiltonian, problem.grid)
-    chi = propagate_costate(
-        psi, problem.observable, field, problem.hamiltonian, problem.grid, boundary
-    )
+    """Propagate the state forward and the costate in the given regime, on one stack."""
+    psi, us = _forward(problem.psi0, field, problem.hamiltonian, problem.grid)
+    chi = _costate(psi, problem.observable, field, problem.grid, boundary, us)
     return Solution(problem=problem, field=field, boundary=boundary, psi=psi, chi=chi)
 
 
@@ -176,8 +174,9 @@ def check_continuous_family(
     not a whole turn and |exp(i phi) - 1| = 2 quantifies the induced
     discontinuity.
     """
-    chi = propagate_costate(psi_traj, O, field, H, grid, CostateBoundary.continuous(n))
-    residual = _worst_defect(_u_stack(H, field.samples, grid.dt), chi.states)
+    us = _u_stack(H, field.samples, grid.dt)
+    chi = _costate(psi_traj, O, field, grid, CostateBoundary.continuous(n), us)
+    residual = _worst_defect(us, chi.states)
     value = (1j / (2.0 * np.pi * n)) * (O.matrix @ psi_traj.node(grid.index_T))
     phi_defect = np.pi * (2 * n - 1)
     return ContinuityReport(
@@ -204,9 +203,8 @@ def check_conjugate_independence(
     conjugate forward solution to round-off at every node, for any
     complex beta.
     """
-    psi = propagate_forward(psi0, field, H, grid)
-    back = _adjoint(_u_stack(H, field.samples, grid.dt))
-    phi = _march_forward(back, beta * psi0.amplitudes.conj())
+    psi, us = _forward(psi0, field, H, grid)
+    phi = _march_forward(_adjoint(us), beta * psi0.amplitudes.conj())
     return float(np.max(np.linalg.norm(phi - beta * psi.states.conj(), axis=1)))
 
 

@@ -10,9 +10,6 @@ they round-trip exactly.
 Exit codes: 0 success, 1 malformed input (the diagnostic on stderr
 names the offending config field), 2 a run that finished but missed its
 tolerance (non-convergence, failed verification, failed gradient check).
-
-QOCT_THREADS caps internal parallelism (finite-difference probes);
-default is all cores.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from .core import (
     TimeGrid,
     make_grid,
 )
-from .gradient import default_workers, gradient_report
+from .gradient import gradient_report
 from .optimizer import OptimizationConfig, OptimizationResult, optimize
 from .propagator import CostateBoundary, propagate_forward, tdse_residual
 
@@ -411,7 +408,7 @@ def run_verify(config_path: str | Path, out_dir: str | Path) -> int:
     else:
         conjugate = {"skipped": "Hamiltonian matrices are not real-valued"}
 
-    grad = gradient_report(problem, field, max_workers=default_workers())
+    grad = gradient_report(problem, field)
     checks["gradient"] = bool(grad.max_rel_error < GRADCHECK_TOL)
 
     passed = all(checks.values())
@@ -448,7 +445,7 @@ def run_gradcheck(
 
     problem = cfg.problem()
     field = cfg.noisy_field(NOISE_AMPLITUDE_PROBE, seed=seed)
-    report = gradient_report(problem, field, probe_step=h, max_workers=default_workers())
+    report = gradient_report(problem, field, probe_step=h)
     passed = report.max_rel_error < GRADCHECK_TOL
 
     payload = report.as_dict()

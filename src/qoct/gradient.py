@@ -16,8 +16,6 @@ defined up to the measurement node.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +31,10 @@ from .core import (
 )
 from .propagator import (
     CostateBoundary,
+    _adjoint,
+    _derivative_eigenbasis,
     propagate_costate,
     propagate_forward,
-    step_control_derivative,
 )
 
 __all__ = [
@@ -101,6 +100,10 @@ def analytic_gradient(
     measurement node. Afterwards only the cost term survives (the
     costate vanishes there), reducing to the continuum field law
     2 dt [Im <chi_k| mu psi_k> - alpha (eps_k - ref_k)] as dt -> 0.
+
+    The m samples before the node take one batched eigendecomposition and
+    the overlap is contracted in each eigenbasis, 2 Re b^dagger W a with
+    a = V^dagger psi_k, b = V^dagger chi_{k+1}: no dU_k/deps is formed.
     """
     m = grid.index_T
     if not chi_traj.is_canonical():
@@ -110,10 +113,12 @@ def analytic_gradient(
     _check_shapes(psi_traj, field, eps_ref, grid)
 
     g = -2.0 * alpha * grid.dt * (field.samples - eps_ref.samples)
-    for k in range(m):
-        chi_next = chi_traj.chi_T_minus if k + 1 == m else chi_traj.node(k + 1)
-        du = step_control_derivative(H, float(field.samples[k]), grid.dt)
-        g[k] += 2.0 * float(np.vdot(chi_next, du @ psi_traj.node(k)).real)
+    v, w = _derivative_eigenbasis(H, field.samples[:m], grid.dt)
+    chi_next = np.concatenate([chi_traj.states[1:m], chi_traj.chi_T_minus[None, :]])
+    vh = _adjoint(v)
+    a = vh @ psi_traj.states[:m, :, None]
+    b = vh @ chi_next[:, :, None]
+    g[:m] += 2.0 * (_adjoint(b) @ w @ a)[:, 0, 0].real
     return g
 
 
@@ -163,12 +168,10 @@ def gradient_report(
     problem: ControlProblem,
     field: ControlField,
     probe_step: float = DEFAULT_PROBE_STEP,
-    max_workers: int | None = None,
 ) -> GradientReport:
     """Compare the analytic gradient against central differences sample-wise.
 
-    Probes are independent and re-propagate privately, so they may run
-    on a thread pool; ``max_workers`` defaults to serial execution.
+    Probes run serially; each re-propagates the whole field.
     """
     psi_traj = propagate_forward(problem.psi0, field, problem.hamiltonian, problem.grid)
     chi_traj = propagate_costate(
@@ -180,20 +183,11 @@ def gradient_report(
         problem.hamiltonian, problem.grid,
     )
 
-    indices = range(field.n_samples)
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            fd = np.fromiter(
-                pool.map(lambda k: fd_gradient(problem, field, k, probe_step), indices),
-                dtype=np.float64,
-                count=field.n_samples,
-            )
-    else:
-        fd = np.fromiter(
-            (fd_gradient(problem, field, k, probe_step) for k in indices),
-            dtype=np.float64,
-            count=field.n_samples,
-        )
+    fd = np.fromiter(
+        (fd_gradient(problem, field, k, probe_step) for k in range(field.n_samples)),
+        dtype=np.float64,
+        count=field.n_samples,
+    )
 
     rel = np.abs(analytic - fd) / np.maximum(1e-12, np.abs(fd))
     return GradientReport(
@@ -202,20 +196,6 @@ def gradient_report(
         max_rel_error=float(np.max(rel)),
         probe_step=float(probe_step),
     )
-
-
-def default_workers() -> int:
-    """Worker count for internal parallelism, capped by QOCT_THREADS."""
-    env = os.environ.get("QOCT_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ValueError(f"QOCT_THREADS must be an integer, got {env!r}") from exc
-        if n < 1:
-            raise ValueError(f"QOCT_THREADS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
 
 
 def _check_shapes(

@@ -104,16 +104,14 @@ def optimize(
             f"fields carry {config.eps_ref.n_samples} samples, grid has {grid.n_steps} steps"
         )
 
-    m = grid.index_T
     alpha = config.alpha
     eps_ref = config.eps_ref.samples
-    obs = O.matrix
 
     field = np.array(config.initial_field.samples)
     psi_nodes = _march_forward(_u_stack(H, field, grid.dt), psi0.amplitudes)
-    chi_nodes = _backward_nodes(psi_nodes, obs, field, H, grid)
+    chi = _canonical_costate(psi_nodes, O, field, H, grid)
 
-    history = [_breakdown(psi_nodes, chi_nodes, field, eps_ref, alpha, O, H, grid)]
+    history = [_breakdown(psi_nodes, chi, field, eps_ref, alpha, O, H, grid)]
     largest_decrease = 0.0
     stagnated = False
     iterations = 0
@@ -121,10 +119,10 @@ def optimize(
     for _ in range(config.max_iters):
         iterations += 1
         field, psi_nodes = _feedback_sweep(
-            psi0.amplitudes, chi_nodes, field, eps_ref, alpha, H, grid
+            psi0.amplitudes, chi.states, field, eps_ref, alpha, H, grid
         )
-        chi_nodes = _backward_nodes(psi_nodes, obs, field, H, grid)
-        bd = _breakdown(psi_nodes, chi_nodes, field, eps_ref, alpha, O, H, grid)
+        chi = _canonical_costate(psi_nodes, O, field, H, grid)
+        bd = _breakdown(psi_nodes, chi, field, eps_ref, alpha, O, H, grid)
         delta = bd.j_total - history[-1].j_total
         largest_decrease = min(largest_decrease, delta)
         history.append(bd)
@@ -133,15 +131,8 @@ def optimize(
             break
 
     final_field = ControlField(field)
-    psi_traj = StateTrajectory(psi_nodes)
-    chi_traj = CostateTrajectory(
-        states=chi_nodes,
-        chi_T_minus=obs @ psi_nodes[m],
-        chi_T_plus=np.zeros(H.dim, dtype=np.complex128),
-        index_T=m,
-    )
     residual = stationarity_residual(
-        psi_traj, chi_traj, final_field, config.eps_ref, alpha, H, grid
+        StateTrajectory(psi_nodes), chi, final_field, config.eps_ref, alpha, H, grid
     )
     return OptimizationResult(
         final_field=final_field,
@@ -154,16 +145,21 @@ def optimize(
     )
 
 
-def _backward_nodes(psi_nodes, obs, field, H: ControlHamiltonian, grid: TimeGrid):
-    """Canonical costate nodes: zero at and after the measurement node.
+def _canonical_costate(
+    psi_nodes, O: HermitianOperator, field, H: ControlHamiltonian, grid: TimeGrid
+) -> CostateTrajectory:
+    """Canonical costate of the sweep's state: left limit O psi(T), zero from T on.
 
     The sweep's own trajectory needs no consistency check, which would
     cost a full forward stack per sweep.
     """
     m = grid.index_T
+    source = O.matrix @ psi_nodes[m]
     nodes = np.zeros_like(psi_nodes)
-    nodes[:m] = _march_backward(_u_stack(H, field[:m], grid.dt), obs @ psi_nodes[m])[:-1]
-    return nodes
+    nodes[:m] = _march_backward(_u_stack(H, field[:m], grid.dt), source)[:-1]
+    return CostateTrajectory(
+        states=nodes, chi_T_minus=source, chi_T_plus=np.zeros_like(source), index_T=m
+    )
 
 
 def _feedback_sweep(psi0, chi_nodes, field, eps_ref, alpha, H: ControlHamiltonian, grid: TimeGrid):
@@ -190,16 +186,9 @@ def _feedback_sweep(psi0, chi_nodes, field, eps_ref, alpha, H: ControlHamiltonia
 
 
 def _breakdown(
-    psi_nodes, chi_nodes, field, eps_ref, alpha, O: HermitianOperator, H, grid
+    psi_nodes, chi: CostateTrajectory, field, eps_ref, alpha, O: HermitianOperator, H, grid
 ) -> FunctionalBreakdown:
-    m = grid.index_T
-    psi_traj = StateTrajectory(psi_nodes)
-    chi_traj = CostateTrajectory(
-        states=chi_nodes,
-        chi_T_minus=O.matrix @ psi_nodes[m],
-        chi_T_plus=np.zeros(psi_nodes.shape[1], dtype=np.complex128),
-        index_T=m,
-    )
     return eval_total(
-        psi_traj, chi_traj, ControlField(field), ControlField(eps_ref), alpha, O, H, grid
+        StateTrajectory(psi_nodes), chi, ControlField(field), ControlField(eps_ref),
+        alpha, O, H, grid,
     )

@@ -5,7 +5,8 @@ interval, computed through a Hermitian eigendecomposition (closed SU(2)
 form for two levels), so each step is unitary to round-off. This module
 is the only place that exponentiates or steps: a field gets one stack of
 forward steps, a backward step is the conjugate transpose of a forward
-one, and the step defects reuse the forward march's product. The
+one, the step defects reuse the forward march's product, and the step's
+control derivative comes from the same eigendecomposition route. The
 delta source feeding the costate at the measurement time is never
 discretized as a narrow pulse; it is imposed as an exact boundary
 condition in one of two regimes:
@@ -89,6 +90,11 @@ def _adjoint(u: NDArrayComplex) -> NDArrayComplex:
     return u.conj().swapaxes(-1, -2)
 
 
+def _eigh(h: NDArrayComplex) -> tuple[np.ndarray, NDArrayComplex]:
+    """The one eigendecomposition route, for propagators and their derivatives."""
+    return np.linalg.eigh(h)
+
+
 def _expm_hermitian(h: NDArrayComplex, tau: float) -> NDArrayComplex:
     """exp(-1j * h * tau) for one Hermitian matrix or a stack (..., d, d).
 
@@ -112,14 +118,36 @@ def _expm_hermitian(h: NDArrayComplex, tau: float) -> NDArrayComplex:
         u[..., 1, 0] = phase * sn * b.conj()
         u[..., 1, 1] = phase * (cs - sn * d)
         return u
-    lam, v = np.linalg.eigh(h)
+    lam, v = _eigh(h)
     return (v * np.exp(-1j * lam * tau)[..., None, :]) @ _adjoint(v)
+
+
+def _h_stack(H: ControlHamiltonian, samples: np.ndarray) -> NDArrayComplex:
+    """H(eps_k) = H0 + eps_k * mu for every sample, stacked over k."""
+    return H.drift.matrix[None, :, :] + samples[:, None, None] * H.coupling.matrix[None, :, :]
 
 
 def _u_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayComplex:
     """Forward per-interval propagators exp(-1j * H(eps_k) * dt), batched over k."""
-    hs = H.drift.matrix[None, :, :] + samples[:, None, None] * H.coupling.matrix[None, :, :]
-    return _expm_hermitian(hs, dt)
+    return _expm_hermitian(_h_stack(H, samples), dt)
+
+
+def _derivative_eigenbasis(H: ControlHamiltonian, samples: np.ndarray, dt: float):
+    """V_k and W_k with dU_k/deps = V_k W_k V_k^dagger exactly, batched over k.
+
+    W = Phi * (V^dagger mu V) with the cancellation-free divided-difference
+    kernel Phi_ij = exp(-i (l_i + l_j) dt/2) (-i dt) sinc((l_i - l_j) dt/2)
+    in the eigenvalues l of H(eps_k); the first-order -i*dt*mu would be off
+    at first order in dt whenever drift and coupling do not commute.
+    """
+    lam, v = _eigh(_h_stack(H, samples))
+    li = lam[..., :, None]
+    lj = lam[..., None, :]
+    w = np.exp(-0.5j * (li + lj) * dt)
+    w *= -1j * dt
+    w *= np.sinc((li - lj) * dt / (2.0 * np.pi))
+    w *= _adjoint(v) @ H.control_derivative @ v
+    return v, w
 
 
 def _march_forward(us: NDArrayComplex, x0: NDArrayComplex) -> NDArrayComplex:
@@ -164,24 +192,11 @@ def step_matrix(H: ControlHamiltonian, eps_k: float, dt: float, direction: Direc
 def step_control_derivative(H: ControlHamiltonian, eps_k: float, dt: float) -> NDArrayComplex:
     """Derivative of the forward one-step propagator with respect to eps_k.
 
-    Evaluated exactly through the eigenbasis divided-difference formula
-    for the derivative of a matrix exponential, written in the
-    cancellation-free form
-
-        Phi_ij = exp(-i (l_i + l_j) dt / 2) * (-i dt) * sinc((l_i - l_j) dt / 2),
-
-    rather than the first-order approximation -i*dt*mu, which is off at
-    first order in dt whenever the drift and coupling do not commute.
+    Exact: the eigenbasis divided-difference formula of
+    ``_derivative_eigenbasis`` for a single sample.
     """
-    lam, v = np.linalg.eigh(H.evaluate(eps_k))
-    mu_eig = v.conj().T @ H.control_derivative @ v
-    gaps = lam[:, None] - lam[None, :]
-    phi = (
-        np.exp(-0.5j * (lam[:, None] + lam[None, :]) * dt)
-        * (-1j * dt)
-        * np.sinc(gaps * dt / (2.0 * np.pi))
-    )
-    return v @ (phi * mu_eig) @ v.conj().T
+    v, w = _derivative_eigenbasis(H, np.array([eps_k], dtype=np.float64), dt)
+    return (v @ w @ _adjoint(v))[0]
 
 
 def step(
@@ -215,6 +230,13 @@ def propagate_forward(
     Node 0 is psi0 and each subsequent node applies the exact
     one-interval propagator of its field sample.
     """
+    return _forward(psi0, field, H, grid)[0]
+
+
+def _forward(
+    psi0: StateVector, field: ControlField, H: ControlHamiltonian, grid: TimeGrid
+) -> tuple[StateTrajectory, NDArrayComplex]:
+    """``propagate_forward`` plus the forward stack it marched, for reuse."""
     psi0.require_normalized("psi0")
     if psi0.dim != H.dim:
         raise ValueError(f"dimension mismatch: state {psi0.dim} vs Hamiltonian {H.dim}")
@@ -222,8 +244,8 @@ def propagate_forward(
         raise ValueError(
             f"field has {field.n_samples} samples but grid has {grid.n_steps} steps"
         )
-    nodes = _march_forward(_u_stack(H, field.samples, grid.dt), psi0.amplitudes)
-    return StateTrajectory(nodes)
+    us = _u_stack(H, field.samples, grid.dt)
+    return StateTrajectory(_march_forward(us, psi0.amplitudes)), us
 
 
 def propagate_costate(
@@ -233,7 +255,6 @@ def propagate_costate(
     H: ControlHamiltonian,
     grid: TimeGrid,
     boundary: CostateBoundary,
-    consistency_tol: float = CONSISTENCY_TOL,
 ) -> CostateTrajectory:
     """Solve the costate equation with the delta source handled exactly.
 
@@ -242,22 +263,29 @@ def propagate_costate(
     psi_traj : StateTrajectory
         Forward solution the source term reads psi(T) from; it must
         satisfy the discrete equation of motion for (field, grid) to
-        within ``consistency_tol``.
+        within ``CONSISTENCY_TOL``.
     boundary : CostateBoundary
         canonical: left limit O*psi(T) at the measurement node, zero
         right limit and zero nodes afterwards, backward steps before.
         continuous(n): value (i / 2 pi n) * O * psi(T) at the node,
         identical one-sided limits, homogeneous evolution both ways.
     """
+    return _costate(psi_traj, O, field, grid, boundary, _u_stack(H, field.samples, grid.dt))
+
+
+def _costate(
+    psi_traj: StateTrajectory, O: HermitianOperator, field: ControlField, grid: TimeGrid,
+    boundary: CostateBoundary, us: NDArrayComplex,
+) -> CostateTrajectory:
+    """``propagate_costate`` on a forward stack ``us`` already built for the field."""
     _check_lengths(psi_traj, field, grid)
     if O.dim != psi_traj.dim:
         raise ValueError(f"dimension mismatch: operator {O.dim} vs trajectory {psi_traj.dim}")
-    us = _u_stack(H, field.samples, grid.dt)
     resid = _worst_defect(us, psi_traj.states)
-    if resid > consistency_tol:
+    if resid > CONSISTENCY_TOL:
         raise ValueError(
             f"state trajectory violates the equation of motion (residual {resid:.3e} "
-            f"> {consistency_tol:.1e}); refusing to source the costate from it"
+            f"> {CONSISTENCY_TOL:.1e}); refusing to source the costate from it"
         )
 
     m = grid.index_T

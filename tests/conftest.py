@@ -1,10 +1,10 @@
 """Shared builders for seeded random control problems.
 
-Hamiltonian and observable matrices are drawn real symmetric: every
-claim under test holds for complex Hermitian operators except the
-conjugate-pair identity, which (as in the continuum, where the
-Hamiltonian is a kinetic term plus a real potential) needs a
-real-valued matrix.
+Seeded problems draw Hamiltonian and observable matrices real
+symmetric: every claim under test holds for complex Hermitian operators
+except the conjugate-pair identity, which (as in the continuum, where
+the Hamiltonian is a kinetic term plus a real potential) needs a
+real-valued matrix. ``random_hermitian`` draws the complex case.
 """
 
 from __future__ import annotations
@@ -34,6 +34,11 @@ SEEDED_INSTANCES = [
 def random_symmetric(rng: np.random.Generator, dim: int, scale: float = 1.0) -> qoct.HermitianOperator:
     a = scale * rng.standard_normal((dim, dim))
     return qoct.HermitianOperator((a + a.T) / 2.0)
+
+
+def random_hermitian(rng: np.random.Generator, dim: int) -> qoct.HermitianOperator:
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return qoct.HermitianOperator((a + a.conj().T) / 2.0)
 
 
 def random_state(rng: np.random.Generator, dim: int) -> qoct.StateVector:

@@ -184,3 +184,46 @@ class TestConjugateIndependence:
             assert abs(phi[1] - np.exp(1j * grid.times[k + 1])) < 1e-12
         dev = qoct.check_conjugate_independence(qoct.StateVector([0, 1]), field, H, grid)
         assert dev < 1e-12
+
+
+class TestOneStackPerCall:
+    """Count eigendecomposed matrices: each call builds its forward stack once."""
+
+    @pytest.fixture
+    def eigh_log(self, monkeypatch):
+        log = []
+        eigh = np.linalg.eigh
+
+        def counting(a):
+            log.append(int(np.prod(np.shape(a)[:-2])))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return log
+
+    def test_each_call_decomposes_each_interval_once(self, eigh_log):
+        # dim 3 leaves the SU(2) closed form, so every stack goes through eigh
+        problem, field = seeded_problem(70, 3, 40, 1.0)
+        H, O, grid = problem.hamiltonian, problem.observable, problem.grid
+
+        def logged(call):
+            eigh_log.clear()
+            call()
+            return list(eigh_log)
+
+        sol = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
+        counts = {
+            "solve": logged(lambda: qoct.solve(problem, field, qoct.CostateBoundary.canonical())),
+            "continuous_family": logged(
+                lambda: qoct.check_continuous_family(sol.psi, O, field, H, grid, 1)
+            ),
+            "conjugate": logged(
+                lambda: qoct.check_conjugate_independence(problem.psi0, field, H, grid)
+            ),
+            "gradient": logged(
+                lambda: qoct.analytic_gradient(sol.psi, sol.chi, field, problem.eps_ref, 1.0, H, grid)
+            ),
+        }
+        n, m = grid.n_steps, grid.index_T
+        # one stack of n per call, and the gradient's m intervals in one call
+        assert counts == {"solve": [n], "continuous_family": [n], "conjugate": [n], "gradient": [m]}

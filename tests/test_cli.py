@@ -166,11 +166,6 @@ class TestGradcheck:
         g2 = json.loads((out2 / "grad.json").read_text())["analytic"]
         assert g1 != g2
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QOCT_THREADS", "2")
-        config = write_config(tmp_path / "cfg.json")
-        assert cli.run_gradcheck(config, tmp_path / "out") == 0
-
 
 class TestPropagate:
     def write_field_csv(self, path, samples):

@@ -7,6 +7,7 @@ from qoct.propagator import Direction
 from conftest import (
     level_projector,
     pauli_x,
+    random_hermitian,
     random_state,
     random_symmetric,
     seeded_problem,
@@ -218,11 +219,6 @@ class TestConjugationSymmetry:
         assert worst < 1e-12
 
 
-def random_hermitian(rng: np.random.Generator, dim: int) -> qoct.HermitianOperator:
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return qoct.HermitianOperator((a + a.conj().T) / 2.0)
-
-
 def march_by_step(x0, H, samples, dt, direction):
     """Nodes of a per-step march with qoct.step, in the order the steps are applied."""
     nodes = [np.asarray(x0, dtype=complex)]
@@ -262,6 +258,23 @@ class TestComplexHermitian:
             ahead = march_by_step(value, H, eps[m:], grid.dt, Direction.FORWARD)
             assert np.max(np.abs(chi.states[:m] - back[:m])) < 1e-12
             assert np.max(np.abs(chi.states[m:] - ahead)) < 1e-12
+
+    def test_step_control_derivative_matches_frechet(self):
+        # independent oracle: scipy's Frechet derivative of expm(-i H dt)
+        # in the direction -i mu dt
+        rng = np.random.default_rng(31)
+        dt = 0.07
+        for dim in (2, 4, 8):
+            H = qoct.ControlHamiltonian(
+                drift=random_hermitian(rng, dim), coupling=random_hermitian(rng, dim)
+            )
+            for eps in rng.uniform(-1.5, 1.5, 3):
+                du = qoct.step_control_derivative(H, float(eps), dt)
+                ref = scipy.linalg.expm_frechet(
+                    -1j * H.evaluate(eps) * dt, -1j * H.control_derivative * dt,
+                    compute_expm=False,
+                )
+                assert np.max(np.abs(du - ref)) < 1e-12
 
 
 class TestTdseResidual:
