@@ -78,7 +78,13 @@ class StateVector:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """N x N complex matrix with ||A - A^dagger||_max below 1e-12."""
+    """N x N complex matrix with ||A - A^dagger||_max < 1e-12 * max(1, ||A||_max).
+
+    The bound is relative for entries above 1: an exactly Hermitian
+    V diag(l) V^dagger carries round-off in proportion to its own size.
+    Consumers may read one triangle and rely on the other being its
+    conjugate to within this bound.
+    """
 
     matrix: NDArrayComplex
 
@@ -89,7 +95,7 @@ class HermitianOperator:
         if not np.isfinite(m.view(np.float64)).all():
             raise ValueError("operator contains non-finite entries")
         dev = float(np.max(np.abs(m - m.conj().T)))
-        if dev >= HERMITICITY_TOL:
+        if dev >= HERMITICITY_TOL * max(1.0, float(np.max(np.abs(m)))):
             raise ValueError(f"operator is not Hermitian: max |A - A^dagger| = {dev:.3e}")
         object.__setattr__(self, "matrix", _freeze(m))
 

@@ -8,6 +8,12 @@ stagnates; convergence is only declared once the stationarity residual
 of the final triple also passes, so the cheap stopping rule is backed by
 a rigorous certificate. After the measurement node the costate vanishes
 and the updated field equals the reference sample-for-sample.
+
+The feedback sweep is sequential: each sample needs the state just
+stepped under the previous one. For two levels its pre-T steps run in
+Python scalars (``propagator._step_two_level``), where NumPy's per-call
+overhead on 2 x 2 arrays would dominate; larger systems exponentiate one
+matrix per step.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .core import (
 )
 from .functional import FunctionalBreakdown, eval_total
 from .gradient import stationarity_residual
-from .propagator import _expm_hermitian, _march_backward, _march_forward, _u_stack
+from .propagator import _expm_hermitian, _march_backward, _march_forward, _step_two_level, _u_stack
 
 __all__ = ["OptimizationConfig", "OptimizationResult", "optimize"]
 
@@ -171,18 +177,47 @@ def _feedback_sweep(psi0, chi_nodes, field, eps_ref, alpha, H: ControlHamiltonia
     m = grid.index_T
     n = grid.n_steps
     dt = grid.dt
-    mu = H.control_derivative
     new_field = np.empty_like(field)
     nodes = np.empty((n + 1, psi0.size), dtype=np.complex128)
     nodes[0] = psi0
-    psi = psi0
-    for k in range(m):
-        new_field[k] = eps_ref[k] + np.vdot(chi_nodes[k], mu @ psi).imag / alpha
-        psi = _expm_hermitian(H.evaluate(new_field[k]), dt) @ psi
-        nodes[k + 1] = psi
+    if H.dim == 2:
+        new_field[:m], nodes[1 : m + 1] = _two_level_steps(
+            psi0, chi_nodes[:m], eps_ref[:m], alpha, H, dt
+        )
+    else:
+        mu = H.control_derivative
+        psi = psi0
+        for k in range(m):
+            new_field[k] = eps_ref[k] + np.vdot(chi_nodes[k], mu @ psi).imag / alpha
+            psi = _expm_hermitian(H.evaluate(new_field[k]), dt) @ psi
+            nodes[k + 1] = psi
     new_field[m:] = eps_ref[m:]
-    nodes[m:] = _march_forward(_u_stack(H, new_field[m:], dt), psi)
+    nodes[m:] = _march_forward(_u_stack(H, new_field[m:], dt), nodes[m])
     return new_field, nodes
+
+
+def _two_level_steps(psi0, chi_nodes, eps_ref, alpha, H: ControlHamiltonian, dt):
+    """The pre-T feedback steps of a two-level sweep, in Python scalars.
+
+    Same field law and step as the general loop; the operators, costate
+    and reference are read out once and the results written back once,
+    so no step touches a NumPy array.
+    """
+    (d00, d01), (_, d11) = H.drift.matrix.tolist()
+    (m00, m01), (m10, m11) = H.control_derivative.tolist()
+    p0, p1 = psi0.tolist()
+    field = []
+    states = []
+    for (c0, c1), ref in zip(chi_nodes.tolist(), eps_ref.tolist()):
+        mu_psi0 = m00 * p0 + m01 * p1
+        mu_psi1 = m10 * p0 + m11 * p1
+        eps = ref + (c0.conjugate() * mu_psi0 + c1.conjugate() * mu_psi1).imag / alpha
+        p0, p1 = _step_two_level(
+            d00.real + eps * m00.real, d01 + eps * m01, d11.real + eps * m11.real, dt, p0, p1
+        )
+        field.append(eps)
+        states.append((p0, p1))
+    return field, states
 
 
 def _breakdown(

@@ -5,8 +5,9 @@ interval, computed through a Hermitian eigendecomposition (closed SU(2)
 form for two levels), so each step is unitary to round-off. This module
 is the only place that exponentiates or steps: a field gets one stack of
 forward steps, a backward step is the conjugate transpose of a forward
-one, the step defects reuse the forward march's product, and the step's
-control derivative comes from the same eigendecomposition route. The
+one, the step defects reuse the forward march's product, the step's
+control derivative comes from the same eigendecomposition route, and
+the sequential two-level sweep gets the SU(2) form in Python scalars. The
 delta source feeding the costate at the measurement time is never
 discretized as a narrow pulse; it is imposed as an exact boundary
 condition in one of two regimes:
@@ -19,6 +20,8 @@ condition in one of two regimes:
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -120,6 +123,28 @@ def _expm_hermitian(h: NDArrayComplex, tau: float) -> NDArrayComplex:
         return u
     lam, v = _eigh(h)
     return (v * np.exp(-1j * lam * tau)[..., None, :]) @ _adjoint(v)
+
+
+def _step_two_level(
+    a: float, b: complex, c: float, tau: float, p0: complex, p1: complex
+) -> tuple[complex, complex]:
+    """exp(-1j * h * tau) applied to (p0, p1), for h = [[a, b], [conj(b), c]].
+
+    The SU(2) closed form of ``_expm_hermitian`` in plain Python scalars,
+    applied without building the matrix: a sequential two-level sweep
+    steps hundreds of times per pass, and NumPy's per-call overhead on
+    2 x 2 arrays would dominate it.
+    """
+    s = 0.5 * (a + c)
+    d = 0.5 * (a - c)
+    x = math.sqrt(d * d + b.real * b.real + b.imag * b.imag) * tau
+    cs = math.cos(x)
+    # -i sin(omega tau) / omega, whose omega -> 0 limit is -i tau
+    sn = -1j * tau * (math.sin(x) / x if x else 1.0)
+    phase = cmath.exp(-1j * s * tau)
+    q0 = phase * ((cs + sn * d) * p0 + sn * b * p1)
+    q1 = phase * (sn * b.conjugate() * p0 + (cs - sn * d) * p1)
+    return q0, q1
 
 
 def _h_stack(H: ControlHamiltonian, samples: np.ndarray) -> NDArrayComplex:

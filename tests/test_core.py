@@ -135,6 +135,28 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match="not Hermitian"):
             qoct.HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_operator_accepts_large_norm_hermitian(self):
+        # V diag(l) V^dagger with ||A||_max ~ 1e4 carries ~1e-12 of round-off
+        # asymmetry, above an absolute 1e-12 bound but not a relative one
+        rng = np.random.default_rng(5)
+        for dim in (4, 16):
+            devs = []
+            for _ in range(10):
+                z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                v, _ = np.linalg.qr(z)
+                a = (v * (2e4 * rng.uniform(-1, 1, dim))) @ v.conj().T
+                devs.append(np.max(np.abs(a - a.conj().T)))
+                qoct.HermitianOperator(a)
+            assert max(devs) >= 1e-12
+
+    def test_operator_rejects_small_anti_hermitian_part(self):
+        rng = np.random.default_rng(6)
+        a = random_symmetric(rng, 4).matrix
+        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        m = a / np.max(np.abs(a)) + 1e-10 * (b - b.conj().T) / 2
+        with pytest.raises(ValueError, match="not Hermitian"):
+            qoct.HermitianOperator(m)
+
     def test_hamiltonian_dimension_check(self):
         with pytest.raises(ValueError, match="dimensions differ"):
             qoct.ControlHamiltonian(

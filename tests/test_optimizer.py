@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import qoct
-from conftest import two_level_benchmark
+from qoct.optimizer import _feedback_sweep
+from qoct.propagator import Direction
+from conftest import random_hermitian, random_state, two_level_benchmark
 
 
 def benchmark_config(alpha=1.0, seed=42, max_iters=500, j_tol=1e-12, stationarity_tol=1e-6,
@@ -71,6 +73,40 @@ class TestBenchmark:
             for k in range(0, grid.n_steps, 10)
         )
         assert sup_fd < 10 * tol * 2 * grid.dt * 1.0
+
+
+class TestTwoLevelSweep:
+    def test_matches_step_matrix_loop(self):
+        # the scalar two-level sweep against the field law stepped with the
+        # public matrix stepper; the canonical costate vanishes from T on,
+        # so the law returns the reference there
+        rng = np.random.default_rng(41)
+        H = qoct.ControlHamiltonian(
+            drift=random_hermitian(rng, 2), coupling=random_hermitian(rng, 2)
+        )
+        O = random_hermitian(rng, 2)
+        psi0 = random_state(rng, 2)
+        grid = qoct.TimeGrid(dt=0.05, n_steps=100, index_T=80)
+        field = qoct.ControlField(rng.uniform(-1.0, 1.0, grid.n_steps))
+        eps_ref = rng.uniform(-0.5, 0.5, grid.n_steps)
+        alpha = 0.7
+        traj = qoct.propagate_forward(psi0, field, H, grid)
+        chi = qoct.propagate_costate(traj, O, field, H, grid, qoct.CostateBoundary.canonical())
+
+        new_field, nodes = _feedback_sweep(
+            psi0.amplitudes, chi.states, field.samples, eps_ref, alpha, H, grid
+        )
+
+        mu = H.control_derivative
+        ref_field = np.empty(grid.n_steps)
+        ref_nodes = [psi0.amplitudes]
+        for k in range(grid.n_steps):
+            psi = ref_nodes[-1]
+            ref_field[k] = eps_ref[k] + np.vdot(chi.states[k], mu @ psi).imag / alpha
+            u = qoct.step_matrix(H, ref_field[k], grid.dt, Direction.FORWARD)
+            ref_nodes.append(u @ psi)
+        assert np.max(np.abs(new_field - ref_field)) < 1e-12
+        assert np.max(np.abs(nodes - np.array(ref_nodes))) < 1e-12
 
 
 class TestDegenerateObjectives:

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import qoct
-from qoct.propagator import Direction
+from qoct.propagator import Direction, _expm_hermitian, _step_two_level
 from conftest import (
     level_projector,
     pauli_x,
@@ -275,6 +275,33 @@ class TestComplexHermitian:
                     compute_expm=False,
                 )
                 assert np.max(np.abs(du - ref)) < 1e-12
+
+
+class TestTwoLevelScalarStep:
+    """The scalar SU(2) step pinned to the stack closed form and to scipy."""
+
+    @staticmethod
+    def assert_matches(h, tau, psi):
+        (a, b), (_, c) = h.tolist()
+        p0, p1 = psi.tolist()
+        q = np.array(_step_two_level(a.real, b, c.real, tau, p0, p1))
+        assert np.max(np.abs(q - _expm_hermitian(h, tau) @ psi)) < 1e-14
+        assert np.max(np.abs(q - scipy.linalg.expm(-1j * h * tau) @ psi)) < 1e-14
+
+    def test_random_complex_hermitian(self):
+        rng = np.random.default_rng(32)
+        for _ in range(50):
+            tau = float(rng.uniform(-0.5, 0.5))
+            self.assert_matches(
+                random_hermitian(rng, 2).matrix, tau, random_state(rng, 2).amplitudes
+            )
+
+    def test_identity_multiple_and_diagonal(self):
+        # h = 0.7 I has omega = 0, where sin(omega tau) / omega takes its
+        # limit tau; a diagonal h has b = 0 with a nonzero splitting
+        psi = random_state(np.random.default_rng(33), 2).amplitudes
+        for h in (0.7 * np.eye(2), np.diag([1.3, -0.4])):
+            self.assert_matches(h.astype(complex), 0.3, psi)
 
 
 class TestTdseResidual:
