@@ -4,9 +4,9 @@ The gradient is the exact derivative of the discrete reduced objective
 (discretize-then-differentiate): the equation of motion is eliminated by
 forward solution, the costate recursion is the exact adjoint of the
 stepper, and the per-step propagator is differentiated through the
-eigenbasis formula rather than a first-order approximation. This keeps
-the central-difference comparison a sharp 1e-6 test instead of an O(dt)
-one.
+eigenbasis formula, so central differences check it to a sharp 1e-6,
+not to O(dt). The oracle uses neither the costate nor dU/deps; its
+probes march together on one stack.
 
 The quadratic penalty in the reduced objective spans the whole grid, so
 samples after the measurement node remain (trivially) penalized and both
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import solve
 from .core import (
     ControlField,
     ControlHamiltonian,
@@ -33,7 +34,7 @@ from .propagator import (
     CostateBoundary,
     _adjoint,
     _derivative_eigenbasis,
-    propagate_costate,
+    _march_probes,
     propagate_forward,
 )
 
@@ -126,16 +127,26 @@ def fd_gradient(problem: ControlProblem, field: ControlField, k: int, h: float) 
     """Central-difference probe of the reduced objective at sample k."""
     if not (0 <= k < field.n_samples):
         raise ValueError(f"sample index {k} out of range 0..{field.n_samples - 1}")
+    return float(_central_differences(problem, field, np.array([k]), h)[0])
+
+
+def _central_differences(
+    problem: ControlProblem, field: ControlField, ks: np.ndarray, h: float
+) -> NDArrayFloat:
+    """``fd_gradient`` at the ascending samples ks; only probes before T move psi(T)."""
     if h <= 0:
         raise ValueError(f"probe step must be positive, got {h!r}")
-    plus = np.array(field.samples)
-    minus = np.array(field.samples)
-    plus[k] += h
-    minus[k] -= h
-    return (
-        reduced_objective(problem, ControlField(plus))
-        - reduced_objective(problem, ControlField(minus))
-    ) / (2.0 * h)
+    grid = problem.grid
+    if field.n_samples != grid.n_steps:
+        raise ValueError(f"field has {field.n_samples} samples but grid has {grid.n_steps} steps")
+    dev = field.samples[ks, None] + [h, -h] - problem.eps_ref.samples[ks, None]
+    j = -problem.alpha * dev * dev * grid.dt
+    early = ks[ks < grid.index_T]
+    if early.size:
+        psi_T = _march_probes(problem.psi0, field, problem.hamiltonian, grid, early, h)
+        j_opt = np.einsum("ip,ij,jp->p", psi_T.conj(), problem.observable.matrix, psi_T)
+        j[: early.size] += j_opt.real.reshape(-1, 2)
+    return (j[:, 0] - j[:, 1]) / (2.0 * h)
 
 
 def stationarity_residual(
@@ -171,24 +182,13 @@ def gradient_report(
 ) -> GradientReport:
     """Compare the analytic gradient against central differences sample-wise.
 
-    Probes run serially; each re-propagates the whole field.
+    Both trajectories come from one ``solve``; the probes march on their own stack.
     """
-    psi_traj = propagate_forward(problem.psi0, field, problem.hamiltonian, problem.grid)
-    chi_traj = propagate_costate(
-        psi_traj, problem.observable, field, problem.hamiltonian, problem.grid,
-        CostateBoundary.canonical(),
-    )
+    sol = solve(problem, field, CostateBoundary.canonical())
     analytic = analytic_gradient(
-        psi_traj, chi_traj, field, problem.eps_ref, problem.alpha,
-        problem.hamiltonian, problem.grid,
+        sol.psi, sol.chi, field, problem.eps_ref, problem.alpha, problem.hamiltonian, problem.grid
     )
-
-    fd = np.fromiter(
-        (fd_gradient(problem, field, k, probe_step) for k in range(field.n_samples)),
-        dtype=np.float64,
-        count=field.n_samples,
-    )
-
+    fd = _central_differences(problem, field, np.arange(field.n_samples), probe_step)
     rel = np.abs(analytic - fd) / np.maximum(1e-12, np.abs(fd))
     return GradientReport(
         analytic=analytic,

@@ -53,16 +53,19 @@ def seeded_problem(
     alpha: float,
     dt: float = 0.05,
     index_frac: float = 0.8,
+    complex_hermitian: bool = False,
 ) -> tuple[qoct.ControlProblem, qoct.ControlField]:
-    """One reproducible problem instance plus a random probe field."""
+    """One reproducible problem instance plus a random probe field.
+
+    Operators are real symmetric unless ``complex_hermitian`` is set.
+    """
     rng = np.random.default_rng(seed)
+    draw = random_hermitian if complex_hermitian else random_symmetric
     grid = qoct.TimeGrid(dt=dt, n_steps=n_steps, index_T=round(index_frac * n_steps))
     problem = qoct.ControlProblem(
         psi0=random_state(rng, dim),
-        hamiltonian=qoct.ControlHamiltonian(
-            drift=random_symmetric(rng, dim), coupling=random_symmetric(rng, dim)
-        ),
-        observable=random_symmetric(rng, dim),
+        hamiltonian=qoct.ControlHamiltonian(drift=draw(rng, dim), coupling=draw(rng, dim)),
+        observable=draw(rng, dim),
         grid=grid,
         eps_ref=qoct.ControlField.constant(0.0, n_steps),
         alpha=alpha,

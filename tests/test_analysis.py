@@ -227,3 +227,11 @@ class TestOneStackPerCall:
         n, m = grid.n_steps, grid.index_T
         # one stack of n per call, and the gradient's m intervals in one call
         assert counts == {"solve": [n], "continuous_family": [n], "conjugate": [n], "gradient": [m]}
+
+    def test_gradient_report_decomposes_each_step_once(self, eigh_log):
+        problem, field = seeded_problem(71, 3, 40, 1.0)
+        qoct.gradient_report(problem, field)
+        n, m = problem.grid.n_steps, problem.grid.index_T
+        # one forward stack for both trajectories, the gradient's m intervals,
+        # then the probes' m unmoved and 2m moved steps in one stack
+        assert eigh_log == [n, m, 3 * m]

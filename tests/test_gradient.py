@@ -157,6 +157,27 @@ class TestGradientReport:
         assert report.max_rel_error == np.max(rel)
 
 
+class TestBatchedOracle:
+    @pytest.mark.parametrize("h", [1e-1, 1e-5])
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_matches_two_reduced_objectives_per_sample(self, dim, h):
+        # complex-Hermitian, 40 steps with T at node 32: the last 8 samples
+        # come after T and move only the penalty
+        problem, field = seeded_problem(60 + dim, dim, 40, 1.0, complex_hermitian=True)
+        report = qoct.gradient_report(problem, field, probe_step=h)
+        definition = np.empty(field.n_samples)
+        for k in range(field.n_samples):
+            move = np.zeros(field.n_samples)
+            move[k] = h
+            definition[k] = (
+                qoct.reduced_objective(problem, qoct.ControlField(field.samples + move))
+                - qoct.reduced_objective(problem, qoct.ControlField(field.samples - move))
+            ) / (2.0 * h)
+        assert np.max(np.abs(report.finite_diff - definition)) <= 1e-9
+        for k in (0, 17, problem.grid.index_T - 1, problem.grid.index_T, field.n_samples - 1):
+            assert abs(qoct.fd_gradient(problem, field, k, h) - definition[k]) <= 1e-9
+
+
 class TestStationarityResidual:
     def test_field_built_from_the_law_scores_zero(self):
         problem, field = seeded_problem(50, 2, 40, 2.0)
