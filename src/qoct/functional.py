@@ -107,8 +107,12 @@ def eval_j_tdse(
         raise ValueError(
             f"field has {field.n_samples} samples but grid has {grid.n_steps} steps"
         )
-    defects = _step_defects(_u_stack(H, field.samples, grid.dt), psi_traj.states)
-    overlaps = np.einsum("ki,ki->k", chi_traj.states[:-1].conj(), defects)
+    return _j_tdse(_u_stack(H, field.samples, grid.dt), psi_traj.states, chi_traj.states)
+
+
+def _j_tdse(us, psi_nodes, chi_nodes) -> float:
+    """The multiplier term on the forward step stack ``us`` of the field."""
+    overlaps = np.einsum("ki,ki->k", chi_nodes[:-1].conj(), _step_defects(us, psi_nodes))
     return float(-2.0 * np.imag(np.sum(overlaps)))
 
 

@@ -13,7 +13,8 @@ The feedback sweep is sequential: each sample needs the state just
 stepped under the previous one. For two levels its pre-T steps run in
 Python scalars (``propagator._step_two_level``), where NumPy's per-call
 overhead on 2 x 2 arrays would dominate; larger systems exponentiate one
-matrix per step.
+matrix per step. The sweep returns the steps it formed, and the next
+costate and the multiplier term read them instead of rebuilding them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .core import (
     StateVector,
     TimeGrid,
 )
-from .functional import FunctionalBreakdown, eval_total
+from .functional import FunctionalBreakdown, _j_tdse, eval_j_cost, eval_j_opt
 from .gradient import stationarity_residual
 from .propagator import _expm_hermitian, _march_backward, _march_forward, _step_two_level, _u_stack
 
@@ -114,21 +115,23 @@ def optimize(
     eps_ref = config.eps_ref.samples
 
     field = np.array(config.initial_field.samples)
-    psi_nodes = _march_forward(_u_stack(H, field, grid.dt), psi0.amplitudes)
-    chi = _canonical_costate(psi_nodes, O, field, H, grid)
+    us = _u_stack(H, field, grid.dt)
+    post_us = _u_stack(H, eps_ref[grid.index_T :], grid.dt)
+    psi_nodes = _march_forward(us, psi0.amplitudes)
+    chi = _canonical_costate(psi_nodes, O, us, grid)
 
-    history = [_breakdown(psi_nodes, chi, field, eps_ref, alpha, O, H, grid)]
+    history = [_breakdown(psi_nodes, chi, us, field, eps_ref, alpha, O, grid)]
     largest_decrease = 0.0
     stagnated = False
     iterations = 0
 
     for _ in range(config.max_iters):
         iterations += 1
-        field, psi_nodes = _feedback_sweep(
-            psi0.amplitudes, chi.states, field, eps_ref, alpha, H, grid
+        field, psi_nodes, us = _feedback_sweep(
+            psi0.amplitudes, chi.states, eps_ref, post_us, alpha, H, grid
         )
-        chi = _canonical_costate(psi_nodes, O, field, H, grid)
-        bd = _breakdown(psi_nodes, chi, field, eps_ref, alpha, O, H, grid)
+        chi = _canonical_costate(psi_nodes, O, us, grid)
+        bd = _breakdown(psi_nodes, chi, us, field, eps_ref, alpha, O, grid)
         delta = bd.j_total - history[-1].j_total
         largest_decrease = min(largest_decrease, delta)
         history.append(bd)
@@ -151,49 +154,53 @@ def optimize(
     )
 
 
-def _canonical_costate(
-    psi_nodes, O: HermitianOperator, field, H: ControlHamiltonian, grid: TimeGrid
-) -> CostateTrajectory:
+def _canonical_costate(psi_nodes, O: HermitianOperator, us, grid: TimeGrid) -> CostateTrajectory:
     """Canonical costate of the sweep's state: left limit O psi(T), zero from T on.
 
-    The sweep's own trajectory needs no consistency check, which would
-    cost a full forward stack per sweep.
+    It marches back over the pre-T steps that formed ``psi_nodes``, so it
+    exponentiates nothing; the sweep's own trajectory needs no
+    consistency check, which would cost a full forward stack per sweep.
     """
     m = grid.index_T
     source = O.matrix @ psi_nodes[m]
     nodes = np.zeros_like(psi_nodes)
-    nodes[:m] = _march_backward(_u_stack(H, field[:m], grid.dt), source)[:-1]
+    nodes[:m] = _march_backward(us[:m], source)[:-1]
     return CostateTrajectory(
         states=nodes, chi_T_minus=source, chi_T_plus=np.zeros_like(source), index_T=m
     )
 
 
-def _feedback_sweep(psi0, chi_nodes, field, eps_ref, alpha, H: ControlHamiltonian, grid: TimeGrid):
+def _feedback_sweep(psi0, chi_nodes, eps_ref, post_us, alpha, H: ControlHamiltonian, grid: TimeGrid):
     """Forward sweep rewriting each sample from the field equation.
 
     Samples after the measurement node revert to the reference (the
-    canonical costate is zero there).
+    canonical costate is zero there) and take its steps ``post_us``.
+    Returns the new field, its nodes and its forward step stack.
     """
     m = grid.index_T
     n = grid.n_steps
     dt = grid.dt
-    new_field = np.empty_like(field)
+    new_field = np.empty_like(eps_ref)
     nodes = np.empty((n + 1, psi0.size), dtype=np.complex128)
+    us = np.empty((n, psi0.size, psi0.size), dtype=np.complex128)
     nodes[0] = psi0
     if H.dim == 2:
         new_field[:m], nodes[1 : m + 1] = _two_level_steps(
             psi0, chi_nodes[:m], eps_ref[:m], alpha, H, dt
         )
+        us[:m] = _u_stack(H, new_field[:m], dt)
     else:
         mu = H.control_derivative
         psi = psi0
         for k in range(m):
             new_field[k] = eps_ref[k] + np.vdot(chi_nodes[k], mu @ psi).imag / alpha
-            psi = _expm_hermitian(H.evaluate(new_field[k]), dt) @ psi
+            us[k] = _expm_hermitian(H.evaluate(new_field[k]), dt)
+            psi = us[k] @ psi
             nodes[k + 1] = psi
     new_field[m:] = eps_ref[m:]
-    nodes[m:] = _march_forward(_u_stack(H, new_field[m:], dt), nodes[m])
-    return new_field, nodes
+    us[m:] = post_us
+    nodes[m:] = _march_forward(post_us, nodes[m])
+    return new_field, nodes, us
 
 
 def _two_level_steps(psi0, chi_nodes, eps_ref, alpha, H: ControlHamiltonian, dt):
@@ -221,9 +228,11 @@ def _two_level_steps(psi0, chi_nodes, eps_ref, alpha, H: ControlHamiltonian, dt)
 
 
 def _breakdown(
-    psi_nodes, chi: CostateTrajectory, field, eps_ref, alpha, O: HermitianOperator, H, grid
+    psi_nodes, chi: CostateTrajectory, us, field, eps_ref, alpha, O: HermitianOperator, grid
 ) -> FunctionalBreakdown:
-    return eval_total(
-        StateTrajectory(psi_nodes), chi, ControlField(field), ControlField(eps_ref),
-        alpha, O, H, grid,
+    j_opt = eval_j_opt(StateTrajectory(psi_nodes), O, grid)
+    j_cost = eval_j_cost(ControlField(field), ControlField(eps_ref), alpha, grid)
+    j_tdse = _j_tdse(us, psi_nodes, chi.states)
+    return FunctionalBreakdown(
+        j_opt=j_opt, j_cost=j_cost, j_tdse=j_tdse, j_total=j_opt + j_cost + j_tdse
     )

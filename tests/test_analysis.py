@@ -235,3 +235,15 @@ class TestOneStackPerCall:
         # one forward stack for both trajectories, the gradient's m intervals,
         # then the probes' m unmoved and 2m moved steps in one stack
         assert eigh_log == [n, m, 3 * m]
+
+    def test_optimize_forms_each_sweeps_steps_once(self, eigh_log):
+        problem, field = seeded_problem(72, 3, 40, 1.0)
+        config = qoct.OptimizationConfig(
+            alpha=1.0, max_iters=2, j_tol=1e-300, stationarity_tol=1e-6,
+            initial_field=field, eps_ref=problem.eps_ref,
+        )
+        qoct.optimize(problem.psi0, problem.hamiltonian, problem.observable, problem.grid, config)
+        n, m = problem.grid.n_steps, problem.grid.index_T
+        # the initial stack and the reference's post-T steps, then one step
+        # per pre-T sample and sweep; the costate and the objective read them
+        assert eigh_log == [n, n - m] + [1] * (2 * m)

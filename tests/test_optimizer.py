@@ -4,7 +4,7 @@ import pytest
 import qoct
 from qoct.optimizer import _feedback_sweep
 from qoct.propagator import Direction
-from conftest import random_hermitian, random_state, two_level_benchmark
+from conftest import random_hermitian, random_state, seeded_problem, two_level_benchmark
 
 
 def benchmark_config(alpha=1.0, seed=42, max_iters=500, j_tol=1e-12, stationarity_tol=1e-6,
@@ -75,38 +75,84 @@ class TestBenchmark:
         assert sup_fd < 10 * tol * 2 * grid.dt * 1.0
 
 
+def check_sweep_against_step_matrix_loop(seed, dim):
+    # the sweep against the field law stepped with the public matrix
+    # stepper; the canonical costate vanishes from T on, so the law
+    # returns the reference there, and every returned step is the
+    # forward step at the new sample
+    rng = np.random.default_rng(seed)
+    H = qoct.ControlHamiltonian(
+        drift=random_hermitian(rng, dim), coupling=random_hermitian(rng, dim)
+    )
+    O = random_hermitian(rng, dim)
+    psi0 = random_state(rng, dim)
+    grid = qoct.TimeGrid(dt=0.05, n_steps=100, index_T=80)
+    field = qoct.ControlField(rng.uniform(-1.0, 1.0, grid.n_steps))
+    eps_ref = rng.uniform(-0.5, 0.5, grid.n_steps)
+    alpha = 0.7
+    traj = qoct.propagate_forward(psi0, field, H, grid)
+    chi = qoct.propagate_costate(traj, O, field, H, grid, qoct.CostateBoundary.canonical())
+    post_us = np.array(
+        [qoct.step_matrix(H, e, grid.dt, Direction.FORWARD) for e in eps_ref[grid.index_T :]]
+    )
+
+    new_field, nodes, us = _feedback_sweep(
+        psi0.amplitudes, chi.states, eps_ref, post_us, alpha, H, grid
+    )
+
+    mu = H.control_derivative
+    ref_field = np.empty(grid.n_steps)
+    ref_nodes = [psi0.amplitudes]
+    ref_us = []
+    for k in range(grid.n_steps):
+        psi = ref_nodes[-1]
+        ref_field[k] = eps_ref[k] + np.vdot(chi.states[k], mu @ psi).imag / alpha
+        ref_us.append(qoct.step_matrix(H, ref_field[k], grid.dt, Direction.FORWARD))
+        ref_nodes.append(ref_us[-1] @ psi)
+    assert np.max(np.abs(new_field - ref_field)) < 1e-12
+    assert np.max(np.abs(nodes - np.array(ref_nodes))) < 1e-12
+    assert us.shape == (grid.n_steps, dim, dim)
+    assert np.max(np.abs(us - np.array(ref_us))) < 1e-12
+
+
 class TestTwoLevelSweep:
     def test_matches_step_matrix_loop(self):
-        # the scalar two-level sweep against the field law stepped with the
-        # public matrix stepper; the canonical costate vanishes from T on,
-        # so the law returns the reference there
-        rng = np.random.default_rng(41)
-        H = qoct.ControlHamiltonian(
-            drift=random_hermitian(rng, 2), coupling=random_hermitian(rng, 2)
-        )
-        O = random_hermitian(rng, 2)
-        psi0 = random_state(rng, 2)
-        grid = qoct.TimeGrid(dt=0.05, n_steps=100, index_T=80)
-        field = qoct.ControlField(rng.uniform(-1.0, 1.0, grid.n_steps))
-        eps_ref = rng.uniform(-0.5, 0.5, grid.n_steps)
-        alpha = 0.7
-        traj = qoct.propagate_forward(psi0, field, H, grid)
-        chi = qoct.propagate_costate(traj, O, field, H, grid, qoct.CostateBoundary.canonical())
+        # the pre-T steps run in Python scalars, then form one batched stack
+        check_sweep_against_step_matrix_loop(41, 2)
 
-        new_field, nodes = _feedback_sweep(
-            psi0.amplitudes, chi.states, field.samples, eps_ref, alpha, H, grid
-        )
 
-        mu = H.control_derivative
-        ref_field = np.empty(grid.n_steps)
-        ref_nodes = [psi0.amplitudes]
-        for k in range(grid.n_steps):
-            psi = ref_nodes[-1]
-            ref_field[k] = eps_ref[k] + np.vdot(chi.states[k], mu @ psi).imag / alpha
-            u = qoct.step_matrix(H, ref_field[k], grid.dt, Direction.FORWARD)
-            ref_nodes.append(u @ psi)
-        assert np.max(np.abs(new_field - ref_field)) < 1e-12
-        assert np.max(np.abs(nodes - np.array(ref_nodes))) < 1e-12
+class TestGeneralSweep:
+    def test_matches_step_matrix_loop(self):
+        # dim > 2 exponentiates one matrix per step and keeps it
+        check_sweep_against_step_matrix_loop(43, 4)
+
+
+class TestStackInSync:
+    """The objective and certificate the run reports are those of its final field."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_history_and_residual_match_a_fresh_solve(self, dim):
+        problem, field = seeded_problem(90 + dim, dim, 60, 1.0, complex_hermitian=True)
+        config = qoct.OptimizationConfig(
+            alpha=problem.alpha, max_iters=3, j_tol=1e-300, stationarity_tol=1e-6,
+            initial_field=field, eps_ref=problem.eps_ref,
+        )
+        H, O, grid = problem.hamiltonian, problem.observable, problem.grid
+        assert grid.index_T == 48
+        result = qoct.optimize(problem.psi0, H, O, grid, config)
+        assert result.iterations_run == 3
+
+        sol = qoct.solve(problem, result.final_field, qoct.CostateBoundary.canonical())
+        fresh = qoct.eval_total(
+            sol.psi, sol.chi, result.final_field, problem.eps_ref, problem.alpha, O, H, grid
+        )
+        last = result.j_history[-1]
+        for term in ("j_opt", "j_cost", "j_tdse", "j_total"):
+            assert abs(getattr(last, term) - getattr(fresh, term)) <= 1e-12, term
+        residual = qoct.stationarity_residual(
+            sol.psi, sol.chi, result.final_field, problem.eps_ref, problem.alpha, H, grid
+        )
+        assert abs(result.final_stationarity_residual - residual) <= 1e-12
 
 
 class TestDegenerateObjectives:
