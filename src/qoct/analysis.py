@@ -108,53 +108,42 @@ def solve(problem: ControlProblem, field: ControlField, boundary: CostateBoundar
 
 
 def check_canonical_jump(solution: Solution) -> ContinuityReport:
-    """Measure the canonical discontinuity against its boundary law.
+    """Measure the canonical discontinuity and the field's one-sided limits at T.
 
     The jump norm equals ||O psi(T)|| by construction, so the
     discontinuity is real whenever psi(T) lies outside the kernel of the
-    observable.
+    observable. The field's left limit is reconstructed analytically from
+    the field equation with chi(T-), ref(T) + x with
+    x = Im <chi(T-) | mu | psi(T)> / alpha, never read off a stored
+    sample array; the right limit is the reference value there (zero
+    costate beyond the node). When the observable commutes with the
+    coupling the two limits agree and the field is continuous; otherwise
+    the gap |x| is reported as is.
     """
     _require_canonical(solution)
     prob = solution.problem
     m = prob.grid.index_T
-    source = prob.observable.matrix @ solution.psi.node(m)
+    psi_T = solution.psi.node(m)
+    source = prob.observable.matrix @ psi_T
     chi = solution.chi
-    return ContinuityReport(
-        jump_norm_at_T=chi.jump_norm,
-        costate_matches_boundary=float(np.linalg.norm(chi.chi_T_minus - source)),
-        commutator_condition_holds=commutes(
-            prob.observable, prob.hamiltonian.coupling, COMMUTATOR_TOL
-        ),
-        field_left_limit_gap=_field_gap(solution),
-    )
-
-
-def check_field_continuity(solution: Solution) -> ContinuityReport:
-    """Compare the extremal field's one-sided limits at the measurement node.
-
-    The left limit is reconstructed analytically from the field equation
-    with chi(T-), never read off a stored sample array; the right limit
-    is the reference value there (zero costate beyond the node). When
-    the observable commutes with the coupling the two limits agree and
-    the field is continuous; otherwise the gap is reported as is.
-    """
-    _require_canonical(solution)
-    prob = solution.problem
-    m = prob.grid.index_T
+    mu = prob.hamiltonian.control_derivative
+    x = float(np.vdot(chi.chi_T_minus, mu @ psi_T).imag) / prob.alpha
     eps_ref_T = float(prob.eps_ref.samples[m])
-    left = eps_ref_T + _boundary_overlap(solution) / prob.alpha
-    chi = solution.chi
-    source = prob.observable.matrix @ solution.psi.node(m)
     return ContinuityReport(
         jump_norm_at_T=chi.jump_norm,
         costate_matches_boundary=float(np.linalg.norm(chi.chi_T_minus - source)),
         commutator_condition_holds=commutes(
             prob.observable, prob.hamiltonian.coupling, COMMUTATOR_TOL
         ),
-        field_left_limit_gap=abs(left - eps_ref_T),
-        eps_left_limit=left,
+        field_left_limit_gap=abs(x),
+        eps_left_limit=eps_ref_T + x,
         eps_right_limit=eps_ref_T,
     )
+
+
+# One measurement at T under two names. A plain alias, not a wrapper def:
+# a tracer that wraps both names would otherwise count the report twice.
+check_field_continuity = check_canonical_jump
 
 
 def check_continuous_family(
@@ -212,14 +201,3 @@ def _require_canonical(solution: Solution) -> None:
     if solution.boundary.mode != "canonical" or not solution.chi.is_canonical():
         raise ValueError("this check applies to canonical-boundary solutions only")
 
-
-def _boundary_overlap(solution: Solution) -> float:
-    """Im <chi(T-) | mu | psi(T)> entering the field equation's left limit."""
-    prob = solution.problem
-    m = prob.grid.index_T
-    mu = prob.hamiltonian.control_derivative
-    return float(np.vdot(solution.chi.chi_T_minus, mu @ solution.psi.node(m)).imag)
-
-
-def _field_gap(solution: Solution) -> float:
-    return abs(_boundary_overlap(solution)) / solution.problem.alpha

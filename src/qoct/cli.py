@@ -28,7 +28,6 @@ from .analysis import (
     check_canonical_jump,
     check_conjugate_independence,
     check_continuous_family,
-    check_field_continuity,
     solve,
 )
 from .core import (
@@ -77,22 +76,23 @@ class ConfigError(Exception):
         super().__init__(f"{field}: {message}")
 
 
+# Every key a config may carry; any other key is rejected, so a typo
+# cannot silently fall back to a default.
+_CONFIG_FIELDS = frozenset({
+    "dimension", "h0", "mu", "observable", "psi0", "T", "T_hat", "dt", "alpha",
+    "eps_ref", "max_iters", "j_tol", "stationarity_tol", "seed",
+})
+
+
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Validated problem description plus scheme options."""
+    """Validated control problem plus scheme options."""
 
-    dimension: int
-    hamiltonian: ControlHamiltonian
-    observable: HermitianOperator
-    psi0: StateVector
-    grid: TimeGrid
-    alpha: float
-    eps_ref: ControlField
+    problem: ControlProblem
     max_iters: int
     j_tol: float
     stationarity_tol: float
     seed: int
-    boundary: CostateBoundary
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ProblemConfig":
@@ -108,6 +108,9 @@ class ProblemConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ProblemConfig":
+        unknown = sorted(set(raw) - _CONFIG_FIELDS)
+        if unknown:
+            raise ConfigError(unknown[0], "unknown config field")
         dim = _require(raw, "dimension", int)
         if dim < 2:
             raise ConfigError("dimension", f"must be >= 2, got {dim}")
@@ -158,38 +161,28 @@ class ProblemConfig:
         if not stat_tol > 0:
             raise ConfigError("stationarity_tol", f"must be positive, got {stat_tol!r}")
         seed = _optional(raw, "seed", int, 0)
-        boundary = _parse_boundary(raw)
 
-        return cls(
-            dimension=dim,
+        problem = ControlProblem(
+            psi0=psi0,
             hamiltonian=hamiltonian,
             observable=observable,
-            psi0=psi0,
             grid=grid,
-            alpha=float(alpha),
             eps_ref=eps_ref,
+            alpha=float(alpha),
+        )
+        return cls(
+            problem=problem,
             max_iters=max_iters,
             j_tol=float(j_tol),
             stationarity_tol=float(stat_tol),
             seed=seed,
-            boundary=boundary,
-        )
-
-    def problem(self) -> ControlProblem:
-        return ControlProblem(
-            psi0=self.psi0,
-            hamiltonian=self.hamiltonian,
-            observable=self.observable,
-            grid=self.grid,
-            eps_ref=self.eps_ref,
-            alpha=self.alpha,
         )
 
     def noisy_field(self, amplitude: float, seed: int | None = None) -> ControlField:
         """Reference field plus seeded uniform noise, to probe a generic point."""
         rng = np.random.default_rng(self.seed if seed is None else seed)
-        noise = amplitude * rng.uniform(-1.0, 1.0, self.grid.n_steps)
-        return ControlField(self.eps_ref.samples + noise)
+        noise = amplitude * rng.uniform(-1.0, 1.0, self.problem.grid.n_steps)
+        return ControlField(self.problem.eps_ref.samples + noise)
 
 
 def _require(raw: dict, field: str, types) -> object:
@@ -259,18 +252,6 @@ def _parse_eps_ref(raw: dict, grid: TimeGrid) -> ControlField:
     raise ConfigError("eps_ref", 'expected {"constant": x} or {"samples": [...]}')
 
 
-def _parse_boundary(raw: dict) -> CostateBoundary:
-    value = raw.get("boundary", "canonical")
-    if value == "canonical":
-        return CostateBoundary.canonical()
-    if isinstance(value, dict) and set(value.keys()) == {"continuous"}:
-        n = value["continuous"]
-        if isinstance(n, bool) or not isinstance(n, int) or n == 0:
-            raise ConfigError("boundary", f"continuous requires a nonzero integer, got {n!r}")
-        return CostateBoundary.continuous(n)
-    raise ConfigError("boundary", f'expected "canonical" or {{"continuous": n}}, got {value!r}')
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -308,9 +289,9 @@ def _population_rows(grid: TimeGrid, states: np.ndarray):
         yield (k * grid.dt, *pops[k])
 
 
-def _write_populations(out: Path, cfg: ProblemConfig, states: np.ndarray) -> None:
-    header = ["t"] + [f"p{i}" for i in range(cfg.dimension)]
-    _write_csv(out / "populations.csv", header, _population_rows(cfg.grid, states))
+def _write_populations(out: Path, problem: ControlProblem, states: np.ndarray) -> None:
+    header = ["t"] + [f"p{i}" for i in range(problem.dim)]
+    _write_csv(out / "populations.csv", header, _population_rows(problem.grid, states))
 
 
 def run_optimize(config_path: str | Path, out_dir: str | Path) -> int:
@@ -322,25 +303,26 @@ def run_optimize(config_path: str | Path, out_dir: str | Path) -> int:
         return EXIT_INPUT_ERROR
     out = _ensure_out(out_dir)
 
+    p = cfg.problem
     initial = cfg.noisy_field(NOISE_AMPLITUDE_OPTIMIZE)
     result = optimize(
-        cfg.psi0,
-        cfg.hamiltonian,
-        cfg.observable,
-        cfg.grid,
+        p.psi0,
+        p.hamiltonian,
+        p.observable,
+        p.grid,
         OptimizationConfig(
-            alpha=cfg.alpha,
+            alpha=p.alpha,
             max_iters=cfg.max_iters,
             j_tol=cfg.j_tol,
             stationarity_tol=cfg.stationarity_tol,
             initial_field=initial,
-            eps_ref=cfg.eps_ref,
+            eps_ref=p.eps_ref,
         ),
     )
 
-    traj = propagate_forward(cfg.psi0, result.final_field, cfg.hamiltonian, cfg.grid)
-    _write_csv(out / "field.csv", ["t", "eps"], _field_rows(cfg.grid, result.final_field.samples))
-    _write_populations(out, cfg, traj.states)
+    traj = propagate_forward(p.psi0, result.final_field, p.hamiltonian, p.grid)
+    _write_csv(out / "field.csv", ["t", "eps"], _field_rows(p.grid, result.final_field.samples))
+    _write_populations(out, p, traj.states)
     _write_json(out / "summary.json", _optimize_summary(result))
     return EXIT_OK if result.converged else EXIT_TOLERANCE
 
@@ -366,15 +348,14 @@ def run_verify(config_path: str | Path, out_dir: str | Path) -> int:
         return EXIT_INPUT_ERROR
     out = _ensure_out(out_dir)
 
-    problem = cfg.problem()
+    p = cfg.problem
     field = cfg.noisy_field(NOISE_AMPLITUDE_PROBE)
-    solution = solve(problem, field, CostateBoundary.canonical())
+    solution = solve(p, field, CostateBoundary.canonical())
 
     jump = check_canonical_jump(solution)
-    continuity = check_field_continuity(solution)
     family = {
         n: check_continuous_family(
-            solution.psi, cfg.observable, field, cfg.hamiltonian, cfg.grid, n
+            solution.psi, p.observable, field, p.hamiltonian, p.grid, n
         )
         for n in (1, 2, -1)
     }
@@ -382,8 +363,8 @@ def run_verify(config_path: str | Path, out_dir: str | Path) -> int:
     checks = {
         "canonical_boundary": bool(jump.costate_matches_boundary < BOUNDARY_TOL),
         "field_continuity": bool(
-            continuity.field_left_limit_gap < FIELD_GAP_TOL
-            if continuity.commutator_condition_holds
+            jump.field_left_limit_gap < FIELD_GAP_TOL
+            if jump.commutator_condition_holds
             else True
         ),
     }
@@ -396,10 +377,10 @@ def run_verify(config_path: str | Path, out_dir: str | Path) -> int:
         )
 
     conjugate: dict[str, object]
-    if cfg.hamiltonian.is_real():
-        dev = check_conjugate_independence(cfg.psi0, field, cfg.hamiltonian, cfg.grid)
+    if p.hamiltonian.is_real():
+        dev = check_conjugate_independence(p.psi0, field, p.hamiltonian, p.grid)
         dev_beta = check_conjugate_independence(
-            cfg.psi0, field, cfg.hamiltonian, cfg.grid, beta=2j
+            p.psi0, field, p.hamiltonian, p.grid, beta=2j
         )
         conjugate = {"deviation": dev, "beta_2i_deviation": dev_beta}
         checks["conjugate_independence"] = bool(
@@ -408,7 +389,7 @@ def run_verify(config_path: str | Path, out_dir: str | Path) -> int:
     else:
         conjugate = {"skipped": "Hamiltonian matrices are not real-valued"}
 
-    grad = gradient_report(problem, field)
+    grad = gradient_report(p, field)
     checks["gradient"] = bool(grad.max_rel_error < GRADCHECK_TOL)
 
     passed = all(checks.values())
@@ -416,7 +397,7 @@ def run_verify(config_path: str | Path, out_dir: str | Path) -> int:
         out / "verify.json",
         {
             "canonical_jump": jump.as_dict(),
-            "field_continuity": continuity.as_dict(),
+            "field_continuity": jump.as_dict(),
             "continuous_family": {str(n): rep.as_dict() for n, rep in family.items()},
             "conjugate_independence": conjugate,
             "gradient": grad.as_dict(),
@@ -443,9 +424,8 @@ def run_gradcheck(
         return EXIT_INPUT_ERROR
     out = _ensure_out(out_dir)
 
-    problem = cfg.problem()
     field = cfg.noisy_field(NOISE_AMPLITUDE_PROBE, seed=seed)
-    report = gradient_report(problem, field, probe_step=h)
+    report = gradient_report(cfg.problem, field, probe_step=h)
     passed = report.max_rel_error < GRADCHECK_TOL
 
     payload = report.as_dict()
@@ -465,18 +445,19 @@ def run_propagate(config_path: str | Path, field_csv: str | Path, out_dir: str |
     """Propagate under a stored field; emit populations.csv and summary.json."""
     try:
         cfg = ProblemConfig.from_file(config_path)
-        field = _read_field_csv(field_csv, cfg.grid.n_steps)
+        field = _read_field_csv(field_csv, cfg.problem.grid.n_steps)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     out = _ensure_out(out_dir)
 
-    traj = propagate_forward(cfg.psi0, field, cfg.hamiltonian, cfg.grid)
-    residual = tdse_residual(traj, field, cfg.hamiltonian, cfg.grid)
-    psi_T = traj.node(cfg.grid.index_T)
-    j_opt = float(np.vdot(psi_T, cfg.observable.matrix @ psi_T).real)
+    p = cfg.problem
+    traj = propagate_forward(p.psi0, field, p.hamiltonian, p.grid)
+    residual = tdse_residual(traj, field, p.hamiltonian, p.grid)
+    psi_T = traj.node(p.grid.index_T)
+    j_opt = float(np.vdot(psi_T, p.observable.matrix @ psi_T).real)
 
-    _write_populations(out, cfg, traj.states)
+    _write_populations(out, p, traj.states)
     _write_json(
         out / "summary.json",
         {

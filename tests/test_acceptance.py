@@ -217,16 +217,19 @@ def test_criterion_6_optimization_benchmark(benchmark_result):
     result, elapsed, _, _ = benchmark_result
     ok = (
         elapsed < 10.0
+        and result.converged
         and result.iterations_run <= 500
         and result.final_stationarity_residual < 1e-6
         and result.largest_j_decrease >= -1e-8
     )
     verdict(
         6, "optimization benchmark dynamics", ok,
+        f"{'converged' if result.converged else 'not converged'} after "
         f"{result.iterations_run} iters in {elapsed:.1f}s, residual "
         f"{result.final_stationarity_residual:.1e}, worst drop {result.largest_j_decrease:.1e}",
     )
     assert elapsed < 10.0
+    assert result.converged
     assert result.iterations_run <= 500
     assert result.final_stationarity_residual < 1e-6
     assert result.largest_j_decrease >= -1e-8

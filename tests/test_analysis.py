@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,25 @@ class TestCanonicalJump:
 
 
 class TestFieldContinuity:
+    def test_one_report_under_both_names(self):
+        assert qoct.check_field_continuity is qoct.check_canonical_jump
+
+    def test_limits_around_nonzero_reference(self):
+        # x = Im<chi(T-)|mu|psi(T)> / alpha, measured independently here
+        problem, field = seeded_problem(630, 3, 40, 0.7, complex_hermitian=True)
+        problem = dataclasses.replace(
+            problem, eps_ref=qoct.ControlField.constant(0.45, problem.grid.n_steps)
+        )
+        sol = canonical_solution(problem, field)
+        report = qoct.check_field_continuity(sol)
+        psi_T = sol.psi.node(problem.grid.index_T)
+        overlap = np.vdot(sol.chi.chi_T_minus, problem.hamiltonian.coupling.matrix @ psi_T)
+        x = overlap.imag / problem.alpha
+        assert abs(x) > 1e-3
+        assert report.field_left_limit_gap == abs(overlap.imag) / problem.alpha
+        assert report.eps_right_limit == 0.45
+        assert report.eps_left_limit - report.eps_right_limit == pytest.approx(x, abs=1e-15)
+
     def test_identity_observable_keeps_field_continuous(self):
         rng = np.random.default_rng(60)
         problem = frozen_state_problem(

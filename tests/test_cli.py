@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +66,19 @@ class TestConfigValidation:
         assert cli.run_optimize(config, tmp_path / "out") == 1
         assert "eps_ref" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("max_iter", 10), ("boundary", "canonical")])
+    def test_unknown_key_rejected(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path / "bad.json", **{key: value})
+        assert cli.run_optimize(config, tmp_path / "out") == 1
+        assert key in capsys.readouterr().err
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config format", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = cli.ProblemConfig.from_dict(json.loads(block))
+        assert cfg.problem.dim == 2
+
     def test_missing_field_reported(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_text('{"dimension": 2}', encoding="utf-8")
@@ -129,6 +143,7 @@ class TestVerify:
         assert report["field_continuity"]["commutator_condition_holds"] is False
         assert report["field_continuity"]["field_left_limit_gap"] > 0
         assert report["canonical_jump"]["jump_norm_at_T"] > 0
+        assert report["canonical_jump"] == report["field_continuity"]
         assert report["passed"] is True
 
     def test_complex_hamiltonian_skips_conjugate_check(self, tmp_path):
