@@ -30,6 +30,7 @@ from .core import (
     ControlProblem,
     CostateTrajectory,
     HermitianOperator,
+    NDArrayComplex,
     StateTrajectory,
     StateVector,
     TimeGrid,
@@ -102,9 +103,16 @@ class Solution:
 
 def solve(problem: ControlProblem, field: ControlField, boundary: CostateBoundary) -> Solution:
     """Propagate the state forward and the costate in the given regime, on one stack."""
+    return _solve(problem, field, boundary)[0]
+
+
+def _solve(
+    problem: ControlProblem, field: ControlField, boundary: CostateBoundary
+) -> tuple[Solution, NDArrayComplex]:
+    """``solve`` plus the forward stack it marched, for reuse."""
     psi, us = _forward(problem.psi0, field, problem.hamiltonian, problem.grid)
     chi = _costate(psi, problem.observable, field, problem.grid, boundary, us)
-    return Solution(problem=problem, field=field, boundary=boundary, psi=psi, chi=chi)
+    return Solution(problem=problem, field=field, boundary=boundary, psi=psi, chi=chi), us
 
 
 def check_canonical_jump(solution: Solution) -> ContinuityReport:

@@ -68,8 +68,8 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm - 1.0) < tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm - 1.0) < NORM_TOL
 
     def require_normalized(self, name: str = "state") -> None:
         if not self.is_normalized():
@@ -103,8 +103,8 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self.matrix.imag)) <= tol)
+    def is_real(self) -> bool:
+        return not self.matrix.imag.any()
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ forward solution, the costate recursion is the exact adjoint of the
 stepper, and the per-step propagator is differentiated through the
 eigenbasis formula, so central differences check it to a sharp 1e-6,
 not to O(dt). The oracle uses neither the costate nor dU/deps; its
-probes march together on one stack.
+probes start from the solved trajectory and march together on its steps.
 
 The quadratic penalty in the reduced objective spans the whole grid, so
 samples after the measurement node remain (trivially) penalized and both
@@ -20,12 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import solve
+from .analysis import Solution, _solve
 from .core import (
     ControlField,
     ControlHamiltonian,
     ControlProblem,
     CostateTrajectory,
+    NDArrayComplex,
     NDArrayFloat,
     StateTrajectory,
     TimeGrid,
@@ -34,6 +35,7 @@ from .propagator import (
     CostateBoundary,
     _adjoint,
     _derivative_eigenbasis,
+    _forward,
     _march_probes,
     propagate_forward,
 )
@@ -127,23 +129,26 @@ def fd_gradient(problem: ControlProblem, field: ControlField, k: int, h: float) 
     """Central-difference probe of the reduced objective at sample k."""
     if not (0 <= k < field.n_samples):
         raise ValueError(f"sample index {k} out of range 0..{field.n_samples - 1}")
-    return float(_central_differences(problem, field, np.array([k]), h)[0])
+    psi, us = _forward(problem.psi0, field, problem.hamiltonian, problem.grid)
+    return float(_central_differences(problem, field, psi, us, np.array([k]), h)[0])
 
 
 def _central_differences(
-    problem: ControlProblem, field: ControlField, ks: np.ndarray, h: float
+    problem: ControlProblem, field: ControlField, psi: StateTrajectory, us: NDArrayComplex,
+    ks: np.ndarray, h: float,
 ) -> NDArrayFloat:
-    """``fd_gradient`` at the ascending samples ks; only probes before T move psi(T)."""
+    """``fd_gradient`` at ascending ks off the field's solved psi and steps us.
+
+    Only probes before T move psi(T).
+    """
     if h <= 0:
         raise ValueError(f"probe step must be positive, got {h!r}")
     grid = problem.grid
-    if field.n_samples != grid.n_steps:
-        raise ValueError(f"field has {field.n_samples} samples but grid has {grid.n_steps} steps")
     dev = field.samples[ks, None] + [h, -h] - problem.eps_ref.samples[ks, None]
     j = -problem.alpha * dev * dev * grid.dt
     early = ks[ks < grid.index_T]
     if early.size:
-        psi_T = _march_probes(problem.psi0, field, problem.hamiltonian, grid, early, h)
+        psi_T = _march_probes(psi.states, us, problem.hamiltonian, field, grid, early, h)
         j_opt = np.einsum("ip,ij,jp->p", psi_T.conj(), problem.observable.matrix, psi_T)
         j[: early.size] += j_opt.real.reshape(-1, 2)
     return (j[:, 0] - j[:, 1]) / (2.0 * h)
@@ -180,15 +185,17 @@ def gradient_report(
     field: ControlField,
     probe_step: float = DEFAULT_PROBE_STEP,
 ) -> GradientReport:
-    """Compare the analytic gradient against central differences sample-wise.
+    """Compare the analytic gradient against central differences sample-wise."""
+    return _gradient_report(*_solve(problem, field, CostateBoundary.canonical()), probe_step)
 
-    Both trajectories come from one ``solve``; the probes march on their own stack.
-    """
-    sol = solve(problem, field, CostateBoundary.canonical())
+
+def _gradient_report(sol: Solution, us: NDArrayComplex, probe_step: float) -> GradientReport:
+    """``gradient_report`` on a canonical solution and the forward stack it marched."""
+    problem, field = sol.problem, sol.field
     analytic = analytic_gradient(
         sol.psi, sol.chi, field, problem.eps_ref, problem.alpha, problem.hamiltonian, problem.grid
     )
-    fd = _central_differences(problem, field, np.arange(field.n_samples), probe_step)
+    fd = _central_differences(problem, field, sol.psi, us, np.arange(field.n_samples), probe_step)
     rel = np.abs(analytic - fd) / np.maximum(1e-12, np.abs(fd))
     return GradientReport(
         analytic=analytic,

@@ -13,8 +13,9 @@ The feedback sweep is sequential: each sample needs the state just
 stepped under the previous one. For two levels its pre-T steps run in
 Python scalars (``propagator._step_two_level``), where NumPy's per-call
 overhead on 2 x 2 arrays would dominate; larger systems exponentiate one
-matrix per step. The sweep returns the steps it formed, and the next
-costate and the multiplier term read them instead of rebuilding them.
+matrix per step. The sweep returns the steps it formed; the multiplier
+term and the next costate read them, and that costate comes out of the
+same equation-of-motion gate as every other one.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ from typing import Tuple
 
 import numpy as np
 
+from .analysis import _solve
 from .core import (
     ControlField,
     ControlHamiltonian,
+    ControlProblem,
     CostateTrajectory,
     HermitianOperator,
     StateTrajectory,
@@ -35,7 +38,9 @@ from .core import (
 )
 from .functional import FunctionalBreakdown, _j_tdse, eval_j_cost, eval_j_opt
 from .gradient import stationarity_residual
-from .propagator import _expm_hermitian, _march_backward, _march_forward, _step_two_level, _u_stack
+from .propagator import (
+    CostateBoundary, _costate, _expm_hermitian, _march_forward, _step_two_level, _u_stack,
+)
 
 __all__ = ["OptimizationConfig", "OptimizationResult", "optimize"]
 
@@ -103,35 +108,30 @@ def optimize(
     ``converged`` flag, not an exception; the history and residual let
     the caller judge how far the run got.
     """
-    psi0.require_normalized("psi0")
-    if psi0.dim != H.dim or O.dim != H.dim:
-        raise ValueError("psi0, Hamiltonian and observable dimensions must agree")
-    if config.eps_ref.n_samples != grid.n_steps:
-        raise ValueError(
-            f"fields carry {config.eps_ref.n_samples} samples, grid has {grid.n_steps} steps"
-        )
-
-    alpha = config.alpha
+    problem = ControlProblem(
+        psi0=psi0, hamiltonian=H, observable=O, grid=grid, eps_ref=config.eps_ref,
+        alpha=config.alpha,
+    )
     eps_ref = config.eps_ref.samples
+    canonical = CostateBoundary.canonical()
 
-    field = np.array(config.initial_field.samples)
-    us = _u_stack(H, field, grid.dt)
+    sol, us = _solve(problem, config.initial_field, canonical)
+    field, psi, chi = sol.field, sol.psi, sol.chi
     post_us = _u_stack(H, eps_ref[grid.index_T :], grid.dt)
-    psi_nodes = _march_forward(us, psi0.amplitudes)
-    chi = _canonical_costate(psi_nodes, O, us, grid)
 
-    history = [_breakdown(psi_nodes, chi, us, field, eps_ref, alpha, O, grid)]
+    history = [_breakdown(problem, field, psi, chi, us)]
     largest_decrease = 0.0
     stagnated = False
     iterations = 0
 
     for _ in range(config.max_iters):
         iterations += 1
-        field, psi_nodes, us = _feedback_sweep(
-            psi0.amplitudes, chi.states, eps_ref, post_us, alpha, H, grid
+        samples, nodes, us = _feedback_sweep(
+            psi0.amplitudes, chi.states, eps_ref, post_us, problem.alpha, H, grid
         )
-        chi = _canonical_costate(psi_nodes, O, us, grid)
-        bd = _breakdown(psi_nodes, chi, us, field, eps_ref, alpha, O, grid)
+        field, psi = ControlField(samples), StateTrajectory(nodes)
+        chi = _costate(psi, O, field, grid, canonical, us)
+        bd = _breakdown(problem, field, psi, chi, us)
         delta = bd.j_total - history[-1].j_total
         largest_decrease = min(largest_decrease, delta)
         history.append(bd)
@@ -139,34 +139,15 @@ def optimize(
             stagnated = True
             break
 
-    final_field = ControlField(field)
-    residual = stationarity_residual(
-        StateTrajectory(psi_nodes), chi, final_field, config.eps_ref, alpha, H, grid
-    )
+    residual = stationarity_residual(psi, chi, field, problem.eps_ref, problem.alpha, H, grid)
     return OptimizationResult(
-        final_field=final_field,
+        final_field=field,
         j_history=tuple(history),
         final_fidelity=history[-1].j_opt,
         iterations_run=iterations,
         converged=stagnated and residual < config.stationarity_tol,
         final_stationarity_residual=residual,
         largest_j_decrease=largest_decrease,
-    )
-
-
-def _canonical_costate(psi_nodes, O: HermitianOperator, us, grid: TimeGrid) -> CostateTrajectory:
-    """Canonical costate of the sweep's state: left limit O psi(T), zero from T on.
-
-    It marches back over the pre-T steps that formed ``psi_nodes``, so it
-    exponentiates nothing; the sweep's own trajectory needs no
-    consistency check, which would cost a full forward stack per sweep.
-    """
-    m = grid.index_T
-    source = O.matrix @ psi_nodes[m]
-    nodes = np.zeros_like(psi_nodes)
-    nodes[:m] = _march_backward(us[:m], source)[:-1]
-    return CostateTrajectory(
-        states=nodes, chi_T_minus=source, chi_T_plus=np.zeros_like(source), index_T=m
     )
 
 
@@ -228,11 +209,11 @@ def _two_level_steps(psi0, chi_nodes, eps_ref, alpha, H: ControlHamiltonian, dt)
 
 
 def _breakdown(
-    psi_nodes, chi: CostateTrajectory, us, field, eps_ref, alpha, O: HermitianOperator, grid
+    problem: ControlProblem, field: ControlField, psi: StateTrajectory, chi: CostateTrajectory, us
 ) -> FunctionalBreakdown:
-    j_opt = eval_j_opt(StateTrajectory(psi_nodes), O, grid)
-    j_cost = eval_j_cost(ControlField(field), ControlField(eps_ref), alpha, grid)
-    j_tdse = _j_tdse(us, psi_nodes, chi.states)
+    j_opt = eval_j_opt(psi, problem.observable, problem.grid)
+    j_cost = eval_j_cost(field, problem.eps_ref, problem.alpha, problem.grid)
+    j_tdse = _j_tdse(us, psi.states, chi.states)
     return FunctionalBreakdown(
         j_opt=j_opt, j_cost=j_cost, j_tdse=j_tdse, j_total=j_opt + j_cost + j_tdse
     )

@@ -8,10 +8,10 @@ forward steps, a backward step is the conjugate transpose of a forward
 one, the step defects reuse the forward march's product, the step's
 control derivative comes from the same eigendecomposition route, the
 finite-difference probes, each with one step swapped, march together on
-one stack, and the sequential two-level sweep gets the SU(2) form in
-Python scalars. The delta source feeding the costate at the measurement
-time is never discretized as a narrow pulse; it is imposed as an exact
-boundary condition in one of two regimes:
+the solved field's steps, and the sequential two-level sweep gets the
+SU(2) form in Python scalars. The delta source feeding the costate at
+the measurement time is never discretized as a narrow pulse; it is
+imposed as an exact boundary condition in one of two regimes:
 
 * canonical: chi jumps at the measurement node (left limit O*psi(T),
   right limit zero, zero thereafter);
@@ -191,21 +191,19 @@ def _march_backward(us: NDArrayComplex, x_end: NDArrayComplex) -> NDArrayComplex
 
 
 def _march_probes(
-    psi0: StateVector, field: ControlField, H: ControlHamiltonian, grid: TimeGrid,
-    ks: np.ndarray, h: float,
+    nodes: NDArrayComplex, us: NDArrayComplex, H: ControlHamiltonian, field: ControlField,
+    grid: TimeGrid, ks: np.ndarray, h: float,
 ) -> NDArrayComplex:
     """psi(T) with sample ks[j] moved by +h and by -h, as columns 2j and 2j + 1.
 
-    ks ascends and stays before the measurement node. One stack holds the
-    unmoved steps up to T and the moved ones. The prefix is marched once,
-    probe j's pair enters at node ks[j] + 1, and every column already
-    there advances together, one (d x d) @ (d x entered) matmul per step.
+    ks ascends and stays before the measurement node. Only the moved steps
+    are formed: probe j's pair steps off the solved node ks[j], and every
+    column already past its probe advances together on the solved steps
+    ``us``, one (d x d) @ (d x entered) matmul per step.
     """
     m = grid.index_T
-    eps = field.samples
-    us = _u_stack(H, np.concatenate([eps[:m], (eps[ks, None] + [h, -h]).ravel()]), grid.dt)
-    nodes = np.repeat(_march_forward(us[: ks[-1]], psi0.amplitudes)[ks], 2, axis=0)
-    cols = (us[m:] @ nodes[:, :, None])[:, :, 0].T.copy()
+    moved = _u_stack(H, (field.samples[ks, None] + [h, -h]).ravel(), grid.dt)
+    cols = (moved @ np.repeat(nodes[ks], 2, axis=0)[:, :, None])[:, :, 0].T.copy()
     entered = 2 * np.searchsorted(ks, np.arange(m))
     for k in range(ks[0] + 1, m):
         cols[:, : entered[k]] = us[k] @ cols[:, : entered[k]]

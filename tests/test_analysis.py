@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qoct
+from qoct import cli
 from conftest import (
     level_projector,
     pauli_x,
@@ -11,6 +12,7 @@ from conftest import (
     random_symmetric,
     seeded_problem,
 )
+from test_cli import as_pairs_matrix, as_pairs_vector, write_config
 
 
 def frozen_state_problem(psi0_amps, O, mu=None, alpha=1.0, n_steps=10, index_T=6):
@@ -254,11 +256,12 @@ class TestOneStackPerCall:
         qoct.gradient_report(problem, field)
         n, m = problem.grid.n_steps, problem.grid.index_T
         # one forward stack for both trajectories, the gradient's m intervals,
-        # then the probes' m unmoved and 2m moved steps in one stack
-        assert eigh_log == [n, m, 3 * m]
+        # then only the probes' 2m moved steps: they step off the solved nodes
+        assert eigh_log == [n, m, 2 * m]
 
-    def test_optimize_forms_each_sweeps_steps_once(self, eigh_log):
-        problem, field = seeded_problem(72, 3, 40, 1.0)
+    @pytest.mark.parametrize("dim", [3, 2])
+    def test_optimize_forms_each_sweeps_steps_once(self, eigh_log, dim):
+        problem, field = seeded_problem(72, dim, 40, 1.0)
         config = qoct.OptimizationConfig(
             alpha=1.0, max_iters=2, j_tol=1e-300, stationarity_tol=1e-6,
             initial_field=field, eps_ref=problem.eps_ref,
@@ -266,5 +269,20 @@ class TestOneStackPerCall:
         qoct.optimize(problem.psi0, problem.hamiltonian, problem.observable, problem.grid, config)
         n, m = problem.grid.n_steps, problem.grid.index_T
         # the initial stack and the reference's post-T steps, then one step
-        # per pre-T sample and sweep; the costate and the objective read them
-        assert eigh_log == [n, n - m] + [1] * (2 * m)
+        # per pre-T sample and sweep; the costate and the objective read them.
+        # Two levels take the SU(2) closed form everywhere and never decompose.
+        expected = [n, n - m] + [1] * (2 * m) if dim == 3 else []
+        assert eigh_log == expected
+
+    def test_verify_solves_its_probe_field_once(self, eigh_log, tmp_path):
+        rng = np.random.default_rng(73)
+        h0, mu, observable = (as_pairs_matrix(random_symmetric(rng, 3).matrix) for _ in range(3))
+        config = write_config(
+            tmp_path / "cfg.json", dimension=3, h0=h0, mu=mu, observable=observable,
+            psi0=as_pairs_vector([1.0, 0.0, 0.0]),
+        )
+        assert cli.run_verify(config, tmp_path / "out") == 0
+        n, m = 100, 80
+        # one solve, three continuous-family stacks and two conjugate-pair
+        # stacks, then the gradient's m intervals and the probes' 2m moved steps
+        assert sum(eigh_log) == 6 * n + 3 * m

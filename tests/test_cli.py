@@ -72,6 +72,22 @@ class TestConfigValidation:
         assert cli.run_optimize(config, tmp_path / "out") == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("alpha", float("inf")),
+            ("eps_ref", {"constant": float("nan")}),
+            ("T_hat", float("inf")),
+            ("j_tol", float("inf")),
+        ],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, capsys, key, value):
+        # Python's json reads NaN and Infinity; each must be a named config error
+        config = write_config(tmp_path / "bad.json", **{key: value})
+        assert cli.run_verify(config, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert key in err and "must be finite" in err
+
     def test_readme_example_parses(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         section = readme.split("### Config format", 1)[1]
@@ -173,10 +189,11 @@ class TestGradcheck:
         assert "truncate" in report["diagnostic"]
 
     def test_seed_option_changes_probe_field(self, tmp_path):
-        config = write_config(tmp_path / "cfg.json")
+        config1 = write_config(tmp_path / "cfg1.json", seed=1)
+        config2 = write_config(tmp_path / "cfg2.json", seed=2)
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert cli.run_gradcheck(config, out1, seed=1) == 0
-        assert cli.run_gradcheck(config, out2, seed=2) == 0
+        assert cli.run_gradcheck(config1, out1) == 0
+        assert cli.run_gradcheck(config2, out2) == 0
         g1 = json.loads((out1 / "grad.json").read_text())["analytic"]
         g2 = json.loads((out2 / "grad.json").read_text())["analytic"]
         assert g1 != g2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qoct
+from qoct import optimizer
 from qoct.optimizer import _feedback_sweep
 from qoct.propagator import Direction
 from conftest import random_hermitian, random_state, seeded_problem, two_level_benchmark
@@ -153,6 +154,26 @@ class TestStackInSync:
             sol.psi, sol.chi, result.final_field, problem.eps_ref, problem.alpha, H, grid
         )
         assert abs(result.final_stationarity_residual - residual) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sweep_off_its_steps_cannot_source_a_costate(self, monkeypatch, dim):
+        # every sweep's trajectory passes the costate's equation-of-motion gate;
+        # a 1e-8 phase on one node keeps its norm, so only that gate can see it
+        def perturbed(*args):
+            new_field, nodes, us = _feedback_sweep(*args)
+            nodes[5] *= np.exp(1e-8j)
+            return new_field, nodes, us
+
+        monkeypatch.setattr(optimizer, "_feedback_sweep", perturbed)
+        problem, field = seeded_problem(95, dim, 40, 1.0)
+        config = qoct.OptimizationConfig(
+            alpha=1.0, max_iters=2, j_tol=1e-300, stationarity_tol=1e-6,
+            initial_field=field, eps_ref=problem.eps_ref,
+        )
+        with pytest.raises(ValueError, match="equation of motion"):
+            qoct.optimize(
+                problem.psi0, problem.hamiltonian, problem.observable, problem.grid, config
+            )
 
 
 class TestDegenerateObjectives:
