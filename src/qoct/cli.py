@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -39,6 +40,7 @@ from .core import (
     TimeGrid,
     make_grid,
 )
+from .functional import eval_j_opt
 from .gradient import DEFAULT_PROBE_STEP, _gradient_report, gradient_report
 from .optimizer import OptimizationConfig, OptimizationResult, optimize
 from .propagator import CostateBoundary, _forward, _worst_defect, propagate_forward
@@ -130,9 +132,9 @@ class ProblemConfig:
         except ValueError as exc:
             raise ConfigError("psi0", str(exc)) from exc
 
-        T = _require(raw, "T", (int, float))
-        T_hat = _require(raw, "T_hat", (int, float))
-        dt = _require(raw, "dt", (int, float))
+        T = _require(raw, "T", float)
+        T_hat = _require(raw, "T_hat", float)
+        dt = _require(raw, "dt", float)
         if not dt > 0:
             raise ConfigError("dt", f"must be positive, got {dt!r}")
         if not T > 0:
@@ -140,12 +142,12 @@ class ProblemConfig:
         if not T_hat > T:
             raise ConfigError("T_hat", f"must exceed T={T!r}, got {T_hat!r}")
         try:
-            grid = make_grid(float(T), float(T_hat), float(dt))
+            grid = make_grid(T, T_hat, dt)
         except ValueError as exc:
             field = "T_hat" if "T_hat" in str(exc) else "T"
             raise ConfigError(field, str(exc)) from exc
 
-        alpha = _require(raw, "alpha", (int, float))
+        alpha = _require(raw, "alpha", float)
         if not alpha > 0:
             raise ConfigError("alpha", f"must be positive, got {alpha!r}")
 
@@ -154,13 +156,15 @@ class ProblemConfig:
         max_iters = _optional(raw, "max_iters", int, 500)
         if max_iters < 1:
             raise ConfigError("max_iters", f"must be >= 1, got {max_iters}")
-        j_tol = _optional(raw, "j_tol", (int, float), 1e-10)
+        j_tol = _optional(raw, "j_tol", float, 1e-10)
         if not j_tol > 0:
             raise ConfigError("j_tol", f"must be positive, got {j_tol!r}")
-        stat_tol = _optional(raw, "stationarity_tol", (int, float), 1e-6)
+        stat_tol = _optional(raw, "stationarity_tol", float, 1e-6)
         if not stat_tol > 0:
             raise ConfigError("stationarity_tol", f"must be positive, got {stat_tol!r}")
         seed = _optional(raw, "seed", int, 0)
+        if seed < 0:
+            raise ConfigError("seed", f"must be non-negative, got {seed}")
 
         problem = ControlProblem(
             psi0=psi0,
@@ -168,13 +172,13 @@ class ProblemConfig:
             observable=observable,
             grid=grid,
             eps_ref=eps_ref,
-            alpha=float(alpha),
+            alpha=alpha,
         )
         return cls(
             problem=problem,
             max_iters=max_iters,
-            j_tol=float(j_tol),
-            stationarity_tol=float(stat_tol),
+            j_tol=j_tol,
+            stationarity_tol=stat_tol,
             seed=seed,
         )
 
@@ -186,14 +190,32 @@ class ProblemConfig:
 
 
 def _require(raw: dict, field: str, types) -> object:
+    """The value at ``field``; ``types`` float reads it with ``_number``."""
     if field not in raw:
         raise ConfigError(field, "missing required field")
     value = raw[field]
+    if types is float:
+        return _number(value, field)
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(field, f"unexpected type {type(value).__name__}")
-    if isinstance(value, float) and not np.isfinite(value):
-        raise ConfigError(field, "must be finite")
     return value
+
+
+def _number(value, field: str) -> float:
+    """The one reader of config numbers: a JSON int or float, finite as a float.
+
+    Python's json parses NaN, Infinity and integers of any size; an
+    integer too large for a float counts as not finite.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(field, f"expected a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(field, "must be finite")
+    return x
 
 
 def _optional(raw: dict, field: str, types, default):
@@ -203,13 +225,9 @@ def _optional(raw: dict, field: str, types, default):
 
 
 def _parse_complex(value, field: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(field, f"complex numbers are [re, im] pairs, got {value!r}")
-    return complex(value[0], value[1])
+    return complex(_number(value[0], field), _number(value[1], field))
 
 
 def _parse_complex_vector(raw: dict, field: str, dim: int) -> np.ndarray:
@@ -236,25 +254,16 @@ def _parse_eps_ref(raw: dict, grid: TimeGrid) -> ControlField:
     value = _require(raw, "eps_ref", dict)
     keys = set(value.keys())
     if keys == {"constant"}:
-        const = value["constant"]
-        if isinstance(const, bool) or not isinstance(const, (int, float)):
-            raise ConfigError("eps_ref", f"constant must be a number, got {const!r}")
-        if not np.isfinite(const):
-            raise ConfigError("eps_ref", "must be finite")
-        return ControlField.constant(float(const), grid.n_steps)
+        return ControlField.constant(_number(value["constant"], "eps_ref"), grid.n_steps)
     if keys == {"samples"}:
         samples = value["samples"]
-        if not isinstance(samples, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in samples
-        ):
+        if not isinstance(samples, list):
             raise ConfigError("eps_ref", "samples must be a list of numbers")
-        if not np.isfinite(samples).all():
-            raise ConfigError("eps_ref", "must be finite")
         if len(samples) != grid.n_steps:
             raise ConfigError(
                 "eps_ref", f"expected {grid.n_steps} samples, got {len(samples)}"
             )
-        return ControlField(np.array(samples, dtype=np.float64))
+        return ControlField(np.array([_number(x, "eps_ref") for x in samples]))
     raise ConfigError("eps_ref", 'expected {"constant": x} or {"samples": [...]}')
 
 
@@ -458,16 +467,13 @@ def run_propagate(config_path: str | Path, field_csv: str | Path, out_dir: str |
 
     p = cfg.problem
     traj, us = _forward(p.psi0, field, p.hamiltonian, p.grid)
-    residual = _worst_defect(us, traj.states)
-    psi_T = traj.node(p.grid.index_T)
-    j_opt = float(np.vdot(psi_T, p.observable.matrix @ psi_T).real)
 
     _write_populations(out, p, traj.states)
     _write_json(
         out / "summary.json",
         {
-            "j_opt": j_opt,
-            "tdse_residual": residual,
+            "j_opt": eval_j_opt(traj, p.observable, p.grid),
+            "tdse_residual": _worst_defect(us, traj.states),
             "final_populations": (np.abs(traj.states[-1]) ** 2).tolist(),
         },
     )

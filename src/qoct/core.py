@@ -36,6 +36,11 @@ __all__ = [
 ]
 
 
+def _hermiticity_bound(m: np.ndarray) -> float:
+    """1e-12 * max(1, ||m||_max): round-off in a Hermitian matrix grows with its entries."""
+    return HERMITICITY_TOL * max(1.0, float(np.max(np.abs(m))))
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -95,7 +100,7 @@ class HermitianOperator:
         if not np.isfinite(m.view(np.float64)).all():
             raise ValueError("operator contains non-finite entries")
         dev = float(np.max(np.abs(m - m.conj().T)))
-        if dev >= HERMITICITY_TOL * max(1.0, float(np.max(np.abs(m)))):
+        if dev >= _hermiticity_bound(m):
             raise ValueError(f"operator is not Hermitian: max |A - A^dagger| = {dev:.3e}")
         object.__setattr__(self, "matrix", _freeze(m))
 
@@ -320,13 +325,14 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
 def expectation(O: HermitianOperator, psi: StateVector) -> float:
     """Expectation value <psi|O|psi> of a Hermitian observable.
 
-    The imaginary part must vanish to 1e-12 (guaranteed by Hermiticity
-    up to round-off); a larger residue indicates corrupted inputs.
+    The imaginary part must vanish to the operator's Hermiticity bound
+    (round-off grows with its entries); a larger residue indicates
+    corrupted inputs.
     """
     if O.dim != psi.dim:
         raise ValueError(f"dimension mismatch: operator {O.dim} vs state {psi.dim}")
     val = complex(np.vdot(psi.amplitudes, O.matrix @ psi.amplitudes))
-    if abs(val.imag) >= 1e-12:
+    if abs(val.imag) >= _hermiticity_bound(O.matrix):
         raise ValueError(f"expectation value has imaginary residue {val.imag:.3e}")
     return val.real
 
@@ -361,3 +367,16 @@ def _commensurate(t: float, dt: float, name: str) -> int:
     if k < 1 or abs(ratio - k) > 1e-12 * max(1.0, abs(ratio)):
         raise ValueError(f"{name}={t!r} is not an integer multiple of dt={dt!r}")
     return k
+
+
+def _check_grid(grid: TimeGrid, fields=(), trajectories=()) -> None:
+    """One sample per grid step for each field, one row per grid node for each trajectory."""
+    for field in fields:
+        if field.n_samples != grid.n_steps:
+            raise ValueError(
+                f"field has {field.n_samples} samples but grid has {grid.n_steps} steps"
+            )
+    for traj in trajectories:
+        n_nodes = traj.states.shape[0]
+        if n_nodes != grid.n_steps + 1:
+            raise ValueError(f"trajectory has {n_nodes} nodes but grid has {grid.n_steps + 1}")

@@ -1,13 +1,15 @@
-"""Evaluation of the three-term control objective on discrete trajectories.
+"""The one definition of the three-term control objective on discrete trajectories.
 
 The objective splits into the observable expectation at the measurement
-node, a negative quadratic field-deviation cost integrated up to the
-measurement time, and a multiplier term that vanishes whenever the state
-trajectory actually solves the equation of motion. Quadrature is
-left-Riemann on intervals, exact for piecewise-constant integrands, and
-the discrete time-derivative inside the multiplier term is defined
-through the exact stepper so that propagated trajectories annihilate the
-integrand identically instead of to O(dt^2).
+node, a negative quadratic field-deviation cost over every sample of the
+grid, and a multiplier term that vanishes whenever the state trajectory
+actually solves the equation of motion. The cost runs over the whole
+grid, as in the reduced objective the gradient differentiates, so its
+field law sets the samples after the measurement node to the reference.
+Quadrature is left-Riemann on intervals, exact for piecewise-constant
+integrands, and the discrete time-derivative inside the multiplier term
+is defined through the exact stepper so that propagated trajectories
+annihilate the integrand identically instead of to O(dt^2).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .core import (
     StateTrajectory,
     StateVector,
     TimeGrid,
+    _check_grid,
     expectation,
 )
 from .propagator import _step_defects, _u_stack
@@ -39,18 +42,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FunctionalBreakdown:
-    """The three objective terms and their sum; j_cost is never positive."""
+    """The three objective terms; j_cost is never positive and j_total is their sum."""
 
     j_opt: float
     j_cost: float
     j_tdse: float
-    j_total: float
 
     def __post_init__(self):
-        if abs(self.j_total - (self.j_opt + self.j_cost + self.j_tdse)) >= 1e-14:
-            raise ValueError("j_total is not the sum of its three terms")
         if self.j_cost > 0:
             raise ValueError(f"j_cost must be non-positive, got {self.j_cost!r}")
+
+    @property
+    def j_total(self) -> float:
+        return self.j_opt + self.j_cost + self.j_tdse
 
     def as_dict(self) -> dict:
         return {
@@ -63,27 +67,22 @@ class FunctionalBreakdown:
 
 def eval_j_opt(traj: StateTrajectory, O: HermitianOperator, grid: TimeGrid) -> float:
     """Observable expectation at the measurement node."""
-    if traj.n_nodes != grid.n_steps + 1:
-        raise ValueError(f"trajectory has {traj.n_nodes} nodes, grid wants {grid.n_steps + 1}")
+    _check_grid(grid, trajectories=[traj])
     return expectation(O, StateVector(traj.node(grid.index_T)))
 
 
 def eval_j_cost(
     field: ControlField, eps_ref: ControlField, alpha: float, grid: TimeGrid
 ) -> float:
-    """Quadratic deviation cost -alpha * sum_{k < index_T} (eps_k - ref_k)^2 dt.
+    """Quadratic deviation cost -alpha * sum_k (eps_k - ref_k)^2 dt over all samples.
 
-    The sum stops at the measurement node: the cost integral runs over
-    [0, T] while the multiplier term runs over the full grid.
+    The sum runs over [0, T_hat], past the measurement node, so the
+    objective's field law there is eps = ref.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
-    if field.n_samples != eps_ref.n_samples or field.n_samples != grid.n_steps:
-        raise ValueError(
-            f"sample-count mismatch: field {field.n_samples}, eps_ref {eps_ref.n_samples}, "
-            f"grid {grid.n_steps}"
-        )
-    dev = field.samples[: grid.index_T] - eps_ref.samples[: grid.index_T]
+    _check_grid(grid, [field, eps_ref])
+    dev = field.samples - eps_ref.samples
     return float(-alpha * np.sum(dev * dev) * grid.dt)
 
 
@@ -101,12 +100,7 @@ def eval_j_tdse(
     stepper; it reuses the forward march's product, so propagated
     trajectories give exactly zero for any costate.
     """
-    if psi_traj.n_nodes != grid.n_steps + 1 or chi_traj.states.shape[0] != grid.n_steps + 1:
-        raise ValueError("trajectory lengths do not match the grid")
-    if field.n_samples != grid.n_steps:
-        raise ValueError(
-            f"field has {field.n_samples} samples but grid has {grid.n_steps} steps"
-        )
+    _check_grid(grid, [field], [psi_traj, chi_traj])
     return _j_tdse(_u_stack(H, field.samples, grid.dt), psi_traj.states, chi_traj.states)
 
 
@@ -126,10 +120,19 @@ def eval_total(
     H: ControlHamiltonian,
     grid: TimeGrid,
 ) -> FunctionalBreakdown:
-    """Evaluate all three terms and their sum on one configuration."""
-    j_opt = eval_j_opt(psi_traj, O, grid)
-    j_cost = eval_j_cost(field, eps_ref, alpha, grid)
-    j_tdse = eval_j_tdse(psi_traj, chi_traj, field, H, grid)
+    """Evaluate all three terms on one configuration."""
+    _check_grid(grid, [field], [psi_traj, chi_traj])
+    us = _u_stack(H, field.samples, grid.dt)
+    return _total(psi_traj, chi_traj, field, eps_ref, alpha, O, grid, us)
+
+
+def _total(
+    psi: StateTrajectory, chi: CostateTrajectory, field: ControlField, eps_ref: ControlField,
+    alpha: float, O: HermitianOperator, grid: TimeGrid, us,
+) -> FunctionalBreakdown:
+    """``eval_total`` on a forward step stack ``us`` already built for the field."""
     return FunctionalBreakdown(
-        j_opt=j_opt, j_cost=j_cost, j_tdse=j_tdse, j_total=j_opt + j_cost + j_tdse
+        j_opt=eval_j_opt(psi, O, grid),
+        j_cost=eval_j_cost(field, eps_ref, alpha, grid),
+        j_tdse=_j_tdse(us, psi.states, chi.states),
     )

@@ -8,10 +8,10 @@ eigenbasis formula, so central differences check it to a sharp 1e-6,
 not to O(dt). The oracle uses neither the costate nor dU/deps; its
 probes start from the solved trajectory and march together on its steps.
 
-The quadratic penalty in the reduced objective spans the whole grid, so
-samples after the measurement node remain (trivially) penalized and both
-gradient routes agree there; the field-equation residual itself is only
-defined up to the measurement node.
+The reduced objective is ``functional``'s j_opt + j_cost on the forward
+solution: its penalty spans the whole grid, so samples after the
+measurement node stay penalized and both gradient routes agree there;
+the field-equation residual itself is only defined up to that node.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ from .core import (
     NDArrayFloat,
     StateTrajectory,
     TimeGrid,
+    _check_grid,
 )
+from .functional import eval_j_cost, eval_j_opt
 from .propagator import (
     CostateBoundary,
     _adjoint,
@@ -73,14 +75,13 @@ class GradientReport:
 def reduced_objective(problem: ControlProblem, field: ControlField) -> float:
     """Objective with the equation of motion eliminated by forward solution.
 
-    Returns j_opt(psi(field)) plus the quadratic penalty taken over all
-    samples of the grid.
+    Returns j_opt(psi(field)) + j_cost(field); j_tdse vanishes on the
+    forward solution.
     """
-    traj = propagate_forward(problem.psi0, field, problem.hamiltonian, problem.grid)
-    psi_T = traj.node(problem.grid.index_T)
-    j_opt = float(np.vdot(psi_T, problem.observable.matrix @ psi_T).real)
-    dev = field.samples - problem.eps_ref.samples
-    return j_opt - problem.alpha * float(np.sum(dev * dev)) * problem.grid.dt
+    grid = problem.grid
+    traj = propagate_forward(problem.psi0, field, problem.hamiltonian, grid)
+    j_opt = eval_j_opt(traj, problem.observable, grid)
+    return j_opt + eval_j_cost(field, problem.eps_ref, problem.alpha, grid)
 
 
 def analytic_gradient(
@@ -113,7 +114,7 @@ def analytic_gradient(
         raise ValueError("gradient requires a costate built with the canonical boundary")
     if chi_traj.index_T != m:
         raise ValueError("costate and grid disagree on the measurement node")
-    _check_shapes(psi_traj, field, eps_ref, grid)
+    _check_grid(grid, [field, eps_ref], [psi_traj, chi_traj])
 
     g = -2.0 * alpha * grid.dt * (field.samples - eps_ref.samples)
     v, w = _derivative_eigenbasis(H, field.samples[:m], grid.dt)
@@ -171,7 +172,7 @@ def stationarity_residual(
     m = grid.index_T
     if not chi_traj.is_canonical():
         raise ValueError("stationarity residual requires a canonical costate")
-    _check_shapes(psi_traj, field, eps_ref, grid)
+    _check_grid(grid, [field, eps_ref], [psi_traj, chi_traj])
     mu = H.control_derivative
     overlaps = np.einsum(
         "ki,ij,kj->k", chi_traj.states[:m].conj(), mu, psi_traj.states[:m]
@@ -203,14 +204,3 @@ def _gradient_report(sol: Solution, us: NDArrayComplex, probe_step: float) -> Gr
         max_rel_error=float(np.max(rel)),
         probe_step=float(probe_step),
     )
-
-
-def _check_shapes(
-    psi_traj: StateTrajectory, field: ControlField, eps_ref: ControlField, grid: TimeGrid
-) -> None:
-    if field.n_samples != grid.n_steps or eps_ref.n_samples != grid.n_steps:
-        raise ValueError("field and eps_ref must carry one sample per grid step")
-    if psi_traj.n_nodes != grid.n_steps + 1:
-        raise ValueError(
-            f"trajectory has {psi_traj.n_nodes} nodes but grid has {grid.n_steps + 1}"
-        )

@@ -30,13 +30,12 @@ from .core import (
     ControlField,
     ControlHamiltonian,
     ControlProblem,
-    CostateTrajectory,
     HermitianOperator,
     StateTrajectory,
     StateVector,
     TimeGrid,
 )
-from .functional import FunctionalBreakdown, _j_tdse, eval_j_cost, eval_j_opt
+from .functional import FunctionalBreakdown, _total
 from .gradient import stationarity_residual
 from .propagator import (
     CostateBoundary, _costate, _expm_hermitian, _march_forward, _step_two_level, _u_stack,
@@ -119,7 +118,7 @@ def optimize(
     field, psi, chi = sol.field, sol.psi, sol.chi
     post_us = _u_stack(H, eps_ref[grid.index_T :], grid.dt)
 
-    history = [_breakdown(problem, field, psi, chi, us)]
+    history = [_total(psi, chi, field, problem.eps_ref, problem.alpha, O, grid, us)]
     largest_decrease = 0.0
     stagnated = False
     iterations = 0
@@ -131,7 +130,7 @@ def optimize(
         )
         field, psi = ControlField(samples), StateTrajectory(nodes)
         chi = _costate(psi, O, field, grid, canonical, us)
-        bd = _breakdown(problem, field, psi, chi, us)
+        bd = _total(psi, chi, field, problem.eps_ref, problem.alpha, O, grid, us)
         delta = bd.j_total - history[-1].j_total
         largest_decrease = min(largest_decrease, delta)
         history.append(bd)
@@ -206,14 +205,3 @@ def _two_level_steps(psi0, chi_nodes, eps_ref, alpha, H: ControlHamiltonian, dt)
         field.append(eps)
         states.append((p0, p1))
     return field, states
-
-
-def _breakdown(
-    problem: ControlProblem, field: ControlField, psi: StateTrajectory, chi: CostateTrajectory, us
-) -> FunctionalBreakdown:
-    j_opt = eval_j_opt(psi, problem.observable, problem.grid)
-    j_cost = eval_j_cost(field, problem.eps_ref, problem.alpha, problem.grid)
-    j_tdse = _j_tdse(us, psi.states, chi.states)
-    return FunctionalBreakdown(
-        j_opt=j_opt, j_cost=j_cost, j_tdse=j_tdse, j_total=j_opt + j_cost + j_tdse
-    )

@@ -38,6 +38,7 @@ from .core import (
     StateTrajectory,
     StateVector,
     TimeGrid,
+    _check_grid,
 )
 
 __all__ = [
@@ -286,10 +287,7 @@ def _forward(
     psi0.require_normalized("psi0")
     if psi0.dim != H.dim:
         raise ValueError(f"dimension mismatch: state {psi0.dim} vs Hamiltonian {H.dim}")
-    if field.n_samples != grid.n_steps:
-        raise ValueError(
-            f"field has {field.n_samples} samples but grid has {grid.n_steps} steps"
-        )
+    _check_grid(grid, [field])
     us = _u_stack(H, field.samples, grid.dt)
     return StateTrajectory(_march_forward(us, psi0.amplitudes)), us
 
@@ -324,7 +322,7 @@ def _costate(
     boundary: CostateBoundary, us: NDArrayComplex,
 ) -> CostateTrajectory:
     """``propagate_costate`` on a forward stack ``us`` already built for the field."""
-    _check_lengths(psi_traj, field, grid)
+    _check_grid(grid, [field], [psi_traj])
     if O.dim != psi_traj.dim:
         raise ValueError(f"dimension mismatch: operator {O.dim} vs trajectory {psi_traj.dim}")
     resid = _worst_defect(us, psi_traj.states)
@@ -363,16 +361,5 @@ def tdse_residual(
     ``propagate_forward`` with the same field and grid: the defects are
     formed with the forward march's own per-step product.
     """
-    _check_lengths(traj, field, grid)
+    _check_grid(grid, [field], [traj])
     return _worst_defect(_u_stack(H, field.samples, grid.dt), traj.states)
-
-
-def _check_lengths(traj: StateTrajectory, field: ControlField, grid: TimeGrid) -> None:
-    if field.n_samples != grid.n_steps:
-        raise ValueError(
-            f"field has {field.n_samples} samples but grid has {grid.n_steps} steps"
-        )
-    if traj.n_nodes != grid.n_steps + 1:
-        raise ValueError(
-            f"trajectory has {traj.n_nodes} nodes but grid has {grid.n_steps + 1}"
-        )

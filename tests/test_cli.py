@@ -7,6 +7,10 @@ import pytest
 from qoct import cli
 
 
+# an integer Python's json reads exactly but no float can hold
+BIG = 10**400
+
+
 def as_pairs_matrix(m):
     m = np.asarray(m, dtype=complex)
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
@@ -88,6 +92,31 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert key in err and "must be finite" in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("alpha", BIG),
+            ("T_hat", BIG),
+            ("dt", BIG),
+            ("j_tol", BIG),
+            ("stationarity_tol", BIG),
+            ("h0", [[[BIG, 0], [0, 0]], [[0, 0], [1, 0]]]),
+            ("psi0", [[BIG, 0], [0, 0]]),
+            ("eps_ref", {"constant": BIG}),
+            ("eps_ref", {"samples": [BIG] + [0.0] * 99}),
+            ("seed", -1),
+        ],
+        ids=[
+            "alpha", "T_hat", "dt", "j_tol", "stationarity_tol", "h0", "psi0",
+            "eps_ref-constant", "eps_ref-samples", "seed",
+        ],
+    )
+    def test_out_of_range_number_rejected(self, tmp_path, capsys, key, value):
+        # Python's json parses integers of any size exactly; none may end in a traceback
+        config = write_config(tmp_path / "bad.json", **{key: value})
+        assert cli.run_optimize(config, tmp_path / "out") == 1
+        assert f"config error: {key}" in capsys.readouterr().err
+
     def test_readme_example_parses(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         section = readme.split("### Config format", 1)[1]
@@ -125,6 +154,16 @@ class TestOptimize:
         replay = json.loads((out2 / "summary.json").read_text())
         assert abs(replay["j_opt"] - summary["j_opt"]) < 1e-10
         assert replay["tdse_residual"] < 1e-13
+
+    def test_eps_ref_samples_read_like_constant(self, tmp_path):
+        files = ("field.csv", "populations.csv", "summary.json")
+        outputs = []
+        for eps_ref in ({"constant": 0.0}, {"samples": [0.0] * 100}):
+            out = tmp_path / next(iter(eps_ref))
+            config = write_config(tmp_path / "cfg.json", eps_ref=eps_ref)
+            assert cli.run_optimize(config, out) == 0
+            outputs.append([(out / f).read_bytes() for f in files])
+        assert outputs[0] == outputs[1]
 
     def test_exhausted_iterations_exit_code(self, tmp_path):
         config = write_config(tmp_path / "cfg.json", max_iters=2, j_tol=1e-16)
@@ -248,6 +287,20 @@ class TestMainEntry:
         code = cli.main(["optimize", "--config", str(config), "--out", str(out)])
         assert code in (0, 2)
         assert (out / "field.csv").exists()
+
+    def test_dispatch_to_verify_gradcheck_and_propagate(self, tmp_path):
+        config = write_config(tmp_path / "cfg.json")
+        common = ["--config", str(config), "--out"]
+        assert cli.main(["verify", *common, str(tmp_path / "v")]) == 0
+        assert json.loads((tmp_path / "v" / "verify.json").read_text())["passed"] is True
+        # --h reaches the probe: an oversized step fails the gate
+        assert cli.main(["gradcheck", *common, str(tmp_path / "g"), "--h", "0.1"]) == 2
+        assert json.loads((tmp_path / "g" / "grad.json").read_text())["probe_step"] == 0.1
+        field_csv = tmp_path / "field.csv"
+        rows = "".join(f"{k * 0.025},0\n" for k in range(100))
+        field_csv.write_text("t,eps\n" + rows, encoding="utf-8")
+        assert cli.main(["propagate", *common, str(tmp_path / "p"), "--field", str(field_csv)]) == 0
+        assert json.loads((tmp_path / "p" / "summary.json").read_text())["j_opt"] == 0.0
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

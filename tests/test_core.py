@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qoct
-from conftest import random_state, random_symmetric
+from conftest import random_hermitian, random_state, random_symmetric, seeded_problem
 
 
 class TestInnerProduct:
@@ -66,6 +66,16 @@ class TestExpectation:
             O = qoct.HermitianOperator((a + a.conj().T) / 2)
             val = qoct.expectation(O, random_state(rng, dim))
             assert isinstance(val, float)
+
+    def test_large_norm_operator_accepted(self):
+        # the round-off residue in Im<psi|O|psi> grows with ||O||: at scale
+        # 1e6 most states exceed an absolute 1e-12, none the relative bound
+        rng = np.random.default_rng(8)
+        O = qoct.HermitianOperator(1e6 * random_hermitian(rng, 8).matrix)
+        lam = np.linalg.eigvalsh(O.matrix)
+        for _ in range(200):
+            val = qoct.expectation(O, random_state(rng, 8))
+            assert lam[0] - 1e-6 <= val <= lam[-1] + 1e-6
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -223,6 +233,84 @@ class TestTypeInvariants:
                 eps_ref=qoct.ControlField.constant(0.0, 5),
                 alpha=1.0,
             )
+
+
+# each public evaluator and the trajectories, fields and references it reads
+GRID_READERS = {
+    "eval_j_opt": (
+        lambda p, psi, chi, field, ref: qoct.eval_j_opt(psi, p.observable, p.grid),
+        ("psi",),
+    ),
+    "eval_j_cost": (
+        lambda p, psi, chi, field, ref: qoct.eval_j_cost(field, ref, p.alpha, p.grid),
+        ("field", "ref"),
+    ),
+    "eval_j_tdse": (
+        lambda p, psi, chi, field, ref: qoct.eval_j_tdse(psi, chi, field, p.hamiltonian, p.grid),
+        ("psi", "chi", "field"),
+    ),
+    "eval_total": (
+        lambda p, psi, chi, field, ref: qoct.eval_total(
+            psi, chi, field, ref, p.alpha, p.observable, p.hamiltonian, p.grid
+        ),
+        ("psi", "chi", "field", "ref"),
+    ),
+    "analytic_gradient": (
+        lambda p, psi, chi, field, ref: qoct.analytic_gradient(
+            psi, chi, field, ref, p.alpha, p.hamiltonian, p.grid
+        ),
+        ("psi", "chi", "field", "ref"),
+    ),
+    "stationarity_residual": (
+        lambda p, psi, chi, field, ref: qoct.stationarity_residual(
+            psi, chi, field, ref, p.alpha, p.hamiltonian, p.grid
+        ),
+        ("psi", "chi", "field", "ref"),
+    ),
+    "tdse_residual": (
+        lambda p, psi, chi, field, ref: qoct.tdse_residual(psi, field, p.hamiltonian, p.grid),
+        ("psi", "field"),
+    ),
+    "propagate_forward": (
+        lambda p, psi, chi, field, ref: qoct.propagate_forward(
+            p.psi0, field, p.hamiltonian, p.grid
+        ),
+        ("field",),
+    ),
+    "propagate_costate": (
+        lambda p, psi, chi, field, ref: qoct.propagate_costate(
+            psi, p.observable, field, p.hamiltonian, p.grid, qoct.CostateBoundary.canonical()
+        ),
+        ("psi", "field"),
+    ),
+}
+
+
+class TestGridAgreement:
+    @pytest.mark.parametrize(
+        "name, wrong", [(name, arg) for name, (_, args) in GRID_READERS.items() for arg in args]
+    )
+    def test_argument_of_wrong_length_rejected(self, name, wrong):
+        problem, field = seeded_problem(28, 2, 30, 1.0)
+        H, grid = problem.hamiltonian, problem.grid
+        psi = qoct.propagate_forward(problem.psi0, field, H, grid)
+        chi = qoct.propagate_costate(
+            psi, problem.observable, field, H, grid, qoct.CostateBoundary.canonical()
+        )
+        args = {"psi": psi, "chi": chi, "field": field, "ref": problem.eps_ref}
+        short = {
+            "psi": qoct.StateTrajectory(psi.states[:-1]),
+            "chi": qoct.CostateTrajectory(
+                states=chi.states[:-1], chi_T_minus=chi.chi_T_minus,
+                chi_T_plus=chi.chi_T_plus, index_T=chi.index_T,
+            ),
+            "field": qoct.ControlField(field.samples[:-1]),
+            "ref": qoct.ControlField(problem.eps_ref.samples[:-1]),
+        }
+        args[wrong] = short[wrong]
+        evaluate, _ = GRID_READERS[name]
+        with pytest.raises(ValueError, match="nodes" if wrong in ("psi", "chi") else "samples"):
+            evaluate(problem, **args)
 
 
 class TestImmutability:

@@ -210,6 +210,20 @@ class TestStoppingAndValidation:
         result = qoct.optimize(psi0, H, O, grid, benchmark_config(max_iters=1))
         assert len(result.j_history) == 2
 
+    def test_history_starts_at_the_reduced_objective(self):
+        # the sweep reports the J the gradient differentiates: its penalty
+        # also covers the initial noise after the measurement node
+        psi0, H, O, grid = two_level_benchmark()
+        config = benchmark_config(max_iters=1)
+        result = qoct.optimize(psi0, H, O, grid, config)
+        problem = qoct.ControlProblem(
+            psi0=psi0, hamiltonian=H, observable=O, grid=grid, eps_ref=config.eps_ref,
+            alpha=config.alpha,
+        )
+        first = result.j_history[0]
+        expected = qoct.reduced_objective(problem, config.initial_field) + first.j_tdse
+        assert abs(first.j_total - expected) <= 1e-15
+
     def test_config_validation(self):
         f = qoct.ControlField.constant(0.0, 10)
         with pytest.raises(ValueError, match="alpha"):
