@@ -3,8 +3,9 @@
 Three families of checks live here:
 
 * the canonical costate jumps at the measurement node, by exactly the
-  norm of O*psi(T), while the extremal field stays continuous there
-  whenever the observable commutes with the control coupling;
+  norm of O*psi(T), while the extremal field is continuous there exactly
+  when <psi(T)| [O, mu] |psi(T)> = 0 (a commuting observable and coupling
+  is sufficient, not necessary);
 * the continuous costate family (value (i / 2 pi n) * O * psi(T) at the
   node, nonzero integer n) has no jump and solves the homogeneous
   equation on the whole grid, and the continuity breaks for phase
@@ -59,6 +60,9 @@ class ContinuityReport:
     ``costate_matches_boundary`` is the deviation of the costate from its
     regime's boundary law: ||chi(T-) - O psi(T)|| for the canonical
     family, ||chi(T) - (i / 2 pi n) O psi(T)|| for the continuous one.
+    ``commutator_expectation_at_T`` is <psi(T)| [O, mu] |psi(T)> / (2i),
+    real since the commutator of two Hermitian matrices is anti-Hermitian;
+    alpha times the canonical field gap equals its magnitude.
     Fields that a given check does not produce stay None.
     """
 
@@ -70,6 +74,7 @@ class ContinuityReport:
     eps_right_limit: Optional[float] = None
     homogeneous_residual: Optional[float] = None
     phase_defect_magnitude: Optional[float] = None
+    commutator_expectation_at_T: Optional[float] = None
 
     def __post_init__(self):
         for name in ("jump_norm_at_T", "costate_matches_boundary"):
@@ -87,6 +92,7 @@ class ContinuityReport:
             "eps_right_limit": self.eps_right_limit,
             "homogeneous_residual": self.homogeneous_residual,
             "phase_defect_magnitude": self.phase_defect_magnitude,
+            "commutator_expectation_at_T": self.commutator_expectation_at_T,
         }
 
 
@@ -124,9 +130,11 @@ def check_canonical_jump(solution: Solution) -> ContinuityReport:
     the field equation with chi(T-), ref(T) + x with
     x = Im <chi(T-) | mu | psi(T)> / alpha, never read off a stored
     sample array; the right limit is the reference value there (zero
-    costate beyond the node). When the observable commutes with the
-    coupling the two limits agree and the field is continuous; otherwise
-    the gap |x| is reported as is.
+    costate beyond the node). Since chi(T-) = O psi(T), alpha x equals
+    <psi(T)| [O, mu] |psi(T)> / (2i), which the report also carries,
+    formed from the commutator itself: the limits agree exactly when that
+    expectation vanishes, as it does whenever O commutes with the
+    coupling; otherwise the gap |x| is reported as is.
     """
     _require_canonical(solution)
     prob = solution.problem
@@ -136,6 +144,7 @@ def check_canonical_jump(solution: Solution) -> ContinuityReport:
     chi = solution.chi
     mu = prob.hamiltonian.control_derivative
     x = float(np.vdot(chi.chi_T_minus, mu @ psi_T).imag) / prob.alpha
+    comm = prob.observable.matrix @ mu - mu @ prob.observable.matrix
     eps_ref_T = float(prob.eps_ref.samples[m])
     return ContinuityReport(
         jump_norm_at_T=chi.jump_norm,
@@ -146,6 +155,7 @@ def check_canonical_jump(solution: Solution) -> ContinuityReport:
         field_left_limit_gap=abs(x),
         eps_left_limit=eps_ref_T + x,
         eps_right_limit=eps_ref_T,
+        commutator_expectation_at_T=float((np.vdot(psi_T, comm @ psi_T) / 2j).real),
     )
 
 

@@ -1,21 +1,36 @@
-"""Immediate-feedback sweep optimizer for the coupled control equations.
+"""Immediate-feedback sweep optimizer on the exact discrete first-order condition.
 
-Each iteration runs a backward costate sweep under the current field
-(canonical boundary), then a forward state sweep that rewrites every
-field sample on the fly from the field equation, using the just-stepped
-state and the stored costate. Iteration stops when the total objective
-stagnates; convergence is only declared once the stationarity residual
-of the final triple also passes, so the cheap stopping rule is backed by
-a rigorous certificate. After the measurement node the costate vanishes
-and the updated field equals the reference sample-for-sample.
+Each iteration runs a forward state sweep that rewrites every field
+sample on the fly from the discrete field law
+
+    eps_k = ref_k + Re <chi_{k+1} | D_k psi_k> / (alpha dt),
+
+with psi_k the state just stepped in this sweep, chi_{k+1} the previous
+sweep's canonical costate (its left limit O psi(T) at k = m - 1) and
+D_k = dU_k/deps taken at the previous sweep's eps_k; then it builds the
+canonical costate of the new field. The law's fixed points are exactly
+the zeros of ``gradient.analytic_gradient`` before the measurement node,
+so the sweep stops where the discrete objective is stationary (the
+immediate feedback of Zhu, Botina & Rabitz with the exact first-order
+condition of Reich, Ndong & Koch). Both the law and the certificate read
+one pairing: the rows rho_k = chi_{k+1}^dagger D_k / dt, formed batched
+once per sweep. Iteration stops when the total objective stagnates;
+convergence is only declared once the exact-gradient residual
+max_k |g_k| / (2 alpha dt) = max_k |eps_k - ref_k - Re(rho_k psi_k) / alpha|
+of the final field also passes. After the measurement node the costate
+vanishes and the field equals the reference sample-for-sample.
 
 The feedback sweep is sequential: each sample needs the state just
 stepped under the previous one. For two levels its pre-T steps run in
 Python scalars (``propagator._step_two_level``), where NumPy's per-call
-overhead on 2 x 2 arrays would dominate; larger systems exponentiate one
-matrix per step. The sweep returns the steps it formed; the multiplier
-term and the next costate read them, and that costate comes out of the
-same equation-of-motion gate as every other one.
+overhead on 2 x 2 arrays would dominate, and the rows come from the
+closed-form eps-derivative of the SU(2) step, with no eigendecomposition.
+Larger systems decompose one matrix per step; the sweep keeps each
+(lambda_k, V_k), forms U_k from it, and the next rows need only
+W_k = Phi * (V_k^dagger mu V_k), no new decomposition. The sweep returns
+the steps it formed; the multiplier term and the next costate read them,
+and that costate comes out of the same equation-of-motion gate as every
+other one.
 """
 
 from __future__ import annotations
@@ -36,9 +51,9 @@ from .core import (
     TimeGrid,
 )
 from .functional import FunctionalBreakdown, _total
-from .gradient import stationarity_residual
 from .propagator import (
-    CostateBoundary, _costate, _expm_hermitian, _march_forward, _step_two_level, _u_stack,
+    CostateBoundary, _costate, _divided_difference, _eigh, _expm_eigenbasis,
+    _h_stack, _march_forward, _step_two_level, _su2_control_derivative, _u_stack,
 )
 
 __all__ = ["OptimizationConfig", "OptimizationResult", "optimize"]
@@ -73,6 +88,11 @@ class OptimizationConfig:
 class OptimizationResult:
     """Converged (or last) field with the per-iteration objective history.
 
+    ``final_stationarity_residual`` is the exact-gradient residual of the
+    final field, max_{k < index_T} |g_k| / (2 alpha dt) with g the
+    ``analytic_gradient`` of a fresh solve: how far each sample before T
+    sits from the discrete field law. (``stationarity_residual``, the
+    collocated continuum law, is O(dt) at the discrete optimum.)
     ``largest_j_decrease`` records the worst single-iteration drop of the
     total objective (0.0 when the run was perfectly monotone); a drop
     beyond round-off slack means the sweep scheme misbehaved on this
@@ -114,9 +134,11 @@ def optimize(
     eps_ref = config.eps_ref.samples
     canonical = CostateBoundary.canonical()
 
+    m = grid.index_T
     sol, us = _solve(problem, config.initial_field, canonical)
     field, psi, chi = sol.field, sol.psi, sol.chi
-    post_us = _u_stack(H, eps_ref[grid.index_T :], grid.dt)
+    post_us = _u_stack(H, eps_ref[m:], grid.dt)
+    rows = _pairing_rows(H, field.samples[:m], chi, grid.dt)
 
     history = [_total(psi, chi, field, problem.eps_ref, problem.alpha, O, grid, us)]
     largest_decrease = 0.0
@@ -125,12 +147,13 @@ def optimize(
 
     for _ in range(config.max_iters):
         iterations += 1
-        samples, nodes, us = _feedback_sweep(
-            psi0.amplitudes, chi.states, eps_ref, post_us, problem.alpha, H, grid
+        samples, nodes, us, eig = _feedback_sweep(
+            psi0.amplitudes, rows, eps_ref, post_us, problem.alpha, H, grid
         )
         field, psi = ControlField(samples), StateTrajectory(nodes)
         chi = _costate(psi, O, field, grid, canonical, us)
         bd = _total(psi, chi, field, problem.eps_ref, problem.alpha, O, grid, us)
+        rows = _pairing_rows(H, samples[:m], chi, grid.dt, eig)
         delta = bd.j_total - history[-1].j_total
         largest_decrease = min(largest_decrease, delta)
         history.append(bd)
@@ -138,7 +161,8 @@ def optimize(
             stagnated = True
             break
 
-    residual = stationarity_residual(psi, chi, field, problem.eps_ref, problem.alpha, H, grid)
+    law = eps_ref[:m] + np.einsum("ki,ki->k", rows, psi.states[:m]).real / problem.alpha
+    residual = float(np.max(np.abs(field.samples[:m] - law)))
     return OptimizationResult(
         final_field=field,
         j_history=tuple(history),
@@ -150,55 +174,83 @@ def optimize(
     )
 
 
-def _feedback_sweep(psi0, chi_nodes, eps_ref, post_us, alpha, H: ControlHamiltonian, grid: TimeGrid):
-    """Forward sweep rewriting each sample from the field equation.
+def _pairing_rows(H: ControlHamiltonian, samples, chi, dt, eig=None):
+    """rho_k = chi_{k+1}^dagger dU_k/deps / dt at the pre-T samples, batched over k.
+
+    chi_{k+1} is the canonical costate after step k, its left limit
+    O psi(T) at the last one. Two levels take the closed-form SU(2)
+    derivative; larger systems contract in the eigenbasis ``eig`` =
+    (lambda_k, V_k) the sweep kept, or decompose the samples once when
+    none is given (the initial field).
+    """
+    m = samples.size
+    chi_next = np.concatenate([chi.states[1:m], chi.chi_T_minus[None, :]]).conj()
+    mu = H.control_derivative
+    if H.dim == 2:
+        du = _su2_control_derivative(_h_stack(H, samples), mu, dt)
+        return np.einsum("ki,kij->kj", chi_next, du) / dt
+    lam, v = _eigh(_h_stack(H, samples)) if eig is None else eig
+    e, sc = _divided_difference(lam, v, mu, dt)
+    # chi^dagger V W V^dagger / dt with W = -i dt (e e^T) * sc: the phases
+    # go on the (m, d) rows, and x V^dagger = conj(V conj(x)) conjugates
+    # rows rather than the (m, d, d) stack
+    b = (chi_next[:, None, :] @ v)[:, 0, :] * e
+    x = (b[:, None, :] @ sc)[:, 0, :] * e
+    return -1j * (v @ x.conj()[:, :, None])[:, :, 0].conj()
+
+
+def _feedback_sweep(psi0, rows, eps_ref, post_us, alpha, H: ControlHamiltonian, grid: TimeGrid):
+    """Forward sweep rewriting each pre-T sample as ref_k + Re(rho_k psi_k) / alpha.
 
     Samples after the measurement node revert to the reference (the
     canonical costate is zero there) and take its steps ``post_us``.
-    Returns the new field, its nodes and its forward step stack.
+    Returns the new field, its nodes, its forward step stack and, above
+    two levels, the eigenpairs (lambda_k, V_k) of its pre-T steps (None
+    for two levels, whose rows need none).
     """
     m = grid.index_T
     n = grid.n_steps
     dt = grid.dt
+    dim = psi0.size
     new_field = np.empty_like(eps_ref)
-    nodes = np.empty((n + 1, psi0.size), dtype=np.complex128)
-    us = np.empty((n, psi0.size, psi0.size), dtype=np.complex128)
+    nodes = np.empty((n + 1, dim), dtype=np.complex128)
+    us = np.empty((n, dim, dim), dtype=np.complex128)
     nodes[0] = psi0
-    if H.dim == 2:
-        new_field[:m], nodes[1 : m + 1] = _two_level_steps(
-            psi0, chi_nodes[:m], eps_ref[:m], alpha, H, dt
-        )
+    eig = None
+    if dim == 2:
+        new_field[:m], nodes[1 : m + 1] = _two_level_steps(psi0, rows, eps_ref[:m], alpha, H, dt)
         us[:m] = _u_stack(H, new_field[:m], dt)
     else:
-        mu = H.control_derivative
+        lam = np.empty((m, dim))
+        v = np.empty((m, dim, dim), dtype=np.complex128)
         psi = psi0
         for k in range(m):
-            new_field[k] = eps_ref[k] + np.vdot(chi_nodes[k], mu @ psi).imag / alpha
-            us[k] = _expm_hermitian(H.evaluate(new_field[k]), dt)
+            new_field[k] = eps_ref[k] + (rows[k] @ psi).real / alpha
+            lam[k], v[k] = _eigh(H.evaluate(new_field[k]))
+            us[k] = _expm_eigenbasis(lam[k], v[k], dt)
             psi = us[k] @ psi
             nodes[k + 1] = psi
+        eig = (lam, v)
     new_field[m:] = eps_ref[m:]
     us[m:] = post_us
     nodes[m:] = _march_forward(post_us, nodes[m])
-    return new_field, nodes, us
+    return new_field, nodes, us, eig
 
 
-def _two_level_steps(psi0, chi_nodes, eps_ref, alpha, H: ControlHamiltonian, dt):
+def _two_level_steps(psi0, rows, eps_ref, alpha, H: ControlHamiltonian, dt):
     """The pre-T feedback steps of a two-level sweep, in Python scalars.
 
-    Same field law and step as the general loop; the operators, costate
-    and reference are read out once and the results written back once,
-    so no step touches a NumPy array.
+    Same field law and step as the general loop; the operators, rows and
+    reference are read out once and the results written back once, so no
+    step touches a NumPy array.
     """
     (d00, d01), (_, d11) = H.drift.matrix.tolist()
-    (m00, m01), (m10, m11) = H.control_derivative.tolist()
+    (m00, m01), (_, m11) = H.control_derivative.tolist()
     p0, p1 = psi0.tolist()
     field = []
     states = []
-    for (c0, c1), ref in zip(chi_nodes.tolist(), eps_ref.tolist()):
-        mu_psi0 = m00 * p0 + m01 * p1
-        mu_psi1 = m10 * p0 + m11 * p1
-        eps = ref + (c0.conjugate() * mu_psi0 + c1.conjugate() * mu_psi1).imag / alpha
+    for (r0, r1), ref in zip(rows.tolist(), eps_ref.tolist()):
+        eps = ref + (r0 * p0 + r1 * p1).real / alpha
         p0, p1 = _step_two_level(
             d00.real + eps * m00.real, d01 + eps * m01, d11.real + eps * m11.real, dt, p0, p1
         )

@@ -9,7 +9,7 @@ one, the step defects reuse the forward march's product, the step's
 control derivative comes from the same eigendecomposition route, the
 finite-difference probes, each with one step swapped, march together on
 the solved field's steps, and the sequential two-level sweep gets the
-SU(2) form in Python scalars. The delta source feeding the costate at
+SU(2) form in Python scalars and its control derivative in closed form. The delta source feeding the costate at
 the measurement time is never discretized as a narrow pulse; it is
 imposed as an exact boundary condition in one of two regimes:
 
@@ -123,8 +123,58 @@ def _expm_hermitian(h: NDArrayComplex, tau: float) -> NDArrayComplex:
         u[..., 1, 0] = phase * sn * b.conj()
         u[..., 1, 1] = phase * (cs - sn * d)
         return u
-    lam, v = _eigh(h)
+    return _expm_eigenbasis(*_eigh(h), tau)
+
+
+def _expm_eigenbasis(lam: np.ndarray, v: NDArrayComplex, tau: float) -> NDArrayComplex:
+    """exp(-1j * h * tau) from the eigendecomposition h = v diag(lam) v^dagger."""
     return (v * np.exp(-1j * lam * tau)[..., None, :]) @ _adjoint(v)
+
+
+def _su2_control_derivative(h: NDArrayComplex, mu: NDArrayComplex, tau: float) -> NDArrayComplex:
+    """d/deps exp(-1j * (h + eps * mu) * tau) at eps = 0, for a stack of 2 x 2 h.
+
+    The eps-derivative of the SU(2) closed form, with no eigendecomposition.
+    Write h = s I + n.sigma and mu = mu_s I + m.sigma, x = |n| tau and
+    sinc(x) = sin(x) / x. Then exp(-1j h tau) = e^{-i s tau} (cos x - i tau
+    sinc(x) n.sigma), and its derivative is e^{-i s tau} (A I + B_n n.sigma +
+    B_m m.sigma) with
+
+        A   = -i tau mu_s cos x - tau^2 sinc(x) (n.m)
+        B_n = -tau^2 mu_s sinc(x) - i tau^3 f(x) (n.m)
+        B_m = -i tau sinc(x),
+
+    f(x) = (x cos x - sin x) / x^3, which takes its series below x = 0.01
+    (the direct form cancels there; h proportional to I has x = 0).
+    """
+    s = 0.5 * (h[..., 0, 0].real + h[..., 1, 1].real)
+    d = 0.5 * (h[..., 0, 0].real - h[..., 1, 1].real)
+    b = h[..., 0, 1]
+    mu_s = 0.5 * (mu[0, 0].real + mu[1, 1].real)
+    delta = 0.5 * (mu[0, 0].real - mu[1, 1].real)
+    beta = mu[0, 1]
+    nm = d * delta + b.real * beta.real + b.imag * beta.imag
+    x = np.sqrt(d * d + (b * b.conj()).real) * tau
+    cs = np.cos(x)
+    sinc = np.sinc(x / np.pi)
+    x2 = x * x
+    small = x < 1e-2
+    xs = np.where(small, 1.0, x)
+    f = np.where(
+        small,
+        -1.0 / 3.0 + x2 / 30.0 - x2 * x2 / 840.0,
+        (xs * cs - np.sin(xs)) / (xs * xs * xs),
+    )
+    a = -1j * tau * mu_s * cs - tau * tau * sinc * nm
+    b_n = -tau * tau * mu_s * sinc - 1j * tau ** 3 * f * nm
+    b_m = -1j * tau * sinc
+    phase = np.exp(-1j * s * tau)
+    du = np.empty(h.shape, dtype=np.complex128)
+    du[..., 0, 0] = phase * (a + b_n * d + b_m * delta)
+    du[..., 1, 1] = phase * (a - b_n * d - b_m * delta)
+    du[..., 0, 1] = phase * (b_n * b + b_m * beta)
+    du[..., 1, 0] = phase * (b_n * b.conj() + b_m * np.conj(beta))
+    return du
 
 
 def _step_two_level(
@@ -160,21 +210,41 @@ def _u_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayCo
 
 
 def _derivative_eigenbasis(H: ControlHamiltonian, samples: np.ndarray, dt: float):
-    """V_k and W_k with dU_k/deps = V_k W_k V_k^dagger exactly, batched over k.
+    """V_k and W_k with dU_k/deps = V_k W_k V_k^dagger exactly, batched over k."""
+    lam, v = _eigh(_h_stack(H, samples))
+    e, w = _divided_difference(lam, v, H.control_derivative, dt)
+    w *= -1j * dt
+    w *= e[..., :, None]
+    w *= e[..., None, :]
+    return v, w
+
+
+def _divided_difference(lam: np.ndarray, v: NDArrayComplex, mu: NDArrayComplex, dt: float):
+    """The eigenbasis derivative of exp(-i H dt), for eigenpairs (lam, v) in hand.
 
     W = Phi * (V^dagger mu V) with the cancellation-free divided-difference
-    kernel Phi_ij = exp(-i (l_i + l_j) dt/2) (-i dt) sinc((l_i - l_j) dt/2)
+    kernel Phi_ij = -i dt e_i e_j sinc((l_i - l_j) dt/2), e = exp(-i l dt/2),
     in the eigenvalues l of H(eps_k); the first-order -i*dt*mu would be off
-    at first order in dt whenever drift and coupling do not commute.
+    at first order in dt whenever drift and coupling do not commute. The
+    phases are separable, so this returns e and the real-kernel part
+    sinc * (V^dagger mu V), and a contraction can take the phases on its
+    vectors instead of forming W.
     """
-    lam, v = _eigh(_h_stack(H, samples))
-    li = lam[..., :, None]
-    lj = lam[..., None, :]
-    w = np.exp(-0.5j * (li + lj) * dt)
-    w *= -1j * dt
-    w *= np.sinc((li - lj) * dt / (2.0 * np.pi))
-    w *= _adjoint(v) @ H.control_derivative @ v
-    return v, w
+    # the real kernel first: its scratch is freed before the coupling stack
+    sinc = _sinc((lam[..., :, None] - lam[..., None, :]) * (0.5 * dt))
+    sc = _adjoint(v) @ mu @ v
+    sc *= sinc
+    return np.exp(-0.5j * dt * lam), sc
+
+
+def _sinc(y: np.ndarray) -> np.ndarray:
+    """sin(y) / y, exactly 1 where y == 0 and bitwise sin(y) / y elsewhere; overwrites y."""
+    zero = y == 0
+    s = np.sin(y)
+    s += zero
+    y += zero
+    s /= y
+    return s
 
 
 def _march_forward(us: NDArrayComplex, x0: NDArrayComplex) -> NDArrayComplex:

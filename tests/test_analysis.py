@@ -268,10 +268,11 @@ class TestOneStackPerCall:
         )
         qoct.optimize(problem.psi0, problem.hamiltonian, problem.observable, problem.grid, config)
         n, m = problem.grid.n_steps, problem.grid.index_T
-        # the initial stack and the reference's post-T steps, then one step
-        # per pre-T sample and sweep; the costate and the objective read them.
-        # Two levels take the SU(2) closed form everywhere and never decompose.
-        expected = [n, n - m] + [1] * (2 * m) if dim == 3 else []
+        # the initial stack, the reference's post-T steps and the initial
+        # field's pre-T rows, then one step per pre-T sample and sweep; the
+        # costate, the objective and the next rows read them. Two levels take
+        # the SU(2) closed form and its derivative and never decompose.
+        expected = [n, n - m, m] + [1] * (2 * m) if dim == 3 else []
         assert eigh_log == expected
 
     def test_verify_solves_its_probe_field_once(self, eigh_log, tmp_path):

@@ -199,7 +199,30 @@ class TestVerify:
         assert report["field_continuity"]["field_left_limit_gap"] > 0
         assert report["canonical_jump"]["jump_norm_at_T"] > 0
         assert report["canonical_jump"] == report["field_continuity"]
+        # alpha = 1: the gap is |<psi(T)| [O, mu] |psi(T)>| / 2
+        jump = report["canonical_jump"]
+        assert abs(jump["field_left_limit_gap"] - abs(jump["commutator_expectation_at_T"])) < 1e-12
         assert report["passed"] is True
+
+    @pytest.mark.parametrize(
+        "observable",
+        [1e5 * np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([0.0, 1e6])],
+        ids=["1e5_sigma_x", "diag_0_1e6"],
+    )
+    def test_large_norm_observable_passes(self, tmp_path, observable):
+        # the continuous costates and their step defects scale with
+        # ||O psi(T)||; an absolute 1e-12 failed these correct runs
+        config = write_config(tmp_path / "cfg.json", observable=as_pairs_matrix(observable))
+        out = tmp_path / "out"
+        assert cli.run_verify(config, out) == 0
+        report = json.loads((out / "verify.json").read_text())
+        assert report["passed"] is True
+        scale = report["canonical_jump"]["jump_norm_at_T"]
+        assert scale > 1e3
+        for n in ("1", "2", "-1"):
+            fam = report["continuous_family"][n]
+            assert fam["homogeneous_residual"] < cli.HOMOGENEOUS_TOL * scale
+            assert fam["costate_matches_boundary"] < cli.BOUNDARY_TOL
 
     def test_complex_hamiltonian_skips_conjugate_check(self, tmp_path):
         sy = [[0, -1j], [1j, 0]]

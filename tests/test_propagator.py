@@ -3,7 +3,9 @@ import pytest
 import scipy.linalg
 
 import qoct
-from qoct.propagator import Direction, _expm_hermitian, _step_two_level
+from qoct.propagator import (
+    Direction, _expm_hermitian, _h_stack, _step_two_level, _su2_control_derivative,
+)
 from conftest import (
     level_projector,
     pauli_x,
@@ -302,6 +304,37 @@ class TestTwoLevelScalarStep:
         psi = random_state(np.random.default_rng(33), 2).amplitudes
         for h in (0.7 * np.eye(2), np.diag([1.3, -0.4])):
             self.assert_matches(h.astype(complex), 0.3, psi)
+
+
+class TestTwoLevelControlDerivative:
+    """The closed-form SU(2) eps-derivative pinned to the eigenbasis route."""
+
+    @staticmethod
+    def assert_matches(H, samples, dt):
+        du = _su2_control_derivative(_h_stack(H, samples), H.control_derivative, dt)
+        for k, eps in enumerate(samples):
+            ref = qoct.step_control_derivative(H, float(eps), dt)
+            assert np.max(np.abs(du[k] - ref)) < 1e-14
+
+    def test_random_complex_hermitian(self):
+        rng = np.random.default_rng(34)
+        for _ in range(20):
+            H = qoct.ControlHamiltonian(
+                drift=random_hermitian(rng, 2), coupling=random_hermitian(rng, 2)
+            )
+            self.assert_matches(H, rng.uniform(-1.5, 1.5, 5), float(rng.uniform(0.01, 0.5)))
+
+    def test_identity_multiple_and_series_branch(self):
+        # at eps = 0 a drift 0.7 I gives h proportional to I (x = 0), and
+        # splittings that put x = |n| dt just either side of the series
+        # cut at 0.01; couplings generic and proportional to I
+        rng = np.random.default_rng(35)
+        dt = 0.05
+        for split in (0.0, 0.0099 / dt, 0.0101 / dt):
+            drift = qoct.HermitianOperator(np.diag([0.7 + split, 0.7 - split]))
+            for coupling in (random_hermitian(rng, 2), qoct.HermitianOperator(0.4 * np.eye(2))):
+                H = qoct.ControlHamiltonian(drift=drift, coupling=coupling)
+                self.assert_matches(H, np.zeros(1), dt)
 
 
 class TestTdseResidual:
