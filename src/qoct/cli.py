@@ -381,12 +381,13 @@ def run_verify(config_path: str | Path, out_dir: str | Path) -> int:
     # boundary deviations stay absolute: each compares one product with
     # itself and is zero at any norm.
     homogeneous_tol = HOMOGENEOUS_TOL * max(1.0, jump.jump_norm_at_T)
+    gap = jump.field_left_limit_gap
     checks = {
         "canonical_boundary": bool(jump.costate_matches_boundary < BOUNDARY_TOL),
+        # gap = |<psi(T)| [O, mu] |psi(T)> / (2i)| / alpha, zero when O and mu commute
         "field_continuity": bool(
-            jump.field_left_limit_gap < FIELD_GAP_TOL
-            if jump.commutator_condition_holds
-            else True
+            abs(gap - abs(jump.commutator_expectation_at_T) / p.alpha)
+            < FIELD_GAP_TOL * max(1.0, gap)
         ),
     }
     for n, rep in family.items():

@@ -3,10 +3,12 @@
 The gradient is the exact derivative of the discrete reduced objective
 (discretize-then-differentiate): the equation of motion is eliminated by
 forward solution, the costate recursion is the exact adjoint of the
-stepper, and the per-step propagator is differentiated through the
-eigenbasis formula, so central differences check it to a sharp 1e-6,
-not to O(dt). The oracle uses neither the costate nor dU/deps; its
-probes start from the solved trajectory and march together on its steps.
+stepper, and the per-step propagator is differentiated exactly, so
+central differences check it to a sharp 1e-6, not to O(dt). The one
+pairing of the costate with dU/deps is ``_pairing_rows``, which the
+optimizer's field law reads too. The oracle uses neither the costate nor
+dU/deps; its probes start from the solved trajectory and march together
+on its steps.
 
 The reduced objective is ``functional``'s j_opt + j_cost on the forward
 solution: its penalty spans the whole grid, so samples after the
@@ -42,10 +44,12 @@ from .core import (
 from .functional import eval_j_cost, eval_j_opt
 from .propagator import (
     CostateBoundary,
-    _adjoint,
-    _derivative_eigenbasis,
+    _divided_difference,
+    _eigh,
     _forward,
+    _h_stack,
     _march_probes,
+    _su2_control_derivative,
     propagate_forward,
 )
 
@@ -112,9 +116,8 @@ def analytic_gradient(
     costate vanishes there), reducing to the continuum field law
     2 dt [Im <chi_k| mu psi_k> - alpha (eps_k - ref_k)] as dt -> 0.
 
-    The m samples before the node take one batched eigendecomposition and
-    the overlap is contracted in each eigenbasis, 2 Re b^dagger W a with
-    a = V^dagger psi_k, b = V^dagger chi_{k+1}: no dU_k/deps is formed.
+    The pairing term is 2 dt Re(rho_k psi_k) with the rows of
+    ``_pairing_rows``, batched over the m samples before the node.
     """
     m = grid.index_T
     if not chi_traj.is_canonical():
@@ -124,13 +127,34 @@ def analytic_gradient(
     _check_grid(grid, [field, eps_ref], [psi_traj, chi_traj])
 
     g = -2.0 * alpha * grid.dt * (field.samples - eps_ref.samples)
-    v, w = _derivative_eigenbasis(H, field.samples[:m], grid.dt)
-    chi_next = np.concatenate([chi_traj.states[1:m], chi_traj.chi_T_minus[None, :]])
-    vh = _adjoint(v)
-    a = vh @ psi_traj.states[:m, :, None]
-    b = vh @ chi_next[:, :, None]
-    g[:m] += 2.0 * (_adjoint(b) @ w @ a)[:, 0, 0].real
+    rows = _pairing_rows(H, field.samples[:m], chi_traj, grid.dt)
+    g[:m] += 2.0 * grid.dt * np.einsum("ki,ki->k", rows, psi_traj.states[:m]).real
     return g
+
+
+def _pairing_rows(H: ControlHamiltonian, samples, chi, dt, eig=None):
+    """rho_k = chi_{k+1}^dagger dU_k/deps / dt at the pre-T samples, batched over k.
+
+    chi_{k+1} is the canonical costate after step k, its left limit
+    O psi(T) at the last one. Two levels take the closed-form SU(2)
+    derivative and decompose nothing; larger systems contract in the
+    eigenbasis ``eig`` = (lambda_k, V_k) when the caller holds one (the
+    optimizer's sweep keeps it), or decompose the samples once.
+    """
+    m = samples.size
+    chi_next = np.concatenate([chi.states[1:m], chi.chi_T_minus[None, :]]).conj()
+    mu = H.control_derivative
+    if H.dim == 2:
+        du = _su2_control_derivative(_h_stack(H, samples), mu, dt)
+        return np.einsum("ki,kij->kj", chi_next, du) / dt
+    lam, v = _eigh(_h_stack(H, samples)) if eig is None else eig
+    e, sc = _divided_difference(lam, v, mu, dt)
+    # chi^dagger V W V^dagger / dt with W = -i dt (e e^T) * sc: the phases
+    # go on the (m, d) rows, and x V^dagger = conj(V conj(x)) conjugates
+    # rows rather than the (m, d, d) stack
+    b = (chi_next[:, None, :] @ v)[:, 0, :] * e
+    x = (b[:, None, :] @ sc)[:, 0, :] * e
+    return -1j * (v @ x.conj()[:, :, None])[:, :, 0].conj()
 
 
 def fd_gradient(problem: ControlProblem, field: ControlField, k: int, h: float) -> float:

@@ -12,9 +12,10 @@ canonical costate of the new field. The law's fixed points are exactly
 the zeros of ``gradient.analytic_gradient`` before the measurement node,
 so the sweep stops where the discrete objective is stationary (the
 immediate feedback of Zhu, Botina & Rabitz with the exact first-order
-condition of Reich, Ndong & Koch). Both the law and the certificate read
-one pairing: the rows rho_k = chi_{k+1}^dagger D_k / dt, formed batched
-once per sweep. Iteration stops when the total objective stagnates;
+condition of Reich, Ndong & Koch). The law, the certificate and
+``analytic_gradient`` read one pairing: the rows
+rho_k = chi_{k+1}^dagger D_k / dt of ``gradient._pairing_rows``, formed
+batched once per sweep. Iteration stops when the total objective stagnates;
 convergence is only declared once the exact-gradient residual
 max_k |g_k| / (2 alpha dt) = max_k |eps_k - ref_k - Re(rho_k psi_k) / alpha|
 of the final field also passes. After the measurement node the costate
@@ -23,11 +24,10 @@ vanishes and the field equals the reference sample-for-sample.
 The feedback sweep is sequential: each sample needs the state just
 stepped under the previous one. For two levels its pre-T steps run in
 Python scalars (``propagator._step_two_level``), where NumPy's per-call
-overhead on 2 x 2 arrays would dominate, and the rows come from the
-closed-form eps-derivative of the SU(2) step, with no eigendecomposition.
-Larger systems decompose one matrix per step; the sweep keeps each
-(lambda_k, V_k), forms U_k from it, and the next rows need only
-W_k = Phi * (V_k^dagger mu V_k), no new decomposition. The sweep returns
+overhead on 2 x 2 arrays would dominate; its rows need no
+eigendecomposition. Larger systems decompose one matrix per step; the
+sweep keeps each (lambda_k, V_k), forms U_k from it, and hands it to the
+next rows, which then decompose nothing. The sweep returns
 the steps it formed; the multiplier term and the next costate read them,
 and that costate comes out of the same equation-of-motion gate as every
 other one.
@@ -51,9 +51,10 @@ from .core import (
     TimeGrid,
 )
 from .functional import FunctionalBreakdown, _total
+from .gradient import _pairing_rows
 from .propagator import (
-    CostateBoundary, _costate, _divided_difference, _eigh, _expm_eigenbasis,
-    _h_stack, _march_forward, _step_two_level, _su2_control_derivative, _u_stack,
+    CostateBoundary, _costate, _eigh, _expm_eigenbasis, _march_forward, _step_two_level,
+    _u_stack,
 )
 
 __all__ = ["OptimizationConfig", "OptimizationResult", "optimize"]
@@ -172,31 +173,6 @@ def optimize(
         final_stationarity_residual=residual,
         largest_j_decrease=largest_decrease,
     )
-
-
-def _pairing_rows(H: ControlHamiltonian, samples, chi, dt, eig=None):
-    """rho_k = chi_{k+1}^dagger dU_k/deps / dt at the pre-T samples, batched over k.
-
-    chi_{k+1} is the canonical costate after step k, its left limit
-    O psi(T) at the last one. Two levels take the closed-form SU(2)
-    derivative; larger systems contract in the eigenbasis ``eig`` =
-    (lambda_k, V_k) the sweep kept, or decompose the samples once when
-    none is given (the initial field).
-    """
-    m = samples.size
-    chi_next = np.concatenate([chi.states[1:m], chi.chi_T_minus[None, :]]).conj()
-    mu = H.control_derivative
-    if H.dim == 2:
-        du = _su2_control_derivative(_h_stack(H, samples), mu, dt)
-        return np.einsum("ki,kij->kj", chi_next, du) / dt
-    lam, v = _eigh(_h_stack(H, samples)) if eig is None else eig
-    e, sc = _divided_difference(lam, v, mu, dt)
-    # chi^dagger V W V^dagger / dt with W = -i dt (e e^T) * sc: the phases
-    # go on the (m, d) rows, and x V^dagger = conj(V conj(x)) conjugates
-    # rows rather than the (m, d, d) stack
-    b = (chi_next[:, None, :] @ v)[:, 0, :] * e
-    x = (b[:, None, :] @ sc)[:, 0, :] * e
-    return -1j * (v @ x.conj()[:, :, None])[:, :, 0].conj()
 
 
 def _feedback_sweep(psi0, rows, eps_ref, post_us, alpha, H: ControlHamiltonian, grid: TimeGrid):

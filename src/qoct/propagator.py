@@ -6,12 +6,12 @@ form for two levels), so each step is unitary to round-off. This module
 is the only place that exponentiates or steps: a field gets one stack of
 forward steps, a backward step is the conjugate transpose of a forward
 one, the step defects reuse the forward march's product, the step's
-control derivative comes from the same eigendecomposition route, the
-finite-difference probes, each with one step swapped, march together on
-the solved field's steps, and the sequential two-level sweep gets the
-SU(2) form in Python scalars and its control derivative in closed form. The delta source feeding the costate at
-the measurement time is never discretized as a narrow pulse; it is
-imposed as an exact boundary condition in one of two regimes:
+control derivative has a closed SU(2) form and an eigenbasis divided
+difference, the finite-difference probes, each with one step swapped,
+march together on the solved field's steps, and the sequential two-level
+sweep gets the SU(2) form in Python scalars. The delta source feeding
+the costate at the measurement time is never discretized as a narrow
+pulse; it is imposed as an exact boundary condition in one of two regimes:
 
 * canonical: chi jumps at the measurement node (left limit O*psi(T),
   right limit zero, zero thereafter);
@@ -209,16 +209,6 @@ def _u_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayCo
     return _expm_hermitian(_h_stack(H, samples), dt)
 
 
-def _derivative_eigenbasis(H: ControlHamiltonian, samples: np.ndarray, dt: float):
-    """V_k and W_k with dU_k/deps = V_k W_k V_k^dagger exactly, batched over k."""
-    lam, v = _eigh(_h_stack(H, samples))
-    e, w = _divided_difference(lam, v, H.control_derivative, dt)
-    w *= -1j * dt
-    w *= e[..., :, None]
-    w *= e[..., None, :]
-    return v, w
-
-
 def _divided_difference(lam: np.ndarray, v: NDArrayComplex, mu: NDArrayComplex, dt: float):
     """The eigenbasis derivative of exp(-i H dt), for eigenpairs (lam, v) in hand.
 
@@ -309,11 +299,12 @@ def step_matrix(H: ControlHamiltonian, eps_k: float, dt: float, direction: Direc
 def step_control_derivative(H: ControlHamiltonian, eps_k: float, dt: float) -> NDArrayComplex:
     """Derivative of the forward one-step propagator with respect to eps_k.
 
-    Exact: the eigenbasis divided-difference formula of
-    ``_derivative_eigenbasis`` for a single sample.
+    Exact: the eigenbasis divided difference at every dimension (no SU(2)
+    shortcut), an independent reference for the batched pairing rows.
     """
-    v, w = _derivative_eigenbasis(H, np.array([eps_k], dtype=np.float64), dt)
-    return (v @ w @ _adjoint(v))[0]
+    lam, v = _eigh(H.evaluate(eps_k))
+    e, sc = _divided_difference(lam, v, H.control_derivative, dt)
+    return v @ (sc * (-1j * dt) * e[:, None] * e[None, :]) @ _adjoint(v)
 
 
 def step(

@@ -251,13 +251,15 @@ class TestOneStackPerCall:
         # one stack of n per call, and the gradient's m intervals in one call
         assert counts == {"solve": [n], "continuous_family": [n], "conjugate": [n], "gradient": [m]}
 
-    def test_gradient_report_decomposes_each_step_once(self, eigh_log):
-        problem, field = seeded_problem(71, 3, 40, 1.0)
+    @pytest.mark.parametrize("dim", [3, 2])
+    def test_gradient_report_decomposes_each_step_once(self, eigh_log, dim):
+        problem, field = seeded_problem(71, dim, 40, 1.0)
         qoct.gradient_report(problem, field)
         n, m = problem.grid.n_steps, problem.grid.index_T
         # one forward stack for both trajectories, the gradient's m intervals,
-        # then only the probes' 2m moved steps: they step off the solved nodes
-        assert eigh_log == [n, m, 2 * m]
+        # then only the probes' 2m moved steps: they step off the solved nodes.
+        # Two levels take the SU(2) closed form and its derivative throughout
+        assert eigh_log == ([n, m, 2 * m] if dim == 3 else [])
 
     @pytest.mark.parametrize("dim", [3, 2])
     def test_optimize_forms_each_sweeps_steps_once(self, eigh_log, dim):

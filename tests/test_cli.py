@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -203,6 +204,24 @@ class TestVerify:
         jump = report["canonical_jump"]
         assert abs(jump["field_left_limit_gap"] - abs(jump["commutator_expectation_at_T"])) < 1e-12
         assert report["passed"] is True
+
+    def test_noncommuting_gap_is_checked(self, tmp_path, monkeypatch):
+        # the gap must equal |<psi(T)| [O, mu] |psi(T)> / (2i)| / alpha even
+        # when O and mu do not commute: a report off by 1e-6 fails the check
+        jump = cli.check_canonical_jump
+
+        def off(solution):
+            rep = jump(solution)
+            return dataclasses.replace(rep, field_left_limit_gap=rep.field_left_limit_gap + 1e-6)
+
+        monkeypatch.setattr(cli, "check_canonical_jump", off)
+        config = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert cli.run_verify(config, out) == 2
+        report = json.loads((out / "verify.json").read_text())
+        assert report["field_continuity"]["commutator_condition_holds"] is False
+        assert report["checks"]["field_continuity"] is False
+        assert report["passed"] is False
 
     @pytest.mark.parametrize(
         "observable",

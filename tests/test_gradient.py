@@ -76,18 +76,20 @@ class TestAnalyticGradient:
                 traj, chi, field, problem.eps_ref, 1.0, problem.hamiltonian, problem.grid
             )
 
-    def test_batched_matches_per_sample_derivative(self):
-        # complex-Hermitian dim 4: the one batched eigendecomposition
-        # against the per-sample dU_k/deps of step_control_derivative
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_batched_matches_per_sample_derivative(self, dim):
+        # complex-Hermitian: the batched pairing rows (the closed-form SU(2)
+        # derivative at dim 2, one batched eigendecomposition above) against
+        # the per-sample eigenbasis dU_k/deps of step_control_derivative
         rng = np.random.default_rng(53)
         H = qoct.ControlHamiltonian(
-            drift=random_hermitian(rng, 4), coupling=random_hermitian(rng, 4)
+            drift=random_hermitian(rng, dim), coupling=random_hermitian(rng, dim)
         )
-        O = random_hermitian(rng, 4)
+        O = random_hermitian(rng, dim)
         grid = qoct.TimeGrid(dt=0.05, n_steps=60, index_T=48)
         field = qoct.ControlField(rng.uniform(-1.0, 1.0, 60))
         ref = qoct.ControlField(rng.uniform(-0.5, 0.5, 60))
-        traj = qoct.propagate_forward(random_state(rng, 4), field, H, grid)
+        traj = qoct.propagate_forward(random_state(rng, dim), field, H, grid)
         chi = qoct.propagate_costate(traj, O, field, H, grid, qoct.CostateBoundary.canonical())
         g = qoct.analytic_gradient(traj, chi, field, ref, 0.7, H, grid)
 

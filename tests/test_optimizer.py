@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qoct
-from qoct import cli, optimizer
+from qoct import cli, gradient, optimizer
 from qoct.optimizer import _feedback_sweep
 from qoct.propagator import Direction
 from conftest import random_hermitian, random_state, seeded_problem, two_level_benchmark
@@ -111,7 +111,7 @@ def check_sweep_against_step_matrix_loop(seed, dim):
     post_us = np.array(
         [qoct.step_matrix(H, e, grid.dt, Direction.FORWARD) for e in eps_ref[m:]]
     )
-    rows = optimizer._pairing_rows(H, field.samples[:m], chi, dt)
+    rows = gradient._pairing_rows(H, field.samples[:m], chi, dt)
 
     for _ in range(2):
         new_field, nodes, us, eig = _feedback_sweep(
@@ -139,7 +139,7 @@ def check_sweep_against_step_matrix_loop(seed, dim):
         chi = qoct.propagate_costate(
             qoct.StateTrajectory(nodes), O, field, H, grid, qoct.CostateBoundary.canonical()
         )
-        rows = optimizer._pairing_rows(H, new_field[:m], chi, dt, eig)
+        rows = gradient._pairing_rows(H, new_field[:m], chi, dt, eig)
 
 
 class TestTwoLevelSweep:
