@@ -15,11 +15,21 @@ immediate feedback of Zhu, Botina & Rabitz with the exact first-order
 condition of Reich, Ndong & Koch). The law, the certificate and
 ``analytic_gradient`` read one pairing: the rows
 rho_k = chi_{k+1}^dagger D_k / dt of ``gradient._pairing_rows``, formed
-batched once per sweep. Iteration stops when the total objective stagnates;
-convergence is only declared once the exact-gradient residual
+batched once per sweep. After the measurement node the costate vanishes
+and the field equals the reference sample-for-sample.
+
+The sweep is a fixed-point map on its input rows: rows x -> sweep ->
+G(x), the rows of the field it wrote. ``optimize`` accelerates it with
+type-II Anderson mixing of depth 5 on those rows, so a mixed input costs
+no solve beyond the sweep itself. A mixed sweep whose total objective
+falls below the last accepted one is thrown away: the same iteration
+reruns the plain sweep from the accepted field's own rows, records that
+sweep's breakdown and clears the mixing history. Every iteration reads
+the exact-gradient residual
 max_k |g_k| / (2 alpha dt) = max_k |eps_k - ref_k - Re(rho_k psi_k) / alpha|
-of the final field also passes. After the measurement node the costate
-vanishes and the field equals the reference sample-for-sample.
+off the new field's own rows, never the mixed ones; the run stops, and
+is converged, once |Delta J| < ``j_tol`` and that residual is below
+``stationarity_tol`` in the same iteration.
 
 The feedback sweep is sequential: each sample needs the state just
 stepped under the previous one. For two levels its pre-T steps run in
@@ -95,9 +105,15 @@ class OptimizationResult:
     sits from the discrete field law. (``stationarity_residual``, the
     collocated continuum law, is O(dt) at the discrete optimum.)
     ``largest_j_decrease`` records the worst single-iteration drop of the
-    total objective (0.0 when the run was perfectly monotone); a drop
-    beyond round-off slack means the sweep scheme misbehaved on this
-    problem and the run should not be trusted blindly.
+    total objective (0.0 when the run was perfectly monotone). Mixed
+    sweeps that would lower J are rerun plain, so a drop comes from a
+    plain sweep; one beyond round-off slack means the sweep scheme
+    misbehaved on this problem and the run should not be trusted blindly.
+    ``iterations_run`` counts iterations, not sweeps: an iteration whose
+    mixed sweep was rerun holds two, and records one breakdown in
+    ``j_history``, which has ``iterations_run + 1`` entries.
+    ``converged`` means the run stopped before ``max_iters`` because J
+    stagnated and the residual passed in the same iteration.
     """
 
     final_field: ControlField
@@ -124,55 +140,123 @@ def optimize(
 ) -> OptimizationResult:
     """Drive the field to a stationary point of the total objective.
 
-    Non-convergence within ``max_iters`` is reported through the
-    ``converged`` flag, not an exception; the history and residual let
-    the caller judge how far the run got.
+    Each iteration sweeps from Anderson-mixed rows when the mixing history
+    holds a difference, and reruns the plain sweep from the last accepted
+    field's own rows, clearing the history, when the mixed field lowers J.
+    The loop stops once |Delta J| < ``j_tol`` and the exact-gradient
+    residual of the new field is below ``stationarity_tol``, both in the
+    same iteration. Non-convergence within ``max_iters`` is reported
+    through the ``converged`` flag, not an exception; the history and
+    residual let the caller judge how far the run got.
     """
     problem = ControlProblem(
         psi0=psi0, hamiltonian=H, observable=O, grid=grid, eps_ref=config.eps_ref,
         alpha=config.alpha,
     )
     eps_ref = config.eps_ref.samples
+    alpha = problem.alpha
     canonical = CostateBoundary.canonical()
 
     m = grid.index_T
     sol, us = _solve(problem, config.initial_field, canonical)
-    field, psi, chi = sol.field, sol.psi, sol.chi
     post_us = _u_stack(H, eps_ref[m:], grid.dt)
-    rows = _pairing_rows(H, field.samples[:m], chi, grid.dt)
+    rows = _pairing_rows(H, sol.field.samples[:m], sol.chi, grid.dt)
 
-    history = [_total(psi, chi, field, problem.eps_ref, problem.alpha, O, grid, us)]
+    def sweep(x):
+        samples, nodes, us, eig = _feedback_sweep(
+            psi0.amplitudes, x, eps_ref, post_us, alpha, H, grid
+        )
+        field, psi = ControlField(samples), StateTrajectory(nodes)
+        chi = _costate(psi, O, field, grid, canonical, us)
+        return field, psi, chi, eig, _total(psi, chi, field, problem.eps_ref, alpha, O, grid, us)
+
+    field, psi = sol.field, sol.psi
+    history = [_total(psi, sol.chi, field, problem.eps_ref, alpha, O, grid, us)]
+    mixer = _AndersonMixer(rows)
     largest_decrease = 0.0
-    stagnated = False
+    converged = False
     iterations = 0
 
     for _ in range(config.max_iters):
         iterations += 1
-        samples, nodes, us, eig = _feedback_sweep(
-            psi0.amplitudes, rows, eps_ref, post_us, problem.alpha, H, grid
-        )
-        field, psi = ControlField(samples), StateTrajectory(nodes)
-        chi = _costate(psi, O, field, grid, canonical, us)
-        bd = _total(psi, chi, field, problem.eps_ref, problem.alpha, O, grid, us)
-        rows = _pairing_rows(H, samples[:m], chi, grid.dt, eig)
+        x = mixer.next_input()
+        field, psi, chi, eig, bd = sweep(x)
+        # x is the accepted field's own rows unless the mixer held a difference
+        if x is not rows and bd.j_total < history[-1].j_total:
+            mixer.clear()
+            x = rows
+            field, psi, chi, eig, bd = sweep(x)
+        rows = _pairing_rows(H, field.samples[:m], chi, grid.dt, eig)
+        mixer.record(x, rows)
+        law = eps_ref[:m] + np.einsum("ki,ki->k", rows, psi.states[:m]).real / alpha
+        residual = float(np.max(np.abs(field.samples[:m] - law)))
         delta = bd.j_total - history[-1].j_total
         largest_decrease = min(largest_decrease, delta)
         history.append(bd)
-        if abs(delta) < config.j_tol:
-            stagnated = True
+        if abs(delta) < config.j_tol and residual < config.stationarity_tol:
+            converged = True
             break
 
-    law = eps_ref[:m] + np.einsum("ki,ki->k", rows, psi.states[:m]).real / problem.alpha
-    residual = float(np.max(np.abs(field.samples[:m] - law)))
     return OptimizationResult(
         final_field=field,
         j_history=tuple(history),
         final_fidelity=history[-1].j_opt,
         iterations_run=iterations,
-        converged=stagnated and residual < config.stationarity_tol,
+        converged=converged,
         final_stationarity_residual=residual,
         largest_j_decrease=largest_decrease,
     )
+
+
+class _AndersonMixer:
+    """Type-II Anderson mixing of depth ``DEPTH`` on the sweep's input rows.
+
+    The fixed-point map is rows x -> sweep -> G(x), the rows of the field
+    the sweep wrote; its residual is F = G(x) - x. With the last <= DEPTH
+    differences dF, dG of consecutive (F, G) pairs, the next input is
+    G_last - dG gamma, gamma the least-squares solution of dF gamma = F_last
+    (Walker & Ni, SIAM J. Numer. Anal. 49, 1715 (2011)). Rows are complex
+    (m, d) arrays, mixed as real vectors of N = 2 m d float64 entries. The
+    differences live in preallocated (DEPTH, N) ring buffers.
+    """
+
+    DEPTH = 5
+
+    def __init__(self, rows):
+        n = 2 * rows.size
+        self._df = np.empty((self.DEPTH, n))
+        self._dg = np.empty((self.DEPTH, n))
+        self._f = None
+        self._g = rows
+        self._count = self._slot = 0
+
+    def clear(self):
+        """Forget every recorded pair; the next input is G_last itself."""
+        self._f = None
+        self._count = self._slot = 0
+
+    def record(self, x, g):
+        """Add the pair (input x, output G(x)) of one accepted sweep."""
+        f = _flat(g) - _flat(x)
+        if self._f is not None:
+            np.subtract(f, self._f, out=self._df[self._slot])
+            np.subtract(_flat(g), _flat(self._g), out=self._dg[self._slot])
+            self._slot = (self._slot + 1) % self.DEPTH
+            self._count = min(self._count + 1, self.DEPTH)
+        self._f, self._g = f, g
+
+    def next_input(self):
+        """G_last while no difference is held, else the mixed rows."""
+        k = self._count
+        if not k:
+            return self._g
+        gamma = np.linalg.lstsq(self._df[:k].T, self._f, rcond=None)[0]
+        mixed = _flat(self._g) - gamma @ self._dg[:k]
+        return mixed.view(np.complex128).reshape(self._g.shape)
+
+
+def _flat(rows):
+    return rows.reshape(-1).view(np.float64)
 
 
 def _feedback_sweep(psi0, rows, eps_ref, post_us, alpha, H: ControlHamiltonian, grid: TimeGrid):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qoct
-from qoct import cli, gradient, optimizer
+from qoct import cli, functional, gradient, optimizer, propagator
 from qoct.optimizer import _feedback_sweep
 from qoct.propagator import Direction
 from conftest import random_hermitian, random_state, seeded_problem, two_level_benchmark
@@ -35,19 +35,47 @@ class TestBenchmark:
 
     def test_objective_never_decreases(self, benchmark_run):
         *_, result = benchmark_run
-        assert result.largest_j_decrease >= -1e-8
+        assert result.largest_j_decrease == 0.0
         totals = [bd.j_total for bd in result.j_history]
-        assert min(np.diff(totals)) >= -1e-8
+        assert min(np.diff(totals)) >= 0.0
 
-    @pytest.mark.parametrize("seed", [7, 3])
+    @pytest.mark.parametrize("seed", range(1, 11))
     def test_objective_never_decreases_at_other_seeds(self, seed):
-        # J stays monotone from other starting noise too
+        # J stays monotone from other starting noise too: the safeguard
+        # throws away every mixed sweep that would lower it
         psi0, H, O, grid = two_level_benchmark()
         result = qoct.optimize(psi0, H, O, grid, benchmark_config(seed=seed))
         assert result.converged
-        assert result.largest_j_decrease >= -1e-8
+        assert result.largest_j_decrease == 0.0
         totals = [bd.j_total for bd in result.j_history]
-        assert min(np.diff(totals)) >= -1e-8
+        assert min(np.diff(totals)) >= 0.0
+
+    def test_sweep_count_includes_reruns(self, monkeypatch):
+        # Anderson mixing certifies the benchmark in 29 iterations at seed 42,
+        # 31 sweeps once the two rejected mixed sweeps' reruns are counted
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return _feedback_sweep(*args)
+
+        monkeypatch.setattr(optimizer, "_feedback_sweep", counting)
+        psi0, H, O, grid = two_level_benchmark()
+        result = qoct.optimize(psi0, H, O, grid, benchmark_config())
+        assert result.converged
+        assert len(calls) <= 40
+        assert len(calls) >= result.iterations_run
+
+    def test_smaller_penalty_is_certified(self):
+        # alpha = 0.3 reaches J* = 0.8662365548 (L-BFGS-B on the exact
+        # gradient) within the default budget
+        psi0, H, O, grid = two_level_benchmark()
+        result = qoct.optimize(psi0, H, O, grid, benchmark_config(alpha=0.3))
+        assert result.converged
+        assert result.iterations_run < 500
+        assert result.final_stationarity_residual < 1e-6
+        assert result.largest_j_decrease == 0.0
+        assert abs(result.j_history[-1].j_total - 0.8662365548) < 1e-9
 
     def test_transfer_quality_of_the_stationary_point(self, benchmark_run):
         # the alpha=1 extremum trades fidelity against pulse cost and sits
@@ -206,6 +234,55 @@ class TestStackInSync:
             )
 
 
+class TestSafeguard:
+    def test_rejected_mixed_sweep_records_the_plain_sweep(self, monkeypatch):
+        # An iteration whose mixed sweep lowers J throws that sweep away and
+        # reruns the plain one from the last accepted field's own rows; the
+        # history records the rerun's breakdown, bitwise. Every sweep is
+        # replayed here through the optimizer's own costate and breakdown.
+        psi0, H, O, grid = two_level_benchmark()
+        config = benchmark_config()
+        m, canonical = grid.index_T, qoct.CostateBoundary.canonical()
+        calls = []
+
+        def recording(*args):
+            out = _feedback_sweep(*args)
+            calls.append((args[1], out))
+            return out
+
+        monkeypatch.setattr(optimizer, "_feedback_sweep", recording)
+        result = qoct.optimize(psi0, H, O, grid, config)
+
+        def replay(out):
+            samples, nodes, us, _ = out
+            field, psi = qoct.ControlField(samples), qoct.StateTrajectory(nodes)
+            chi = propagator._costate(psi, O, field, grid, canonical, us)
+            bd = functional._total(psi, chi, field, config.eps_ref, config.alpha, O, grid, us)
+            return bd, gradient._pairing_rows(H, samples[:m], chi, grid.dt)
+
+        problem = qoct.ControlProblem(
+            psi0=psi0, hamiltonian=H, observable=O, grid=grid, eps_ref=config.eps_ref,
+            alpha=config.alpha,
+        )
+        sol = qoct.solve(problem, config.initial_field, canonical)
+        own_rows = gradient._pairing_rows(H, config.initial_field.samples[:m], sol.chi, grid.dt)
+        rejected = []
+        sweeps = iter(calls)
+        for i, recorded in enumerate(result.j_history[1:], start=1):
+            rows, out = next(sweeps)
+            bd, next_rows = replay(out)
+            mixed = not np.array_equal(rows, own_rows)
+            if mixed and bd.j_total < result.j_history[i - 1].j_total:
+                rejected.append(i)
+                rows, out = next(sweeps)
+                assert np.array_equal(rows, own_rows)
+                bd, next_rows = replay(out)
+            assert bd == recorded
+            own_rows = next_rows
+        assert next(sweeps, None) is None
+        assert rejected == [3, 5]
+
+
 class TestContinuumLimit:
     def test_optimal_field_jumps_at_T_as_dt_shrinks(self):
         # The sweep solves the two-level benchmark to its discrete maximum at
@@ -245,9 +322,9 @@ class TestContinuumLimit:
 
 class TestDegenerateObjectives:
     def test_identity_observable_returns_reference_field(self):
-        # objective is field-independent, so the sweeps shed the field;
-        # the J-stagnation stop fires once the quadratic cost of the
-        # residual field dips below j_tol, here around the 1e-6 level
+        # objective is field-independent, so the sweeps shed the field; the
+        # run stops once J stagnates below j_tol and the residual, here the
+        # field itself, is below stationarity_tol
         psi0, H, _, grid = two_level_benchmark()
         O = qoct.HermitianOperator(np.eye(2))
         result = qoct.optimize(psi0, H, O, grid, benchmark_config(max_iters=50))
