@@ -49,6 +49,7 @@ from .propagator import (
     _forward,
     _h_stack,
     _march_probes,
+    _operators,
     _su2_control_derivative,
     propagate_forward,
 )
@@ -139,11 +140,12 @@ def _pairing_rows(H: ControlHamiltonian, samples, chi, dt, eig=None):
     O psi(T) at the last one. Two levels take the closed-form SU(2)
     derivative and decompose nothing; larger systems contract in the
     eigenbasis ``eig`` = (lambda_k, V_k) when the caller holds one (the
-    optimizer's sweep keeps it), or decompose the samples once.
+    optimizer's sweep keeps it), or decompose the samples once. Either
+    dtype of ``_operators`` works: real V_k and mu keep the kernel real.
     """
     m = samples.size
     chi_next = np.concatenate([chi.states[1:m], chi.chi_T_minus[None, :]]).conj()
-    mu = H.control_derivative
+    mu = _operators(H)[1]
     if H.dim == 2:
         du = _su2_control_derivative(_h_stack(H, samples), mu, dt)
         return np.einsum("ki,kij->kj", chi_next, du) / dt

@@ -35,12 +35,15 @@ The feedback sweep is sequential: each sample needs the state just
 stepped under the previous one. For two levels its pre-T steps run in
 Python scalars (``propagator._step_two_level``), where NumPy's per-call
 overhead on 2 x 2 arrays would dominate; its rows need no
-eigendecomposition. Larger systems decompose one matrix per step; the
-sweep keeps each (lambda_k, V_k), forms U_k from it, and hands it to the
-next rows, which then decompose nothing. The sweep returns
-the steps it formed; the multiplier term and the next costate read them,
-and that costate comes out of the same equation-of-motion gate as every
-other one.
+eigendecomposition. Larger systems decompose one matrix per step, in real
+arithmetic when H0 and mu are real (``propagator._operators``), and step
+the state in that eigenbasis, psi <- V_k (exp(-i lambda_k dt) * V_k^dagger
+psi), without forming U_k. After the loop the sweep forms all its pre-T
+steps U_k in one batched product from the (lambda_k, V_k) it kept, and
+hands the eigenpairs to the next rows, which then decompose nothing. The
+multiplier term and the next costate read those steps, and that costate
+comes out of the same equation-of-motion gate as every other one; the
+eigenbasis steps and the formed U_k agree to round-off, not bitwise.
 """
 
 from __future__ import annotations
@@ -63,8 +66,8 @@ from .core import (
 from .functional import FunctionalBreakdown, _total
 from .gradient import _pairing_rows
 from .propagator import (
-    CostateBoundary, _costate, _eigh, _expm_eigenbasis, _march_forward, _step_two_level,
-    _u_stack,
+    CostateBoundary, _costate, _eigh, _expm_eigenbasis, _march_forward, _operators,
+    _step_eigenbasis, _step_two_level, _u_stack,
 )
 
 __all__ = ["OptimizationConfig", "OptimizationResult", "optimize"]
@@ -112,6 +115,7 @@ class OptimizationResult:
     ``iterations_run`` counts iterations, not sweeps: an iteration whose
     mixed sweep was rerun holds two, and records one breakdown in
     ``j_history``, which has ``iterations_run + 1`` entries.
+    ``sweeps_run`` counts every feedback sweep, the reruns included.
     ``converged`` means the run stopped before ``max_iters`` because J
     stagnated and the residual passed in the same iteration.
     """
@@ -120,6 +124,7 @@ class OptimizationResult:
     j_history: Tuple[FunctionalBreakdown, ...]
     final_fidelity: float
     iterations_run: int
+    sweeps_run: int
     converged: bool
     final_stationarity_residual: float
     largest_j_decrease: float
@@ -175,16 +180,18 @@ def optimize(
     mixer = _AndersonMixer(rows)
     largest_decrease = 0.0
     converged = False
-    iterations = 0
+    iterations = sweeps = 0
 
     for _ in range(config.max_iters):
         iterations += 1
+        sweeps += 1
         x = mixer.next_input()
         field, psi, chi, eig, bd = sweep(x)
         # x is the accepted field's own rows unless the mixer held a difference
         if x is not rows and bd.j_total < history[-1].j_total:
             mixer.clear()
             x = rows
+            sweeps += 1
             field, psi, chi, eig, bd = sweep(x)
         rows = _pairing_rows(H, field.samples[:m], chi, grid.dt, eig)
         mixer.record(x, rows)
@@ -202,6 +209,7 @@ def optimize(
         j_history=tuple(history),
         final_fidelity=history[-1].j_opt,
         iterations_run=iterations,
+        sweeps_run=sweeps,
         converged=converged,
         final_stationarity_residual=residual,
         largest_j_decrease=largest_decrease,
@@ -266,7 +274,9 @@ def _feedback_sweep(psi0, rows, eps_ref, post_us, alpha, H: ControlHamiltonian, 
     canonical costate is zero there) and take its steps ``post_us``.
     Returns the new field, its nodes, its forward step stack and, above
     two levels, the eigenpairs (lambda_k, V_k) of its pre-T steps (None
-    for two levels, whose rows need none).
+    for two levels, whose rows need none). Above two levels each pre-T
+    step is taken in its eigenbasis and the stack is formed afterwards,
+    batched.
     """
     m = grid.index_T
     n = grid.n_steps
@@ -281,15 +291,16 @@ def _feedback_sweep(psi0, rows, eps_ref, post_us, alpha, H: ControlHamiltonian, 
         new_field[:m], nodes[1 : m + 1] = _two_level_steps(psi0, rows, eps_ref[:m], alpha, H, dt)
         us[:m] = _u_stack(H, new_field[:m], dt)
     else:
+        h0, mu = _operators(H)
         lam = np.empty((m, dim))
-        v = np.empty((m, dim, dim), dtype=np.complex128)
+        v = np.empty((m, dim, dim), dtype=h0.dtype)
         psi = psi0
         for k in range(m):
             new_field[k] = eps_ref[k] + (rows[k] @ psi).real / alpha
-            lam[k], v[k] = _eigh(H.evaluate(new_field[k]))
-            us[k] = _expm_eigenbasis(lam[k], v[k], dt)
-            psi = us[k] @ psi
+            lam[k], v[k] = _eigh(h0 + new_field[k] * mu)
+            psi = _step_eigenbasis(lam[k], v[k], dt, psi)
             nodes[k + 1] = psi
+        us[:m] = _expm_eigenbasis(lam, v, dt)
         eig = (lam, v)
     new_field[m:] = eps_ref[m:]
     us[m:] = post_us

@@ -8,8 +8,13 @@ forward steps, a backward step is the conjugate transpose of a forward
 one, the step defects reuse the forward march's product, the step's
 control derivative has a closed SU(2) form and an eigenbasis divided
 difference, the finite-difference probes, each with one step swapped,
-march together on the solved field's steps, and the sequential two-level
-sweep gets the SU(2) form in Python scalars. The delta source feeding
+march together on the solved field's steps, the sequential two-level
+sweep gets the SU(2) form in Python scalars, and the larger sweep steps
+a state in its step's eigenbasis. Real-symmetric H0 and mu (``_operators``)
+are decomposed in real arithmetic, and their exponential is put together
+from two real products; states, steps and derivatives are complex. The
+reference routes (``step_matrix``, ``step_control_derivative``) read
+``H.evaluate`` and stay complex throughout. The delta source feeding
 the costate at the measurement time is never discretized as a narrow
 pulse; it is imposed as an exact boundary condition in one of two regimes:
 
@@ -95,12 +100,16 @@ def _adjoint(u: NDArrayComplex) -> NDArrayComplex:
     return u.conj().swapaxes(-1, -2)
 
 
-def _eigh(h: NDArrayComplex) -> tuple[np.ndarray, NDArrayComplex]:
-    """The one eigendecomposition route, for propagators and their derivatives."""
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one eigendecomposition route, for propagators and their derivatives.
+
+    A float64 stack (real-symmetric H) gives real eigenvectors, a
+    complex128 one complex eigenvectors.
+    """
     return np.linalg.eigh(h)
 
 
-def _expm_hermitian(h: NDArrayComplex, tau: float) -> NDArrayComplex:
+def _expm_hermitian(h: np.ndarray, tau: float) -> NDArrayComplex:
     """exp(-1j * h * tau) for one Hermitian matrix or a stack (..., d, d).
 
     Two-level matrices take the closed SU(2) form (same result, much
@@ -126,12 +135,32 @@ def _expm_hermitian(h: NDArrayComplex, tau: float) -> NDArrayComplex:
     return _expm_eigenbasis(*_eigh(h), tau)
 
 
-def _expm_eigenbasis(lam: np.ndarray, v: NDArrayComplex, tau: float) -> NDArrayComplex:
-    """exp(-1j * h * tau) from the eigendecomposition h = v diag(lam) v^dagger."""
-    return (v * np.exp(-1j * lam * tau)[..., None, :]) @ _adjoint(v)
+def _expm_eigenbasis(lam: np.ndarray, v: np.ndarray, tau: float) -> NDArrayComplex:
+    """exp(-1j * h * tau) from the eigendecomposition h = v diag(lam) v^dagger.
+
+    Real v (real-symmetric h) takes two real products,
+    (v cos(lam tau)) v^T - i (v sin(lam tau)) v^T, each written straight
+    into its part of the complex result.
+    """
+    if v.dtype != np.float64:
+        return (v * np.exp(-1j * lam * tau)[..., None, :]) @ _adjoint(v)
+    x = lam * tau
+    vt = v.swapaxes(-1, -2)
+    u = np.empty(v.shape, dtype=np.complex128)
+    parts = u.view(np.float64).reshape(v.shape + (2,))
+    np.matmul(v * np.cos(x)[..., None, :], vt, out=parts[..., 0])
+    np.matmul(v * -np.sin(x)[..., None, :], vt, out=parts[..., 1])
+    return u
 
 
-def _su2_control_derivative(h: NDArrayComplex, mu: NDArrayComplex, tau: float) -> NDArrayComplex:
+def _step_eigenbasis(
+    lam: np.ndarray, v: np.ndarray, tau: float, psi: NDArrayComplex
+) -> NDArrayComplex:
+    """exp(-1j * h * tau) psi as v (exp(-1j * lam * tau) * (v^dagger psi)), without the matrix."""
+    return v @ (np.exp(-1j * lam * tau) * (_adjoint(v) @ psi))
+
+
+def _su2_control_derivative(h: np.ndarray, mu: np.ndarray, tau: float) -> NDArrayComplex:
     """d/deps exp(-1j * (h + eps * mu) * tau) at eps = 0, for a stack of 2 x 2 h.
 
     The eps-derivative of the SU(2) closed form, with no eigendecomposition.
@@ -199,9 +228,21 @@ def _step_two_level(
     return q0, q1
 
 
-def _h_stack(H: ControlHamiltonian, samples: np.ndarray) -> NDArrayComplex:
-    """H(eps_k) = H0 + eps_k * mu for every sample, stacked over k."""
-    return H.drift.matrix[None, :, :] + samples[:, None, None] * H.coupling.matrix[None, :, :]
+def _operators(H: ControlHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """(H0, mu) as the kernels read them: float64 when both are real, else complex128.
+
+    The one place that picks real or complex arithmetic; it follows from
+    the operators alone.
+    """
+    if H.is_real():
+        return H.drift.matrix.real.copy(), H.coupling.matrix.real.copy()
+    return H.drift.matrix, H.coupling.matrix
+
+
+def _h_stack(H: ControlHamiltonian, samples: np.ndarray) -> np.ndarray:
+    """H(eps_k) = H0 + eps_k * mu for every sample, stacked over k, in ``_operators``' dtype."""
+    h0, mu = _operators(H)
+    return h0[None, :, :] + samples[:, None, None] * mu[None, :, :]
 
 
 def _u_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayComplex:
@@ -209,7 +250,7 @@ def _u_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayCo
     return _expm_hermitian(_h_stack(H, samples), dt)
 
 
-def _divided_difference(lam: np.ndarray, v: NDArrayComplex, mu: NDArrayComplex, dt: float):
+def _divided_difference(lam: np.ndarray, v: np.ndarray, mu: np.ndarray, dt: float):
     """The eigenbasis derivative of exp(-i H dt), for eigenpairs (lam, v) in hand.
 
     W = Phi * (V^dagger mu V) with the cancellation-free divided-difference
@@ -218,7 +259,8 @@ def _divided_difference(lam: np.ndarray, v: NDArrayComplex, mu: NDArrayComplex, 
     at first order in dt whenever drift and coupling do not commute. The
     phases are separable, so this returns e and the real-kernel part
     sinc * (V^dagger mu V), and a contraction can take the phases on its
-    vectors instead of forming W.
+    vectors instead of forming W. Real v and mu keep V^T mu V, and so
+    that part, real.
     """
     # the real kernel first: its scratch is freed before the coupling stack
     sinc = _sinc((lam[..., :, None] - lam[..., None, :]) * (0.5 * dt))

@@ -209,8 +209,16 @@ class TestConjugateIndependence:
         assert dev < 1e-12
 
 
+def matrices(log):
+    return [n for n, _ in log]
+
+
 class TestOneStackPerCall:
-    """Count eigendecomposed matrices: each call builds its forward stack once."""
+    """Count eigendecomposed matrices: each call builds its forward stack once.
+
+    The log holds (matrices, dtype) per ``np.linalg.eigh`` call: real-symmetric
+    Hamiltonians decompose in float64, any complex operator in complex128.
+    """
 
     @pytest.fixture
     def eigh_log(self, monkeypatch):
@@ -218,7 +226,7 @@ class TestOneStackPerCall:
         eigh = np.linalg.eigh
 
         def counting(a):
-            log.append(int(np.prod(np.shape(a)[:-2])))
+            log.append((int(np.prod(np.shape(a)[:-2])), np.asarray(a).dtype))
             return eigh(a)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
@@ -232,7 +240,7 @@ class TestOneStackPerCall:
         def logged(call):
             eigh_log.clear()
             call()
-            return list(eigh_log)
+            return matrices(eigh_log)
 
         sol = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
         counts = {
@@ -259,7 +267,7 @@ class TestOneStackPerCall:
         # one forward stack for both trajectories, the gradient's m intervals,
         # then only the probes' 2m moved steps: they step off the solved nodes.
         # Two levels take the SU(2) closed form and its derivative throughout
-        assert eigh_log == ([n, m, 2 * m] if dim == 3 else [])
+        assert matrices(eigh_log) == ([n, m, 2 * m] if dim == 3 else [])
 
     @pytest.mark.parametrize("dim", [3, 2])
     def test_optimize_forms_each_sweeps_steps_once(self, eigh_log, dim):
@@ -275,7 +283,7 @@ class TestOneStackPerCall:
         # costate, the objective and the next rows read them. Two levels take
         # the SU(2) closed form and its derivative and never decompose.
         expected = [n, n - m, m] + [1] * (2 * m) if dim == 3 else []
-        assert eigh_log == expected
+        assert matrices(eigh_log) == expected
 
     def test_verify_solves_its_probe_field_once(self, eigh_log, tmp_path):
         rng = np.random.default_rng(73)
@@ -288,4 +296,47 @@ class TestOneStackPerCall:
         n, m = 100, 80
         # one solve, three continuous-family stacks and two conjugate-pair
         # stacks, then the gradient's m intervals and the probes' 2m moved steps
-        assert sum(eigh_log) == 6 * n + 3 * m
+        assert sum(matrices(eigh_log)) == 6 * n + 3 * m
+
+    @staticmethod
+    def run_every_route(problem, field):
+        """Each qoct route that decomposes a stack, on one problem."""
+        H, O, grid = problem.hamiltonian, problem.observable, problem.grid
+        sol = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
+        qoct.check_continuous_family(sol.psi, O, field, H, grid, 1)
+        qoct.check_conjugate_independence(problem.psi0, field, H, grid)
+        qoct.eval_total(sol.psi, sol.chi, field, problem.eps_ref, problem.alpha, O, H, grid)
+        qoct.gradient_report(problem, field)
+        config = qoct.OptimizationConfig(
+            alpha=problem.alpha, max_iters=2, j_tol=1e-300, stationarity_tol=1e-6,
+            initial_field=field, eps_ref=problem.eps_ref,
+        )
+        qoct.optimize(problem.psi0, H, O, grid, config)
+
+    @pytest.mark.parametrize("dim", [3, 4, 8])
+    def test_real_hamiltonian_decomposes_in_float64(self, eigh_log, dim):
+        problem, field = seeded_problem(74, dim, 30, 1.0)
+        self.run_every_route(problem, field)
+        assert eigh_log and {dtype for _, dtype in eigh_log} == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("drift", ["complex", "real"])
+    def test_complex_coupling_decomposes_in_complex128(self, eigh_log, drift):
+        # a complex-Hermitian H, and a mixed one (real drift, complex coupling)
+        problem, field = seeded_problem(75, 4, 30, 1.0, complex_hermitian=True)
+        if drift == "real":
+            rng = np.random.default_rng(76)
+            H = qoct.ControlHamiltonian(
+                drift=random_symmetric(rng, 4), coupling=problem.hamiltonian.coupling
+            )
+            problem = dataclasses.replace(problem, hamiltonian=H)
+        self.run_every_route(problem, field)
+        assert eigh_log and {dtype for _, dtype in eigh_log} == {np.dtype(np.complex128)}
+
+    def test_reference_routes_stay_complex(self, eigh_log):
+        # step_matrix and step_control_derivative read H.evaluate, so they
+        # check the real route against an independent complex one
+        problem, _ = seeded_problem(77, 4, 30, 1.0)
+        H = problem.hamiltonian
+        qoct.step_matrix(H, 0.3, 0.05, qoct.Direction.FORWARD)
+        qoct.step_control_derivative(H, 0.3, 0.05)
+        assert [dtype for _, dtype in eigh_log] == [np.dtype(np.complex128)] * 2

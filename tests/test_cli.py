@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qoct import cli
+from conftest import random_hermitian, random_symmetric
 
 
 # an integer Python's json reads exactly but no float can hold
@@ -143,6 +144,7 @@ class TestOptimize:
         assert summary["converged"] is True
         assert summary["final_stationarity_residual"] < 1e-6
         assert len(summary["iterations"]) == summary["iterations_run"] + 1
+        assert summary["iterations_run"] <= summary["sweeps_run"]
         field_lines = (out / "field.csv").read_text().splitlines()
         assert field_lines[0] == "t,eps"
         assert len(field_lines) == 1 + 100
@@ -155,6 +157,14 @@ class TestOptimize:
         replay = json.loads((out2 / "summary.json").read_text())
         assert abs(replay["j_opt"] - summary["j_opt"]) < 1e-10
         assert replay["tdse_residual"] < 1e-13
+
+    def test_summary_counts_sweeps_with_reruns(self, tmp_path):
+        # the two-level benchmark at seed 42: two of its 29 iterations rerun
+        # a mixed sweep, so 31 sweeps run
+        config = write_config(tmp_path / "cfg.json", T=10.0, T_hat=10.5, max_iters=500, seed=42)
+        assert cli.run_optimize(config, tmp_path / "out") == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert (summary["iterations_run"], summary["sweeps_run"]) == (29, 31)
 
     def test_eps_ref_samples_read_like_constant(self, tmp_path):
         files = ("field.csv", "populations.csv", "summary.json")
@@ -343,6 +353,24 @@ class TestMainEntry:
         field_csv.write_text("t,eps\n" + rows, encoding="utf-8")
         assert cli.main(["propagate", *common, str(tmp_path / "p"), "--field", str(field_csv)]) == 0
         assert json.loads((tmp_path / "p" / "summary.json").read_text())["j_opt"] == 0.0
+
+    @pytest.mark.parametrize("draw", [random_symmetric, random_hermitian])
+    def test_verify_and_gradcheck_above_two_levels(self, tmp_path, draw):
+        # dim 4 leaves the SU(2) closed form: real-symmetric operators
+        # decompose in real arithmetic, complex-Hermitian ones in complex
+        rng = np.random.default_rng(4)
+        h0, mu, observable = (as_pairs_matrix(draw(rng, 4).matrix) for _ in range(3))
+        config = write_config(
+            tmp_path / "cfg.json", dimension=4, h0=h0, mu=mu, observable=observable,
+            psi0=as_pairs_vector([1.0, 0.0, 0.0, 0.0]),
+        )
+        common = ["--config", str(config), "--out"]
+        assert cli.main(["verify", *common, str(tmp_path / "v")]) == 0
+        report = json.loads((tmp_path / "v" / "verify.json").read_text())
+        assert report["passed"] is True
+        conjugate = report["conjugate_independence"]
+        assert ("skipped" in conjugate) == (draw is random_hermitian)
+        assert cli.main(["gradcheck", *common, str(tmp_path / "g")]) == 0
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

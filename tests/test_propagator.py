@@ -3,8 +3,10 @@ import pytest
 import scipy.linalg
 
 import qoct
+from qoct.gradient import _pairing_rows
 from qoct.propagator import (
-    Direction, _expm_hermitian, _h_stack, _step_two_level, _su2_control_derivative,
+    Direction, _adjoint, _expm_hermitian, _h_stack, _step_eigenbasis, _step_two_level,
+    _su2_control_derivative, _u_stack,
 )
 from conftest import (
     level_projector,
@@ -277,6 +279,48 @@ class TestComplexHermitian:
                     compute_expm=False,
                 )
                 assert np.max(np.abs(du - ref)) < 1e-12
+
+
+class TestRealSymmetric:
+    """The real-arithmetic stacks pinned to the complex per-sample reference routes."""
+
+    @pytest.mark.parametrize("dim", [3, 4, 8])
+    def test_u_stack_matches_step_matrix_and_is_unitary(self, dim):
+        rng = np.random.default_rng(36 + dim)
+        H = qoct.ControlHamiltonian(
+            drift=random_symmetric(rng, dim), coupling=random_symmetric(rng, dim)
+        )
+        samples, dt = rng.uniform(-1.5, 1.5, 30), 0.07
+        assert _h_stack(H, samples).dtype == np.float64
+        us = _u_stack(H, samples, dt)
+        ref = np.array([qoct.step_matrix(H, eps, dt, Direction.FORWARD) for eps in samples])
+        assert np.max(np.abs(us - ref)) <= 1e-14
+        assert np.max(np.abs(us @ _adjoint(us) - np.eye(dim))) <= 1e-14
+
+    @pytest.mark.parametrize("draw", [random_symmetric, random_hermitian])
+    def test_eigenbasis_step_matches_step_matrix(self, draw):
+        # the dim > 2 sweep's step, on either dtype's eigenpairs
+        rng = np.random.default_rng(39)
+        H = qoct.ControlHamiltonian(drift=draw(rng, 8), coupling=draw(rng, 8))
+        psi, dt = random_state(rng, 8).amplitudes, 0.07
+        for eps in rng.uniform(-1.5, 1.5, 5):
+            lam, v = np.linalg.eigh(_h_stack(H, np.array([eps]))[0])
+            ref = qoct.step_matrix(H, eps, dt, Direction.FORWARD) @ psi
+            assert np.max(np.abs(_step_eigenbasis(lam, v, dt, psi) - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("dim", [3, 4, 8])
+    def test_pairing_rows_match_step_control_derivative(self, dim):
+        problem, field = seeded_problem(40 + dim, dim, 30, 1.0)
+        H, grid = problem.hamiltonian, problem.grid
+        m, dt = grid.index_T, grid.dt
+        chi = qoct.solve(problem, field, qoct.CostateBoundary.canonical()).chi
+        rows = _pairing_rows(H, field.samples[:m], chi, dt)
+        chi_next = np.concatenate([chi.states[1:m], chi.chi_T_minus[None, :]])
+        ref = np.array([
+            chi_next[k].conj() @ qoct.step_control_derivative(H, eps, dt) / dt
+            for k, eps in enumerate(field.samples[:m])
+        ])
+        assert np.max(np.abs(rows - ref)) <= 1e-13
 
 
 class TestTwoLevelScalarStep:
