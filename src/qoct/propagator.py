@@ -1,20 +1,25 @@
 """Exact-exponential time stepping for the state and costate equations.
 
 The one-step propagator is the matrix exponential of H(eps_k) over one
-interval, computed through a Hermitian eigendecomposition (closed SU(2)
-form for two levels), so each step is unitary to round-off. This module
-is the only place that exponentiates or steps: a field gets one stack of
-forward steps, a backward step is the conjugate transpose of a forward
-one, the step defects reuse the forward march's product, the step's
-control derivative has a closed SU(2) form and an eigenbasis divided
-difference, the finite-difference probes, each with one step swapped,
-march together on the solved field's steps, the sequential two-level
-sweep gets the SU(2) form in Python scalars, and the larger sweep steps
-a state in its step's eigenbasis. Real-symmetric H0 and mu (``_operators``)
-are decomposed in real arithmetic, and their exponential is put together
-from two real products; states, steps and derivatives are complex. The
-reference routes (``step_matrix``, ``step_control_derivative``) read
-``H.evaluate`` and stay complex throughout. The delta source feeding
+interval, so each step is unitary to round-off. A stack of steps takes
+the closed SU(2) form for two levels and, above two levels, a
+scaling-and-squaring Taylor series for cos and sin of H dt
+(``_expm_taylor``), formed from batched matmuls with no
+eigendecomposition. Eigenpairs are formed only where their rows are read:
+the exact gradient's divided difference, the larger sweep's per-step
+eigenbasis and the reference routes. This module is the only place that
+exponentiates or steps: a field gets one stack of forward steps, a
+backward step is the conjugate transpose of a forward one, the step
+defects reuse the forward march's product, the step's control derivative
+has a closed SU(2) form and an eigenbasis divided difference, the
+finite-difference probes, each with one step swapped, march together on
+the solved field's steps, the sequential two-level sweep gets the SU(2)
+form in Python scalars, and the larger sweep steps a state in its step's
+eigenbasis. Real-symmetric H0 and mu (``_operators``) are exponentiated
+and decomposed in real arithmetic; states, steps and derivatives are
+complex. The reference routes (``step_matrix``, ``step_control_derivative``)
+read ``H.evaluate`` and decompose it in complex arithmetic, independent of
+the stack kernel. The delta source feeding
 the costate at the measurement time is never discretized as a narrow
 pulse; it is imposed as an exact boundary condition in one of two regimes:
 
@@ -101,10 +106,12 @@ def _adjoint(u: NDArrayComplex) -> NDArrayComplex:
 
 
 def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The one eigendecomposition route, for propagators and their derivatives.
+    """The one eigendecomposition route, wherever eigenpairs are read.
 
-    A float64 stack (real-symmetric H) gives real eigenvectors, a
-    complex128 one complex eigenvectors.
+    The control derivatives, the larger sweep's steps and the reference
+    propagators read it; step stacks take ``_expm_taylor``. A float64
+    stack (real-symmetric H) gives real eigenvectors, a complex128 one
+    complex eigenvectors.
     """
     return np.linalg.eigh(h)
 
@@ -114,7 +121,7 @@ def _expm_hermitian(h: np.ndarray, tau: float) -> NDArrayComplex:
 
     Two-level matrices take the closed SU(2) form (same result, much
     cheaper in per-step sweeps); larger ones go through a batched
-    eigendecomposition.
+    eigendecomposition, the reference for ``_expm_taylor``.
     """
     if h.shape[-2:] == (2, 2):
         a = h[..., 0, 0].real
@@ -133,6 +140,89 @@ def _expm_hermitian(h: np.ndarray, tau: float) -> NDArrayComplex:
         u[..., 1, 1] = phase * (cs - sn * d)
         return u
     return _expm_eigenbasis(*_eigh(h), tau)
+
+
+# Taylor coefficients of cos x in y = x^2, (-1)^j / (2j)!, and of sin x / x,
+# (-1)^j / (2j + 1)!, up to the largest degree _taylor_plan picks (14)
+_COS = tuple((-1) ** j / math.factorial(2 * j) for j in range(8))
+_SIN = tuple((-1) ** j / math.factorial(2 * j + 1) for j in range(8))
+
+
+def _taylor_plan(norm: float) -> tuple[int, int]:
+    """(s, p) for exp(-1j x) with ||x||_1 = norm: s squarings and Taylor degree p.
+
+    s is the least count that brings theta = norm / 2^s to 1/2 or below;
+    p >= 3 is the least degree whose remainder, sum_{j > p} theta^j / j!
+    <= 2 theta^(p+1) / (p+1)! for theta <= 1/2, is at most 2^-53.
+    """
+    if not math.isfinite(norm):
+        raise ValueError(f"Hamiltonian stack has a non-finite 1-norm ({norm})")
+    s = math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0
+    theta = norm / 2.0 ** s
+    p, term = 3, theta ** 4 / 24.0
+    while term > 2.0 ** -54:
+        p += 1
+        term *= theta / (p + 1)
+    return s, p
+
+
+def _add_identity(a: np.ndarray, c: float) -> None:
+    """a += c * I on every matrix of a C-contiguous stack a, in place."""
+    d = a.shape[-1]
+    diag = a.reshape(a.shape[:-2] + (d * d,))[..., :: d + 1]
+    diag += c
+
+
+def _horner(y: np.ndarray, coef: tuple[float, ...], out: np.ndarray, tmp: np.ndarray) -> None:
+    """sum_j coef[j] y^j over a stack y, by Horner's rule, into out; tmp is scratch.
+
+    The len(coef) - 2 products alternate between out and tmp, so the
+    first term starts in whichever buffer makes the last product land in out.
+    """
+    k = len(coef) - 1
+    acc, nxt = (out, tmp) if k % 2 else (tmp, out)
+    np.multiply(y, coef[k], out=acc)
+    _add_identity(acc, coef[k - 1])
+    for c in reversed(coef[: k - 1]):
+        np.matmul(y, acc, out=nxt)
+        _add_identity(nxt, c)
+        acc, nxt = nxt, acc
+
+
+def _expm_taylor(h: np.ndarray, tau: float) -> NDArrayComplex:
+    """exp(-1j * h * tau) for a Hermitian stack (k, d, d), by a scaled Taylor series.
+
+    Overwrites h, which must be C-contiguous. With x = h tau / 2^s, cos x
+    and sin x = x * (...) are Horner polynomials in y = x^2, truncated
+    where the remainder is at most 2^-53 (``_taylor_plan``, on the
+    stack's largest 1-norm). s squarings
+    (C, S) <- (C^2 - S^2, 2 C S) undo the scaling, with C^2 - S^2 =
+    (C + S)(C - S) since C and S commute. Real h keeps C and S real. The
+    work space is h itself, two stacks like it and the complex result,
+    whose memory holds scratch until U = C - iS is written into it.
+    """
+    x = h
+    s, p = _taylor_plan(float(np.abs(x).sum(axis=-2).max(initial=0.0)) * abs(tau))
+    x *= tau / 2.0 ** s
+    a, b = np.empty_like(x), np.empty_like(x)
+    u = np.empty(x.shape, dtype=np.complex128)
+    w = u.reshape(-1).view(x.dtype)[: x.size].reshape(x.shape)
+    np.matmul(x, x, out=a)
+    _horner(a, _SIN[: (p - 1) // 2 + 1], w, b)
+    np.matmul(x, w, out=b)
+    _horner(a, _COS[: p // 2 + 1], x, w)
+    c, sn, free = x, b, a
+    for _ in range(s):
+        np.matmul(c, sn, out=w)
+        c += sn
+        sn *= -2.0
+        sn += c
+        np.matmul(c, sn, out=free)
+        np.multiply(w, 2.0, out=c)
+        c, sn, free = free, c, sn
+    np.multiply(sn, -1j, out=u)
+    u += c
+    return u
 
 
 def _expm_eigenbasis(lam: np.ndarray, v: np.ndarray, tau: float) -> NDArrayComplex:
@@ -246,8 +336,14 @@ def _h_stack(H: ControlHamiltonian, samples: np.ndarray) -> np.ndarray:
 
 
 def _u_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayComplex:
-    """Forward per-interval propagators exp(-1j * H(eps_k) * dt), batched over k."""
-    return _expm_hermitian(_h_stack(H, samples), dt)
+    """Forward per-interval propagators exp(-1j * H(eps_k) * dt), batched over k.
+
+    Two levels take the SU(2) closed form; larger stacks the scaled Taylor
+    series (``_expm_taylor``), in ``_operators``' dtype, with no
+    eigendecomposition: no caller of a stack reads its eigenpairs.
+    """
+    h = _h_stack(H, samples)
+    return _expm_hermitian(h, dt) if H.dim == 2 else _expm_taylor(h, dt)
 
 
 def _divided_difference(lam: np.ndarray, v: np.ndarray, mu: np.ndarray, dt: float):

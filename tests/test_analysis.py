@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qoct
-from qoct import cli
+from qoct import cli, propagator
 from conftest import (
     level_projector,
     pauli_x,
@@ -214,10 +214,14 @@ def matrices(log):
 
 
 class TestOneStackPerCall:
-    """Count eigendecomposed matrices: each call builds its forward stack once.
+    """Count the matrices each call exponentiates and decomposes: one stack per call.
 
-    The log holds (matrices, dtype) per ``np.linalg.eigh`` call: real-symmetric
-    Hamiltonians decompose in float64, any complex operator in complex128.
+    ``taylor_log`` holds (matrices, dtype) per call of the stack kernel
+    ``propagator._expm_taylor``, ``eigh_log`` per ``np.linalg.eigh`` call:
+    real-symmetric Hamiltonians take float64 through both, any complex
+    operator complex128. Above two levels a forward stack is exponentiated
+    and never decomposed; only the exact gradient, the optimizer's sweep and
+    the reference routes read eigenpairs.
     """
 
     @pytest.fixture
@@ -232,15 +236,28 @@ class TestOneStackPerCall:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         return log
 
-    def test_each_call_decomposes_each_interval_once(self, eigh_log):
-        # dim 3 leaves the SU(2) closed form, so every stack goes through eigh
+    @pytest.fixture
+    def taylor_log(self, monkeypatch):
+        log = []
+        taylor = propagator._expm_taylor
+
+        def counting(h, tau):
+            log.append((int(np.prod(np.shape(h)[:-2])), h.dtype))
+            return taylor(h, tau)
+
+        monkeypatch.setattr(propagator, "_expm_taylor", counting)
+        return log
+
+    def test_each_call_decomposes_each_interval_once(self, eigh_log, taylor_log):
+        # dim 3 leaves the SU(2) closed form, so every stack goes through the kernel
         problem, field = seeded_problem(70, 3, 40, 1.0)
         H, O, grid = problem.hamiltonian, problem.observable, problem.grid
 
         def logged(call):
             eigh_log.clear()
+            taylor_log.clear()
             call()
-            return matrices(eigh_log)
+            return matrices(taylor_log), matrices(eigh_log)
 
         sol = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
         counts = {
@@ -256,21 +273,27 @@ class TestOneStackPerCall:
             ),
         }
         n, m = grid.n_steps, grid.index_T
-        # one stack of n per call, and the gradient's m intervals in one call
-        assert counts == {"solve": [n], "continuous_family": [n], "conjugate": [n], "gradient": [m]}
+        # (exponentiated, decomposed): one stack of n per call, decomposed
+        # nowhere, and the gradient's m intervals decomposed in one call
+        assert counts == {
+            "solve": ([n], []), "continuous_family": ([n], []), "conjugate": ([n], []),
+            "gradient": ([], [m]),
+        }
 
     @pytest.mark.parametrize("dim", [3, 2])
-    def test_gradient_report_decomposes_each_step_once(self, eigh_log, dim):
+    def test_gradient_report_decomposes_each_step_once(self, eigh_log, taylor_log, dim):
         problem, field = seeded_problem(71, dim, 40, 1.0)
         qoct.gradient_report(problem, field)
         n, m = problem.grid.n_steps, problem.grid.index_T
-        # one forward stack for both trajectories, the gradient's m intervals,
-        # then only the probes' 2m moved steps: they step off the solved nodes.
-        # Two levels take the SU(2) closed form and its derivative throughout
-        assert matrices(eigh_log) == ([n, m, 2 * m] if dim == 3 else [])
+        # one forward stack for both trajectories and the probes' 2m moved
+        # steps, which step off the solved nodes; the gradient decomposes its
+        # m intervals. Two levels take the SU(2) closed form and its
+        # derivative throughout
+        expected = ([n, 2 * m], [m]) if dim == 3 else ([], [])
+        assert (matrices(taylor_log), matrices(eigh_log)) == expected
 
     @pytest.mark.parametrize("dim", [3, 2])
-    def test_optimize_forms_each_sweeps_steps_once(self, eigh_log, dim):
+    def test_optimize_forms_each_sweeps_steps_once(self, eigh_log, taylor_log, dim):
         problem, field = seeded_problem(72, dim, 40, 1.0)
         config = qoct.OptimizationConfig(
             alpha=1.0, max_iters=2, j_tol=1e-300, stationarity_tol=1e-6,
@@ -278,14 +301,15 @@ class TestOneStackPerCall:
         )
         qoct.optimize(problem.psi0, problem.hamiltonian, problem.observable, problem.grid, config)
         n, m = problem.grid.n_steps, problem.grid.index_T
-        # the initial stack, the reference's post-T steps and the initial
-        # field's pre-T rows, then one step per pre-T sample and sweep; the
-        # costate, the objective and the next rows read them. Two levels take
-        # the SU(2) closed form and its derivative and never decompose.
-        expected = [n, n - m, m] + [1] * (2 * m) if dim == 3 else []
-        assert matrices(eigh_log) == expected
+        # the initial stack and the reference's post-T steps are exponentiated;
+        # the initial field's pre-T rows, then one step per pre-T sample and
+        # sweep, are decomposed; the costate, the objective and the next rows
+        # read them. Two levels take the SU(2) closed form and its derivative
+        # and never decompose.
+        expected = ([n, n - m], [m] + [1] * (2 * m)) if dim == 3 else ([], [])
+        assert (matrices(taylor_log), matrices(eigh_log)) == expected
 
-    def test_verify_solves_its_probe_field_once(self, eigh_log, tmp_path):
+    def test_verify_solves_its_probe_field_once(self, eigh_log, taylor_log, tmp_path):
         rng = np.random.default_rng(73)
         h0, mu, observable = (as_pairs_matrix(random_symmetric(rng, 3).matrix) for _ in range(3))
         config = write_config(
@@ -294,9 +318,10 @@ class TestOneStackPerCall:
         )
         assert cli.run_verify(config, tmp_path / "out") == 0
         n, m = 100, 80
-        # one solve, three continuous-family stacks and two conjugate-pair
-        # stacks, then the gradient's m intervals and the probes' 2m moved steps
-        assert sum(matrices(eigh_log)) == 6 * n + 3 * m
+        # one solve, three continuous-family stacks, two conjugate-pair stacks
+        # and the probes' 2m moved steps are exponentiated; the gradient's m
+        # intervals are decomposed
+        assert (sum(matrices(taylor_log)), sum(matrices(eigh_log))) == (6 * n + 2 * m, m)
 
     @staticmethod
     def run_every_route(problem, field):
@@ -314,13 +339,14 @@ class TestOneStackPerCall:
         qoct.optimize(problem.psi0, H, O, grid, config)
 
     @pytest.mark.parametrize("dim", [3, 4, 8])
-    def test_real_hamiltonian_decomposes_in_float64(self, eigh_log, dim):
+    def test_real_hamiltonian_decomposes_in_float64(self, eigh_log, taylor_log, dim):
         problem, field = seeded_problem(74, dim, 30, 1.0)
         self.run_every_route(problem, field)
-        assert eigh_log and {dtype for _, dtype in eigh_log} == {np.dtype(np.float64)}
+        for log in (eigh_log, taylor_log):
+            assert log and {dtype for _, dtype in log} == {np.dtype(np.float64)}
 
     @pytest.mark.parametrize("drift", ["complex", "real"])
-    def test_complex_coupling_decomposes_in_complex128(self, eigh_log, drift):
+    def test_complex_coupling_decomposes_in_complex128(self, eigh_log, taylor_log, drift):
         # a complex-Hermitian H, and a mixed one (real drift, complex coupling)
         problem, field = seeded_problem(75, 4, 30, 1.0, complex_hermitian=True)
         if drift == "real":
@@ -330,13 +356,16 @@ class TestOneStackPerCall:
             )
             problem = dataclasses.replace(problem, hamiltonian=H)
         self.run_every_route(problem, field)
-        assert eigh_log and {dtype for _, dtype in eigh_log} == {np.dtype(np.complex128)}
+        for log in (eigh_log, taylor_log):
+            assert log and {dtype for _, dtype in log} == {np.dtype(np.complex128)}
 
-    def test_reference_routes_stay_complex(self, eigh_log):
-        # step_matrix and step_control_derivative read H.evaluate, so they
-        # check the real route against an independent complex one
+    def test_reference_routes_stay_complex(self, eigh_log, taylor_log):
+        # step_matrix and step_control_derivative read H.evaluate and
+        # decompose it, so they check the real route and the stack kernel
+        # against an independent complex one
         problem, _ = seeded_problem(77, 4, 30, 1.0)
         H = problem.hamiltonian
         qoct.step_matrix(H, 0.3, 0.05, qoct.Direction.FORWARD)
         qoct.step_control_derivative(H, 0.3, 0.05)
         assert [dtype for _, dtype in eigh_log] == [np.dtype(np.complex128)] * 2
+        assert taylor_log == []

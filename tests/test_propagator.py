@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,8 +7,8 @@ import scipy.linalg
 import qoct
 from qoct.gradient import _pairing_rows
 from qoct.propagator import (
-    Direction, _adjoint, _expm_hermitian, _h_stack, _step_eigenbasis, _step_two_level,
-    _su2_control_derivative, _u_stack,
+    Direction, _adjoint, _eigh, _expm_eigenbasis, _expm_hermitian, _expm_taylor, _h_stack,
+    _step_eigenbasis, _step_two_level, _su2_control_derivative, _taylor_plan, _u_stack,
 )
 from conftest import (
     level_projector,
@@ -321,6 +323,62 @@ class TestRealSymmetric:
             for k, eps in enumerate(field.samples[:m])
         ])
         assert np.max(np.abs(rows - ref)) <= 1e-13
+
+
+class TestTaylorExponential:
+    """The stack kernel pinned to the eigenpair route in both dtypes, up to its squaring branch."""
+
+    NORMS = [0.0, 1e-3, 0.1, 0.5, 2.0, 10.0, 50.0]
+
+    @staticmethod
+    def stack(draw, dim, norm, tau, seed):
+        """20 Hermitian matrices h whose largest ||h tau||_1 is ``norm``."""
+        rng = np.random.default_rng(seed)
+        h = np.array([draw(rng, dim).matrix for _ in range(20)])
+        if draw is random_symmetric:
+            h = h.real.copy()
+        return h * (norm / (tau * np.abs(h).sum(axis=-2).max()))
+
+    @pytest.mark.parametrize("draw", [random_symmetric, random_hermitian])
+    @pytest.mark.parametrize("dim", [3, 8, 16])
+    def test_matches_eigenbasis_route_and_is_unitary(self, draw, dim):
+        tau = 0.3
+        for j, norm in enumerate(self.NORMS):
+            h = self.stack(draw, dim, norm, tau, 100 * dim + j)
+            ref = _expm_eigenbasis(*_eigh(h), tau)
+            u = _expm_taylor(h.copy(), tau)
+            assert u.dtype == np.complex128 and u.shape == h.shape
+            assert np.max(np.abs(u - ref)) <= 1e-14 * max(1.0, norm)
+            assert np.max(np.abs(u @ _adjoint(u) - np.eye(dim))) <= 1e-13
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_identity_multiple_zero_and_empty(self, dtype):
+        tau, dim = 0.7, 5
+        c = np.array([0.0, 1e-3, -0.4, 3.0, -60.0])
+        h = (c[:, None, None] * np.eye(dim)).astype(dtype)
+        u = _expm_taylor(h.copy(), tau)
+        ref = np.exp(-1j * c * tau)[:, None, None] * np.eye(dim)
+        assert np.max(np.abs(u - ref)) <= 1e-14 * max(1.0, 60.0 * tau)
+        # the zero matrix gives the identity exactly: sin x = 0, cos x = I
+        zero = _expm_taylor(np.zeros((3, dim, dim), dtype), tau)
+        assert np.array_equal(zero, np.broadcast_to(np.eye(dim), zero.shape))
+        empty = _expm_taylor(np.zeros((0, dim, dim), dtype), tau)
+        assert empty.shape == (0, dim, dim) and empty.dtype == np.complex128
+
+    def test_plan_bounds_the_remainder(self):
+        # s halves the norm to 1/2 or below; p is the least degree >= 3 whose
+        # remainder bound 2 theta^(p+1) / (p+1)! is at most 2^-53
+        for norm in [0.0, 1e-3, 0.1, 0.5, 0.5000001, 2.0, 10.0, 50.0, 1e4]:
+            s, p = _taylor_plan(norm)
+            theta = norm / 2.0 ** s
+            assert theta <= 0.5 and (s == 0 or theta > 0.25)
+            bound = lambda q: 2 * theta ** (q + 1) / math.factorial(q + 1)
+            assert bound(p) <= 2.0 ** -53 and (p == 3 or bound(p - 1) > 2.0 ** -53)
+        assert _taylor_plan(0.5)[0] == 0 and _taylor_plan(0.5000001)[0] == 1
+
+    def test_rejects_non_finite_stack(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            _expm_taylor(np.full((2, 3, 3), np.inf), 0.1)
 
 
 class TestTwoLevelScalarStep:
