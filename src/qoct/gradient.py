@@ -133,15 +133,15 @@ def analytic_gradient(
     return g
 
 
-def _pairing_rows(H: ControlHamiltonian, samples, chi, dt, eig=None):
+def _pairing_rows(H: ControlHamiltonian, samples, chi, dt):
     """rho_k = chi_{k+1}^dagger dU_k/deps / dt at the pre-T samples, batched over k.
 
     chi_{k+1} is the canonical costate after step k, its left limit
     O psi(T) at the last one. Two levels take the closed-form SU(2)
-    derivative and decompose nothing; larger systems contract in the
-    eigenbasis ``eig`` = (lambda_k, V_k) when the caller holds one (the
-    optimizer's sweep keeps it), or decompose the samples once. Either
-    dtype of ``_operators`` works: real V_k and mu keep the kernel real.
+    derivative and decompose nothing; larger systems decompose the m
+    samples in one batched ``_eigh`` and contract in that eigenbasis.
+    Either dtype of ``_operators`` works: real V_k and mu keep the kernel
+    real.
     """
     m = samples.size
     chi_next = np.concatenate([chi.states[1:m], chi.chi_T_minus[None, :]]).conj()
@@ -149,7 +149,7 @@ def _pairing_rows(H: ControlHamiltonian, samples, chi, dt, eig=None):
     if H.dim == 2:
         du = _su2_control_derivative(_h_stack(H, samples), mu, dt)
         return np.einsum("ki,kij->kj", chi_next, du) / dt
-    lam, v = _eigh(_h_stack(H, samples)) if eig is None else eig
+    lam, v = _eigh(_h_stack(H, samples))
     e, sc = _divided_difference(lam, v, mu, dt)
     # chi^dagger V W V^dagger / dt with W = -i dt (e e^T) * sc: the phases
     # go on the (m, d) rows, and x V^dagger = conj(V conj(x)) conjugates

@@ -35,15 +35,16 @@ The feedback sweep is sequential: each sample needs the state just
 stepped under the previous one. For two levels its pre-T steps run in
 Python scalars (``propagator._step_two_level``), where NumPy's per-call
 overhead on 2 x 2 arrays would dominate; its rows need no
-eigendecomposition. Larger systems decompose one matrix per step, in real
-arithmetic when H0 and mu are real (``propagator._operators``), and step
-the state in that eigenbasis, psi <- V_k (exp(-i lambda_k dt) * V_k^dagger
-psi), without forming U_k. After the loop the sweep forms all its pre-T
-steps U_k in one batched product from the (lambda_k, V_k) it kept, and
-hands the eigenpairs to the next rows, which then decompose nothing. The
-multiplier term and the next costate read those steps, and that costate
-comes out of the same equation-of-motion gate as every other one; the
-eigenbasis steps and the formed U_k agree to round-off, not bitwise.
+eigendecomposition. Larger systems build one ``propagator._field_series``
+per sweep, over the range of field values its law can write, in real
+arithmetic when H0 and mu are real (``propagator._operators``). Each
+step writes U_k in place as that series at eps_k plus its squarings, and
+applies it, psi <- U_k psi, with no eigendecomposition. The returned
+stack is then the one the nodes were marched with: the multiplier term
+and the next costate read it, that costate comes out of the same
+equation-of-motion gate as every other one, and the sweep's step defects
+are exactly zero. The next rows decompose the new samples in one batched
+call, as ``analytic_gradient`` does.
 """
 
 from __future__ import annotations
@@ -66,11 +67,15 @@ from .core import (
 from .functional import FunctionalBreakdown, _total
 from .gradient import _pairing_rows
 from .propagator import (
-    CostateBoundary, _costate, _eigh, _expm_eigenbasis, _march_forward, _operators,
-    _step_eigenbasis, _step_two_level, _u_stack,
+    CostateBoundary, _costate, _field_series, _floats, _march_forward, _squarings,
+    _step_two_level, _u_stack,
 )
 
 __all__ = ["OptimizationConfig", "OptimizationResult", "optimize"]
+
+# relative widening of the dim > 2 sweep's series range: a state marched by
+# unitary steps keeps its norm only to round-off, and psi0 to NORM_TOL
+SERIES_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -168,12 +173,10 @@ def optimize(
     rows = _pairing_rows(H, sol.field.samples[:m], sol.chi, grid.dt)
 
     def sweep(x):
-        samples, nodes, us, eig = _feedback_sweep(
-            psi0.amplitudes, x, eps_ref, post_us, alpha, H, grid
-        )
+        samples, nodes, us = _feedback_sweep(psi0.amplitudes, x, eps_ref, post_us, alpha, H, grid)
         field, psi = ControlField(samples), StateTrajectory(nodes)
         chi = _costate(psi, O, field, grid, canonical, us)
-        return field, psi, chi, eig, _total(psi, chi, field, problem.eps_ref, alpha, O, grid, us)
+        return field, psi, chi, _total(psi, chi, field, problem.eps_ref, alpha, O, grid, us)
 
     field, psi = sol.field, sol.psi
     history = [_total(psi, sol.chi, field, problem.eps_ref, alpha, O, grid, us)]
@@ -186,14 +189,14 @@ def optimize(
         iterations += 1
         sweeps += 1
         x = mixer.next_input()
-        field, psi, chi, eig, bd = sweep(x)
+        field, psi, chi, bd = sweep(x)
         # x is the accepted field's own rows unless the mixer held a difference
         if x is not rows and bd.j_total < history[-1].j_total:
             mixer.clear()
             x = rows
             sweeps += 1
-            field, psi, chi, eig, bd = sweep(x)
-        rows = _pairing_rows(H, field.samples[:m], chi, grid.dt, eig)
+            field, psi, chi, bd = sweep(x)
+        rows = _pairing_rows(H, field.samples[:m], chi, grid.dt)
         mixer.record(x, rows)
         law = eps_ref[:m] + np.einsum("ki,ki->k", rows, psi.states[:m]).real / alpha
         residual = float(np.max(np.abs(field.samples[:m] - law)))
@@ -272,11 +275,12 @@ def _feedback_sweep(psi0, rows, eps_ref, post_us, alpha, H: ControlHamiltonian, 
 
     Samples after the measurement node revert to the reference (the
     canonical costate is zero there) and take its steps ``post_us``.
-    Returns the new field, its nodes, its forward step stack and, above
-    two levels, the eigenpairs (lambda_k, V_k) of its pre-T steps (None
-    for two levels, whose rows need none). Above two levels each pre-T
-    step is taken in its eigenbasis and the stack is formed afterwards,
-    batched.
+    Returns the new field, its nodes and its forward step stack, whose
+    forward march the nodes are, bitwise. Above two levels each pre-T step
+    U_k is formed in place from one ``_field_series`` of the sweep and
+    then applied; the series' range bounds every sample the law can
+    write, |eps_k| <= |ref_k| + ||rho_k|| / alpha by Cauchy-Schwarz with
+    ||psi_k|| = 1, widened by ``SERIES_MARGIN`` for the norm's round-off.
     """
     m = grid.index_T
     n = grid.n_steps
@@ -286,26 +290,29 @@ def _feedback_sweep(psi0, rows, eps_ref, post_us, alpha, H: ControlHamiltonian, 
     nodes = np.empty((n + 1, dim), dtype=np.complex128)
     us = np.empty((n, dim, dim), dtype=np.complex128)
     nodes[0] = psi0
-    eig = None
     if dim == 2:
         new_field[:m], nodes[1 : m + 1] = _two_level_steps(psi0, rows, eps_ref[:m], alpha, H, dt)
         us[:m] = _u_stack(H, new_field[:m], dt)
     else:
-        h0, mu = _operators(H)
-        lam = np.empty((m, dim))
-        v = np.empty((m, dim, dim), dtype=h0.dtype)
-        psi = psi0
-        for k in range(m):
-            new_field[k] = eps_ref[k] + (rows[k] @ psi).real / alpha
-            lam[k], v[k] = _eigh(h0 + new_field[k] * mu)
-            psi = _step_eigenbasis(lam[k], v[k], dt, psi)
-            nodes[k + 1] = psi
-        us[:m] = _expm_eigenbasis(lam, v, dt)
-        eig = (lam, v)
+        reach = np.abs(eps_ref[:m]) + np.linalg.norm(rows, axis=1) / alpha
+        bound = float(np.max(reach, initial=0.0)) * (1.0 + SERIES_MARGIN) or 1.0
+        s, c = _field_series(H, dt, bound)
+        series, degrees = _floats(c), np.arange(len(c))
+        # the series goes where s squarings, alternating with tmp, end in U_k
+        tmp = np.empty((dim, dim), dtype=np.complex128)
+        tmp_flat = tmp.view(np.float64).reshape(-1)
+        steps = zip(rows, eps_ref[:m].tolist(), us, _floats(us), nodes[:m], nodes[1 : m + 1])
+        for k, (row, ref, u, flat, x, y) in enumerate(steps):
+            eps = ref + (row @ x).real / alpha
+            new_field[k] = eps
+            start, start_flat, other = (tmp, tmp_flat, u) if s % 2 else (u, flat, tmp)
+            np.matmul((eps / bound) ** degrees, series, out=start_flat)
+            _squarings(start, s, other)
+            np.matmul(u, x, out=y)
     new_field[m:] = eps_ref[m:]
     us[m:] = post_us
     nodes[m:] = _march_forward(post_us, nodes[m])
-    return new_field, nodes, us, eig
+    return new_field, nodes, us
 
 
 def _two_level_steps(psi0, rows, eps_ref, alpha, H: ControlHamiltonian, dt):

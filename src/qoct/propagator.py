@@ -1,25 +1,27 @@
 """Exact-exponential time stepping for the state and costate equations.
 
 The one-step propagator is the matrix exponential of H(eps_k) over one
-interval, so each step is unitary to round-off. A stack of steps takes
-the closed SU(2) form for two levels and, above two levels, a
-scaling-and-squaring Taylor series for cos and sin of H dt
-(``_expm_taylor``), formed from batched matmuls with no
-eigendecomposition. Eigenpairs are formed only where their rows are read:
-the exact gradient's divided difference, the larger sweep's per-step
-eigenbasis and the reference routes. This module is the only place that
-exponentiates or steps: a field gets one stack of forward steps, a
-backward step is the conjugate transpose of a forward one, the step
-defects reuse the forward march's product, the step's control derivative
-has a closed SU(2) form and an eigenbasis divided difference, the
-finite-difference probes, each with one step swapped, march together on
-the solved field's steps, the sequential two-level sweep gets the SU(2)
-form in Python scalars, and the larger sweep steps a state in its step's
-eigenbasis. Real-symmetric H0 and mu (``_operators``) are exponentiated
-and decomposed in real arithmetic; states, steps and derivatives are
-complex. The reference routes (``step_matrix``, ``step_control_derivative``)
-read ``H.evaluate`` and decompose it in complex arithmetic, independent of
-the stack kernel. The delta source feeding
+interval, so each step is unitary to round-off. Two levels take the
+closed SU(2) form. Above two levels every forward step comes from one
+kernel, ``_field_series``: H(eps) = H0 + eps mu depends on the one
+scalar eps, so a scaling-and-squaring Taylor series of exp(-i H(eps) dt)
+is built once as a power series in eps over a range of field values, and
+a step is that polynomial at its sample followed by the squarings, with
+no eigendecomposition. A stack evaluates it at all its samples in one
+product; the larger sweep (``optimizer._feedback_sweep``) at each sample
+as it is written. Eigenpairs are formed only where their rows are read:
+the exact gradient's divided difference and the reference routes. Every
+exponential kernel and every march lives here: a field gets one stack of
+forward steps, a backward step is the conjugate transpose of a forward
+one, the step defects reuse the forward march's product, the step's
+control derivative has a closed SU(2) form and an eigenbasis divided
+difference, the finite-difference probes, each with one step swapped,
+march together on the solved field's steps, and the sequential two-level
+sweep gets the SU(2) form in Python scalars. Real-symmetric H0 and mu (``_operators``)
+are expanded and decomposed in real arithmetic; states, steps and
+derivatives are complex. The reference routes (``step_matrix``,
+``step_control_derivative``) read ``H.evaluate`` and decompose it in
+complex arithmetic, independent of the series. The delta source feeding
 the costate at the measurement time is never discretized as a narrow
 pulse; it is imposed as an exact boundary condition in one of two regimes:
 
@@ -108,8 +110,8 @@ def _adjoint(u: NDArrayComplex) -> NDArrayComplex:
 def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one eigendecomposition route, wherever eigenpairs are read.
 
-    The control derivatives, the larger sweep's steps and the reference
-    propagators read it; step stacks take ``_expm_taylor``. A float64
+    The control derivatives and the reference propagators read it; steps
+    above two levels take ``_field_series``. A float64
     stack (real-symmetric H) gives real eigenvectors, a complex128 one
     complex eigenvectors.
     """
@@ -121,7 +123,7 @@ def _expm_hermitian(h: np.ndarray, tau: float) -> NDArrayComplex:
 
     Two-level matrices take the closed SU(2) form (same result, much
     cheaper in per-step sweeps); larger ones go through a batched
-    eigendecomposition, the reference for ``_expm_taylor``.
+    eigendecomposition, the reference route for ``_field_series``.
     """
     if h.shape[-2:] == (2, 2):
         a = h[..., 0, 0].real
@@ -142,12 +144,6 @@ def _expm_hermitian(h: np.ndarray, tau: float) -> NDArrayComplex:
     return _expm_eigenbasis(*_eigh(h), tau)
 
 
-# Taylor coefficients of cos x in y = x^2, (-1)^j / (2j)!, and of sin x / x,
-# (-1)^j / (2j + 1)!, up to the largest degree _taylor_plan picks (14)
-_COS = tuple((-1) ** j / math.factorial(2 * j) for j in range(8))
-_SIN = tuple((-1) ** j / math.factorial(2 * j + 1) for j in range(8))
-
-
 def _taylor_plan(norm: float) -> tuple[int, int]:
     """(s, p) for exp(-1j x) with ||x||_1 = norm: s squarings and Taylor degree p.
 
@@ -156,7 +152,7 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
     <= 2 theta^(p+1) / (p+1)! for theta <= 1/2, is at most 2^-53.
     """
     if not math.isfinite(norm):
-        raise ValueError(f"Hamiltonian stack has a non-finite 1-norm ({norm})")
+        raise ValueError(f"Hamiltonian has a non-finite 1-norm bound ({norm})")
     s = math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0
     theta = norm / 2.0 ** s
     p, term = 3, theta ** 4 / 24.0
@@ -166,62 +162,58 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
     return s, p
 
 
-def _add_identity(a: np.ndarray, c: float) -> None:
-    """a += c * I on every matrix of a C-contiguous stack a, in place."""
-    d = a.shape[-1]
-    diag = a.reshape(a.shape[:-2] + (d * d,))[..., :: d + 1]
-    diag += c
+def _field_series(H: ControlHamiltonian, dt: float, bound: float) -> tuple[int, np.ndarray]:
+    """(s, C) with exp(-1j (H0 + eps mu) dt) = (sum_j (eps / bound)^j C_j)^(2^s) for |eps| <= bound.
 
-
-def _horner(y: np.ndarray, coef: tuple[float, ...], out: np.ndarray, tmp: np.ndarray) -> None:
-    """sum_j coef[j] y^j over a stack y, by Horner's rule, into out; tmp is scratch.
-
-    The len(coef) - 2 products alternate between out and tmp, so the
-    first term starts in whichever buffer makes the last product land in out.
+    A Taylor series in two variables, built once for every field value in
+    the range. With u = eps / bound, tau = dt / 2^s, a = tau H0 and
+    b = tau bound mu, the n-th term of exp(-1j (a + u b)) is (-1j)^n R_n
+    with R_n = (a + u b)^n / n!, a polynomial in u whose coefficients
+    follow R_n[j] = (a R_{n-1}[j] + b R_{n-1}[j - 1]) / n, from R_0 = I.
+    C sums the terms to degree p, its even ones real and its odd ones
+    imaginary relative to R, so real-symmetric (H0, mu) recur in real
+    arithmetic. (s, p) is ``_taylor_plan`` of max ||H(+-bound) dt||_1, which
+    bounds ||H(eps) dt||_1 over the whole range (the norm is convex in
+    eps), so the truncation stays at most 2^-53 for every |eps| <= bound.
+    C is (p + 1, d, d) complex.
     """
-    k = len(coef) - 1
-    acc, nxt = (out, tmp) if k % 2 else (tmp, out)
-    np.multiply(y, coef[k], out=acc)
-    _add_identity(acc, coef[k - 1])
-    for c in reversed(coef[: k - 1]):
-        np.matmul(y, acc, out=nxt)
-        _add_identity(nxt, c)
-        acc, nxt = nxt, acc
+    h0, mu = _operators(H)
+    # ||H0 + eps mu||_1 is convex in eps, so the range's ends bound it
+    s, p = _taylor_plan(max(np.linalg.norm(h0 + e * mu, 1) for e in (bound, -bound)) * dt)
+    d = h0.shape[0]
+    ab = np.concatenate([h0, bound * mu]) * (dt / 2.0 ** s)
+    r = np.zeros((p + 1, d, d), dtype=h0.dtype)
+    r[0] = np.eye(d)
+    # C = even - 1j odd: (-1j)^n is (-1)^(n // 2) for even n, -1j (-1)^(n // 2) for odd n
+    even, odd = r.copy(), np.zeros_like(r)
+    prods = np.empty((p, 2 * d, d), dtype=h0.dtype)
+    for n in range(1, p + 1):
+        # R_{n-1} has coefficients up to degree n - 1
+        np.matmul(ab, r[:n], out=prods[:n])
+        r[:n] = prods[:n, :d]
+        r[1 : n + 1] += prods[:n, d:]
+        r[: n + 1] /= n
+        part = (odd if n % 2 else even)[: n + 1]
+        if (n // 2) % 2:
+            part -= r[: n + 1]
+        else:
+            part += r[: n + 1]
+    return s, even - 1j * odd
 
 
-def _expm_taylor(h: np.ndarray, tau: float) -> NDArrayComplex:
-    """exp(-1j * h * tau) for a Hermitian stack (k, d, d), by a scaled Taylor series.
+def _floats(a: NDArrayComplex) -> np.ndarray:
+    """A C-contiguous complex stack (k, d, d) as its (k, 2 d^2) float64 view."""
+    return a.view(np.float64).reshape(a.shape[0], 2 * a.shape[1] * a.shape[2])
 
-    Overwrites h, which must be C-contiguous. With x = h tau / 2^s, cos x
-    and sin x = x * (...) are Horner polynomials in y = x^2, truncated
-    where the remainder is at most 2^-53 (``_taylor_plan``, on the
-    stack's largest 1-norm). s squarings
-    (C, S) <- (C^2 - S^2, 2 C S) undo the scaling, with C^2 - S^2 =
-    (C + S)(C - S) since C and S commute. Real h keeps C and S real. The
-    work space is h itself, two stacks like it and the complex result,
-    whose memory holds scratch until U = C - iS is written into it.
+
+def _squarings(u: NDArrayComplex, s: int, tmp: NDArrayComplex) -> NDArrayComplex:
+    """u^(2^s) for a matrix or stack u, by s squarings alternating between u and tmp.
+
+    Returns the buffer that holds the result: u when s is even, tmp when odd.
     """
-    x = h
-    s, p = _taylor_plan(float(np.abs(x).sum(axis=-2).max(initial=0.0)) * abs(tau))
-    x *= tau / 2.0 ** s
-    a, b = np.empty_like(x), np.empty_like(x)
-    u = np.empty(x.shape, dtype=np.complex128)
-    w = u.reshape(-1).view(x.dtype)[: x.size].reshape(x.shape)
-    np.matmul(x, x, out=a)
-    _horner(a, _SIN[: (p - 1) // 2 + 1], w, b)
-    np.matmul(x, w, out=b)
-    _horner(a, _COS[: p // 2 + 1], x, w)
-    c, sn, free = x, b, a
     for _ in range(s):
-        np.matmul(c, sn, out=w)
-        c += sn
-        sn *= -2.0
-        sn += c
-        np.matmul(c, sn, out=free)
-        np.multiply(w, 2.0, out=c)
-        c, sn, free = free, c, sn
-    np.multiply(sn, -1j, out=u)
-    u += c
+        np.matmul(u, u, out=tmp)
+        u, tmp = tmp, u
     return u
 
 
@@ -241,13 +233,6 @@ def _expm_eigenbasis(lam: np.ndarray, v: np.ndarray, tau: float) -> NDArrayCompl
     np.matmul(v * np.cos(x)[..., None, :], vt, out=parts[..., 0])
     np.matmul(v * -np.sin(x)[..., None, :], vt, out=parts[..., 1])
     return u
-
-
-def _step_eigenbasis(
-    lam: np.ndarray, v: np.ndarray, tau: float, psi: NDArrayComplex
-) -> NDArrayComplex:
-    """exp(-1j * h * tau) psi as v (exp(-1j * lam * tau) * (v^dagger psi)), without the matrix."""
-    return v @ (np.exp(-1j * lam * tau) * (_adjoint(v) @ psi))
 
 
 def _su2_control_derivative(h: np.ndarray, mu: np.ndarray, tau: float) -> NDArrayComplex:
@@ -338,12 +323,20 @@ def _h_stack(H: ControlHamiltonian, samples: np.ndarray) -> np.ndarray:
 def _u_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayComplex:
     """Forward per-interval propagators exp(-1j * H(eps_k) * dt), batched over k.
 
-    Two levels take the SU(2) closed form; larger stacks the scaled Taylor
-    series (``_expm_taylor``), in ``_operators``' dtype, with no
-    eigendecomposition: no caller of a stack reads its eigenpairs.
+    Two levels take the SU(2) closed form. Larger stacks read one
+    ``_field_series`` whose range is the largest |eps_k| (1 where every
+    sample is 0): U = P C with P_kj = (eps_k / bound)^j, the real P
+    multiplying C's real and imaginary parts straight into the complex
+    result, then s batched squarings. No caller of a stack reads its
+    eigenpairs, so none are formed.
     """
-    h = _h_stack(H, samples)
-    return _expm_hermitian(h, dt) if H.dim == 2 else _expm_taylor(h, dt)
+    if H.dim == 2:
+        return _expm_hermitian(_h_stack(H, samples), dt)
+    bound = float(np.max(np.abs(samples), initial=0.0)) or 1.0
+    s, c = _field_series(H, dt, bound)
+    us = np.empty((samples.size, H.dim, H.dim), dtype=np.complex128)
+    np.matmul(np.power.outer(samples / bound, np.arange(len(c))), _floats(c), out=_floats(us))
+    return _squarings(us, s, np.empty_like(us)) if s else us
 
 
 def _divided_difference(lam: np.ndarray, v: np.ndarray, mu: np.ndarray, dt: float):
@@ -379,14 +372,22 @@ def _march_forward(us: NDArrayComplex, x0: NDArrayComplex) -> NDArrayComplex:
     """Nodes x_0 = x0 and x_{k+1} = U_k x_k over a forward stack."""
     nodes = np.empty((us.shape[0] + 1, x0.size), dtype=np.complex128)
     nodes[0] = x0
-    for k, u in enumerate(us):
-        nodes[k + 1] = u @ nodes[k]
+    for u, x, y in zip(us, nodes[:-1], nodes[1:]):
+        np.matmul(u, x, out=y)
     return nodes
 
 
 def _march_backward(us: NDArrayComplex, x_end: NDArrayComplex) -> NDArrayComplex:
-    """Nodes x_K = x_end and x_k = U_k^dagger x_{k+1}: the forward march undone."""
-    return _march_forward(_adjoint(us[::-1]), x_end)[::-1]
+    """Nodes x_K = x_end and x_k = U_k^dagger x_{k+1}: the forward march undone.
+
+    Marches the conjugate rows y_k = y_{k+1} U_k, so the stack is read as
+    it is, and conjugates them once at the end.
+    """
+    rows = np.empty((us.shape[0] + 1, x_end.size), dtype=np.complex128)
+    rows[-1] = x_end.conj()
+    for u, y, x in zip(us[::-1], rows[:0:-1], rows[-2::-1]):
+        np.matmul(y, u, out=x)
+    return np.conjugate(rows, out=rows)
 
 
 def _march_probes(

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -213,15 +214,27 @@ def matrices(log):
     return [n for n, _ in log]
 
 
-class TestOneStackPerCall:
-    """Count the matrices each call exponentiates and decomposes: one stack per call.
+def patch_everywhere(monkeypatch, name, wrapper):
+    """Replace ``propagator.<name>`` in every qoct module that imported it."""
+    original = getattr(propagator, name)
+    for module in list(sys.modules.values()):
+        ours = getattr(module, "__name__", "").startswith("qoct")
+        if ours and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, wrapper)
+    return original
 
-    ``taylor_log`` holds (matrices, dtype) per call of the stack kernel
-    ``propagator._expm_taylor``, ``eigh_log`` per ``np.linalg.eigh`` call:
-    real-symmetric Hamiltonians take float64 through both, any complex
-    operator complex128. Above two levels a forward stack is exponentiated
-    and never decomposed; only the exact gradient, the optimizer's sweep and
-    the reference routes read eigenpairs.
+
+class TestOneStackPerCall:
+    """Count the steps each call forms and the matrices it decomposes: one stack per call.
+
+    ``stack_log`` holds the matrices per ``propagator._u_stack`` call,
+    ``series_log`` the arithmetic dtype per ``propagator._field_series``
+    build and ``eigh_log`` (matrices, dtype) per ``np.linalg.eigh`` call:
+    real-symmetric Hamiltonians take float64 through both kernels, any
+    complex operator complex128. Above two levels every step, of a stack or
+    of the sweep, is evaluated from a field series and never decomposed;
+    only the exact gradient's pairing rows and the reference routes read
+    eigenpairs, one batched call of m matrices each time.
     """
 
     @pytest.fixture
@@ -237,27 +250,37 @@ class TestOneStackPerCall:
         return log
 
     @pytest.fixture
-    def taylor_log(self, monkeypatch):
+    def stack_log(self, monkeypatch):
         log = []
-        taylor = propagator._expm_taylor
 
-        def counting(h, tau):
-            log.append((int(np.prod(np.shape(h)[:-2])), h.dtype))
-            return taylor(h, tau)
+        def counting(H, samples, dt):
+            log.append(int(np.size(samples)))
+            return stack(H, samples, dt)
 
-        monkeypatch.setattr(propagator, "_expm_taylor", counting)
+        stack = patch_everywhere(monkeypatch, "_u_stack", counting)
         return log
 
-    def test_each_call_decomposes_each_interval_once(self, eigh_log, taylor_log):
-        # dim 3 leaves the SU(2) closed form, so every stack goes through the kernel
+    @pytest.fixture
+    def series_log(self, monkeypatch):
+        log = []
+
+        def counting(H, dt, bound):
+            log.append(propagator._operators(H)[0].dtype)
+            return series(H, dt, bound)
+
+        series = patch_everywhere(monkeypatch, "_field_series", counting)
+        return log
+
+    def test_each_call_decomposes_each_interval_once(self, eigh_log, stack_log, series_log):
+        # dim 3 leaves the SU(2) closed form, so every stack goes through the series
         problem, field = seeded_problem(70, 3, 40, 1.0)
         H, O, grid = problem.hamiltonian, problem.observable, problem.grid
 
         def logged(call):
-            eigh_log.clear()
-            taylor_log.clear()
+            for log in (eigh_log, stack_log, series_log):
+                log.clear()
             call()
-            return matrices(taylor_log), matrices(eigh_log)
+            return stack_log[:], len(series_log), matrices(eigh_log)
 
         sol = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
         counts = {
@@ -273,43 +296,51 @@ class TestOneStackPerCall:
             ),
         }
         n, m = grid.n_steps, grid.index_T
-        # (exponentiated, decomposed): one stack of n per call, decomposed
-        # nowhere, and the gradient's m intervals decomposed in one call
+        # (stack steps, series built, decomposed): one stack of n from one
+        # series per call, decomposed nowhere, and the gradient's m intervals
+        # decomposed in one call
         assert counts == {
-            "solve": ([n], []), "continuous_family": ([n], []), "conjugate": ([n], []),
-            "gradient": ([], [m]),
+            "solve": ([n], 1, []), "continuous_family": ([n], 1, []), "conjugate": ([n], 1, []),
+            "gradient": ([], 0, [m]),
         }
 
     @pytest.mark.parametrize("dim", [3, 2])
-    def test_gradient_report_decomposes_each_step_once(self, eigh_log, taylor_log, dim):
+    def test_gradient_report_decomposes_each_step_once(self, eigh_log, stack_log, series_log, dim):
         problem, field = seeded_problem(71, dim, 40, 1.0)
         qoct.gradient_report(problem, field)
         n, m = problem.grid.n_steps, problem.grid.index_T
         # one forward stack for both trajectories and the probes' 2m moved
         # steps, which step off the solved nodes; the gradient decomposes its
         # m intervals. Two levels take the SU(2) closed form and its
-        # derivative throughout
-        expected = ([n, 2 * m], [m]) if dim == 3 else ([], [])
-        assert (matrices(taylor_log), matrices(eigh_log)) == expected
+        # derivative throughout, with no series and no eigh
+        expected = ([n, 2 * m], 2, [m]) if dim == 3 else ([n, 2 * m], 0, [])
+        assert (stack_log, len(series_log), matrices(eigh_log)) == expected
 
     @pytest.mark.parametrize("dim", [3, 2])
-    def test_optimize_forms_each_sweeps_steps_once(self, eigh_log, taylor_log, dim):
+    def test_optimize_forms_each_sweeps_steps_once(self, eigh_log, stack_log, series_log, dim):
         problem, field = seeded_problem(72, dim, 40, 1.0)
         config = qoct.OptimizationConfig(
             alpha=1.0, max_iters=2, j_tol=1e-300, stationarity_tol=1e-6,
             initial_field=field, eps_ref=problem.eps_ref,
         )
-        qoct.optimize(problem.psi0, problem.hamiltonian, problem.observable, problem.grid, config)
+        result = qoct.optimize(
+            problem.psi0, problem.hamiltonian, problem.observable, problem.grid, config
+        )
+        assert result.sweeps_run == 2
         n, m = problem.grid.n_steps, problem.grid.index_T
-        # the initial stack and the reference's post-T steps are exponentiated;
-        # the initial field's pre-T rows, then one step per pre-T sample and
-        # sweep, are decomposed; the costate, the objective and the next rows
-        # read them. Two levels take the SU(2) closed form and its derivative
-        # and never decompose.
-        expected = ([n, n - m], [m] + [1] * (2 * m)) if dim == 3 else ([], [])
-        assert (matrices(taylor_log), matrices(eigh_log)) == expected
+        # the initial stack and the reference's post-T steps are stacks; each
+        # sweep forms its m pre-T steps from one series of its own (dim 3) or
+        # in one SU(2) stack after its scalar loop (dim 2). The initial
+        # field's rows and each sweep's next rows decompose m matrices in one
+        # call, and no step is decomposed on its own; the costate and the
+        # objective read the sweep's steps. Two levels never decompose.
+        if dim == 3:
+            expected = ([n, n - m], 2 + 2, [m] * 3)
+        else:
+            expected = ([n, n - m, m, m], 0, [])
+        assert (stack_log, len(series_log), matrices(eigh_log)) == expected
 
-    def test_verify_solves_its_probe_field_once(self, eigh_log, taylor_log, tmp_path):
+    def test_verify_solves_its_probe_field_once(self, eigh_log, stack_log, series_log, tmp_path):
         rng = np.random.default_rng(73)
         h0, mu, observable = (as_pairs_matrix(random_symmetric(rng, 3).matrix) for _ in range(3))
         config = write_config(
@@ -319,9 +350,9 @@ class TestOneStackPerCall:
         assert cli.run_verify(config, tmp_path / "out") == 0
         n, m = 100, 80
         # one solve, three continuous-family stacks, two conjugate-pair stacks
-        # and the probes' 2m moved steps are exponentiated; the gradient's m
-        # intervals are decomposed
-        assert (sum(matrices(taylor_log)), sum(matrices(eigh_log))) == (6 * n + 2 * m, m)
+        # and the probes' 2m moved steps, each from its own series; the
+        # gradient's m intervals are decomposed
+        assert (sum(stack_log), len(series_log), matrices(eigh_log)) == (6 * n + 2 * m, 7, [m])
 
     @staticmethod
     def run_every_route(problem, field):
@@ -339,14 +370,14 @@ class TestOneStackPerCall:
         qoct.optimize(problem.psi0, H, O, grid, config)
 
     @pytest.mark.parametrize("dim", [3, 4, 8])
-    def test_real_hamiltonian_decomposes_in_float64(self, eigh_log, taylor_log, dim):
+    def test_real_hamiltonian_decomposes_in_float64(self, eigh_log, series_log, dim):
         problem, field = seeded_problem(74, dim, 30, 1.0)
         self.run_every_route(problem, field)
-        for log in (eigh_log, taylor_log):
-            assert log and {dtype for _, dtype in log} == {np.dtype(np.float64)}
+        assert eigh_log and {dtype for _, dtype in eigh_log} == {np.dtype(np.float64)}
+        assert series_log and set(series_log) == {np.dtype(np.float64)}
 
     @pytest.mark.parametrize("drift", ["complex", "real"])
-    def test_complex_coupling_decomposes_in_complex128(self, eigh_log, taylor_log, drift):
+    def test_complex_coupling_decomposes_in_complex128(self, eigh_log, series_log, drift):
         # a complex-Hermitian H, and a mixed one (real drift, complex coupling)
         problem, field = seeded_problem(75, 4, 30, 1.0, complex_hermitian=True)
         if drift == "real":
@@ -356,16 +387,16 @@ class TestOneStackPerCall:
             )
             problem = dataclasses.replace(problem, hamiltonian=H)
         self.run_every_route(problem, field)
-        for log in (eigh_log, taylor_log):
-            assert log and {dtype for _, dtype in log} == {np.dtype(np.complex128)}
+        assert eigh_log and {dtype for _, dtype in eigh_log} == {np.dtype(np.complex128)}
+        assert series_log and set(series_log) == {np.dtype(np.complex128)}
 
-    def test_reference_routes_stay_complex(self, eigh_log, taylor_log):
+    def test_reference_routes_stay_complex(self, eigh_log, series_log):
         # step_matrix and step_control_derivative read H.evaluate and
-        # decompose it, so they check the real route and the stack kernel
+        # decompose it, so they check the real route and the field series
         # against an independent complex one
         problem, _ = seeded_problem(77, 4, 30, 1.0)
         H = problem.hamiltonian
         qoct.step_matrix(H, 0.3, 0.05, qoct.Direction.FORWARD)
         qoct.step_control_derivative(H, 0.3, 0.05)
         assert [dtype for _, dtype in eigh_log] == [np.dtype(np.complex128)] * 2
-        assert taylor_log == []
+        assert series_log == []

@@ -5,7 +5,9 @@ import qoct
 from qoct import cli, functional, gradient, optimizer, propagator
 from qoct.optimizer import _feedback_sweep
 from qoct.propagator import Direction
-from conftest import random_hermitian, random_state, seeded_problem, two_level_benchmark
+from conftest import (
+    random_hermitian, random_state, random_symmetric, seeded_problem, two_level_benchmark,
+)
 
 
 def benchmark_config(alpha=1.0, seed=42, max_iters=500, j_tol=1e-12, stationarity_tol=1e-6,
@@ -114,26 +116,23 @@ class TestBenchmark:
         assert sup_fd < 10 * tol * 2 * grid.dt * 1.0
 
 
-def check_sweep_against_step_matrix_loop(seed, dim):
+def check_sweep_against_step_matrix_loop(seed, dim, draw=random_hermitian, dt=0.05, alpha=0.7):
     # two sweeps against the discrete field law stepped with the public
     # matrix stepper: before T, eps_k = ref_k + Re <chi_{k+1}| D_k psi_k> /
     # (alpha dt) with D_k = step_control_derivative at the previous sample
     # and chi the previous costate (left limit O psi(T) after the last
     # step); from T on the canonical costate vanishes and the law returns
     # the reference. The first sweep's rows come from a fresh field, the
-    # second's from what the first sweep kept; every returned step is the
-    # forward step at the new sample
+    # second's from the first sweep's field and costate; every returned
+    # step is the forward step at the new sample
     rng = np.random.default_rng(seed)
-    H = qoct.ControlHamiltonian(
-        drift=random_hermitian(rng, dim), coupling=random_hermitian(rng, dim)
-    )
-    O = random_hermitian(rng, dim)
+    H = qoct.ControlHamiltonian(drift=draw(rng, dim), coupling=draw(rng, dim))
+    O = draw(rng, dim)
     psi0 = random_state(rng, dim)
-    grid = qoct.TimeGrid(dt=0.05, n_steps=100, index_T=80)
+    grid = qoct.TimeGrid(dt=dt, n_steps=100, index_T=80)
     m, dt = grid.index_T, grid.dt
     field = qoct.ControlField(rng.uniform(-1.0, 1.0, grid.n_steps))
     eps_ref = rng.uniform(-0.5, 0.5, grid.n_steps)
-    alpha = 0.7
     traj = qoct.propagate_forward(psi0, field, H, grid)
     chi = qoct.propagate_costate(traj, O, field, H, grid, qoct.CostateBoundary.canonical())
     post_us = np.array(
@@ -142,7 +141,7 @@ def check_sweep_against_step_matrix_loop(seed, dim):
     rows = gradient._pairing_rows(H, field.samples[:m], chi, dt)
 
     for _ in range(2):
-        new_field, nodes, us, eig = _feedback_sweep(
+        new_field, nodes, us = _feedback_sweep(
             psi0.amplitudes, rows, eps_ref, post_us, alpha, H, grid
         )
 
@@ -167,7 +166,7 @@ def check_sweep_against_step_matrix_loop(seed, dim):
         chi = qoct.propagate_costate(
             qoct.StateTrajectory(nodes), O, field, H, grid, qoct.CostateBoundary.canonical()
         )
-        rows = gradient._pairing_rows(H, new_field[:m], chi, dt, eig)
+        rows = gradient._pairing_rows(H, new_field[:m], chi, dt)
 
 
 class TestTwoLevelSweep:
@@ -178,10 +177,37 @@ class TestTwoLevelSweep:
 
 
 class TestGeneralSweep:
+    # (dim, operators, dt, alpha): both dtypes of the sweep's series, and a dt
+    # whose ||H dt||_1 > 1/2 takes its squaring branch. At dt 0.5 the law's
+    # feedback gain ~ ||O|| ||mu||^2 dt / alpha amplifies round-off along the
+    # sweep exponentially at alpha 0.7 (any two exact routes, eigh or series,
+    # part by 1e-2 at T), so that case takes a penalty that keeps it contracting
+    CASES = [
+        (3, random_symmetric, 0.05, 0.7), (3, random_hermitian, 0.05, 0.7),
+        (8, random_symmetric, 0.05, 0.7), (8, random_hermitian, 0.05, 0.7),
+        (8, random_symmetric, 0.5, 5.0),
+    ]
+
     def test_matches_step_matrix_loop(self):
-        # dim > 2 decomposes one matrix per step and keeps its eigenpairs
-        # for the next sweep's rows
-        check_sweep_against_step_matrix_loop(43, 4)
+        # dim > 2 forms each step from one field series per sweep, in place
+        for seed, case in enumerate(self.CASES, start=43):
+            check_sweep_against_step_matrix_loop(seed, *case)
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_nodes_march_the_returned_stack_exactly(self, dim):
+        # each node is U_k psi_k with the very U_k returned, formed by the
+        # product the step defects use, so the defects vanish bitwise
+        problem, field = seeded_problem(48 + dim, dim, 60, 1.0, complex_hermitian=dim == 3)
+        H, O, grid = problem.hamiltonian, problem.observable, problem.grid
+        m = grid.index_T
+        sol = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
+        rows = gradient._pairing_rows(H, field.samples[:m], sol.chi, grid.dt)
+        eps_ref = problem.eps_ref.samples
+        post_us = propagator._u_stack(H, eps_ref[m:], grid.dt)
+        _, nodes, us = _feedback_sweep(
+            problem.psi0.amplitudes, rows, eps_ref, post_us, problem.alpha, H, grid
+        )
+        assert not propagator._step_defects(us, nodes).any()
 
 
 class TestStackInSync:
@@ -218,9 +244,9 @@ class TestStackInSync:
         # every sweep's trajectory passes the costate's equation-of-motion gate;
         # a 1e-8 phase on one node keeps its norm, so only that gate can see it
         def perturbed(*args):
-            new_field, nodes, us, eig = _feedback_sweep(*args)
+            new_field, nodes, us = _feedback_sweep(*args)
             nodes[5] *= np.exp(1e-8j)
-            return new_field, nodes, us, eig
+            return new_field, nodes, us
 
         monkeypatch.setattr(optimizer, "_feedback_sweep", perturbed)
         problem, field = seeded_problem(95, dim, 40, 1.0)
@@ -254,7 +280,7 @@ class TestSafeguard:
         result = qoct.optimize(psi0, H, O, grid, config)
 
         def replay(out):
-            samples, nodes, us, _ = out
+            samples, nodes, us = out
             field, psi = qoct.ControlField(samples), qoct.StateTrajectory(nodes)
             chi = propagator._costate(psi, O, field, grid, canonical, us)
             bd = functional._total(psi, chi, field, config.eps_ref, config.alpha, O, grid, us)

@@ -7,8 +7,8 @@ import scipy.linalg
 import qoct
 from qoct.gradient import _pairing_rows
 from qoct.propagator import (
-    Direction, _adjoint, _eigh, _expm_eigenbasis, _expm_hermitian, _expm_taylor, _h_stack,
-    _step_eigenbasis, _step_two_level, _su2_control_derivative, _taylor_plan, _u_stack,
+    Direction, _adjoint, _eigh, _expm_eigenbasis, _expm_hermitian, _field_series, _h_stack,
+    _step_two_level, _su2_control_derivative, _taylor_plan, _u_stack,
 )
 from conftest import (
     level_projector,
@@ -299,17 +299,6 @@ class TestRealSymmetric:
         assert np.max(np.abs(us - ref)) <= 1e-14
         assert np.max(np.abs(us @ _adjoint(us) - np.eye(dim))) <= 1e-14
 
-    @pytest.mark.parametrize("draw", [random_symmetric, random_hermitian])
-    def test_eigenbasis_step_matches_step_matrix(self, draw):
-        # the dim > 2 sweep's step, on either dtype's eigenpairs
-        rng = np.random.default_rng(39)
-        H = qoct.ControlHamiltonian(drift=draw(rng, 8), coupling=draw(rng, 8))
-        psi, dt = random_state(rng, 8).amplitudes, 0.07
-        for eps in rng.uniform(-1.5, 1.5, 5):
-            lam, v = np.linalg.eigh(_h_stack(H, np.array([eps]))[0])
-            ref = qoct.step_matrix(H, eps, dt, Direction.FORWARD) @ psi
-            assert np.max(np.abs(_step_eigenbasis(lam, v, dt, psi) - ref)) <= 1e-14
-
     @pytest.mark.parametrize("dim", [3, 4, 8])
     def test_pairing_rows_match_step_control_derivative(self, dim):
         problem, field = seeded_problem(40 + dim, dim, 30, 1.0)
@@ -326,43 +315,63 @@ class TestRealSymmetric:
 
 
 class TestTaylorExponential:
-    """The stack kernel pinned to the eigenpair route in both dtypes, up to its squaring branch."""
+    """The stack kernel above two levels pinned to the eigenpair route in both dtypes.
+
+    ``_u_stack`` reads one ``_field_series`` over the stack's samples, up to
+    its squaring branch.
+    """
 
     NORMS = [0.0, 1e-3, 0.1, 0.5, 2.0, 10.0, 50.0]
 
     @staticmethod
-    def stack(draw, dim, norm, tau, seed):
-        """20 Hermitian matrices h whose largest ||h tau||_1 is ``norm``."""
+    def problem(draw, dim, norm, tau, seed):
+        """(H, samples): 20 samples whose largest ||H(eps_k) tau||_1 is ``norm``."""
         rng = np.random.default_rng(seed)
-        h = np.array([draw(rng, dim).matrix for _ in range(20)])
-        if draw is random_symmetric:
-            h = h.real.copy()
-        return h * (norm / (tau * np.abs(h).sum(axis=-2).max()))
+        drift, coupling = draw(rng, dim).matrix, draw(rng, dim).matrix
+        samples = rng.uniform(-2.0, 2.0, 20)
+        h = drift + samples[:, None, None] * coupling
+        scale = norm / (tau * np.abs(h).sum(axis=-2).max())
+        H = qoct.ControlHamiltonian(
+            drift=qoct.HermitianOperator(scale * drift),
+            coupling=qoct.HermitianOperator(scale * coupling),
+        )
+        return H, samples
 
     @pytest.mark.parametrize("draw", [random_symmetric, random_hermitian])
     @pytest.mark.parametrize("dim", [3, 8, 16])
     def test_matches_eigenbasis_route_and_is_unitary(self, draw, dim):
         tau = 0.3
         for j, norm in enumerate(self.NORMS):
-            h = self.stack(draw, dim, norm, tau, 100 * dim + j)
-            ref = _expm_eigenbasis(*_eigh(h), tau)
-            u = _expm_taylor(h.copy(), tau)
-            assert u.dtype == np.complex128 and u.shape == h.shape
+            H, samples = self.problem(draw, dim, norm, tau, 100 * dim + j)
+            ref = _expm_eigenbasis(*_eigh(_h_stack(H, samples)), tau)
+            u = _u_stack(H, samples, tau)
+            assert u.dtype == np.complex128 and u.shape == (samples.size, dim, dim)
             assert np.max(np.abs(u - ref)) <= 1e-14 * max(1.0, norm)
             assert np.max(np.abs(u @ _adjoint(u) - np.eye(dim))) <= 1e-13
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_identity_multiple_zero_and_empty(self, dtype):
+        # H(eps) = eps J with J = I - 2 v v^dagger an involution, so
+        # exp(-i eps tau J) = cos(eps tau) I - i sin(eps tau) J; the float64
+        # case takes v = 0 (J = I), the complex128 case a complex unit v
         tau, dim = 0.7, 5
+        rng = np.random.default_rng(38)
+        v = np.zeros(dim) if dtype is np.float64 else random_state(rng, dim).amplitudes
+        j = np.eye(dim) - 2.0 * np.outer(v, v.conj())
+        H = qoct.ControlHamiltonian(
+            drift=qoct.HermitianOperator(np.zeros((dim, dim))), coupling=qoct.HermitianOperator(j)
+        )
+        assert _h_stack(H, np.zeros(1)).dtype == dtype
         c = np.array([0.0, 1e-3, -0.4, 3.0, -60.0])
-        h = (c[:, None, None] * np.eye(dim)).astype(dtype)
-        u = _expm_taylor(h.copy(), tau)
-        ref = np.exp(-1j * c * tau)[:, None, None] * np.eye(dim)
+        u = _u_stack(H, c, tau)
+        x = (c * tau)[:, None, None]
+        ref = np.cos(x) * np.eye(dim) - 1j * np.sin(x) * j
         assert np.max(np.abs(u - ref)) <= 1e-14 * max(1.0, 60.0 * tau)
-        # the zero matrix gives the identity exactly: sin x = 0, cos x = I
-        zero = _expm_taylor(np.zeros((3, dim, dim), dtype), tau)
+        # zero samples with zero drift give the identity exactly: the series'
+        # constant term is I and every other term is weighted by 0^j = 0
+        zero = _u_stack(H, np.zeros(3), tau)
         assert np.array_equal(zero, np.broadcast_to(np.eye(dim), zero.shape))
-        empty = _expm_taylor(np.zeros((0, dim, dim), dtype), tau)
+        empty = _u_stack(H, np.zeros(0), tau)
         assert empty.shape == (0, dim, dim) and empty.dtype == np.complex128
 
     def test_plan_bounds_the_remainder(self):
@@ -377,8 +386,76 @@ class TestTaylorExponential:
         assert _taylor_plan(0.5)[0] == 0 and _taylor_plan(0.5000001)[0] == 1
 
     def test_rejects_non_finite_stack(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            _expm_taylor(np.full((2, 3, 3), np.inf), 0.1)
+        rng = np.random.default_rng(37)
+        H = qoct.ControlHamiltonian(
+            drift=random_symmetric(rng, 3), coupling=random_symmetric(rng, 3)
+        )
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="non-finite"):
+                _u_stack(H, np.array([0.1, bad]), 0.1)
+
+
+class TestFieldSeries:
+    """One series per field range, pinned to the per-matrix routes at every eps in the range."""
+
+    @staticmethod
+    def step(s, c, u):
+        """(sum_j u^j C_j)^(2^s), by plain products."""
+        x = np.tensordot(u ** np.arange(len(c)), c, 1)
+        for _ in range(s):
+            x = x @ x
+        return x
+
+    @pytest.mark.parametrize("draw", [random_symmetric, random_hermitian])
+    @pytest.mark.parametrize("dim", [3, 8, 16])
+    @pytest.mark.parametrize("dt", [0.01, 0.5])
+    def test_matches_eigh_route_and_scipy_across_the_range(self, draw, dim, dt):
+        rng = np.random.default_rng(200 + dim)
+        H = qoct.ControlHamiltonian(drift=draw(rng, dim), coupling=draw(rng, dim))
+        bound = 1.7
+        s, c = _field_series(H, dt, bound)
+        assert c.shape[1:] == (dim, dim) and c.dtype == np.complex128
+        for eps in (-bound, 0.0, bound, 0.61 * bound):
+            u = self.step(s, c, eps / bound)
+            h = H.evaluate(eps)
+            tol = 1e-14 * max(1.0, np.linalg.norm(h * dt, 1))
+            assert np.max(np.abs(u - _expm_hermitian(h, dt))) <= tol
+            assert np.max(np.abs(u - scipy.linalg.expm(-1j * h * dt))) <= tol
+
+    def test_squaring_branch(self):
+        # a range wide enough that ||H dt||_1 > 1/2 takes s > 0 squarings
+        rng = np.random.default_rng(210)
+        H = qoct.ControlHamiltonian(
+            drift=random_hermitian(rng, 8), coupling=random_hermitian(rng, 8)
+        )
+        dt, bound = 0.5, 20.0
+        s, c = _field_series(H, dt, bound)
+        assert s >= 5
+        for eps in (-bound, -3.0, 0.0, 0.25, bound):
+            h = H.evaluate(eps)
+            ref = scipy.linalg.expm(-1j * h * dt)
+            tol = 1e-14 * max(1.0, np.linalg.norm(h * dt, 1))
+            assert np.max(np.abs(self.step(s, c, eps / bound) - ref)) <= tol
+
+    def test_zero_range_is_the_drift_step(self):
+        # bound 0 leaves the field out: C_0 = exp(-i H0 dt) and no higher term
+        rng = np.random.default_rng(211)
+        H = qoct.ControlHamiltonian(
+            drift=random_symmetric(rng, 4), coupling=random_symmetric(rng, 4)
+        )
+        s, c = _field_series(H, 0.3, 0.0)
+        assert not c[1:].any()
+        ref = scipy.linalg.expm(-0.3j * H.drift.matrix)
+        assert np.max(np.abs(self.step(s, c, 0.0) - ref)) <= 1e-14
+
+    def test_rejects_non_finite_range(self):
+        rng = np.random.default_rng(212)
+        H = qoct.ControlHamiltonian(
+            drift=random_symmetric(rng, 3), coupling=random_symmetric(rng, 3)
+        )
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="non-finite"):
+                _field_series(H, 0.1, bad)
 
 
 class TestTwoLevelScalarStep:
