@@ -8,7 +8,11 @@ central differences check it to a sharp 1e-6, not to O(dt). The one
 pairing of the costate with dU/deps is ``_pairing_rows``, which the
 optimizer's field law reads too. The oracle uses neither the costate nor
 dU/deps; its probes start from the solved trajectory and march together
-on its steps.
+on its steps. Above two levels both differentiate the one field series
+of ``propagator``, the gradient analytically and the oracle numerically,
+so the oracle checks the adjoint and the pairing, not the exponential;
+the tests pin the series and its derivative to the eigenpair reference
+routes for that.
 
 The reduced objective is ``functional``'s j_opt + j_cost on the forward
 solution: its penalty spans the whole grid, so samples after the
@@ -44,13 +48,9 @@ from .core import (
 from .functional import eval_j_cost, eval_j_opt
 from .propagator import (
     CostateBoundary,
-    _divided_difference,
-    _eigh,
+    _du_stack,
     _forward,
-    _h_stack,
     _march_probes,
-    _operators,
-    _su2_control_derivative,
     propagate_forward,
 )
 
@@ -137,26 +137,14 @@ def _pairing_rows(H: ControlHamiltonian, samples, chi, dt):
     """rho_k = chi_{k+1}^dagger dU_k/deps / dt at the pre-T samples, batched over k.
 
     chi_{k+1} is the canonical costate after step k, its left limit
-    O psi(T) at the last one. Two levels take the closed-form SU(2)
-    derivative and decompose nothing; larger systems decompose the m
-    samples in one batched ``_eigh`` and contract in that eigenbasis.
-    Either dtype of ``_operators`` works: real V_k and mu keep the kernel
-    real.
+    O psi(T) at the last one. dU_k/deps is ``propagator._du_stack``: the
+    closed-form SU(2) derivative at two levels, the derivative of the
+    field series that builds the steps above, with no eigendecomposition
+    either way.
     """
     m = samples.size
     chi_next = np.concatenate([chi.states[1:m], chi.chi_T_minus[None, :]]).conj()
-    mu = _operators(H)[1]
-    if H.dim == 2:
-        du = _su2_control_derivative(_h_stack(H, samples), mu, dt)
-        return np.einsum("ki,kij->kj", chi_next, du) / dt
-    lam, v = _eigh(_h_stack(H, samples))
-    e, sc = _divided_difference(lam, v, mu, dt)
-    # chi^dagger V W V^dagger / dt with W = -i dt (e e^T) * sc: the phases
-    # go on the (m, d) rows, and x V^dagger = conj(V conj(x)) conjugates
-    # rows rather than the (m, d, d) stack
-    b = (chi_next[:, None, :] @ v)[:, 0, :] * e
-    x = (b[:, None, :] @ sc)[:, 0, :] * e
-    return -1j * (v @ x.conj()[:, :, None])[:, :, 0].conj()
+    return np.einsum("ki,kij->kj", chi_next, _du_stack(H, samples, dt)) / dt
 
 
 def fd_gradient(problem: ControlProblem, field: ControlField, k: int, h: float) -> float:

@@ -34,17 +34,19 @@ is converged, once |Delta J| < ``j_tol`` and that residual is below
 The feedback sweep is sequential: each sample needs the state just
 stepped under the previous one. For two levels its pre-T steps run in
 Python scalars (``propagator._step_two_level``), where NumPy's per-call
-overhead on 2 x 2 arrays would dominate; its rows need no
-eigendecomposition. Larger systems build one ``propagator._field_series``
-per sweep, over the range of field values its law can write, in real
-arithmetic when H0 and mu are real (``propagator._operators``). Each
+overhead on 2 x 2 arrays would dominate. Larger systems build one
+``propagator._field_series`` per sweep, over the range of field values
+its law can write, in real arithmetic when H0 and mu are real
+(``propagator._operators``). Each
 step writes U_k in place as that series at eps_k plus its squarings, and
 applies it, psi <- U_k psi, with no eigendecomposition. The returned
 stack is then the one the nodes were marched with: the multiplier term
 and the next costate read it, that costate comes out of the same
 equation-of-motion gate as every other one, and the sweep's step defects
-are exactly zero. The next rows decompose the new samples in one batched
-call, as ``analytic_gradient`` does.
+are exactly zero. The next rows differentiate a series over the new
+samples in one batched product (``propagator._du_stack``), as
+``analytic_gradient`` does; no route of the optimizer decomposes
+anything.
 """
 
 from __future__ import annotations

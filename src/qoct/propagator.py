@@ -9,19 +9,21 @@ is built once as a power series in eps over a range of field values, and
 a step is that polynomial at its sample followed by the squarings, with
 no eigendecomposition. A stack evaluates it at all its samples in one
 product; the larger sweep (``optimizer._feedback_sweep``) at each sample
-as it is written. Eigenpairs are formed only where their rows are read:
-the exact gradient's divided difference and the reference routes. Every
-exponential kernel and every march lives here: a field gets one stack of
-forward steps, a backward step is the conjugate transpose of a forward
-one, the step defects reuse the forward march's product, the step's
-control derivative has a closed SU(2) form and an eigenbasis divided
-difference, the finite-difference probes, each with one step swapped,
-march together on the solved field's steps, and the sequential two-level
-sweep gets the SU(2) form in Python scalars. Real-symmetric H0 and mu (``_operators``)
-are expanded and decomposed in real arithmetic; states, steps and
-derivatives are complex. The reference routes (``step_matrix``,
+as it is written. The steps' control derivatives (``_du_stack``) are
+the derivative of the same series, carried through its squarings, so no
+production route decomposes anything. Every exponential kernel and
+every march lives here: a field gets one stack of forward steps, a
+backward step is the conjugate transpose of a forward one, the step
+defects reuse the forward march's product, the step's control
+derivative has a closed SU(2) form and a series derivative, the
+finite-difference probes, each with one step swapped, march together on
+the solved field's steps, and the sequential two-level sweep gets the
+SU(2) form in Python scalars. Real-symmetric H0 and mu (``_operators``)
+are expanded in real arithmetic; states, steps and derivatives are
+complex. The reference routes (``step_matrix``,
 ``step_control_derivative``) read ``H.evaluate`` and decompose it in
-complex arithmetic, independent of the series. The delta source feeding
+complex arithmetic, independent of the series; they are the only
+callers of ``_eigh`` above two levels. The delta source feeding
 the costate at the measurement time is never discretized as a narrow
 pulse; it is imposed as an exact boundary condition in one of two regimes:
 
@@ -108,12 +110,12 @@ def _adjoint(u: NDArrayComplex) -> NDArrayComplex:
 
 
 def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The one eigendecomposition route, wherever eigenpairs are read.
+    """The one eigendecomposition route, for the reference routes alone.
 
-    The control derivatives and the reference propagators read it; steps
-    above two levels take ``_field_series``. A float64
-    stack (real-symmetric H) gives real eigenvectors, a complex128 one
-    complex eigenvectors.
+    ``step_matrix`` and ``step_control_derivative`` read it; production
+    steps and derivatives above two levels take ``_field_series``. A
+    float64 stack (real-symmetric H) gives real eigenvectors, a complex128
+    one complex eigenvectors.
     """
     return np.linalg.eigh(h)
 
@@ -335,37 +337,45 @@ def _u_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayCo
     bound = float(np.max(np.abs(samples), initial=0.0)) or 1.0
     s, c = _field_series(H, dt, bound)
     us = np.empty((samples.size, H.dim, H.dim), dtype=np.complex128)
-    np.matmul(np.power.outer(samples / bound, np.arange(len(c))), _floats(c), out=_floats(us))
+    np.matmul(np.vander(samples / bound, len(c), increasing=True), _floats(c), out=_floats(us))
     return _squarings(us, s, np.empty_like(us)) if s else us
 
 
-def _divided_difference(lam: np.ndarray, v: np.ndarray, mu: np.ndarray, dt: float):
-    """The eigenbasis derivative of exp(-i H dt), for eigenpairs (lam, v) in hand.
+def _du_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayComplex:
+    """Control derivatives dU_k/deps of the forward propagators, batched over k.
 
-    W = Phi * (V^dagger mu V) with the cancellation-free divided-difference
-    kernel Phi_ij = -i dt e_i e_j sinc((l_i - l_j) dt/2), e = exp(-i l dt/2),
-    in the eigenvalues l of H(eps_k); the first-order -i*dt*mu would be off
-    at first order in dt whenever drift and coupling do not commute. The
-    phases are separable, so this returns e and the real-kernel part
-    sinc * (V^dagger mu V), and a contraction can take the phases on its
-    vectors instead of forming W. Real v and mu keep V^T mu V, and so
-    that part, real.
+    Two levels take the closed SU(2) derivative. Larger stacks
+    differentiate the ``_field_series`` that ``_u_stack`` evaluates, over
+    the same range: with U = X_0^(2^s), X_0 = P(u) = sum_j u^j C_j and
+    u = eps / bound, dU/deps = D_s / bound, where D_0 = P'(u) =
+    sum_j j u^(j-1) C_j and each squaring X_{i+1} = X_i^2 carries
+    D_{i+1} = D_i X_i + X_i D_i. With no squarings only P' is formed, one
+    product of the powers with the scaled coefficients; nothing is
+    decomposed.
     """
-    # the real kernel first: its scratch is freed before the coupling stack
-    sinc = _sinc((lam[..., :, None] - lam[..., None, :]) * (0.5 * dt))
-    sc = _adjoint(v) @ mu @ v
-    sc *= sinc
-    return np.exp(-0.5j * dt * lam), sc
-
-
-def _sinc(y: np.ndarray) -> np.ndarray:
-    """sin(y) / y, exactly 1 where y == 0 and bitwise sin(y) / y elsewhere; overwrites y."""
-    zero = y == 0
-    s = np.sin(y)
-    s += zero
-    y += zero
-    s /= y
-    return s
+    if H.dim == 2:
+        return _su2_control_derivative(_h_stack(H, samples), _operators(H)[1], dt)
+    bound = float(np.max(np.abs(samples), initial=0.0)) or 1.0
+    s, c = _field_series(H, dt, bound)
+    p = len(c) - 1
+    powers = np.vander(samples / bound, p + 1, increasing=True)
+    # the chain is linear in D_0, so 1 / bound goes on P's coefficients
+    du = np.empty((samples.size, H.dim, H.dim), dtype=np.complex128)
+    scaled = _floats(c)[1:] * (np.arange(1, p + 1) / bound)[:, None]
+    np.matmul(powers[:, :p], scaled, out=_floats(du))
+    if not s:
+        return du
+    x, dx, xd = np.empty_like(du), np.empty_like(du), np.empty_like(du)
+    np.matmul(powers, _floats(c), out=_floats(x))
+    for i in range(s):
+        np.matmul(du, x, out=dx)
+        np.matmul(x, du, out=xd)
+        np.add(dx, xd, out=du)
+        if i + 1 < s:
+            # X_s is never read
+            np.matmul(x, x, out=dx)
+            x, dx = dx, x
+    return du
 
 
 def _march_forward(us: NDArrayComplex, x0: NDArrayComplex) -> NDArrayComplex:
@@ -439,11 +449,19 @@ def step_control_derivative(H: ControlHamiltonian, eps_k: float, dt: float) -> N
     """Derivative of the forward one-step propagator with respect to eps_k.
 
     Exact: the eigenbasis divided difference at every dimension (no SU(2)
-    shortcut), an independent reference for the batched pairing rows.
+    shortcut, no series), an independent reference for ``_du_stack`` and
+    the batched pairing rows.
     """
     lam, v = _eigh(H.evaluate(eps_k))
-    e, sc = _divided_difference(lam, v, H.control_derivative, dt)
-    return v @ (sc * (-1j * dt) * e[:, None] * e[None, :]) @ _adjoint(v)
+    # W = Phi * (V^dagger mu V) with the cancellation-free divided-difference
+    # kernel Phi_ij = -i dt e_i e_j sinc((l_i - l_j) dt / 2), e = exp(-i l dt / 2);
+    # the first-order -i dt mu would be off at first order in dt whenever
+    # drift and coupling do not commute
+    y = (lam[:, None] - lam[None, :]) * (0.5 * dt)
+    sinc = np.divide(np.sin(y), y, out=np.ones_like(y), where=y != 0)
+    e = np.exp(-0.5j * dt * lam)
+    w = (_adjoint(v) @ H.control_derivative @ v) * sinc * (-1j * dt) * e[:, None] * e[None, :]
+    return v @ w @ _adjoint(v)
 
 
 def step(

@@ -230,11 +230,11 @@ class TestOneStackPerCall:
     ``stack_log`` holds the matrices per ``propagator._u_stack`` call,
     ``series_log`` the arithmetic dtype per ``propagator._field_series``
     build and ``eigh_log`` (matrices, dtype) per ``np.linalg.eigh`` call:
-    real-symmetric Hamiltonians take float64 through both kernels, any
-    complex operator complex128. Above two levels every step, of a stack or
-    of the sweep, is evaluated from a field series and never decomposed;
-    only the exact gradient's pairing rows and the reference routes read
-    eigenpairs, one batched call of m matrices each time.
+    real-symmetric Hamiltonians build their series in float64, any complex
+    operator in complex128. Above two levels every step, of a stack or of
+    the sweep, is evaluated from a field series, and the exact gradient's
+    pairing rows differentiate one series of their own; no production route
+    decomposes anything, and only the reference routes read eigenpairs.
     """
 
     @pytest.fixture
@@ -297,11 +297,11 @@ class TestOneStackPerCall:
         }
         n, m = grid.n_steps, grid.index_T
         # (stack steps, series built, decomposed): one stack of n from one
-        # series per call, decomposed nowhere, and the gradient's m intervals
-        # decomposed in one call
+        # series per call, and the gradient's m derivatives from one series;
+        # nothing is decomposed
         assert counts == {
             "solve": ([n], 1, []), "continuous_family": ([n], 1, []), "conjugate": ([n], 1, []),
-            "gradient": ([], 0, [m]),
+            "gradient": ([], 1, []),
         }
 
     @pytest.mark.parametrize("dim", [3, 2])
@@ -310,10 +310,10 @@ class TestOneStackPerCall:
         qoct.gradient_report(problem, field)
         n, m = problem.grid.n_steps, problem.grid.index_T
         # one forward stack for both trajectories and the probes' 2m moved
-        # steps, which step off the solved nodes; the gradient decomposes its
-        # m intervals. Two levels take the SU(2) closed form and its
-        # derivative throughout, with no series and no eigh
-        expected = ([n, 2 * m], 2, [m]) if dim == 3 else ([n, 2 * m], 0, [])
+        # steps, which step off the solved nodes; the gradient's m
+        # derivatives come from a third series. Two levels take the SU(2)
+        # closed form and its derivative throughout, with no series
+        expected = ([n, 2 * m], 3, []) if dim == 3 else ([n, 2 * m], 0, [])
         assert (stack_log, len(series_log), matrices(eigh_log)) == expected
 
     @pytest.mark.parametrize("dim", [3, 2])
@@ -331,11 +331,11 @@ class TestOneStackPerCall:
         # the initial stack and the reference's post-T steps are stacks; each
         # sweep forms its m pre-T steps from one series of its own (dim 3) or
         # in one SU(2) stack after its scalar loop (dim 2). The initial
-        # field's rows and each sweep's next rows decompose m matrices in one
-        # call, and no step is decomposed on its own; the costate and the
-        # objective read the sweep's steps. Two levels never decompose.
+        # field's rows and each sweep's next rows differentiate one series
+        # each (dim 3) or the SU(2) form; the costate and the objective read
+        # the sweep's steps. Nothing is decomposed.
         if dim == 3:
-            expected = ([n, n - m], 2 + 2, [m] * 3)
+            expected = ([n, n - m], 2 + 2 + 3, [])
         else:
             expected = ([n, n - m, m, m], 0, [])
         assert (stack_log, len(series_log), matrices(eigh_log)) == expected
@@ -350,13 +350,13 @@ class TestOneStackPerCall:
         assert cli.run_verify(config, tmp_path / "out") == 0
         n, m = 100, 80
         # one solve, three continuous-family stacks, two conjugate-pair stacks
-        # and the probes' 2m moved steps, each from its own series; the
-        # gradient's m intervals are decomposed
-        assert (sum(stack_log), len(series_log), matrices(eigh_log)) == (6 * n + 2 * m, 7, [m])
+        # and the probes' 2m moved steps, each from its own series, and the
+        # gradient's m derivatives from one more; nothing is decomposed
+        assert (sum(stack_log), len(series_log), matrices(eigh_log)) == (6 * n + 2 * m, 8, [])
 
     @staticmethod
     def run_every_route(problem, field):
-        """Each qoct route that decomposes a stack, on one problem."""
+        """Each qoct route that builds a stack or its derivatives, on one problem."""
         H, O, grid = problem.hamiltonian, problem.observable, problem.grid
         sol = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
         qoct.check_continuous_family(sol.psi, O, field, H, grid, 1)
@@ -373,7 +373,7 @@ class TestOneStackPerCall:
     def test_real_hamiltonian_decomposes_in_float64(self, eigh_log, series_log, dim):
         problem, field = seeded_problem(74, dim, 30, 1.0)
         self.run_every_route(problem, field)
-        assert eigh_log and {dtype for _, dtype in eigh_log} == {np.dtype(np.float64)}
+        assert eigh_log == []
         assert series_log and set(series_log) == {np.dtype(np.float64)}
 
     @pytest.mark.parametrize("drift", ["complex", "real"])
@@ -387,7 +387,7 @@ class TestOneStackPerCall:
             )
             problem = dataclasses.replace(problem, hamiltonian=H)
         self.run_every_route(problem, field)
-        assert eigh_log and {dtype for _, dtype in eigh_log} == {np.dtype(np.complex128)}
+        assert eigh_log == []
         assert series_log and set(series_log) == {np.dtype(np.complex128)}
 
     def test_reference_routes_stay_complex(self, eigh_log, series_log):

@@ -7,8 +7,8 @@ import scipy.linalg
 import qoct
 from qoct.gradient import _pairing_rows
 from qoct.propagator import (
-    Direction, _adjoint, _eigh, _expm_eigenbasis, _expm_hermitian, _field_series, _h_stack,
-    _step_two_level, _su2_control_derivative, _taylor_plan, _u_stack,
+    Direction, _adjoint, _du_stack, _eigh, _expm_eigenbasis, _expm_hermitian, _field_series,
+    _h_stack, _step_two_level, _su2_control_derivative, _taylor_plan, _u_stack,
 )
 from conftest import (
     level_projector,
@@ -299,9 +299,10 @@ class TestRealSymmetric:
         assert np.max(np.abs(us - ref)) <= 1e-14
         assert np.max(np.abs(us @ _adjoint(us) - np.eye(dim))) <= 1e-14
 
+    @pytest.mark.parametrize("complex_hermitian", [False, True])
     @pytest.mark.parametrize("dim", [3, 4, 8])
-    def test_pairing_rows_match_step_control_derivative(self, dim):
-        problem, field = seeded_problem(40 + dim, dim, 30, 1.0)
+    def test_pairing_rows_match_step_control_derivative(self, dim, complex_hermitian):
+        problem, field = seeded_problem(40 + dim, dim, 30, 1.0, complex_hermitian=complex_hermitian)
         H, grid = problem.hamiltonian, problem.grid
         m, dt = grid.index_T, grid.dt
         chi = qoct.solve(problem, field, qoct.CostateBoundary.canonical()).chi
@@ -393,6 +394,40 @@ class TestTaylorExponential:
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError, match="non-finite"):
                 _u_stack(H, np.array([0.1, bad]), 0.1)
+
+
+class TestSeriesDerivative:
+    """``_du_stack`` above two levels pinned to two independent references.
+
+    The eigenbasis divided difference of ``step_control_derivative`` and
+    scipy's Frechet derivative of expm(-i H dt) in the direction -i mu dt,
+    at every sample of a stack that holds 0 and both ends of its range,
+    with and without squarings.
+    """
+
+    @pytest.mark.parametrize("draw", [random_symmetric, random_hermitian])
+    @pytest.mark.parametrize("dim", [3, 8, 16])
+    def test_matches_step_control_derivative_and_frechet(self, draw, dim):
+        rng = np.random.default_rng(220 + dim)
+        H = qoct.ControlHamiltonian(drift=draw(rng, dim), coupling=draw(rng, dim))
+        bound = 3.0
+        samples = np.concatenate([[0.0, bound, -bound], rng.uniform(-bound, bound, 5)])
+        squarings = set()
+        for dt in (0.005, 0.1, 0.5, 2.0):
+            norm = max(np.linalg.norm(H.evaluate(eps) * dt, 1) for eps in (bound, -bound))
+            squarings.add(_taylor_plan(norm)[0])
+            du = _du_stack(H, samples, dt)
+            assert du.dtype == np.complex128 and du.shape == (samples.size, dim, dim)
+            tol = 1e-13 * max(1.0, norm)
+            for eps, d in zip(samples, du):
+                ref = qoct.step_control_derivative(H, float(eps), dt)
+                frechet = scipy.linalg.expm_frechet(
+                    -1j * H.evaluate(eps) * dt, -1j * H.control_derivative * dt,
+                    compute_expm=False,
+                )
+                assert np.max(np.abs(d - ref)) <= tol
+                assert np.max(np.abs(d - frechet)) <= tol
+        assert min(squarings) == 0 and max(squarings) >= 5
 
 
 class TestFieldSeries:
