@@ -39,7 +39,11 @@ overhead on 2 x 2 arrays would dominate. Larger systems build one
 its law can write, in real arithmetic when H0 and mu are real
 (``propagator._operators``). Each
 step writes U_k in place as that series at eps_k plus its squarings, and
-applies it, psi <- U_k psi, with no eigendecomposition. The returned
+applies it, psi <- U_k psi, with no eigendecomposition. Every product of
+a step (the law's pairing, the series at eps_k, each squaring and the
+step itself) is one ``ndarray.dot`` into a preallocated buffer: the loop
+cannot be batched, so the per-call dispatch is its cost, and ``dot``
+dispatches in under half of ``np.matmul``'s time. The returned
 stack is then the one the nodes were marched with: the multiplier term
 and the next costate read it, that costate comes out of the same
 equation-of-motion gate as every other one, and the sweep's step defects
@@ -69,8 +73,8 @@ from .core import (
 from .functional import FunctionalBreakdown, _total
 from .gradient import _pairing_rows
 from .propagator import (
-    CostateBoundary, _costate, _field_series, _floats, _march_forward, _squarings,
-    _step_two_level, _u_stack,
+    CostateBoundary, _costate, _field_series, _floats, _march_forward, _step_two_level,
+    _u_stack,
 )
 
 __all__ = ["OptimizationConfig", "OptimizationResult", "optimize"]
@@ -305,12 +309,14 @@ def _feedback_sweep(psi0, rows, eps_ref, post_us, alpha, H: ControlHamiltonian, 
         tmp_flat = tmp.view(np.float64).reshape(-1)
         steps = zip(rows, eps_ref[:m].tolist(), us, _floats(us), nodes[:m], nodes[1 : m + 1])
         for k, (row, ref, u, flat, x, y) in enumerate(steps):
-            eps = ref + (row @ x).real / alpha
+            eps = ref + row.dot(x).real / alpha
             new_field[k] = eps
             start, start_flat, other = (tmp, tmp_flat, u) if s % 2 else (u, flat, tmp)
-            np.matmul((eps / bound) ** degrees, series, out=start_flat)
-            _squarings(start, s, other)
-            np.matmul(u, x, out=y)
+            ((eps / bound) ** degrees).dot(series, out=start_flat)
+            for _ in range(s):
+                start.dot(start, out=other)
+                start, other = other, start
+            u.dot(x, out=y)
     new_field[m:] = eps_ref[m:]
     us[m:] = post_us
     nodes[m:] = _march_forward(post_us, nodes[m])

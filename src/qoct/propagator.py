@@ -209,9 +209,12 @@ def _floats(a: NDArrayComplex) -> np.ndarray:
 
 
 def _squarings(u: NDArrayComplex, s: int, tmp: NDArrayComplex) -> NDArrayComplex:
-    """u^(2^s) for a matrix or stack u, by s squarings alternating between u and tmp.
+    """u^(2^s) for a stack u, by s batched squarings alternating between u and tmp.
 
     Returns the buffer that holds the result: u when s is even, tmp when odd.
+    Stacks only: ``np.matmul`` squares each matrix of the stack, where
+    ``ndarray.dot`` would contract across them. The sequential sweep
+    squares its single steps inline with ``ndarray.dot``.
     """
     for _ in range(s):
         np.matmul(u, u, out=tmp)
@@ -379,24 +382,30 @@ def _du_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayC
 
 
 def _march_forward(us: NDArrayComplex, x0: NDArrayComplex) -> NDArrayComplex:
-    """Nodes x_0 = x0 and x_{k+1} = U_k x_k over a forward stack."""
+    """Nodes x_0 = x0 and x_{k+1} = U_k x_k over a forward stack.
+
+    Each step is one ``ndarray.dot`` written in place: the march cannot be
+    batched, so the per-call dispatch is its cost, and ``dot`` dispatches
+    in under half of ``np.matmul``'s time.
+    """
     nodes = np.empty((us.shape[0] + 1, x0.size), dtype=np.complex128)
     nodes[0] = x0
     for u, x, y in zip(us, nodes[:-1], nodes[1:]):
-        np.matmul(u, x, out=y)
+        u.dot(x, out=y)
     return nodes
 
 
 def _march_backward(us: NDArrayComplex, x_end: NDArrayComplex) -> NDArrayComplex:
     """Nodes x_K = x_end and x_k = U_k^dagger x_{k+1}: the forward march undone.
 
-    Marches the conjugate rows y_k = y_{k+1} U_k, so the stack is read as
-    it is, and conjugates them once at the end.
+    Marches the conjugate rows y_k = y_{k+1} U_k, each one ``ndarray.dot``
+    written in place as in ``_march_forward``, so the stack is read as it
+    is, and conjugates them once at the end.
     """
     rows = np.empty((us.shape[0] + 1, x_end.size), dtype=np.complex128)
     rows[-1] = x_end.conj()
     for u, y, x in zip(us[::-1], rows[:0:-1], rows[-2::-1]):
-        np.matmul(y, u, out=x)
+        y.dot(u, out=x)
     return np.conjugate(rows, out=rows)
 
 
@@ -409,23 +418,24 @@ def _march_probes(
     ks ascends and stays before the measurement node. Only the moved steps
     are formed: probe j's pair steps off the solved node ks[j], and every
     column already past its probe advances together on the solved steps
-    ``us``, one (d x d) @ (d x entered) matmul per step.
+    ``us``, one (d x d) by (d x entered) ``ndarray.dot`` per step, for its
+    cheaper dispatch as in ``_march_forward``.
     """
     m = grid.index_T
     moved = _u_stack(H, (field.samples[ks, None] + [h, -h]).ravel(), grid.dt)
     cols = (moved @ np.repeat(nodes[ks], 2, axis=0)[:, :, None])[:, :, 0].T.copy()
     entered = 2 * np.searchsorted(ks, np.arange(m))
     for k in range(ks[0] + 1, m):
-        cols[:, : entered[k]] = us[k] @ cols[:, : entered[k]]
+        cols[:, : entered[k]] = us[k].dot(cols[:, : entered[k]])
     return cols
 
 
 def _step_defects(us: NDArrayComplex, nodes: NDArrayComplex) -> NDArrayComplex:
     """Per-interval defects x_{k+1} - U_k x_k.
 
-    The batched matmul forms each U_k x_k with the same product as
-    ``_march_forward``, so a forward-marched trajectory has bitwise zero
-    defects.
+    The batched matmul forms each U_k x_k bitwise as ``_march_forward``'s
+    ``ndarray.dot`` does (the optimizer and propagator tests pin it), so a
+    forward-marched trajectory has bitwise zero defects.
     """
     return nodes[1:] - (us @ nodes[:-1, :, None])[:, :, 0]
 
@@ -577,7 +587,7 @@ def tdse_residual(
 
     Exactly zero (bitwise) when the trajectory came out of
     ``propagate_forward`` with the same field and grid: the defects are
-    formed with the forward march's own per-step product.
+    formed bitwise as the forward march forms each step (``_step_defects``).
     """
     _check_grid(grid, [field], [traj])
     return _worst_defect(_u_stack(H, field.samples, grid.dt), traj.states)

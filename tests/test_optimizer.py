@@ -193,11 +193,18 @@ class TestGeneralSweep:
         for seed, case in enumerate(self.CASES, start=43):
             check_sweep_against_step_matrix_loop(seed, *case)
 
-    @pytest.mark.parametrize("dim", [3, 8])
-    def test_nodes_march_the_returned_stack_exactly(self, dim):
-        # each node is U_k psi_k with the very U_k returned, formed by the
-        # product the step defects use, so the defects vanish bitwise
-        problem, field = seeded_problem(48 + dim, dim, 60, 1.0, complex_hermitian=dim == 3)
+    @pytest.mark.parametrize("dt", [0.05, 0.5])
+    @pytest.mark.parametrize("complex_hermitian", [False, True])
+    @pytest.mark.parametrize("dim", [3, 8, 16])
+    def test_nodes_march_the_returned_stack_exactly(self, dim, complex_hermitian, dt):
+        # each node is U_k psi_k with the very U_k returned, formed bitwise
+        # as the step defects' batched product forms it, so the defects
+        # vanish bitwise. The cases take the sweep's inline squarings 0 to 9
+        # times, odd and even: an odd count starts the series in the scratch
+        # buffer and ends in U_k
+        problem, field = seeded_problem(
+            48 + dim, dim, 60, 1.0, dt=dt, complex_hermitian=complex_hermitian
+        )
         H, O, grid = problem.hamiltonian, problem.observable, problem.grid
         m = grid.index_T
         sol = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
