@@ -34,10 +34,16 @@ is converged, once |Delta J| < ``j_tol`` and that residual is below
 The feedback sweep is sequential: each sample needs the state just
 stepped under the previous one. For two levels its pre-T steps run in
 Python scalars (``propagator._step_two_level``), where NumPy's per-call
-overhead on 2 x 2 arrays would dominate. Larger systems build one
-``propagator._field_series`` per sweep, over the range of field values
-its law can write, in real arithmetic when H0 and mu are real
-(``propagator._operators``). Each
+overhead on 2 x 2 arrays would dominate. Larger systems build a
+``propagator._field_series`` per sweep, in real arithmetic when H0 and mu
+are real (``propagator._operators``), over the range the field takes:
+the largest sample before T of the field the rows were paired from,
+widened by ``SERIES_WIDENING``. One sweep moves the field little, and
+the squarings and degree a series needs grow with its range, so this is
+cheaper than the range the law can reach. Each written sample is checked
+against the range before its step is formed; the first one outside it
+rebuilds the series over the law's Cauchy-Schwarz reach, so every step
+comes from a series whose range holds its sample. Each
 step writes U_k in place as that series at eps_k plus its squarings, and
 applies it, psi <- U_k psi, with no eigendecomposition. Every product of
 a step (the law's pairing, the series at eps_k, each squaring and the
@@ -79,9 +85,10 @@ from .propagator import (
 
 __all__ = ["OptimizationConfig", "OptimizationResult", "optimize"]
 
-# relative widening of the dim > 2 sweep's series range: a state marched by
-# unitary steps keeps its norm only to round-off, and psi0 to NORM_TOL
-SERIES_MARGIN = 1e-9
+# relative widening of the range the dim > 2 sweep builds its series over, from
+# the largest sample of the field its rows were paired from: a sweep moves the
+# field by a small fraction, and a sample outside the range rebuilds the series
+SERIES_WIDENING = 1.1
 
 
 @dataclass(frozen=True)
@@ -178,8 +185,10 @@ def optimize(
     post_us = _u_stack(H, eps_ref[m:], grid.dt)
     rows = _pairing_rows(H, sol.field.samples[:m], sol.chi, grid.dt)
 
-    def sweep(x):
-        samples, nodes, us = _feedback_sweep(psi0.amplitudes, x, eps_ref, post_us, alpha, H, grid)
+    def sweep(x, paired):
+        samples, nodes, us = _feedback_sweep(
+            psi0.amplitudes, x, paired, eps_ref, post_us, alpha, H, grid
+        )
         field, psi = ControlField(samples), StateTrajectory(nodes)
         chi = _costate(psi, O, field, grid, canonical, us)
         return field, psi, chi, _total(psi, chi, field, problem.eps_ref, alpha, O, grid, us)
@@ -194,14 +203,17 @@ def optimize(
     for _ in range(config.max_iters):
         iterations += 1
         sweeps += 1
+        # rows were paired from the accepted field's samples, so the sweep's
+        # series starts over their range
+        accepted = field.samples
         x = mixer.next_input()
-        field, psi, chi, bd = sweep(x)
+        field, psi, chi, bd = sweep(x, accepted)
         # x is the accepted field's own rows unless the mixer held a difference
         if x is not rows and bd.j_total < history[-1].j_total:
             mixer.clear()
             x = rows
             sweeps += 1
-            field, psi, chi, bd = sweep(x)
+            field, psi, chi, bd = sweep(x, accepted)
         rows = _pairing_rows(H, field.samples[:m], chi, grid.dt)
         mixer.record(x, rows)
         law = eps_ref[:m] + np.einsum("ki,ki->k", rows, psi.states[:m]).real / alpha
@@ -276,17 +288,27 @@ def _flat(rows):
     return rows.reshape(-1).view(np.float64)
 
 
-def _feedback_sweep(psi0, rows, eps_ref, post_us, alpha, H: ControlHamiltonian, grid: TimeGrid):
+def _feedback_sweep(
+    psi0, rows, paired, eps_ref, post_us, alpha, H: ControlHamiltonian, grid: TimeGrid
+):
     """Forward sweep rewriting each pre-T sample as ref_k + Re(rho_k psi_k) / alpha.
 
     Samples after the measurement node revert to the reference (the
     canonical costate is zero there) and take its steps ``post_us``.
     Returns the new field, its nodes and its forward step stack, whose
     forward march the nodes are, bitwise. Above two levels each pre-T step
-    U_k is formed in place from one ``_field_series`` of the sweep and
-    then applied; the series' range bounds every sample the law can
-    write, |eps_k| <= |ref_k| + ||rho_k|| / alpha by Cauchy-Schwarz with
-    ||psi_k|| = 1, widened by ``SERIES_MARGIN`` for the norm's round-off.
+    U_k is formed in place from a ``_field_series`` and then applied. The
+    series' range starts as the largest |eps_k| before T of ``paired``,
+    the samples the rows were paired from, widened by ``SERIES_WIDENING``
+    (1 where they all vanish): a sweep moves the field little, and a
+    series over the samples' own range needs the fewest squarings. Each
+    written sample is checked against the range before its U_k is formed.
+    The first one outside rebuilds the series over max(reach, |eps_k|),
+    reach = max_k |ref_k| + ||rho_k|| / alpha the Cauchy-Schwarz bound of
+    the law with ||psi_k|| = 1, and the rest of the sweep reads that one
+    (rebuilding again only for a sample past it by round-off). So every
+    U_k comes from a series whose range holds its sample, with truncation
+    at most 2^-53.
     """
     m = grid.index_T
     n = grid.n_steps
@@ -300,23 +322,33 @@ def _feedback_sweep(psi0, rows, eps_ref, post_us, alpha, H: ControlHamiltonian, 
         new_field[:m], nodes[1 : m + 1] = _two_level_steps(psi0, rows, eps_ref[:m], alpha, H, dt)
         us[:m] = _u_stack(H, new_field[:m], dt)
     else:
-        reach = np.abs(eps_ref[:m]) + np.linalg.norm(rows, axis=1) / alpha
-        bound = float(np.max(reach, initial=0.0)) * (1.0 + SERIES_MARGIN) or 1.0
-        s, c = _field_series(H, dt, bound)
-        series, degrees = _floats(c), np.arange(len(c))
-        # the series goes where s squarings, alternating with tmp, end in U_k
         tmp = np.empty((dim, dim), dtype=np.complex128)
         tmp_flat = tmp.view(np.float64).reshape(-1)
+
+        def build(bound):
+            # the series goes where s squarings, alternating with tmp, end in U_k
+            s, c = _field_series(H, dt, bound)
+            return bound, s, _floats(c), np.arange(len(c), dtype=np.float64), np.empty(len(c))
+
+        bound, s, series, degrees, powers = build(
+            float(np.max(np.abs(paired[:m]), initial=0.0)) * SERIES_WIDENING or 1.0
+        )
+        field = []
         steps = zip(rows, eps_ref[:m].tolist(), us, _floats(us), nodes[:m], nodes[1 : m + 1])
-        for k, (row, ref, u, flat, x, y) in enumerate(steps):
+        for row, ref, u, flat, x, y in steps:
             eps = ref + row.dot(x).real / alpha
-            new_field[k] = eps
+            field.append(eps)
+            if abs(eps) > bound:
+                reach = np.abs(eps_ref[:m]) + np.linalg.norm(rows, axis=1) / alpha
+                bound, s, series, degrees, powers = build(max(float(np.max(reach)), abs(eps)))
             start, start_flat, other = (tmp, tmp_flat, u) if s % 2 else (u, flat, tmp)
-            ((eps / bound) ** degrees).dot(series, out=start_flat)
+            np.power(eps / bound, degrees, out=powers)
+            powers.dot(series, out=start_flat)
             for _ in range(s):
                 start.dot(start, out=other)
                 start, other = other, start
             u.dot(x, out=y)
+        new_field[:m] = field
     new_field[m:] = eps_ref[m:]
     us[m:] = post_us
     nodes[m:] = _march_forward(post_us, nodes[m])

@@ -116,7 +116,40 @@ class TestBenchmark:
         assert sup_fd < 10 * tol * 2 * grid.dt * 1.0
 
 
-def check_sweep_against_step_matrix_loop(seed, dim, draw=random_hermitian, dt=0.05, alpha=0.7):
+def spy_sweep_series(monkeypatch):
+    """(bound, squarings) of every field series the dim > 2 sweep builds, in order."""
+    log = []
+
+    def spying(H, dt, bound):
+        s, c = build(H, dt, bound)
+        log.append((bound, s))
+        return s, c
+
+    build = optimizer._field_series
+    monkeypatch.setattr(optimizer, "_field_series", spying)
+    return log
+
+
+def series_of_each_step(samples, series):
+    """Index into ``series`` of the series that formed each step of one sweep.
+
+    The sweep builds a series before its first step and rebuilds it at each
+    written sample outside the current range; every sample lies within the
+    range of the series that formed its step, and every rebuild was taken.
+    """
+    owner, current = [], 0
+    for eps in np.abs(samples).tolist():
+        if eps > series[current][0]:
+            current += 1
+        assert eps <= series[current][0]
+        owner.append(current)
+    assert current == len(series) - 1
+    return owner
+
+
+def check_sweep_against_step_matrix_loop(
+    seed, dim, draw=random_hermitian, dt=0.05, alpha=0.7, hint="paired"
+):
     # two sweeps against the discrete field law stepped with the public
     # matrix stepper: before T, eps_k = ref_k + Re <chi_{k+1}| D_k psi_k> /
     # (alpha dt) with D_k = step_control_derivative at the previous sample
@@ -124,15 +157,20 @@ def check_sweep_against_step_matrix_loop(seed, dim, draw=random_hermitian, dt=0.
     # step); from T on the canonical costate vanishes and the law returns
     # the reference. The first sweep's rows come from a fresh field, the
     # second's from the first sweep's field and costate; every returned
-    # step is the forward step at the new sample
+    # step is the forward step at the new sample. Above two levels ``hint``
+    # picks the samples the sweep's series range starts from: the paired
+    # field's own, as optimize passes, or a range below the first written
+    # sample, an all-zero field, or a range beyond the law's reach; each
+    # step is formed from a series whose range holds its sample, and the
+    # nodes march the returned steps bitwise
     rng = np.random.default_rng(seed)
     H = qoct.ControlHamiltonian(drift=draw(rng, dim), coupling=draw(rng, dim))
     O = draw(rng, dim)
     psi0 = random_state(rng, dim)
     grid = qoct.TimeGrid(dt=dt, n_steps=100, index_T=80)
-    m, dt = grid.index_T, grid.dt
-    field = qoct.ControlField(rng.uniform(-1.0, 1.0, grid.n_steps))
-    eps_ref = rng.uniform(-0.5, 0.5, grid.n_steps)
+    n, m, dt = grid.n_steps, grid.index_T, grid.dt
+    field = qoct.ControlField(rng.uniform(-1.0, 1.0, n))
+    eps_ref = rng.uniform(-0.5, 0.5, n)
     traj = qoct.propagate_forward(psi0, field, H, grid)
     chi = qoct.propagate_costate(traj, O, field, H, grid, qoct.CostateBoundary.canonical())
     post_us = np.array(
@@ -141,15 +179,32 @@ def check_sweep_against_step_matrix_loop(seed, dim, draw=random_hermitian, dt=0.
     rows = gradient._pairing_rows(H, field.samples[:m], chi, dt)
 
     for _ in range(2):
-        new_field, nodes, us = _feedback_sweep(
-            psi0.amplitudes, rows, eps_ref, post_us, alpha, H, grid
-        )
+        first = eps_ref[0] + rows[0].dot(psi0.amplitudes).real / alpha
+        reach = np.max(np.abs(eps_ref[:m]) + np.linalg.norm(rows, axis=1) / alpha)
+        paired = {
+            "paired": field.samples,
+            "below": np.full(n, abs(first) / (2 * optimizer.SERIES_WIDENING)),
+            "zero": np.zeros(n),
+            "generous": np.full(n, 2 * reach),
+        }[hint]
+        with pytest.MonkeyPatch.context() as mp:
+            series = spy_sweep_series(mp)
+            new_field, nodes, us = _feedback_sweep(
+                psi0.amplitudes, rows, paired, eps_ref, post_us, alpha, H, grid
+            )
+        if dim > 2:
+            assert not propagator._step_defects(us, nodes).any()
+            owner = series_of_each_step(new_field[:m], series)
+            if hint == "below":
+                assert owner[0] == 1
+            if hint == "generous":
+                assert len(series) == 1
 
         chi_next = list(chi.states[1:m]) + [chi.chi_T_minus]
-        ref_field = np.empty(grid.n_steps)
+        ref_field = np.empty(n)
         ref_nodes = [psi0.amplitudes]
         ref_us = []
-        for k in range(grid.n_steps):
+        for k in range(n):
             psi = ref_nodes[-1]
             ref_field[k] = eps_ref[k]
             if k < m:
@@ -159,7 +214,7 @@ def check_sweep_against_step_matrix_loop(seed, dim, draw=random_hermitian, dt=0.
             ref_nodes.append(ref_us[-1] @ psi)
         assert np.max(np.abs(new_field - ref_field)) < 1e-12
         assert np.max(np.abs(nodes - np.array(ref_nodes))) < 1e-12
-        assert us.shape == (grid.n_steps, dim, dim)
+        assert us.shape == (n, dim, dim)
         assert np.max(np.abs(us - np.array(ref_us))) < 1e-12
 
         field = qoct.ControlField(new_field)
@@ -188,20 +243,33 @@ class TestGeneralSweep:
         (8, random_symmetric, 0.5, 5.0),
     ]
 
-    def test_matches_step_matrix_loop(self):
-        # dim > 2 forms each step from one field series per sweep, in place
+    @pytest.mark.parametrize("hint", ["paired", "below", "zero", "generous"])
+    def test_matches_step_matrix_loop(self, hint):
+        # dim > 2 forms each step in place from a field series over the
+        # paired field's range, rebuilt at the first sample outside it
         for seed, case in enumerate(self.CASES, start=43):
-            check_sweep_against_step_matrix_loop(seed, *case)
+            check_sweep_against_step_matrix_loop(seed, *case, hint=hint)
+
+    # inline squarings of the series that formed at least one step, per
+    # (dim, complex_hermitian, dt): the series starts over the probe field's
+    # range and, where a written sample leaves it, is rebuilt over the law's
+    # reach. 16 complex at dt 0.05 rebuilds before its first step
+    SQUARINGS = {
+        (3, False, 0.05): [0], (8, False, 0.05): [1, 2], (16, False, 0.05): [1, 4],
+        (3, True, 0.05): [0], (8, True, 0.05): [1, 4], (16, True, 0.05): [6],
+        (3, False, 0.5): [3, 4], (8, False, 0.5): [4, 5], (16, False, 0.5): [5, 7],
+        (3, True, 0.5): [3, 4], (8, True, 0.5): [4, 7], (16, True, 0.5): [5, 9],
+    }
 
     @pytest.mark.parametrize("dt", [0.05, 0.5])
     @pytest.mark.parametrize("complex_hermitian", [False, True])
     @pytest.mark.parametrize("dim", [3, 8, 16])
-    def test_nodes_march_the_returned_stack_exactly(self, dim, complex_hermitian, dt):
+    def test_nodes_march_the_returned_stack_exactly(self, monkeypatch, dim, complex_hermitian, dt):
         # each node is U_k psi_k with the very U_k returned, formed bitwise
         # as the step defects' batched product forms it, so the defects
         # vanish bitwise. The cases take the sweep's inline squarings 0 to 9
-        # times, odd and even: an odd count starts the series in the scratch
-        # buffer and ends in U_k
+        # times, odd and even (all but 8): an odd count starts the series in
+        # the scratch buffer and ends in U_k
         problem, field = seeded_problem(
             48 + dim, dim, 60, 1.0, dt=dt, complex_hermitian=complex_hermitian
         )
@@ -211,10 +279,13 @@ class TestGeneralSweep:
         rows = gradient._pairing_rows(H, field.samples[:m], sol.chi, grid.dt)
         eps_ref = problem.eps_ref.samples
         post_us = propagator._u_stack(H, eps_ref[m:], grid.dt)
-        _, nodes, us = _feedback_sweep(
-            problem.psi0.amplitudes, rows, eps_ref, post_us, problem.alpha, H, grid
+        series = spy_sweep_series(monkeypatch)
+        new_field, nodes, us = _feedback_sweep(
+            problem.psi0.amplitudes, rows, field.samples, eps_ref, post_us, problem.alpha, H, grid
         )
         assert not propagator._step_defects(us, nodes).any()
+        taken = sorted({series[i][1] for i in series_of_each_step(new_field[:m], series)})
+        assert taken == self.SQUARINGS[dim, complex_hermitian, dt]
 
 
 class TestStackInSync:
