@@ -38,7 +38,7 @@ from .core import (
     commutes,
 )
 from .propagator import CostateBoundary
-from .propagator import _adjoint, _costate, _forward, _march_forward, _u_stack, _worst_defect
+from .propagator import _costate, _forward, _march_rows, _u_stack, _worst_defect
 
 __all__ = [
     "ContinuityReport",
@@ -208,11 +208,15 @@ def check_conjugate_independence(
     forward in time with the adjoint of each forward step, i.e. the
     backward stepper; for real-valued H0 and mu it must track the
     conjugate forward solution to round-off at every node, for any
-    complex beta.
+    complex beta. It is marched as its conjugate rows r_k, r_0 =
+    conj(beta) psi0 and r_{k+1} = r_k U_k on the forward stack as it is,
+    and |phi_k - beta conj(psi_k)| = |r_k - conj(beta) psi_k|, so neither
+    the stack nor the trajectory is conjugated.
     """
     psi, us = _forward(psi0, field, H, grid)
-    phi = _march_forward(_adjoint(us), beta * psi0.amplitudes.conj())
-    return float(np.max(np.linalg.norm(phi - beta * psi.states.conj(), axis=1)))
+    beta_bar = np.conj(beta)
+    rows = _march_rows(us, beta_bar * psi0.amplitudes)
+    return float(np.max(np.linalg.norm(rows - beta_bar * psi.states, axis=1)))
 
 
 def _require_canonical(solution: Solution) -> None:

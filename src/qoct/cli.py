@@ -350,7 +350,7 @@ def _optimize_summary(result: OptimizationResult) -> dict:
         "final_stationarity_residual": result.final_stationarity_residual,
         "converged": result.converged,
         "iterations_run": result.iterations_run,
-        "sweeps_run": result.sweeps_run,
+        "evaluations_run": result.evaluations_run,
         "largest_j_decrease": result.largest_j_decrease,
     }
 

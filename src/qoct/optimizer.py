@@ -1,66 +1,68 @@
-"""Immediate-feedback sweep optimizer on the exact discrete first-order condition.
+"""Quasi-Newton ascent on the exact discrete gradient, started by one feedback sweep.
 
-Each iteration runs a forward state sweep that rewrites every field
-sample on the fly from the discrete field law
+The objective is the discrete reduced J of ``functional``; its exact
+gradient before the measurement node is
 
-    eps_k = ref_k + Re <chi_{k+1} | D_k psi_k> / (alpha dt),
+    g_k = -2 alpha dt (eps_k - law_k),  law_k = ref_k + Re(rho_k psi_k) / alpha,
 
-with psi_k the state just stepped in this sweep, chi_{k+1} the previous
-sweep's canonical costate (its left limit O psi(T) at k = m - 1) and
-D_k = dU_k/deps taken at the previous sweep's eps_k; then it builds the
-canonical costate of the new field. The law's fixed points are exactly
-the zeros of ``gradient.analytic_gradient`` before the measurement node,
-so the sweep stops where the discrete objective is stationary (the
-immediate feedback of Zhu, Botina & Rabitz with the exact first-order
-condition of Reich, Ndong & Koch). The law, the certificate and
-``analytic_gradient`` read one pairing: the rows
-rho_k = chi_{k+1}^dagger D_k / dt of ``gradient._pairing_rows``, formed
-batched once per sweep. After the measurement node the costate vanishes
-and the field equals the reference sample-for-sample.
+with the rows rho_k = chi_{k+1}^dagger D_k / dt of
+``gradient._pairing_rows`` (D_k = dU_k/deps, chi the canonical
+costate). An evaluation of a field is one ``analysis._solve``, its rows
+and its ``functional._total`` on the solved stack; the law gap
+eps_k - law_k is then the gradient of -J / (2 alpha dt), and its
+sup-norm is the exact-gradient residual the run is certified by. After
+the measurement node the costate vanishes and the field is the
+reference sample-for-sample.
 
-The sweep is a fixed-point map on its input rows: rows x -> sweep ->
-G(x), the rows of the field it wrote. ``optimize`` accelerates it with
-type-II Anderson mixing of depth 5 on those rows, so a mixed input costs
-no solve beyond the sweep itself. A mixed sweep whose total objective
-falls below the last accepted one is thrown away: the same iteration
-reruns the plain sweep from the accepted field's own rows, records that
-sweep's breakdown and clears the mixing history. Every iteration reads
-the exact-gradient residual
-max_k |g_k| / (2 alpha dt) = max_k |eps_k - ref_k - Re(rho_k psi_k) / alpha|
-off the new field's own rows, never the mixed ones; the run stops, and
-is converged, once |Delta J| < ``j_tol`` and that residual is below
-``stationarity_tol`` in the same iteration.
+The first iteration is the paper's scheme: one immediate-feedback sweep
+(Zhu, Botina & Rabitz, with the exact first-order condition of Reich,
+Ndong & Koch) that steps the state forward and rewrites every sample
+before T on the fly from the law, eps_k = ref_k + Re(rho_k psi_k) /
+alpha, with psi_k the state just stepped and the rows of the initial
+field. Its field is evaluated like any other. Should the sweep lower J,
+it is not taken: the iteration steps from the initial samples before T
+(the reference after it) instead. Every later iteration is L-BFGS on the
+samples before T (Nocedal & Wright, *Numerical Optimization*, 2nd ed.),
+after the Krotov/BFGS hybrid of Eitan, Mundt & Tannor (Phys. Rev. A 83,
+053426 (2011)) and GRAPE with BFGS (de Fouquieres et al., J. Magn.
+Reson. 212, 412 (2011)): the two-loop recursion over the last ``MEMORY``
+(Delta eps, Delta gap) pairs of accepted steps (Alg. 7.4; with no pair,
+the law gap scaled to unit length) gives a direction, and a strong-Wolfe
+line search (Alg. 3.5 and 3.6) takes a step along it. The sweep's own
+pair is not kept: taken where the field is still small and J nearly
+flat, its curvature misjudges the scale of the first steps, which cost
+more evaluations with it than without on the two-level benchmark and on
+the dim-8 problem alike. Every trial point is an evaluation, and the
+accepted one's breakdown and law gap become the iteration's record and
+certificate with no further solve. An accepted step never lowers J. A
+search that finds no step clears the memory and retries along the law
+gap. If that fails too, the run ends unconverged, unless the field
+already meets the law within ``stationarity_tol``: then J cannot move
+beyond round-off, and the iteration keeps the field (Delta J = 0). The
+run stops, and is converged, once |Delta J| < ``j_tol`` and the residual
+is below ``stationarity_tol`` in the same iteration.
 
 The feedback sweep is sequential: each sample needs the state just
-stepped under the previous one. For two levels its pre-T steps run in
-Python scalars (``propagator._step_two_level``), where NumPy's per-call
+stepped under the previous one. For two levels it steps in Python
+scalars (``propagator._step_two_level``), where NumPy's per-call
 overhead on 2 x 2 arrays would dominate. Larger systems build a
-``propagator._field_series`` per sweep, in real arithmetic when H0 and mu
-are real (``propagator._operators``), over the range the field takes:
-the largest sample before T of the field the rows were paired from,
-widened by ``SERIES_WIDENING``. One sweep moves the field little, and
-the squarings and degree a series needs grow with its range, so this is
-cheaper than the range the law can reach. Each written sample is checked
-against the range before its step is formed; the first one outside it
-rebuilds the series over the law's Cauchy-Schwarz reach, so every step
-comes from a series whose range holds its sample. Each
-step writes U_k in place as that series at eps_k plus its squarings, and
-applies it, psi <- U_k psi, with no eigendecomposition. Every product of
-a step (the law's pairing, the series at eps_k, each squaring and the
-step itself) is one ``ndarray.dot`` into a preallocated buffer: the loop
-cannot be batched, so the per-call dispatch is its cost, and ``dot``
-dispatches in under half of ``np.matmul``'s time. The returned
-stack is then the one the nodes were marched with: the multiplier term
-and the next costate read it, that costate comes out of the same
-equation-of-motion gate as every other one, and the sweep's step defects
-are exactly zero. The next rows differentiate a series over the new
-samples in one batched product (``propagator._du_stack``), as
-``analytic_gradient`` does; no route of the optimizer decomposes
-anything.
+``propagator._field_series``, in real arithmetic when H0 and mu are real
+(``propagator._operators``), over the range the initial field takes
+before T, widened by ``SERIES_WIDENING``: the squarings and degree a
+series needs grow with its range. Each written sample is checked against
+the range before its step is formed; the first one outside it rebuilds
+the series over the law's Cauchy-Schwarz reach, so every step comes
+from a series whose range holds its sample. Each step is that series at eps_k plus its squarings,
+formed in place and applied, psi <- U_k psi, with every product one
+``ndarray.dot`` into a preallocated buffer: the loop cannot be batched,
+so the per-call dispatch is its cost, and ``dot`` dispatches in under
+half of ``np.matmul``'s time.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -72,16 +74,12 @@ from .core import (
     ControlHamiltonian,
     ControlProblem,
     HermitianOperator,
-    StateTrajectory,
     StateVector,
     TimeGrid,
 )
 from .functional import FunctionalBreakdown, _total
 from .gradient import _pairing_rows
-from .propagator import (
-    CostateBoundary, _costate, _field_series, _floats, _march_forward, _step_two_level,
-    _u_stack,
-)
+from .propagator import CostateBoundary, _field_series, _floats, _step_two_level
 
 __all__ = ["OptimizationConfig", "OptimizationResult", "optimize"]
 
@@ -89,6 +87,14 @@ __all__ = ["OptimizationConfig", "OptimizationResult", "optimize"]
 # the largest sample of the field its rows were paired from: a sweep moves the
 # field by a small fraction, and a sample outside the range rebuilds the series
 SERIES_WIDENING = 1.1
+# (Delta eps, Delta gap) pairs the two-loop recursion holds
+MEMORY = 10
+# sufficient-decrease and curvature constants of the strong Wolfe conditions
+WOLFE_C1, WOLFE_C2 = 1e-4, 0.9
+# evaluations one line search may spend before it counts as failed
+MAX_TRIALS = 20
+# factor each trial step grows by until the line search brackets a step
+EXPANSION = 4.0
 
 
 @dataclass(frozen=True)
@@ -126,23 +132,22 @@ class OptimizationResult:
     sits from the discrete field law. (``stationarity_residual``, the
     collocated continuum law, is O(dt) at the discrete optimum.)
     ``largest_j_decrease`` records the worst single-iteration drop of the
-    total objective (0.0 when the run was perfectly monotone). Mixed
-    sweeps that would lower J are rerun plain, so a drop comes from a
-    plain sweep; one beyond round-off slack means the sweep scheme
-    misbehaved on this problem and the run should not be trusted blindly.
-    ``iterations_run`` counts iterations, not sweeps: an iteration whose
-    mixed sweep was rerun holds two, and records one breakdown in
+    total objective: 0.0, since no accepted iteration lowers J.
+    ``iterations_run`` counts accepted iterations, one breakdown each in
     ``j_history``, which has ``iterations_run + 1`` entries.
-    ``sweeps_run`` counts every feedback sweep, the reruns included.
-    ``converged`` means the run stopped before ``max_iters`` because J
-    stagnated and the residual passed in the same iteration.
+    ``evaluations_run`` counts every field solved, the initial one and
+    every line-search trial included. ``converged`` means the run stopped
+    before ``max_iters`` because J stagnated and the residual passed in
+    the same iteration. A line search that finds no step ends the run
+    unconverged while the residual fails; once it passes, the field is
+    kept for one more iteration with Delta J = 0, which converges.
     """
 
     final_field: ControlField
     j_history: Tuple[FunctionalBreakdown, ...]
     final_fidelity: float
     iterations_run: int
-    sweeps_run: int
+    evaluations_run: int
     converged: bool
     final_stationarity_residual: float
     largest_j_decrease: float
@@ -154,6 +159,23 @@ class OptimizationResult:
             raise ValueError("final_fidelity must equal the last recorded j_opt")
 
 
+class _Point:
+    """One evaluated field: its record, its rows and its law gap before T."""
+
+    __slots__ = ("field", "breakdown", "rows", "gap")
+
+    def __init__(self, field: ControlField, breakdown: FunctionalBreakdown, rows, gap):
+        self.field, self.breakdown, self.rows, self.gap = field, breakdown, rows, gap
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.field.samples[: self.gap.size]
+
+    @property
+    def residual(self) -> float:
+        return float(np.max(np.abs(self.gap)))
+
+
 def optimize(
     psi0: StateVector,
     H: ControlHamiltonian,
@@ -163,140 +185,179 @@ def optimize(
 ) -> OptimizationResult:
     """Drive the field to a stationary point of the total objective.
 
-    Each iteration sweeps from Anderson-mixed rows when the mixing history
-    holds a difference, and reruns the plain sweep from the last accepted
-    field's own rows, clearing the history, when the mixed field lowers J.
-    The loop stops once |Delta J| < ``j_tol`` and the exact-gradient
-    residual of the new field is below ``stationarity_tol``, both in the
-    same iteration. Non-convergence within ``max_iters`` is reported
-    through the ``converged`` flag, not an exception; the history and
-    residual let the caller judge how far the run got.
+    One feedback sweep, then L-BFGS iterations with a strong-Wolfe line
+    search on the samples before T, each iteration accepting a field
+    that does not lower J. The loop stops once |Delta J| < ``j_tol`` and
+    the exact-gradient residual of the new field is below
+    ``stationarity_tol``, both in the same iteration. Non-convergence
+    within ``max_iters``, or a line search that finds no step away from
+    the law, is reported through the ``converged`` flag, not an
+    exception; the history and residual let the caller judge how far the
+    run got.
     """
     problem = ControlProblem(
         psi0=psi0, hamiltonian=H, observable=O, grid=grid, eps_ref=config.eps_ref,
         alpha=config.alpha,
     )
     eps_ref = config.eps_ref.samples
-    alpha = problem.alpha
+    alpha, dt, m = problem.alpha, grid.dt, grid.index_T
     canonical = CostateBoundary.canonical()
+    evaluations = 0
 
-    m = grid.index_T
-    sol, us = _solve(problem, config.initial_field, canonical)
-    post_us = _u_stack(H, eps_ref[m:], grid.dt)
-    rows = _pairing_rows(H, sol.field.samples[:m], sol.chi, grid.dt)
+    def evaluate(samples):
+        nonlocal evaluations
+        evaluations += 1
+        field = ControlField(samples)
+        sol, us = _solve(problem, field, canonical)
+        rows = _pairing_rows(H, samples[:m], sol.chi, dt)
+        law = eps_ref[:m] + np.einsum("ki,ki->k", rows, sol.psi.states[:m]).real / alpha
+        bd = _total(sol.psi, sol.chi, field, problem.eps_ref, alpha, O, grid, us)
+        return _Point(field, bd, rows, samples[:m] - law)
 
-    def sweep(x, paired):
-        samples, nodes, us = _feedback_sweep(
-            psi0.amplitudes, x, paired, eps_ref, post_us, alpha, H, grid
-        )
-        field, psi = ControlField(samples), StateTrajectory(nodes)
-        chi = _costate(psi, O, field, grid, canonical, us)
-        return field, psi, chi, _total(psi, chi, field, problem.eps_ref, alpha, O, grid, us)
+    def at(x):
+        return evaluate(np.concatenate([x, eps_ref[m:]]))
 
-    field, psi = sol.field, sol.psi
-    history = [_total(psi, sol.chi, field, problem.eps_ref, alpha, O, grid, us)]
-    mixer = _AndersonMixer(rows)
+    def search(base, p):
+        # the slope of -J along p is 2 alpha dt (gap . p)
+        def phi(a):
+            point = at(base.x + a * p)
+            return -point.breakdown.j_total, 2.0 * alpha * dt * (point.gap @ p), point
+
+        return _wolfe_step(phi, -base.breakdown.j_total, 2.0 * alpha * dt * (base.gap @ p))
+
+    def remember(old, new):
+        s, y = new.x - old.x, new.gap - old.gap
+        sy = s @ y
+        # the curvature a strong-Wolfe step guarantees, unless round-off ate it
+        if sy > np.finfo(float).eps * (y @ y):
+            pairs.append((s, y, 1.0 / sy))
+
+    accepted = evaluate(config.initial_field.samples)
+    history = [accepted.breakdown]
+    pairs = deque(maxlen=MEMORY)
     largest_decrease = 0.0
     converged = False
-    iterations = sweeps = 0
+    iterations = 0
 
     for _ in range(config.max_iters):
+        base, new = accepted, None
+        if not iterations:
+            swept = _feedback_sweep(psi0.amplitudes, base.rows, base.x, eps_ref, alpha, H, grid)
+            new = evaluate(swept)
+            if new.breakdown.j_total < base.breakdown.j_total:
+                new = None
+                if not np.array_equal(base.field.samples[m:], eps_ref[m:]):
+                    base = at(base.x)
+        if new is None:
+            new = search(base, _two_loop(pairs, base.gap))
+            if new is None and pairs:
+                pairs.clear()
+                new = search(base, _two_loop(pairs, base.gap))
+            if new is None:
+                if base.residual >= config.stationarity_tol:
+                    break
+                # no step raises J beyond round-off and the field meets the law
+                # already: the iteration keeps it, with Delta J = 0
+                new = base
+            remember(base, new)
         iterations += 1
-        sweeps += 1
-        # rows were paired from the accepted field's samples, so the sweep's
-        # series starts over their range
-        accepted = field.samples
-        x = mixer.next_input()
-        field, psi, chi, bd = sweep(x, accepted)
-        # x is the accepted field's own rows unless the mixer held a difference
-        if x is not rows and bd.j_total < history[-1].j_total:
-            mixer.clear()
-            x = rows
-            sweeps += 1
-            field, psi, chi, bd = sweep(x, accepted)
-        rows = _pairing_rows(H, field.samples[:m], chi, grid.dt)
-        mixer.record(x, rows)
-        law = eps_ref[:m] + np.einsum("ki,ki->k", rows, psi.states[:m]).real / alpha
-        residual = float(np.max(np.abs(field.samples[:m] - law)))
-        delta = bd.j_total - history[-1].j_total
+        accepted = new
+        delta = new.breakdown.j_total - history[-1].j_total
         largest_decrease = min(largest_decrease, delta)
-        history.append(bd)
-        if abs(delta) < config.j_tol and residual < config.stationarity_tol:
+        history.append(new.breakdown)
+        if abs(delta) < config.j_tol and new.residual < config.stationarity_tol:
             converged = True
             break
 
     return OptimizationResult(
-        final_field=field,
+        final_field=accepted.field,
         j_history=tuple(history),
         final_fidelity=history[-1].j_opt,
         iterations_run=iterations,
-        sweeps_run=sweeps,
+        evaluations_run=evaluations,
         converged=converged,
-        final_stationarity_residual=residual,
+        final_stationarity_residual=accepted.residual,
         largest_j_decrease=largest_decrease,
     )
 
 
-class _AndersonMixer:
-    """Type-II Anderson mixing of depth ``DEPTH`` on the sweep's input rows.
+def _two_loop(pairs, g):
+    """-H g for the L-BFGS inverse Hessian H of the (s, y, 1 / s.y) pairs (N&W Alg. 7.4).
 
-    The fixed-point map is rows x -> sweep -> G(x), the rows of the field
-    the sweep wrote; its residual is F = G(x) - x. With the last <= DEPTH
-    differences dF, dG of consecutive (F, G) pairs, the next input is
-    G_last - dG gamma, gamma the least-squares solution of dF gamma = F_last
-    (Walker & Ni, SIAM J. Numer. Anal. 49, 1715 (2011)). Rows are complex
-    (m, d) arrays, mixed as real vectors of N = 2 m d float64 entries. The
-    differences live in preallocated (DEPTH, N) ring buffers.
+    The initial H is (s.y / y.y) I from the newest pair. With no pair the
+    step is -g scaled to unit length, as L-BFGS-B's first step is (-g
+    itself where g vanishes).
     """
-
-    DEPTH = 5
-
-    def __init__(self, rows):
-        n = 2 * rows.size
-        self._df = np.empty((self.DEPTH, n))
-        self._dg = np.empty((self.DEPTH, n))
-        self._f = None
-        self._g = rows
-        self._count = self._slot = 0
-
-    def clear(self):
-        """Forget every recorded pair; the next input is G_last itself."""
-        self._f = None
-        self._count = self._slot = 0
-
-    def record(self, x, g):
-        """Add the pair (input x, output G(x)) of one accepted sweep."""
-        f = _flat(g) - _flat(x)
-        if self._f is not None:
-            np.subtract(f, self._f, out=self._df[self._slot])
-            np.subtract(_flat(g), _flat(self._g), out=self._dg[self._slot])
-            self._slot = (self._slot + 1) % self.DEPTH
-            self._count = min(self._count + 1, self.DEPTH)
-        self._f, self._g = f, g
-
-    def next_input(self):
-        """G_last while no difference is held, else the mixed rows."""
-        k = self._count
-        if not k:
-            return self._g
-        gamma = np.linalg.lstsq(self._df[:k].T, self._f, rcond=None)[0]
-        mixed = _flat(self._g) - gamma @ self._dg[:k]
-        return mixed.view(np.complex128).reshape(self._g.shape)
+    if not pairs:
+        return g / -(float(np.linalg.norm(g)) or 1.0)
+    q = g.copy()
+    coeffs = []
+    for s, y, rho in reversed(pairs):
+        a = rho * (s @ q)
+        q -= a * y
+        coeffs.append(a)
+    s, y, rho = pairs[-1]
+    q *= 1.0 / (rho * (y @ y))
+    for (s, y, rho), a in zip(pairs, reversed(coeffs)):
+        q += (a - rho * (y @ q)) * s
+    return -q
 
 
-def _flat(rows):
-    return rows.reshape(-1).view(np.float64)
+def _wolfe_step(phi, f0, d0):
+    """Payload of a step a > 0 meeting the strong Wolfe conditions, or None (N&W Alg. 3.5/3.6).
+
+    phi(a) returns (f(a), f'(a), payload) along a descent direction, with
+    f(0) = f0 and f'(0) = d0 < 0. The trial starts at a = 1 and grows by
+    ``EXPANSION`` until a step is bracketed, then the bracket [lo, hi]
+    shrinks by safeguarded cubic interpolation. lo always holds the lowest
+    f that met sufficient decrease, and a trial is accepted only below it,
+    so an accepted f is never above f0. None once ``MAX_TRIALS``
+    evaluations found no step, or when d0 is not negative.
+    """
+    if not d0 < 0:
+        return None
+    lo, hi = (0.0, f0, d0), None
+    a = 1.0
+    for _ in range(MAX_TRIALS):
+        f, d, payload = phi(a)
+        if f > f0 + WOLFE_C1 * a * d0 or f >= lo[1]:
+            hi = (a, f, d)
+        elif abs(d) <= -WOLFE_C2 * d0:
+            return payload
+        else:
+            # the minimizer lies beyond lo in the direction f decreases
+            if d * ((hi[0] if hi else math.inf) - lo[0]) >= 0:
+                hi = lo
+            lo = (a, f, d)
+        a = EXPANSION * lo[0] if hi is None else _cubic_step(lo, hi)
+    return None
 
 
-def _feedback_sweep(
-    psi0, rows, paired, eps_ref, post_us, alpha, H: ControlHamiltonian, grid: TimeGrid
-):
-    """Forward sweep rewriting each pre-T sample as ref_k + Re(rho_k psi_k) / alpha.
+def _cubic_step(lo, hi):
+    """Minimizer of the cubic through the bracket's ends (N&W (3.59)), kept off them.
+
+    The step stays in the middle 98% of the bracket; the midpoint where
+    the cubic has no minimizer.
+    """
+    (a, fa, da), (b, fb, db) = lo, hi
+    low, high = min(a, b), max(a, b)
+    if high > low:
+        d1 = da + db - 3.0 * (fa - fb) / (a - b)
+        rad = d1 * d1 - da * db
+        if rad >= 0:
+            d2 = math.copysign(math.sqrt(rad), b - a)
+            c = b - (b - a) * (db + d2 - d1) / (db - da + 2.0 * d2)
+            if math.isfinite(c):
+                margin = 0.01 * (high - low)
+                return min(max(c, low + margin), high - margin)
+    return 0.5 * (a + b)
+
+
+def _feedback_sweep(psi0, rows, paired, eps_ref, alpha, H: ControlHamiltonian, grid: TimeGrid):
+    """The samples of one forward sweep rewriting each pre-T one as ref_k + Re(rho_k psi_k) / alpha.
 
     Samples after the measurement node revert to the reference (the
-    canonical costate is zero there) and take its steps ``post_us``.
-    Returns the new field, its nodes and its forward step stack, whose
-    forward march the nodes are, bitwise. Above two levels each pre-T step
+    canonical costate is zero there). Above two levels each pre-T step
     U_k is formed in place from a ``_field_series`` and then applied. The
     series' range starts as the largest |eps_k| before T of ``paired``,
     the samples the rows were paired from, widened by ``SERIES_WIDENING``
@@ -311,67 +372,58 @@ def _feedback_sweep(
     at most 2^-53.
     """
     m = grid.index_T
-    n = grid.n_steps
     dt = grid.dt
     dim = psi0.size
-    new_field = np.empty_like(eps_ref)
-    nodes = np.empty((n + 1, dim), dtype=np.complex128)
-    us = np.empty((n, dim, dim), dtype=np.complex128)
-    nodes[0] = psi0
+    new_field = eps_ref.copy()
     if dim == 2:
-        new_field[:m], nodes[1 : m + 1] = _two_level_steps(psi0, rows, eps_ref[:m], alpha, H, dt)
-        us[:m] = _u_stack(H, new_field[:m], dt)
-    else:
-        tmp = np.empty((dim, dim), dtype=np.complex128)
-        tmp_flat = tmp.view(np.float64).reshape(-1)
+        new_field[:m] = _two_level_steps(psi0, rows, eps_ref[:m], alpha, H, dt)
+        return new_field
+    u, tmp = np.empty((2, dim, dim), dtype=np.complex128)
+    u_flat, tmp_flat = _floats(u[None])[0], _floats(tmp[None])[0]
+    x, y = psi0.copy(), np.empty_like(psi0)
 
-        def build(bound):
-            # the series goes where s squarings, alternating with tmp, end in U_k
-            s, c = _field_series(H, dt, bound)
-            return bound, s, _floats(c), np.arange(len(c), dtype=np.float64), np.empty(len(c))
+    def build(bound):
+        # the series goes where s squarings, alternating with tmp, end in u
+        s, c = _field_series(H, dt, bound)
+        return bound, s, _floats(c), np.arange(len(c), dtype=np.float64), np.empty(len(c))
 
-        bound, s, series, degrees, powers = build(
-            float(np.max(np.abs(paired[:m]), initial=0.0)) * SERIES_WIDENING or 1.0
-        )
-        field = []
-        steps = zip(rows, eps_ref[:m].tolist(), us, _floats(us), nodes[:m], nodes[1 : m + 1])
-        for row, ref, u, flat, x, y in steps:
-            eps = ref + row.dot(x).real / alpha
-            field.append(eps)
-            if abs(eps) > bound:
-                reach = np.abs(eps_ref[:m]) + np.linalg.norm(rows, axis=1) / alpha
-                bound, s, series, degrees, powers = build(max(float(np.max(reach)), abs(eps)))
-            start, start_flat, other = (tmp, tmp_flat, u) if s % 2 else (u, flat, tmp)
-            np.power(eps / bound, degrees, out=powers)
-            powers.dot(series, out=start_flat)
-            for _ in range(s):
-                start.dot(start, out=other)
-                start, other = other, start
-            u.dot(x, out=y)
-        new_field[:m] = field
-    new_field[m:] = eps_ref[m:]
-    us[m:] = post_us
-    nodes[m:] = _march_forward(post_us, nodes[m])
-    return new_field, nodes, us
+    bound, s, series, degrees, powers = build(
+        float(np.max(np.abs(paired[:m]), initial=0.0)) * SERIES_WIDENING or 1.0
+    )
+    field = []
+    for row, ref in zip(rows, eps_ref[:m].tolist()):
+        eps = ref + row.dot(x).real / alpha
+        field.append(eps)
+        if abs(eps) > bound:
+            reach = np.abs(eps_ref[:m]) + np.linalg.norm(rows, axis=1) / alpha
+            bound, s, series, degrees, powers = build(max(float(np.max(reach)), abs(eps)))
+        start, start_flat, other = (tmp, tmp_flat, u) if s % 2 else (u, u_flat, tmp)
+        np.power(eps / bound, degrees, out=powers)
+        powers.dot(series, out=start_flat)
+        for _ in range(s):
+            start.dot(start, out=other)
+            start, other = other, start
+        u.dot(x, out=y)
+        x, y = y, x
+    new_field[:m] = field
+    return new_field
 
 
 def _two_level_steps(psi0, rows, eps_ref, alpha, H: ControlHamiltonian, dt):
-    """The pre-T feedback steps of a two-level sweep, in Python scalars.
+    """The pre-T feedback samples of a two-level sweep, in Python scalars.
 
     Same field law and step as the general loop; the operators, rows and
-    reference are read out once and the results written back once, so no
+    reference are read out once and the samples written back once, so no
     step touches a NumPy array.
     """
     (d00, d01), (_, d11) = H.drift.matrix.tolist()
     (m00, m01), (_, m11) = H.control_derivative.tolist()
     p0, p1 = psi0.tolist()
     field = []
-    states = []
     for (r0, r1), ref in zip(rows.tolist(), eps_ref.tolist()):
         eps = ref + (r0 * p0 + r1 * p1).real / alpha
         p0, p1 = _step_two_level(
             d00.real + eps * m00.real, d01 + eps * m01, d11.real + eps * m11.real, dt, p0, p1
         )
         field.append(eps)
-        states.append((p0, p1))
-    return field, states
+    return field

@@ -395,6 +395,21 @@ def _march_forward(us: NDArrayComplex, x0: NDArrayComplex) -> NDArrayComplex:
     return nodes
 
 
+def _march_rows(us: NDArrayComplex, r0: NDArrayComplex) -> NDArrayComplex:
+    """Rows r_0 = r0 and r_{k+1} = r_k U_k over a forward stack.
+
+    They are the conjugates of the nodes x_{k+1} = U_k^dagger x_k from
+    x_0 = conj(r0), the forward march of the backward steps, read off the
+    stack as it is: one ``ndarray.dot`` per step written in place, as in
+    ``_march_forward``, and no conjugated copy of the stack.
+    """
+    rows = np.empty((us.shape[0] + 1, r0.size), dtype=np.complex128)
+    rows[0] = r0
+    for u, r, r_next in zip(us, rows[:-1], rows[1:]):
+        r.dot(u, out=r_next)
+    return rows
+
+
 def _march_backward(us: NDArrayComplex, x_end: NDArrayComplex) -> NDArrayComplex:
     """Nodes x_K = x_end and x_k = U_k^dagger x_{k+1}: the forward march undone.
 

@@ -317,7 +317,7 @@ class TestOneStackPerCall:
         assert (stack_log, len(series_log), matrices(eigh_log)) == expected
 
     @pytest.mark.parametrize("dim", [3, 2])
-    def test_optimize_forms_each_sweeps_steps_once(self, eigh_log, stack_log, series_log, dim):
+    def test_optimize_forms_each_solves_steps_once(self, eigh_log, stack_log, series_log, dim):
         problem, field = seeded_problem(72, dim, 40, 1.0)
         config = qoct.OptimizationConfig(
             alpha=1.0, max_iters=2, j_tol=1e-300, stationarity_tol=1e-6,
@@ -326,18 +326,21 @@ class TestOneStackPerCall:
         result = qoct.optimize(
             problem.psi0, problem.hamiltonian, problem.observable, problem.grid, config
         )
-        assert result.sweeps_run == 2
-        n, m = problem.grid.n_steps, problem.grid.index_T
-        # the initial stack and the reference's post-T steps are stacks; each
-        # sweep forms its m pre-T steps from one series of its own (dim 3) or
-        # in one SU(2) stack after its scalar loop (dim 2). The initial
-        # field's rows and each sweep's next rows differentiate one series
-        # each (dim 3) or the SU(2) form; the costate and the objective read
-        # the sweep's steps. Nothing is decomposed.
+        # the initial field, the sweep's field and the line-search trials:
+        # two at dim 3, three at dim 2
+        k = {3: 4, 2: 5}[dim]
+        assert (result.iterations_run, result.evaluations_run) == (2, k)
+        n = problem.grid.n_steps
+        # each evaluation solves its field on one stack of n steps, from one
+        # series (dim 3) or the SU(2) form (dim 2), and its rows differentiate
+        # one series of their own (dim 3) or the SU(2) form; the costate and
+        # the objective read the solved steps. The sweep forms its steps from
+        # one series of its own (dim 3) or in Python scalars (dim 2). Nothing
+        # is decomposed.
         if dim == 3:
-            expected = ([n, n - m], 2 + 2 + 3, [])
+            expected = ([n] * k, 2 * k + 1, [])
         else:
-            expected = ([n, n - m, m, m], 0, [])
+            expected = ([n] * k, 0, [])
         assert (stack_log, len(series_log), matrices(eigh_log)) == expected
 
     def test_verify_solves_its_probe_field_once(self, eigh_log, stack_log, series_log, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 import qoct
 from qoct import cli, functional, gradient, optimizer, propagator
+from qoct.analysis import _solve
 from qoct.optimizer import _feedback_sweep
 from qoct.propagator import Direction
 from conftest import (
@@ -34,6 +35,8 @@ class TestBenchmark:
         assert result.converged
         assert result.iterations_run <= 500
         assert result.final_stationarity_residual < 1e-6
+        # J* = 0.606177477398 (L-BFGS-B on the exact gradient)
+        assert abs(result.j_history[-1].j_total - 0.606177477398) < 1e-11
 
     def test_objective_never_decreases(self, benchmark_run):
         *_, result = benchmark_run
@@ -43,8 +46,8 @@ class TestBenchmark:
 
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_objective_never_decreases_at_other_seeds(self, seed):
-        # J stays monotone from other starting noise too: the safeguard
-        # throws away every mixed sweep that would lower it
+        # J stays monotone from other starting noise too: a sweep that would
+        # lower it is not taken, and no accepted line-search step lowers it
         psi0, H, O, grid = two_level_benchmark()
         result = qoct.optimize(psi0, H, O, grid, benchmark_config(seed=seed))
         assert result.converged
@@ -52,21 +55,34 @@ class TestBenchmark:
         totals = [bd.j_total for bd in result.j_history]
         assert min(np.diff(totals)) >= 0.0
 
-    def test_sweep_count_includes_reruns(self, monkeypatch):
-        # Anderson mixing certifies the benchmark in 29 iterations at seed 42,
-        # 31 sweeps once the two rejected mixed sweeps' reruns are counted
-        calls = []
+    def test_evaluation_count(self, monkeypatch):
+        # one sweep, then L-BFGS certifies the benchmark in 19 iterations at
+        # seed 42; every evaluation, the initial field's and each line-search
+        # trial's included, is one solve
+        solves = []
 
         def counting(*args):
-            calls.append(None)
-            return _feedback_sweep(*args)
+            solves.append(None)
+            return _solve(*args)
 
-        monkeypatch.setattr(optimizer, "_feedback_sweep", counting)
+        monkeypatch.setattr(optimizer, "_solve", counting)
         psi0, H, O, grid = two_level_benchmark()
         result = qoct.optimize(psi0, H, O, grid, benchmark_config())
         assert result.converged
-        assert (result.iterations_run, result.sweeps_run) == (29, 31)
-        assert result.sweeps_run == len(calls)
+        assert (result.iterations_run, result.evaluations_run) == (19, 26)
+        assert result.evaluations_run == len(solves)
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_smallest_penalty_is_certified(self, seed):
+        # alpha = 0.1 reaches J* = 0.9537042364 (L-BFGS-B on the exact
+        # gradient), where the fixed-point sweep stalls: its condition number
+        # is about ten times alpha = 1's
+        psi0, H, O, grid = two_level_benchmark()
+        result = qoct.optimize(psi0, H, O, grid, benchmark_config(alpha=0.1, seed=seed))
+        assert result.converged
+        assert result.final_stationarity_residual < 1e-6
+        assert result.largest_j_decrease == 0.0
+        assert abs(result.j_history[-1].j_total - 0.9537042364) < 1e-9
 
     def test_smaller_penalty_is_certified(self):
         # alpha = 0.3 reaches J* = 0.8662365548 (L-BFGS-B on the exact
@@ -81,7 +97,7 @@ class TestBenchmark:
 
     def test_transfer_quality_of_the_stationary_point(self, benchmark_run):
         # the alpha=1 extremum trades fidelity against pulse cost and sits
-        # near 0.932; anything lower means the sweeps lost the fixed point
+        # near 0.932; anything lower means the run lost the maximum
         *_, result = benchmark_run
         assert result.final_fidelity > 0.93
         assert result.final_fidelity == result.j_history[-1].j_opt
@@ -156,13 +172,13 @@ def check_sweep_against_step_matrix_loop(
     # and chi the previous costate (left limit O psi(T) after the last
     # step); from T on the canonical costate vanishes and the law returns
     # the reference. The first sweep's rows come from a fresh field, the
-    # second's from the first sweep's field and costate; every returned
-    # step is the forward step at the new sample. Above two levels ``hint``
-    # picks the samples the sweep's series range starts from: the paired
-    # field's own, as optimize passes, or a range below the first written
-    # sample, an all-zero field, or a range beyond the law's reach; each
-    # step is formed from a series whose range holds its sample, and the
-    # nodes march the returned steps bitwise
+    # second's from the first sweep's field and its fresh costate. Each
+    # sample reads the state stepped under every sample before it, so the
+    # samples check the steps too. Above two levels ``hint`` picks the
+    # samples the sweep's series range starts from: the paired field's own,
+    # as optimize passes, or a range below the first written sample, an
+    # all-zero field, or a range beyond the law's reach; each step is formed
+    # from a series whose range holds its sample
     rng = np.random.default_rng(seed)
     H = qoct.ControlHamiltonian(drift=draw(rng, dim), coupling=draw(rng, dim))
     O = draw(rng, dim)
@@ -171,14 +187,11 @@ def check_sweep_against_step_matrix_loop(
     n, m, dt = grid.n_steps, grid.index_T, grid.dt
     field = qoct.ControlField(rng.uniform(-1.0, 1.0, n))
     eps_ref = rng.uniform(-0.5, 0.5, n)
-    traj = qoct.propagate_forward(psi0, field, H, grid)
-    chi = qoct.propagate_costate(traj, O, field, H, grid, qoct.CostateBoundary.canonical())
-    post_us = np.array(
-        [qoct.step_matrix(H, e, grid.dt, Direction.FORWARD) for e in eps_ref[m:]]
-    )
-    rows = gradient._pairing_rows(H, field.samples[:m], chi, dt)
 
     for _ in range(2):
+        traj = qoct.propagate_forward(psi0, field, H, grid)
+        chi = qoct.propagate_costate(traj, O, field, H, grid, qoct.CostateBoundary.canonical())
+        rows = gradient._pairing_rows(H, field.samples[:m], chi, dt)
         first = eps_ref[0] + rows[0].dot(psi0.amplitudes).real / alpha
         reach = np.max(np.abs(eps_ref[:m]) + np.linalg.norm(rows, axis=1) / alpha)
         paired = {
@@ -189,11 +202,8 @@ def check_sweep_against_step_matrix_loop(
         }[hint]
         with pytest.MonkeyPatch.context() as mp:
             series = spy_sweep_series(mp)
-            new_field, nodes, us = _feedback_sweep(
-                psi0.amplitudes, rows, paired, eps_ref, post_us, alpha, H, grid
-            )
+            new_field = _feedback_sweep(psi0.amplitudes, rows, paired, eps_ref, alpha, H, grid)
         if dim > 2:
-            assert not propagator._step_defects(us, nodes).any()
             owner = series_of_each_step(new_field[:m], series)
             if hint == "below":
                 assert owner[0] == 1
@@ -201,27 +211,16 @@ def check_sweep_against_step_matrix_loop(
                 assert len(series) == 1
 
         chi_next = list(chi.states[1:m]) + [chi.chi_T_minus]
-        ref_field = np.empty(n)
-        ref_nodes = [psi0.amplitudes]
-        ref_us = []
-        for k in range(n):
-            psi = ref_nodes[-1]
-            ref_field[k] = eps_ref[k]
-            if k < m:
-                du = qoct.step_control_derivative(H, float(field.samples[k]), dt)
-                ref_field[k] += np.vdot(chi_next[k], du @ psi).real / (alpha * dt)
-            ref_us.append(qoct.step_matrix(H, ref_field[k], dt, Direction.FORWARD))
-            ref_nodes.append(ref_us[-1] @ psi)
+        ref_field = eps_ref.copy()
+        psi = psi0.amplitudes
+        for k in range(m):
+            du = qoct.step_control_derivative(H, float(field.samples[k]), dt)
+            ref_field[k] += np.vdot(chi_next[k], du @ psi).real / (alpha * dt)
+            psi = qoct.step_matrix(H, ref_field[k], dt, Direction.FORWARD) @ psi
+        assert new_field.shape == (n,)
         assert np.max(np.abs(new_field - ref_field)) < 1e-12
-        assert np.max(np.abs(nodes - np.array(ref_nodes))) < 1e-12
-        assert us.shape == (n, dim, dim)
-        assert np.max(np.abs(us - np.array(ref_us))) < 1e-12
-
+        assert np.array_equal(new_field[m:], eps_ref[m:])
         field = qoct.ControlField(new_field)
-        chi = qoct.propagate_costate(
-            qoct.StateTrajectory(nodes), O, field, H, grid, qoct.CostateBoundary.canonical()
-        )
-        rows = gradient._pairing_rows(H, new_field[:m], chi, dt)
 
 
 class TestTwoLevelSweep:
@@ -264,26 +263,23 @@ class TestGeneralSweep:
     @pytest.mark.parametrize("dt", [0.05, 0.5])
     @pytest.mark.parametrize("complex_hermitian", [False, True])
     @pytest.mark.parametrize("dim", [3, 8, 16])
-    def test_nodes_march_the_returned_stack_exactly(self, monkeypatch, dim, complex_hermitian, dt):
-        # each node is U_k psi_k with the very U_k returned, formed bitwise
-        # as the step defects' batched product forms it, so the defects
-        # vanish bitwise. The cases take the sweep's inline squarings 0 to 9
-        # times, odd and even (all but 8): an odd count starts the series in
-        # the scratch buffer and ends in U_k
+    def test_steps_take_each_squaring_count(self, monkeypatch, dim, complex_hermitian, dt):
+        # the cases take the sweep's inline squarings 0 to 9 times, odd and
+        # even (all but 8): an odd count starts the series in the scratch
+        # buffer and ends in the step's, an even one stays in it; the
+        # samples' agreement with the matrix stepper above checks the steps
         problem, field = seeded_problem(
             48 + dim, dim, 60, 1.0, dt=dt, complex_hermitian=complex_hermitian
         )
-        H, O, grid = problem.hamiltonian, problem.observable, problem.grid
+        H, grid = problem.hamiltonian, problem.grid
         m = grid.index_T
         sol = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
         rows = gradient._pairing_rows(H, field.samples[:m], sol.chi, grid.dt)
-        eps_ref = problem.eps_ref.samples
-        post_us = propagator._u_stack(H, eps_ref[m:], grid.dt)
         series = spy_sweep_series(monkeypatch)
-        new_field, nodes, us = _feedback_sweep(
-            problem.psi0.amplitudes, rows, field.samples, eps_ref, post_us, problem.alpha, H, grid
+        new_field = _feedback_sweep(
+            problem.psi0.amplitudes, rows, field.samples, problem.eps_ref.samples,
+            problem.alpha, H, grid,
         )
-        assert not propagator._step_defects(us, nodes).any()
         taken = sorted({series[i][1] for i in series_of_each_step(new_field[:m], series)})
         assert taken == self.SQUARINGS[dim, complex_hermitian, dt]
 
@@ -317,79 +313,111 @@ class TestStackInSync:
         residual = np.max(np.abs(g[: grid.index_T])) / (2 * problem.alpha * grid.dt)
         assert abs(result.final_stationarity_residual - residual) <= 1e-12
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_sweep_off_its_steps_cannot_source_a_costate(self, monkeypatch, dim):
-        # every sweep's trajectory passes the costate's equation-of-motion gate;
-        # a 1e-8 phase on one node keeps its norm, so only that gate can see it
-        def perturbed(*args):
-            new_field, nodes, us = _feedback_sweep(*args)
-            nodes[5] *= np.exp(1e-8j)
-            return new_field, nodes, us
-
-        monkeypatch.setattr(optimizer, "_feedback_sweep", perturbed)
-        problem, field = seeded_problem(95, dim, 40, 1.0)
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_history_replays_from_fresh_solves(self, monkeypatch, dim):
+        # every record is the breakdown of an evaluation: a fresh solve of its
+        # field gives it bitwise, the initial field's first and the final
+        # field's last, with no solve beyond the counted evaluations
+        problem, field = seeded_problem(80 + dim, dim, 60, 1.0, complex_hermitian=True)
         config = qoct.OptimizationConfig(
-            alpha=1.0, max_iters=2, j_tol=1e-300, stationarity_tol=1e-6,
+            alpha=problem.alpha, max_iters=8, j_tol=1e-300, stationarity_tol=1e-6,
             initial_field=field, eps_ref=problem.eps_ref,
         )
-        with pytest.raises(ValueError, match="equation of motion"):
-            qoct.optimize(
-                problem.psi0, problem.hamiltonian, problem.observable, problem.grid, config
+        solved = []
+
+        def recording(problem, field, boundary):
+            solved.append(field)
+            return _solve(problem, field, boundary)
+
+        monkeypatch.setattr(optimizer, "_solve", recording)
+        H, O, grid = problem.hamiltonian, problem.observable, problem.grid
+        result = qoct.optimize(problem.psi0, H, O, grid, config)
+        assert result.evaluations_run == len(solved)
+
+        def fresh_total(f):
+            sol, us = _solve(problem, f, qoct.CostateBoundary.canonical())
+            return functional._total(
+                sol.psi, sol.chi, f, problem.eps_ref, problem.alpha, O, grid, us
             )
 
+        totals = iter(fresh_total(f) for f in solved)
+        assert np.array_equal(solved[0].samples, field.samples)
+        for recorded in result.j_history:
+            assert any(bd == recorded for bd in totals)
+        assert fresh_total(result.final_field) == result.j_history[-1]
 
-class TestSafeguard:
-    def test_rejected_mixed_sweep_records_the_plain_sweep(self, monkeypatch):
-        # An iteration whose mixed sweep lowers J throws that sweep away and
-        # reruns the plain one from the last accepted field's own rows; the
-        # history records the rerun's breakdown, bitwise. Every sweep is
-        # replayed here through the optimizer's own costate and breakdown.
+
+class TestFirstIteration:
+    def test_records_the_paper_sweep(self):
+        # the sweep from the initial field's own rows raises J on the
+        # benchmark, so its field is the first record
         psi0, H, O, grid = two_level_benchmark()
         config = benchmark_config()
         m, canonical = grid.index_T, qoct.CostateBoundary.canonical()
-        calls = []
-
-        def recording(*args):
-            out = _feedback_sweep(*args)
-            calls.append((args[1], out))
-            return out
-
-        monkeypatch.setattr(optimizer, "_feedback_sweep", recording)
-        result = qoct.optimize(psi0, H, O, grid, config)
-
-        def replay(out):
-            samples, nodes, us = out
-            field, psi = qoct.ControlField(samples), qoct.StateTrajectory(nodes)
-            chi = propagator._costate(psi, O, field, grid, canonical, us)
-            bd = functional._total(psi, chi, field, config.eps_ref, config.alpha, O, grid, us)
-            return bd, gradient._pairing_rows(H, samples[:m], chi, grid.dt)
-
         problem = qoct.ControlProblem(
             psi0=psi0, hamiltonian=H, observable=O, grid=grid, eps_ref=config.eps_ref,
             alpha=config.alpha,
         )
         sol = qoct.solve(problem, config.initial_field, canonical)
-        own_rows = gradient._pairing_rows(H, config.initial_field.samples[:m], sol.chi, grid.dt)
-        rejected = []
-        sweeps = iter(calls)
-        for i, recorded in enumerate(result.j_history[1:], start=1):
-            rows, out = next(sweeps)
-            bd, next_rows = replay(out)
-            mixed = not np.array_equal(rows, own_rows)
-            if mixed and bd.j_total < result.j_history[i - 1].j_total:
-                rejected.append(i)
-                rows, out = next(sweeps)
-                assert np.array_equal(rows, own_rows)
-                bd, next_rows = replay(out)
-            assert bd == recorded
-            own_rows = next_rows
-        assert next(sweeps, None) is None
-        assert rejected == [3, 5]
+        rows = gradient._pairing_rows(H, config.initial_field.samples[:m], sol.chi, grid.dt)
+        swept = _feedback_sweep(
+            psi0.amplitudes, rows, config.initial_field.samples, config.eps_ref.samples,
+            config.alpha, H, grid,
+        )
+        result = qoct.optimize(psi0, H, O, grid, benchmark_config(max_iters=1))
+        assert np.array_equal(result.final_field.samples, swept)
+        assert result.evaluations_run == 2
+        assert result.j_history[1].j_total > result.j_history[0].j_total
+
+    def test_sweep_that_lowers_j_is_not_taken(self, monkeypatch):
+        # this dim-4 instance's sweep lowers J; the first iteration steps from
+        # the initial samples before T instead, with the reference after T
+        problem, field = seeded_problem(3, 4, 200, 1.0)
+        H, O, grid = problem.hamiltonian, problem.observable, problem.grid
+        m = grid.index_T
+        swept = []
+
+        def recording(*args):
+            swept.append(_feedback_sweep(*args))
+            return swept[-1]
+
+        monkeypatch.setattr(optimizer, "_feedback_sweep", recording)
+        config = qoct.OptimizationConfig(
+            alpha=1.0, max_iters=1, j_tol=1e-300, stationarity_tol=1e-6,
+            initial_field=field, eps_ref=problem.eps_ref,
+        )
+        result = qoct.optimize(problem.psi0, H, O, grid, config)
+        sweep_j = qoct.reduced_objective(problem, qoct.ControlField(swept[0]))
+        assert sweep_j < result.j_history[0].j_total
+        assert result.iterations_run == 1
+        assert result.largest_j_decrease == 0.0
+        assert result.j_history[1].j_total > result.j_history[0].j_total
+        assert not np.array_equal(result.final_field.samples, swept[0])
+        assert np.array_equal(result.final_field.samples[m:], problem.eps_ref.samples[m:])
+
+
+class TestMonotone:
+    @pytest.mark.parametrize("dim", range(3, 9))
+    def test_objective_never_decreases_above_two_levels(self, dim):
+        # the immediate-feedback sweep alone lost J on 36 of these 60 runs
+        # (J falling by up to 2 in one iteration); no accepted iteration
+        # lowers J now
+        for seed in range(1, 11):
+            problem, field = seeded_problem(seed, dim, 200, 1.0)
+            config = qoct.OptimizationConfig(
+                alpha=1.0, max_iters=10, j_tol=1e-12, stationarity_tol=1e-6,
+                initial_field=field, eps_ref=problem.eps_ref,
+            )
+            result = qoct.optimize(
+                problem.psi0, problem.hamiltonian, problem.observable, problem.grid, config
+            )
+            assert result.largest_j_decrease == 0.0, seed
+            assert min(np.diff([bd.j_total for bd in result.j_history])) >= 0.0, seed
 
 
 class TestContinuumLimit:
     def test_optimal_field_jumps_at_T_as_dt_shrinks(self):
-        # The sweep solves the two-level benchmark to its discrete maximum at
+        # optimize solves the two-level benchmark to its discrete maximum at
         # three step sizes. J* converges at order 2; the collocated (paper's
         # continuum) residual at the discrete optimum is O(dt), 0.122 dt; and
         # the field gap at T tends to 0.2445, not to 0: it is the identity
@@ -426,9 +454,10 @@ class TestContinuumLimit:
 
 class TestDegenerateObjectives:
     def test_identity_observable_returns_reference_field(self):
-        # objective is field-independent, so the sweeps shed the field; the
+        # objective is field-independent, so the sweep sheds the field; the
         # run stops once J stagnates below j_tol and the residual, here the
-        # field itself, is below stationarity_tol
+        # field itself, is below stationarity_tol (no step can then raise J
+        # beyond round-off, so the iteration after the sweep keeps the field)
         psi0, H, _, grid = two_level_benchmark()
         O = qoct.HermitianOperator(np.eye(2))
         result = qoct.optimize(psi0, H, O, grid, benchmark_config(max_iters=50))
@@ -459,7 +488,7 @@ class TestStoppingAndValidation:
         assert len(result.j_history) == 2
 
     def test_history_starts_at_the_reduced_objective(self):
-        # the sweep reports the J the gradient differentiates: its penalty
+        # the run reports the J the gradient differentiates: its penalty
         # also covers the initial noise after the measurement node
         psi0, H, O, grid = two_level_benchmark()
         config = benchmark_config(max_iters=1)

@@ -8,7 +8,8 @@ import qoct
 from qoct.gradient import _pairing_rows
 from qoct.propagator import (
     Direction, _adjoint, _du_stack, _eigh, _expm_eigenbasis, _expm_hermitian, _field_series,
-    _h_stack, _step_two_level, _su2_control_derivative, _taylor_plan, _u_stack,
+    _h_stack, _march_forward, _march_rows, _step_two_level, _su2_control_derivative,
+    _taylor_plan, _u_stack,
 )
 from conftest import (
     level_projector,
@@ -234,6 +235,23 @@ def march_by_step(x0, H, samples, dt, direction):
 
 
 class TestComplexHermitian:
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_row_march_is_the_conjugate_backward_step_march(self, dim):
+        # r_{k+1} = r_k U_k on the stack as it is conjugates the march of the
+        # backward steps U_k^dagger from conj(r_0), bitwise, and matches the
+        # per-step backward stepper; complex-Hermitian U is not symmetric
+        rng = np.random.default_rng(31 + dim)
+        H = qoct.ControlHamiltonian(
+            drift=random_hermitian(rng, dim), coupling=random_hermitian(rng, dim)
+        )
+        samples = rng.uniform(-1.5, 1.5, 40)
+        us = _u_stack(H, samples, 0.07)
+        r0 = random_state(rng, dim).amplitudes
+        rows = _march_rows(us, r0)
+        assert np.array_equal(rows.conj(), _march_forward(_adjoint(us), r0.conj()))
+        ref = march_by_step(r0.conj(), H, samples, 0.07, Direction.BACKWARD)
+        assert np.max(np.abs(rows.conj() - ref)) < 1e-12
+
     def test_propagators_match_per_step_march(self):
         # complex-Hermitian H has a non-symmetric U, so U^dagger differs
         # from conj(U); dim 2 runs the closed form, dim 4 the eigh route
