@@ -149,6 +149,7 @@ class TestOptimize:
         assert len(summary["iterations"]) == summary["iterations_run"] + 1
         # the initial field and at least one evaluation per iteration
         assert summary["evaluations_run"] > summary["iterations_run"]
+        assert summary["largest_j_decrease"] == 0.0
         field_lines = (out / "field.csv").read_text().splitlines()
         assert field_lines[0] == "t,eps"
         assert len(field_lines) == 1 + 100

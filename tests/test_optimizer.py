@@ -431,6 +431,7 @@ class TestContinuumLimit:
             config = benchmark_config(n_steps=grid.n_steps)
             result = qoct.optimize(psi0, H, O, grid, config)
             assert result.converged
+            assert result.largest_j_decrease == 0.0
             problem = qoct.ControlProblem(
                 psi0=psi0, hamiltonian=H, observable=O, grid=grid, eps_ref=config.eps_ref,
                 alpha=config.alpha,
