@@ -4,8 +4,8 @@ Solves the coupled state/costate equations of expectation-value control
 with exact-exponential stepping, supports both the discontinuous
 (canonical) and continuous costate boundary regimes, provides an
 analytically exact discrete field gradient with a finite-difference
-oracle, and optimizes pulses by one immediate-feedback sweep followed by
-L-BFGS on that gradient.
+oracle, and optimizes pulses by L-BFGS on that gradient, started on
+two-level systems by one immediate-feedback sweep.
 """
 
 from .analysis import (

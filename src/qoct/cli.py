@@ -434,13 +434,13 @@ def run_verify(config_path: str | Path, out_dir: str | Path) -> int:
 def run_gradcheck(
     config_path: str | Path,
     out_dir: str | Path,
-    h: float = 1e-5,
+    h: float = DEFAULT_PROBE_STEP,
 ) -> int:
     """Compare analytic and finite-difference gradients; emit grad.json."""
     try:
         cfg = ProblemConfig.from_file(config_path)
-        if not h > 0:
-            raise ConfigError("h", f"probe step must be positive, got {h!r}")
+        if not (math.isfinite(h) and h > 0):
+            raise ConfigError("h", f"probe step must be positive and finite, got {h!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -502,9 +502,12 @@ def _read_field_csv(path: str | Path, n_steps: int) -> ControlField:
         if len(parts) != 2:
             raise ConfigError("field", f"line {i}: expected two columns, got {len(parts)}")
         try:
-            samples.append(float(parts[1]))
+            eps = float(parts[1])
         except ValueError as exc:
             raise ConfigError("field", f"line {i}: {exc}") from exc
+        if not math.isfinite(eps):
+            raise ConfigError("field", f"line {i}: sample {eps!r} is not finite")
+        samples.append(eps)
     if len(samples) != n_steps:
         raise ConfigError(
             "field", f"sample count {len(samples)} does not match grid steps {n_steps}"
@@ -529,13 +532,15 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True, help="Path to the JSON problem config.")
         p.add_argument("--out", required=True, help="Output directory (created if missing).")
 
-    p_opt = sub.add_parser("optimize", help="Iterate the coupled sweeps to a stationary field.")
+    p_opt = sub.add_parser("optimize", help="Drive the field to a stationary point of J.")
     add_common(p_opt)
     p_ver = sub.add_parser("verify", help="Run the continuity and gradient verification battery.")
     add_common(p_ver)
     p_grad = sub.add_parser("gradcheck", help="Check the analytic gradient against central differences.")
     add_common(p_grad)
-    p_grad.add_argument("--h", type=float, default=1e-5, help="Finite-difference probe step.")
+    p_grad.add_argument(
+        "--h", type=float, default=DEFAULT_PROBE_STEP, help="Finite-difference probe step."
+    )
     p_prop = sub.add_parser("propagate", help="Propagate under a stored field, no optimization.")
     add_common(p_prop)
     p_prop.add_argument("--field", required=True, help="CSV with columns t,eps (one row per step).")

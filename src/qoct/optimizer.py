@@ -1,4 +1,4 @@
-"""Quasi-Newton ascent on the exact discrete gradient, started by one feedback sweep.
+"""Quasi-Newton ascent on the exact discrete gradient, started at two levels by one feedback sweep.
 
 The objective is the discrete reduced J of ``functional``; its exact
 gradient before the measurement node is
@@ -14,16 +14,19 @@ sup-norm is the exact-gradient residual the run is certified by. After
 the measurement node the costate vanishes and the field is the
 reference sample-for-sample.
 
-The first iteration is the paper's scheme: one immediate-feedback sweep
-(Zhu, Botina & Rabitz, with the exact first-order condition of Reich,
-Ndong & Koch) that steps the state forward and rewrites every sample
-before T on the fly from the law, eps_k = ref_k + Re(rho_k psi_k) /
-alpha, with psi_k the state just stepped and the rows of the initial
-field. Its field is evaluated like any other. Should the sweep lower J,
-it is not taken: the iteration steps from the initial samples before T
-(the reference after it) instead. Every later iteration is L-BFGS on the
-samples before T (Nocedal & Wright, *Numerical Optimization*, 2nd ed.),
-after the Krotov/BFGS hybrid of Eitan, Mundt & Tannor (Phys. Rev. A 83,
+The first iteration of a two-level run is the paper's scheme: one
+immediate-feedback sweep (Zhu, Botina & Rabitz, with the exact
+first-order condition of Reich, Ndong & Koch) that steps the state
+forward and rewrites every sample before T on the fly from the law,
+eps_k = ref_k + Re(rho_k psi_k) / alpha, with psi_k the state just
+stepped and the rows of the initial field. Its field is evaluated like
+any other. Should the sweep lower J, it is not taken. Above two levels
+no sweep runs: there it mostly lowered J and was thrown away, and
+L-BFGS from the initial field took fewer evaluations in all. A first
+iteration without a sweep steps from the initial samples before T (the
+reference after it). Every later iteration is L-BFGS on the samples
+before T (Nocedal & Wright, *Numerical Optimization*, 2nd ed.), after
+the Krotov/BFGS hybrid of Eitan, Mundt & Tannor (Phys. Rev. A 83,
 053426 (2011)) and GRAPE with BFGS (de Fouquieres et al., J. Magn.
 Reson. 212, 412 (2011)): the two-loop recursion over the last ``MEMORY``
 (Delta eps, Delta gap) pairs of accepted steps (Alg. 7.4; with no pair,
@@ -31,32 +34,21 @@ the law gap scaled to unit length) gives a direction, and a strong-Wolfe
 line search (Alg. 3.5 and 3.6) takes a step along it. The sweep's own
 pair is not kept: taken where the field is still small and J nearly
 flat, its curvature misjudges the scale of the first steps, which cost
-more evaluations with it than without on the two-level benchmark and on
-the dim-8 problem alike. Every trial point is an evaluation, and the
-accepted one's breakdown and law gap become the iteration's record and
-certificate with no further solve. An accepted step never lowers J. A
-search that finds no step clears the memory and retries along the law
-gap. If that fails too, the run ends unconverged, unless the field
-already meets the law within ``stationarity_tol``: then J cannot move
-beyond round-off, and the iteration keeps the field (Delta J = 0). The
-run stops, and is converged, once |Delta J| < ``j_tol`` and the residual
-is below ``stationarity_tol`` in the same iteration.
+more evaluations with it than without. Every trial point is an
+evaluation, and the accepted one's breakdown and law gap become the
+iteration's record and certificate with no further solve. An accepted
+step never lowers J. A search that finds no step clears the memory and
+retries along the law gap. If that fails too, the run ends unconverged,
+unless the field already meets the law within ``stationarity_tol``: then
+J cannot move beyond round-off, and the iteration keeps the field
+(Delta J = 0). The run stops, and is converged, once |Delta J| <
+``j_tol`` and the residual is below ``stationarity_tol`` in the same
+iteration.
 
 The feedback sweep is sequential: each sample needs the state just
-stepped under the previous one. For two levels it steps in Python
-scalars (``propagator._step_two_level``), where NumPy's per-call
-overhead on 2 x 2 arrays would dominate. Larger systems build a
-``propagator._field_series``, in real arithmetic when H0 and mu are real
-(``propagator._operators``), over the range the initial field takes
-before T, widened by ``SERIES_WIDENING``: the squarings and degree a
-series needs grow with its range. Each written sample is checked against
-the range before its step is formed; the first one outside it rebuilds
-the series over the law's Cauchy-Schwarz reach, so every step comes
-from a series whose range holds its sample. Each step is that series at eps_k plus its squarings,
-formed in place and applied, psi <- U_k psi, with every product one
-``ndarray.dot`` into a preallocated buffer: the loop cannot be batched,
-so the per-call dispatch is its cost, and ``dot`` dispatches in under
-half of ``np.matmul``'s time.
+stepped under the previous one. It steps in Python scalars
+(``propagator._step_two_level``), where NumPy's per-call overhead on
+2 x 2 arrays would dominate.
 """
 
 from __future__ import annotations
@@ -79,14 +71,10 @@ from .core import (
 )
 from .functional import FunctionalBreakdown, _total
 from .gradient import _pairing_rows
-from .propagator import CostateBoundary, _field_series, _floats, _step_two_level
+from .propagator import CostateBoundary, _step_two_level
 
 __all__ = ["OptimizationConfig", "OptimizationResult", "optimize"]
 
-# relative widening of the range the dim > 2 sweep builds its series over, from
-# the largest sample of the field its rows were paired from: a sweep moves the
-# field by a small fraction, and a sample outside the range rebuilds the series
-SERIES_WIDENING = 1.1
 # (Delta eps, Delta gap) pairs the two-loop recursion holds
 MEMORY = 10
 # sufficient-decrease and curvature constants of the strong Wolfe conditions
@@ -185,15 +173,15 @@ def optimize(
 ) -> OptimizationResult:
     """Drive the field to a stationary point of the total objective.
 
-    One feedback sweep, then L-BFGS iterations with a strong-Wolfe line
-    search on the samples before T, each iteration accepting a field
-    that does not lower J. The loop stops once |Delta J| < ``j_tol`` and
-    the exact-gradient residual of the new field is below
-    ``stationarity_tol``, both in the same iteration. Non-convergence
-    within ``max_iters``, or a line search that finds no step away from
-    the law, is reported through the ``converged`` flag, not an
-    exception; the history and residual let the caller judge how far the
-    run got.
+    One feedback sweep at two levels, then L-BFGS iterations with a
+    strong-Wolfe line search on the samples before T, each iteration
+    accepting a field that does not lower J. The loop stops once
+    |Delta J| < ``j_tol`` and the exact-gradient residual of the new
+    field is below ``stationarity_tol``, both in the same iteration.
+    Non-convergence within ``max_iters``, or a line search that finds no
+    step away from the law, is reported through the ``converged`` flag,
+    not an exception; the history and residual let the caller judge how
+    far the run got.
     """
     problem = ControlProblem(
         psi0=psi0, hamiltonian=H, observable=O, grid=grid, eps_ref=config.eps_ref,
@@ -242,12 +230,12 @@ def optimize(
     for _ in range(config.max_iters):
         base, new = accepted, None
         if not iterations:
-            swept = _feedback_sweep(psi0.amplitudes, base.rows, base.x, eps_ref, alpha, H, grid)
-            new = evaluate(swept)
-            if new.breakdown.j_total < base.breakdown.j_total:
-                new = None
-                if not np.array_equal(base.field.samples[m:], eps_ref[m:]):
-                    base = at(base.x)
+            if H.dim == 2:
+                new = evaluate(_feedback_sweep(psi0.amplitudes, base.rows, eps_ref, alpha, H, grid))
+                if new.breakdown.j_total < base.breakdown.j_total:
+                    new = None
+            if new is None and not np.array_equal(base.field.samples[m:], eps_ref[m:]):
+                base = at(base.x)
         if new is None:
             new = search(base, _two_loop(pairs, base.gap))
             if new is None and pairs:
@@ -353,77 +341,25 @@ def _cubic_step(lo, hi):
     return 0.5 * (a + b)
 
 
-def _feedback_sweep(psi0, rows, paired, eps_ref, alpha, H: ControlHamiltonian, grid: TimeGrid):
-    """The samples of one forward sweep rewriting each pre-T one as ref_k + Re(rho_k psi_k) / alpha.
+def _feedback_sweep(psi0, rows, eps_ref, alpha, H: ControlHamiltonian, grid: TimeGrid):
+    """One two-level forward sweep: each pre-T sample rewritten as ref_k + Re(rho_k psi_k) / alpha.
 
     Samples after the measurement node revert to the reference (the
-    canonical costate is zero there). Above two levels each pre-T step
-    U_k is formed in place from a ``_field_series`` and then applied. The
-    series' range starts as the largest |eps_k| before T of ``paired``,
-    the samples the rows were paired from, widened by ``SERIES_WIDENING``
-    (1 where they all vanish): a sweep moves the field little, and a
-    series over the samples' own range needs the fewest squarings. Each
-    written sample is checked against the range before its U_k is formed.
-    The first one outside rebuilds the series over max(reach, |eps_k|),
-    reach = max_k |ref_k| + ||rho_k|| / alpha the Cauchy-Schwarz bound of
-    the law with ||psi_k|| = 1, and the rest of the sweep reads that one
-    (rebuilding again only for a sample past it by round-off). So every
-    U_k comes from a series whose range holds its sample, with truncation
-    at most 2^-53.
+    canonical costate is zero there). The operators, rows and reference
+    are read out once and the samples written back once, so no step
+    touches a NumPy array.
     """
     m = grid.index_T
-    dt = grid.dt
-    dim = psi0.size
-    new_field = eps_ref.copy()
-    if dim == 2:
-        new_field[:m] = _two_level_steps(psi0, rows, eps_ref[:m], alpha, H, dt)
-        return new_field
-    u, tmp = np.empty((2, dim, dim), dtype=np.complex128)
-    u_flat, tmp_flat = _floats(u[None])[0], _floats(tmp[None])[0]
-    x, y = psi0.copy(), np.empty_like(psi0)
-
-    def build(bound):
-        # the series goes where s squarings, alternating with tmp, end in u
-        s, c = _field_series(H, dt, bound)
-        return bound, s, _floats(c), np.arange(len(c), dtype=np.float64), np.empty(len(c))
-
-    bound, s, series, degrees, powers = build(
-        float(np.max(np.abs(paired[:m]), initial=0.0)) * SERIES_WIDENING or 1.0
-    )
-    field = []
-    for row, ref in zip(rows, eps_ref[:m].tolist()):
-        eps = ref + row.dot(x).real / alpha
-        field.append(eps)
-        if abs(eps) > bound:
-            reach = np.abs(eps_ref[:m]) + np.linalg.norm(rows, axis=1) / alpha
-            bound, s, series, degrees, powers = build(max(float(np.max(reach)), abs(eps)))
-        start, start_flat, other = (tmp, tmp_flat, u) if s % 2 else (u, u_flat, tmp)
-        np.power(eps / bound, degrees, out=powers)
-        powers.dot(series, out=start_flat)
-        for _ in range(s):
-            start.dot(start, out=other)
-            start, other = other, start
-        u.dot(x, out=y)
-        x, y = y, x
-    new_field[:m] = field
-    return new_field
-
-
-def _two_level_steps(psi0, rows, eps_ref, alpha, H: ControlHamiltonian, dt):
-    """The pre-T feedback samples of a two-level sweep, in Python scalars.
-
-    Same field law and step as the general loop; the operators, rows and
-    reference are read out once and the samples written back once, so no
-    step touches a NumPy array.
-    """
     (d00, d01), (_, d11) = H.drift.matrix.tolist()
     (m00, m01), (_, m11) = H.control_derivative.tolist()
     p0, p1 = psi0.tolist()
     field = []
-    for (r0, r1), ref in zip(rows.tolist(), eps_ref.tolist()):
+    for (r0, r1), ref in zip(rows.tolist(), eps_ref[:m].tolist()):
         eps = ref + (r0 * p0 + r1 * p1).real / alpha
         p0, p1 = _step_two_level(
-            d00.real + eps * m00.real, d01 + eps * m01, d11.real + eps * m11.real, dt, p0, p1
+            d00.real + eps * m00.real, d01 + eps * m01, d11.real + eps * m11.real, grid.dt, p0, p1
         )
         field.append(eps)
-    return field
+    new_field = eps_ref.copy()
+    new_field[:m] = field
+    return new_field

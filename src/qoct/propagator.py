@@ -2,30 +2,29 @@
 
 The one-step propagator is the matrix exponential of H(eps_k) over one
 interval, so each step is unitary to round-off. Two levels take the
-closed SU(2) form. Above two levels every forward step comes from one
-kernel, ``_field_series``: H(eps) = H0 + eps mu depends on the one
-scalar eps, so a scaling-and-squaring Taylor series of exp(-i H(eps) dt)
-is built once as a power series in eps over a range of field values, and
-a step is that polynomial at its sample followed by the squarings, with
-no eigendecomposition. A stack evaluates it at all its samples in one
-product; the larger sweep (``optimizer._feedback_sweep``) at each sample
-as it is written. The steps' control derivatives (``_du_stack``) are
-the derivative of the same series, carried through its squarings, so no
-production route decomposes anything. Every exponential kernel and
-every march lives here: a field gets one stack of forward steps, a
-backward step is the conjugate transpose of a forward one, the step
-defects reuse the forward march's product, the step's control
-derivative has a closed SU(2) form and a series derivative, the
-finite-difference probes, each with one step swapped, march together on
-the solved field's steps, and the sequential two-level sweep gets the
-SU(2) form in Python scalars. Real-symmetric H0 and mu (``_operators``)
-are expanded in real arithmetic; states, steps and derivatives are
-complex. The reference routes (``step_matrix``,
-``step_control_derivative``) read ``H.evaluate`` and decompose it in
-complex arithmetic, independent of the series; they are the only
-callers of ``_eigh`` above two levels. The delta source feeding
-the costate at the measurement time is never discretized as a narrow
-pulse; it is imposed as an exact boundary condition in one of two regimes:
+closed SU(2) form. Above two levels every step comes from one kernel,
+``_field_series``: H(eps) = H0 + eps mu depends on the one scalar eps,
+so a scaling-and-squaring Taylor series of exp(-i H(eps) dt) is built
+once as a power series in eps over a range of field values, and a stack
+of steps is that polynomial at all its samples in one product, followed
+by the squarings, with no eigendecomposition. The steps' control
+derivatives (``_du_stack``) are the derivative of the same series,
+carried through its squarings, so no production route decomposes
+anything. Every exponential kernel and every march lives here: a field
+gets one stack of forward steps, a backward step is the conjugate
+transpose of a forward one, the step defects reuse the forward march's
+product, the step's control derivative has a closed SU(2) form and a
+series derivative, the finite-difference probes, each with one step
+swapped, march together on the solved field's steps, and the sequential
+two-level sweep (``optimizer._feedback_sweep``) gets the SU(2) form in
+Python scalars. Real-symmetric H0 and mu (``_operators``) are expanded
+in real arithmetic; states, steps and derivatives are complex. The
+reference routes (``step_matrix``, ``step_control_derivative``) read
+``H.evaluate`` and decompose it in complex arithmetic, independent of
+the series; they are the only callers of ``_eigh`` above two levels.
+The delta source feeding the costate at the measurement time is never
+discretized as a narrow pulse; it is imposed as an exact boundary
+condition in one of two regimes:
 
 * canonical: chi jumps at the measurement node (left limit O*psi(T),
   right limit zero, zero thereafter);
@@ -213,8 +212,7 @@ def _squarings(u: NDArrayComplex, s: int, tmp: NDArrayComplex) -> NDArrayComplex
 
     Returns the buffer that holds the result: u when s is even, tmp when odd.
     Stacks only: ``np.matmul`` squares each matrix of the stack, where
-    ``ndarray.dot`` would contract across them. The sequential sweep
-    squares its single steps inline with ``ndarray.dot``.
+    ``ndarray.dot`` would contract across them.
     """
     for _ in range(s):
         np.matmul(u, u, out=tmp)

@@ -231,10 +231,10 @@ class TestOneStackPerCall:
     ``series_log`` the arithmetic dtype per ``propagator._field_series``
     build and ``eigh_log`` (matrices, dtype) per ``np.linalg.eigh`` call:
     real-symmetric Hamiltonians build their series in float64, any complex
-    operator in complex128. Above two levels every step, of a stack or of
-    the sweep, is evaluated from a field series, and the exact gradient's
-    pairing rows differentiate one series of their own; no production route
-    decomposes anything, and only the reference routes read eigenpairs.
+    operator in complex128. Above two levels every step of a stack is
+    evaluated from a field series, and the exact gradient's pairing rows
+    differentiate one series of their own; no production route decomposes
+    anything, and only the reference routes read eigenpairs.
     """
 
     @pytest.fixture
@@ -326,19 +326,19 @@ class TestOneStackPerCall:
         result = qoct.optimize(
             problem.psi0, problem.hamiltonian, problem.observable, problem.grid, config
         )
-        # the initial field, the sweep's field and the line-search trials:
-        # two at dim 3, three at dim 2
+        # dim 3: the initial field, the same samples before T with the
+        # reference after T, and one line-search trial per iteration; dim 2:
+        # the initial field, the sweep's field and three trials
         k = {3: 4, 2: 5}[dim]
         assert (result.iterations_run, result.evaluations_run) == (2, k)
         n = problem.grid.n_steps
         # each evaluation solves its field on one stack of n steps, from one
         # series (dim 3) or the SU(2) form (dim 2), and its rows differentiate
         # one series of their own (dim 3) or the SU(2) form; the costate and
-        # the objective read the solved steps. The sweep forms its steps from
-        # one series of its own (dim 3) or in Python scalars (dim 2). Nothing
-        # is decomposed.
+        # the objective read the solved steps. Only two levels sweep, in
+        # Python scalars. Nothing is decomposed.
         if dim == 3:
-            expected = ([n] * k, 2 * k + 1, [])
+            expected = ([n] * k, 2 * k, [])
         else:
             expected = ([n] * k, 0, [])
         assert (stack_log, len(series_log), matrices(eigh_log)) == expected

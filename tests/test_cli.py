@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qoct import cli
+from qoct import cli, gradient
 from conftest import random_hermitian, random_symmetric
 
 
@@ -285,6 +286,36 @@ class TestGradcheck:
         assert report["passed"] is False
         assert "truncate" in report["diagnostic"]
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("h", ["inf", "nan"])
+    def test_non_finite_probe_rejected(self, tmp_path, capsys, h, dim):
+        # as typed on the command line: malformed input, naming h, with no
+        # gradient computed or written; above two levels an infinite step
+        # would otherwise reach the series' plan
+        rng = np.random.default_rng(4)
+        operators = {
+            name: as_pairs_matrix(random_symmetric(rng, dim).matrix)
+            for name in ("h0", "mu", "observable")
+        }
+        config = write_config(
+            tmp_path / "cfg.json", dimension=dim, psi0=as_pairs_vector(np.eye(dim)[0]),
+            **operators,
+        )
+        out = tmp_path / "out"
+        assert cli.main(["gradcheck", "--config", str(config), "--out", str(out), "--h", h]) == 1
+        assert "config error: h: " in capsys.readouterr().err
+        assert not (out / "grad.json").exists()
+
+    def test_default_probe_step_is_the_gradient_modules(self, tmp_path, monkeypatch):
+        # the runner's default and the parser's --h default both read it
+        assert inspect.signature(cli.run_gradcheck).parameters["h"].default == (
+            gradient.DEFAULT_PROBE_STEP
+        )
+        seen = []
+        monkeypatch.setattr(cli, "run_gradcheck", lambda config, out, h: seen.append(h) or 0)
+        assert cli.main(["gradcheck", "--config", "c.json", "--out", str(tmp_path)]) == 0
+        assert seen == [gradient.DEFAULT_PROBE_STEP]
+
     def test_seed_option_changes_probe_field(self, tmp_path):
         config1 = write_config(tmp_path / "cfg1.json", seed=1)
         config2 = write_config(tmp_path / "cfg2.json", seed=2)
@@ -336,6 +367,18 @@ class TestPropagate:
         field_csv = self.write_field_csv(tmp_path / "field.csv", np.zeros(99))
         assert cli.run_propagate(config, field_csv, tmp_path / "out") == 1
         assert "field" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_sample_rejected(self, tmp_path, capsys, bad):
+        # the diagnostic names the field file and the line of the sample;
+        # 1e400 overflows to inf when read
+        config = write_config(tmp_path / "cfg.json")
+        samples = ["0.0"] * 100
+        samples[41] = bad
+        field_csv = self.write_field_csv(tmp_path / "field.csv", samples)
+        assert cli.run_propagate(config, field_csv, tmp_path / "out") == 1
+        assert "config error: field: line 43: " in capsys.readouterr().err
 
 
 class TestMainEntry:

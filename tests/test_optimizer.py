@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 import qoct
-from qoct import cli, functional, gradient, optimizer, propagator
+from qoct import cli, functional, gradient, optimizer
 from qoct.analysis import _solve
 from qoct.optimizer import _feedback_sweep
 from qoct.propagator import Direction
-from conftest import (
-    random_hermitian, random_state, random_symmetric, seeded_problem, two_level_benchmark,
-)
+from conftest import random_hermitian, random_state, seeded_problem, two_level_benchmark
 
 
 def benchmark_config(alpha=1.0, seed=42, max_iters=500, j_tol=1e-12, stationarity_tol=1e-6,
@@ -132,156 +130,46 @@ class TestBenchmark:
         assert sup_fd < 10 * tol * 2 * grid.dt * 1.0
 
 
-def spy_sweep_series(monkeypatch):
-    """(bound, squarings) of every field series the dim > 2 sweep builds, in order."""
-    log = []
-
-    def spying(H, dt, bound):
-        s, c = build(H, dt, bound)
-        log.append((bound, s))
-        return s, c
-
-    build = optimizer._field_series
-    monkeypatch.setattr(optimizer, "_field_series", spying)
-    return log
-
-
-def series_of_each_step(samples, series):
-    """Index into ``series`` of the series that formed each step of one sweep.
-
-    The sweep builds a series before its first step and rebuilds it at each
-    written sample outside the current range; every sample lies within the
-    range of the series that formed its step, and every rebuild was taken.
-    """
-    owner, current = [], 0
-    for eps in np.abs(samples).tolist():
-        if eps > series[current][0]:
-            current += 1
-        assert eps <= series[current][0]
-        owner.append(current)
-    assert current == len(series) - 1
-    return owner
-
-
-def check_sweep_against_step_matrix_loop(
-    seed, dim, draw=random_hermitian, dt=0.05, alpha=0.7, hint="paired"
-):
-    # two sweeps against the discrete field law stepped with the public
-    # matrix stepper: before T, eps_k = ref_k + Re <chi_{k+1}| D_k psi_k> /
-    # (alpha dt) with D_k = step_control_derivative at the previous sample
-    # and chi the previous costate (left limit O psi(T) after the last
-    # step); from T on the canonical costate vanishes and the law returns
-    # the reference. The first sweep's rows come from a fresh field, the
-    # second's from the first sweep's field and its fresh costate. Each
-    # sample reads the state stepped under every sample before it, so the
-    # samples check the steps too. Above two levels ``hint`` picks the
-    # samples the sweep's series range starts from: the paired field's own,
-    # as optimize passes, or a range below the first written sample, an
-    # all-zero field, or a range beyond the law's reach; each step is formed
-    # from a series whose range holds its sample
-    rng = np.random.default_rng(seed)
-    H = qoct.ControlHamiltonian(drift=draw(rng, dim), coupling=draw(rng, dim))
-    O = draw(rng, dim)
-    psi0 = random_state(rng, dim)
-    grid = qoct.TimeGrid(dt=dt, n_steps=100, index_T=80)
-    n, m, dt = grid.n_steps, grid.index_T, grid.dt
-    field = qoct.ControlField(rng.uniform(-1.0, 1.0, n))
-    eps_ref = rng.uniform(-0.5, 0.5, n)
-
-    for _ in range(2):
-        traj = qoct.propagate_forward(psi0, field, H, grid)
-        chi = qoct.propagate_costate(traj, O, field, H, grid, qoct.CostateBoundary.canonical())
-        rows = gradient._pairing_rows(H, field.samples[:m], chi, dt)
-        first = eps_ref[0] + rows[0].dot(psi0.amplitudes).real / alpha
-        reach = np.max(np.abs(eps_ref[:m]) + np.linalg.norm(rows, axis=1) / alpha)
-        paired = {
-            "paired": field.samples,
-            "below": np.full(n, abs(first) / (2 * optimizer.SERIES_WIDENING)),
-            "zero": np.zeros(n),
-            "generous": np.full(n, 2 * reach),
-        }[hint]
-        with pytest.MonkeyPatch.context() as mp:
-            series = spy_sweep_series(mp)
-            new_field = _feedback_sweep(psi0.amplitudes, rows, paired, eps_ref, alpha, H, grid)
-        if dim > 2:
-            owner = series_of_each_step(new_field[:m], series)
-            if hint == "below":
-                assert owner[0] == 1
-            if hint == "generous":
-                assert len(series) == 1
-
-        chi_next = list(chi.states[1:m]) + [chi.chi_T_minus]
-        ref_field = eps_ref.copy()
-        psi = psi0.amplitudes
-        for k in range(m):
-            du = qoct.step_control_derivative(H, float(field.samples[k]), dt)
-            ref_field[k] += np.vdot(chi_next[k], du @ psi).real / (alpha * dt)
-            psi = qoct.step_matrix(H, ref_field[k], dt, Direction.FORWARD) @ psi
-        assert new_field.shape == (n,)
-        assert np.max(np.abs(new_field - ref_field)) < 1e-12
-        assert np.array_equal(new_field[m:], eps_ref[m:])
-        field = qoct.ControlField(new_field)
-
-
 class TestTwoLevelSweep:
     def test_matches_step_matrix_loop(self):
-        # the pre-T steps run in Python scalars, then form one batched stack;
-        # the rows take the closed-form SU(2) derivative
-        check_sweep_against_step_matrix_loop(41, 2)
-
-
-class TestGeneralSweep:
-    # (dim, operators, dt, alpha): both dtypes of the sweep's series, and a dt
-    # whose ||H dt||_1 > 1/2 takes its squaring branch. At dt 0.5 the law's
-    # feedback gain ~ ||O|| ||mu||^2 dt / alpha amplifies round-off along the
-    # sweep exponentially at alpha 0.7 (any two exact routes, eigh or series,
-    # part by 1e-2 at T), so that case takes a penalty that keeps it contracting
-    CASES = [
-        (3, random_symmetric, 0.05, 0.7), (3, random_hermitian, 0.05, 0.7),
-        (8, random_symmetric, 0.05, 0.7), (8, random_hermitian, 0.05, 0.7),
-        (8, random_symmetric, 0.5, 5.0),
-    ]
-
-    @pytest.mark.parametrize("hint", ["paired", "below", "zero", "generous"])
-    def test_matches_step_matrix_loop(self, hint):
-        # dim > 2 forms each step in place from a field series over the
-        # paired field's range, rebuilt at the first sample outside it
-        for seed, case in enumerate(self.CASES, start=43):
-            check_sweep_against_step_matrix_loop(seed, *case, hint=hint)
-
-    # inline squarings of the series that formed at least one step, per
-    # (dim, complex_hermitian, dt): the series starts over the probe field's
-    # range and, where a written sample leaves it, is rebuilt over the law's
-    # reach. 16 complex at dt 0.05 rebuilds before its first step
-    SQUARINGS = {
-        (3, False, 0.05): [0], (8, False, 0.05): [1, 2], (16, False, 0.05): [1, 4],
-        (3, True, 0.05): [0], (8, True, 0.05): [1, 4], (16, True, 0.05): [6],
-        (3, False, 0.5): [3, 4], (8, False, 0.5): [4, 5], (16, False, 0.5): [5, 7],
-        (3, True, 0.5): [3, 4], (8, True, 0.5): [4, 7], (16, True, 0.5): [5, 9],
-    }
-
-    @pytest.mark.parametrize("dt", [0.05, 0.5])
-    @pytest.mark.parametrize("complex_hermitian", [False, True])
-    @pytest.mark.parametrize("dim", [3, 8, 16])
-    def test_steps_take_each_squaring_count(self, monkeypatch, dim, complex_hermitian, dt):
-        # the cases take the sweep's inline squarings 0 to 9 times, odd and
-        # even (all but 8): an odd count starts the series in the scratch
-        # buffer and ends in the step's, an even one stays in it; the
-        # samples' agreement with the matrix stepper above checks the steps
-        problem, field = seeded_problem(
-            48 + dim, dim, 60, 1.0, dt=dt, complex_hermitian=complex_hermitian
+        # two sweeps against the discrete field law stepped with the public
+        # matrix stepper: before T, eps_k = ref_k + Re <chi_{k+1}| D_k psi_k> /
+        # (alpha dt) with D_k = step_control_derivative at the previous sample
+        # and chi the previous costate (left limit O psi(T) after the last
+        # step); from T on the canonical costate vanishes and the law returns
+        # the reference. The first sweep's rows come from a fresh field, the
+        # second's from the first sweep's field and its fresh costate. Each
+        # sample reads the state stepped under every sample before it, so the
+        # samples check the steps too. The steps run in Python scalars; the
+        # rows take the closed-form SU(2) derivative
+        rng = np.random.default_rng(41)
+        H = qoct.ControlHamiltonian(
+            drift=random_hermitian(rng, 2), coupling=random_hermitian(rng, 2)
         )
-        H, grid = problem.hamiltonian, problem.grid
-        m = grid.index_T
-        sol = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
-        rows = gradient._pairing_rows(H, field.samples[:m], sol.chi, grid.dt)
-        series = spy_sweep_series(monkeypatch)
-        new_field = _feedback_sweep(
-            problem.psi0.amplitudes, rows, field.samples, problem.eps_ref.samples,
-            problem.alpha, H, grid,
-        )
-        taken = sorted({series[i][1] for i in series_of_each_step(new_field[:m], series)})
-        assert taken == self.SQUARINGS[dim, complex_hermitian, dt]
+        O = random_hermitian(rng, 2)
+        psi0 = random_state(rng, 2)
+        grid = qoct.TimeGrid(dt=0.05, n_steps=100, index_T=80)
+        n, m, dt, alpha = grid.n_steps, grid.index_T, grid.dt, 0.7
+        field = qoct.ControlField(rng.uniform(-1.0, 1.0, n))
+        eps_ref = rng.uniform(-0.5, 0.5, n)
+
+        for _ in range(2):
+            traj = qoct.propagate_forward(psi0, field, H, grid)
+            chi = qoct.propagate_costate(traj, O, field, H, grid, qoct.CostateBoundary.canonical())
+            rows = gradient._pairing_rows(H, field.samples[:m], chi, dt)
+            new_field = _feedback_sweep(psi0.amplitudes, rows, eps_ref, alpha, H, grid)
+
+            chi_next = list(chi.states[1:m]) + [chi.chi_T_minus]
+            ref_field = eps_ref.copy()
+            psi = psi0.amplitudes
+            for k in range(m):
+                du = qoct.step_control_derivative(H, float(field.samples[k]), dt)
+                ref_field[k] += np.vdot(chi_next[k], du @ psi).real / (alpha * dt)
+                psi = qoct.step_matrix(H, ref_field[k], dt, Direction.FORWARD) @ psi
+            assert new_field.shape == (n,)
+            assert np.max(np.abs(new_field - ref_field)) < 1e-12
+            assert np.array_equal(new_field[m:], eps_ref[m:])
+            field = qoct.ControlField(new_field)
 
 
 class TestStackInSync:
@@ -361,8 +249,7 @@ class TestFirstIteration:
         sol = qoct.solve(problem, config.initial_field, canonical)
         rows = gradient._pairing_rows(H, config.initial_field.samples[:m], sol.chi, grid.dt)
         swept = _feedback_sweep(
-            psi0.amplitudes, rows, config.initial_field.samples, config.eps_ref.samples,
-            config.alpha, H, grid,
+            psi0.amplitudes, rows, config.eps_ref.samples, config.alpha, H, grid
         )
         result = qoct.optimize(psi0, H, O, grid, benchmark_config(max_iters=1))
         assert np.array_equal(result.final_field.samples, swept)
@@ -370,9 +257,9 @@ class TestFirstIteration:
         assert result.j_history[1].j_total > result.j_history[0].j_total
 
     def test_sweep_that_lowers_j_is_not_taken(self, monkeypatch):
-        # this dim-4 instance's sweep lowers J; the first iteration steps from
-        # the initial samples before T instead, with the reference after T
-        problem, field = seeded_problem(3, 4, 200, 1.0)
+        # this two-level instance's sweep lowers J; the first iteration steps
+        # from the initial samples before T instead, with the reference after T
+        problem, field = seeded_problem(5, 2, 200, 1.0)
         H, O, grid = problem.hamiltonian, problem.observable, problem.grid
         m = grid.index_T
         swept = []
@@ -394,6 +281,40 @@ class TestFirstIteration:
         assert result.j_history[1].j_total > result.j_history[0].j_total
         assert not np.array_equal(result.final_field.samples, swept[0])
         assert np.array_equal(result.final_field.samples[m:], problem.eps_ref.samples[m:])
+
+    @pytest.mark.parametrize("complex_hermitian", [False, True])
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_no_sweep_above_two_levels(self, monkeypatch, dim, complex_hermitian):
+        # above two levels the first iteration is an L-BFGS step with an empty
+        # memory: along the exact gradient of the initial samples before T,
+        # with the reference after T; no later iteration lowers J either
+        problem, field = seeded_problem(
+            60 + dim, dim, 200, 1.0, complex_hermitian=complex_hermitian
+        )
+        H, O, grid = problem.hamiltonian, problem.observable, problem.grid
+        m, eps_ref = grid.index_T, problem.eps_ref
+
+        def refused(*args):
+            raise AssertionError("the feedback sweep ran above two levels")
+
+        monkeypatch.setattr(optimizer, "_feedback_sweep", refused)
+        results = [
+            qoct.optimize(problem.psi0, H, O, grid, qoct.OptimizationConfig(
+                alpha=1.0, max_iters=max_iters, j_tol=1e-12, stationarity_tol=1e-6,
+                initial_field=field, eps_ref=eps_ref,
+            ))
+            for max_iters in (1, 10)
+        ]
+        first = results[0].final_field.samples
+        assert np.array_equal(first[m:], eps_ref.samples[m:])
+        start = qoct.ControlField(np.concatenate([field.samples[:m], eps_ref.samples[m:]]))
+        sol = qoct.solve(problem, start, qoct.CostateBoundary.canonical())
+        g = qoct.analytic_gradient(sol.psi, sol.chi, start, eps_ref, 1.0, H, grid)[:m]
+        step = first[:m] - field.samples[:m]
+        assert step @ g / (np.linalg.norm(step) * np.linalg.norm(g)) > 1 - 1e-12
+        for result in results:
+            assert result.largest_j_decrease == 0.0
+            assert min(np.diff([bd.j_total for bd in result.j_history])) >= 0.0
 
 
 class TestMonotone:
