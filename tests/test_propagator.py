@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import qoct
+from qoct import propagator
 from qoct.gradient import _pairing_rows
 from qoct.propagator import (
     Direction, _adjoint, _du_stack, _eigh, _expm_eigenbasis, _expm_hermitian, _field_series,
@@ -367,6 +368,38 @@ class TestTaylorExponential:
             assert u.dtype == np.complex128 and u.shape == (samples.size, dim, dim)
             assert np.max(np.abs(u - ref)) <= 1e-14 * max(1.0, norm)
             assert np.max(np.abs(u @ _adjoint(u) - np.eye(dim))) <= 1e-13
+
+    @pytest.mark.parametrize("dt", [0.05, 0.5])
+    @pytest.mark.parametrize("complex_hermitian", [False, True])
+    @pytest.mark.parametrize("dim", [3, 8, 16])
+    def test_stack_takes_each_squaring_count(self, monkeypatch, dim, complex_hermitian, dt):
+        # a probe field at five doublings of its range takes the stack's
+        # squarings an odd and an even number of times in every case (0 to 9
+        # over all cases): an odd count ends in the scratch buffer, an even
+        # one in the stack's own. The count is the plan of the range's ends
+        problem, field = seeded_problem(
+            48 + dim, dim, 60, 1.0, dt=dt, complex_hermitian=complex_hermitian
+        )
+        H = problem.hamiltonian
+        build, taken = propagator._field_series, []
+
+        def spying(H, dt, bound):
+            s, c = build(H, dt, bound)
+            taken.append(s)
+            return s, c
+
+        monkeypatch.setattr(propagator, "_field_series", spying)
+        for scale in (1.0, 2.0, 4.0, 8.0, 16.0):
+            samples = scale * field.samples
+            bound = np.max(np.abs(samples))
+            norm = max(np.linalg.norm(H.evaluate(e) * dt, 1) for e in (bound, -bound))
+            u = _u_stack(H, samples, dt)
+            assert taken[-1] == _taylor_plan(norm)[0]
+            ref = _expm_eigenbasis(*_eigh(_h_stack(H, samples)), dt)
+            assert u.dtype == np.complex128 and u.shape == (samples.size, dim, dim)
+            assert np.max(np.abs(u - ref)) <= 1e-14 * max(1.0, norm)
+            assert np.max(np.abs(u @ _adjoint(u) - np.eye(dim))) <= 1e-14 * max(1.0, norm)
+        assert len(taken) == 5 and {s % 2 for s in taken} == {0, 1}
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_identity_multiple_zero_and_empty(self, dtype):
