@@ -68,6 +68,9 @@ FIELD_GAP_TOL = 1e-10
 HOMOGENEOUS_TOL = 1e-12
 CONJUGATE_TOL = 1e-12
 PHASE_DEFECT_TOL = 1e-14
+# the largest step phase bound ||H(eps) dt||_1 a field value may give: past 2^53
+# no double fixes the phase of exp(-i H dt) to a radian, and further on it overflows
+MAX_STEP_PHASE = 2.0 ** 53
 
 
 class ConfigError(Exception):
@@ -441,12 +444,15 @@ def run_gradcheck(
         cfg = ProblemConfig.from_file(config_path)
         if not (math.isfinite(h) and h > 0):
             raise ConfigError("h", f"probe step must be positive and finite, got {h!r}")
+        field = cfg.noisy_field(NOISE_AMPLITUDE_PROBE)
+        # ||H(eps) dt||_1 is convex in eps: the outermost probes bound every probe's step
+        for eps in (float(field.samples.min()) - h, float(field.samples.max()) + h):
+            _require_step_phase(cfg.problem, eps, "h", f"probe step {h!r} moves a sample to {eps!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     out = _ensure_out(out_dir)
 
-    field = cfg.noisy_field(NOISE_AMPLITUDE_PROBE)
     report = gradient_report(cfg.problem, field, probe_step=h)
     passed = report.max_rel_error < GRADCHECK_TOL
 
@@ -468,6 +474,10 @@ def run_propagate(config_path: str | Path, field_csv: str | Path, out_dir: str |
     try:
         cfg = ProblemConfig.from_file(config_path)
         field = _read_field_csv(field_csv, cfg.problem.grid.n_steps)
+        # convex in eps: the smallest and largest samples bound every step's phase
+        for k in (int(np.argmin(field.samples)), int(np.argmax(field.samples))):
+            eps = float(field.samples[k])
+            _require_step_phase(cfg.problem, eps, "field", f"line {k + 2}: sample {eps!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -486,6 +496,14 @@ def run_propagate(config_path: str | Path, field_csv: str | Path, out_dir: str |
         },
     )
     return EXIT_OK
+
+
+def _require_step_phase(problem: ControlProblem, eps: float, field: str, where: str) -> None:
+    """ConfigError(field) unless the step phase bound ||H(eps) dt||_1 is at most MAX_STEP_PHASE."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan once H(eps) overflows
+        phase = float(np.linalg.norm(problem.hamiltonian.evaluate(eps), 1)) * problem.grid.dt
+    if not phase <= MAX_STEP_PHASE:
+        raise ConfigError(field, f"{where}: step phase ||H dt||_1 = {phase:.3e} > {MAX_STEP_PHASE:.3e}")
 
 
 def _read_field_csv(path: str | Path, n_steps: int) -> ControlField:

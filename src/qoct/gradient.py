@@ -12,7 +12,8 @@ on its steps. Above two levels both differentiate the one field series
 of ``propagator``, the gradient analytically and the oracle numerically,
 so the oracle checks the adjoint and the pairing, not the exponential;
 the tests pin the series and its derivative to the eigenpair reference
-routes for that.
+routes for that. At two levels the oracle steps the SU(2) closed form
+while the gradient differentiates the series.
 
 The reduced objective is ``functional``'s j_opt + j_cost on the forward
 solution: its penalty spans the whole grid, so samples after the
@@ -138,9 +139,8 @@ def _pairing_rows(H: ControlHamiltonian, samples, chi, dt):
 
     chi_{k+1} is the canonical costate after step k, its left limit
     O psi(T) at the last one. dU_k/deps is ``propagator._du_stack``: the
-    closed-form SU(2) derivative at two levels, the derivative of the
-    field series that builds the steps above, with no eigendecomposition
-    either way.
+    derivative of the field series at every dimension, with no
+    eigendecomposition.
     """
     m = samples.size
     chi_next = np.concatenate([chi.states[1:m], chi.chi_T_minus[None, :]]).conj()

@@ -1,27 +1,21 @@
 """Exact-exponential time stepping for the state and costate equations.
 
 The one-step propagator is the matrix exponential of H(eps_k) over one
-interval, so each step is unitary to round-off. Two levels take the
-closed SU(2) form. Above two levels every step comes from one kernel,
-``_field_series``: H(eps) = H0 + eps mu depends on the one scalar eps,
-so a scaling-and-squaring Taylor series of exp(-i H(eps) dt) is built
-once as a power series in eps over a range of field values, and a stack
-of steps is that polynomial at all its samples in one product, followed
-by the squarings, with no eigendecomposition. The steps' control
-derivatives (``_du_stack``) are the derivative of the same series,
-carried through its squarings, so no production route decomposes
-anything. Every exponential kernel and every march lives here: a field
-gets one stack of forward steps, a backward step is the conjugate
-transpose of a forward one, the step defects reuse the forward march's
-product, the step's control derivative has a closed SU(2) form and a
-series derivative, the finite-difference probes, each with one step
-swapped, march together on the solved field's steps, and the sequential
-two-level sweep (``optimizer._feedback_sweep``) gets the SU(2) form in
-Python scalars. Real-symmetric H0 and mu (``_operators``) are expanded
-in real arithmetic; states, steps and derivatives are complex. The
-reference routes (``step_matrix``, ``step_control_derivative``) read
-``H.evaluate`` and decompose it in complex arithmetic, independent of
-the series; they are the only callers of ``_eigh`` above two levels.
+interval, so each step is unitary to round-off. Each job has one kernel.
+Two-level stacks take the closed SU(2) form (``_su2_stack``), which the
+sequential sweep (``optimizer._feedback_sweep``) steps in Python scalars
+(``_step_two_level``). Above two levels every step comes from
+``_field_series``: exp(-i (H0 + eps mu) dt) as a scaling-and-squaring
+Taylor series in the scalar eps, built once over a range of field values,
+evaluated at all the samples of a stack in one product and squared. At
+every dimension dU/deps (``_du_stack``) is the derivative of that series
+carried through its squarings. A backward step is the conjugate
+transpose of a forward one; ``_march_forward`` marches states and
+``_march_rows`` the conjugate rows of the backward march. Real-symmetric
+H0 and mu (``_operators``) are expanded in real arithmetic. Only the
+reference routes (``step_matrix``, ``step_control_derivative``) call
+``np.linalg.eigh``, on ``H.evaluate`` in complex arithmetic at every
+dimension, independent of the SU(2) form and the series.
 The delta source feeding the costate at the measurement time is never
 discretized as a narrow pulse; it is imposed as an exact boundary
 condition in one of two regimes:
@@ -108,41 +102,27 @@ def _adjoint(u: NDArrayComplex) -> NDArrayComplex:
     return u.conj().swapaxes(-1, -2)
 
 
-def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The one eigendecomposition route, for the reference routes alone.
+def _su2_stack(h: np.ndarray, tau: float) -> NDArrayComplex:
+    """exp(-1j * h * tau) for a stack (..., 2, 2) of Hermitian h, in the closed SU(2) form.
 
-    ``step_matrix`` and ``step_control_derivative`` read it; production
-    steps and derivatives above two levels take ``_field_series``. A
-    float64 stack (real-symmetric H) gives real eigenvectors, a complex128
-    one complex eigenvectors.
+    The two-level stack kernel of ``_u_stack``; ``_step_two_level`` is the
+    same form in Python scalars.
     """
-    return np.linalg.eigh(h)
-
-
-def _expm_hermitian(h: np.ndarray, tau: float) -> NDArrayComplex:
-    """exp(-1j * h * tau) for one Hermitian matrix or a stack (..., d, d).
-
-    Two-level matrices take the closed SU(2) form (same result, much
-    cheaper in per-step sweeps); larger ones go through a batched
-    eigendecomposition, the reference route for ``_field_series``.
-    """
-    if h.shape[-2:] == (2, 2):
-        a = h[..., 0, 0].real
-        c = h[..., 1, 1].real
-        b = h[..., 0, 1]
-        s = 0.5 * (a + c)
-        d = 0.5 * (a - c)
-        omega = np.sqrt(d * d + (b * b.conj()).real)
-        phase = np.exp(-1j * s * tau)
-        cs = np.cos(omega * tau)
-        sn = -1j * tau * np.sinc(omega * tau / np.pi)
-        u = np.empty(h.shape, dtype=np.complex128)
-        u[..., 0, 0] = phase * (cs + sn * d)
-        u[..., 0, 1] = phase * sn * b
-        u[..., 1, 0] = phase * sn * b.conj()
-        u[..., 1, 1] = phase * (cs - sn * d)
-        return u
-    return _expm_eigenbasis(*_eigh(h), tau)
+    a = h[..., 0, 0].real
+    c = h[..., 1, 1].real
+    b = h[..., 0, 1]
+    s = 0.5 * (a + c)
+    d = 0.5 * (a - c)
+    omega = np.sqrt(d * d + (b * b.conj()).real)
+    phase = np.exp(-1j * s * tau)
+    cs = np.cos(omega * tau)
+    sn = -1j * tau * np.sinc(omega * tau / np.pi)
+    u = np.empty(h.shape, dtype=np.complex128)
+    u[..., 0, 0] = phase * (cs + sn * d)
+    u[..., 0, 1] = phase * sn * b
+    u[..., 1, 0] = phase * sn * b.conj()
+    u[..., 1, 1] = phase * (cs - sn * d)
+    return u
 
 
 def _taylor_plan(norm: float) -> tuple[int, int]:
@@ -220,76 +200,12 @@ def _squarings(u: NDArrayComplex, s: int, tmp: NDArrayComplex) -> NDArrayComplex
     return u
 
 
-def _expm_eigenbasis(lam: np.ndarray, v: np.ndarray, tau: float) -> NDArrayComplex:
-    """exp(-1j * h * tau) from the eigendecomposition h = v diag(lam) v^dagger.
-
-    Real v (real-symmetric h) takes two real products,
-    (v cos(lam tau)) v^T - i (v sin(lam tau)) v^T, each written straight
-    into its part of the complex result.
-    """
-    if v.dtype != np.float64:
-        return (v * np.exp(-1j * lam * tau)[..., None, :]) @ _adjoint(v)
-    x = lam * tau
-    vt = v.swapaxes(-1, -2)
-    u = np.empty(v.shape, dtype=np.complex128)
-    parts = u.view(np.float64).reshape(v.shape + (2,))
-    np.matmul(v * np.cos(x)[..., None, :], vt, out=parts[..., 0])
-    np.matmul(v * -np.sin(x)[..., None, :], vt, out=parts[..., 1])
-    return u
-
-
-def _su2_control_derivative(h: np.ndarray, mu: np.ndarray, tau: float) -> NDArrayComplex:
-    """d/deps exp(-1j * (h + eps * mu) * tau) at eps = 0, for a stack of 2 x 2 h.
-
-    The eps-derivative of the SU(2) closed form, with no eigendecomposition.
-    Write h = s I + n.sigma and mu = mu_s I + m.sigma, x = |n| tau and
-    sinc(x) = sin(x) / x. Then exp(-1j h tau) = e^{-i s tau} (cos x - i tau
-    sinc(x) n.sigma), and its derivative is e^{-i s tau} (A I + B_n n.sigma +
-    B_m m.sigma) with
-
-        A   = -i tau mu_s cos x - tau^2 sinc(x) (n.m)
-        B_n = -tau^2 mu_s sinc(x) - i tau^3 f(x) (n.m)
-        B_m = -i tau sinc(x),
-
-    f(x) = (x cos x - sin x) / x^3, which takes its series below x = 0.01
-    (the direct form cancels there; h proportional to I has x = 0).
-    """
-    s = 0.5 * (h[..., 0, 0].real + h[..., 1, 1].real)
-    d = 0.5 * (h[..., 0, 0].real - h[..., 1, 1].real)
-    b = h[..., 0, 1]
-    mu_s = 0.5 * (mu[0, 0].real + mu[1, 1].real)
-    delta = 0.5 * (mu[0, 0].real - mu[1, 1].real)
-    beta = mu[0, 1]
-    nm = d * delta + b.real * beta.real + b.imag * beta.imag
-    x = np.sqrt(d * d + (b * b.conj()).real) * tau
-    cs = np.cos(x)
-    sinc = np.sinc(x / np.pi)
-    x2 = x * x
-    small = x < 1e-2
-    xs = np.where(small, 1.0, x)
-    f = np.where(
-        small,
-        -1.0 / 3.0 + x2 / 30.0 - x2 * x2 / 840.0,
-        (xs * cs - np.sin(xs)) / (xs * xs * xs),
-    )
-    a = -1j * tau * mu_s * cs - tau * tau * sinc * nm
-    b_n = -tau * tau * mu_s * sinc - 1j * tau ** 3 * f * nm
-    b_m = -1j * tau * sinc
-    phase = np.exp(-1j * s * tau)
-    du = np.empty(h.shape, dtype=np.complex128)
-    du[..., 0, 0] = phase * (a + b_n * d + b_m * delta)
-    du[..., 1, 1] = phase * (a - b_n * d - b_m * delta)
-    du[..., 0, 1] = phase * (b_n * b + b_m * beta)
-    du[..., 1, 0] = phase * (b_n * b.conj() + b_m * np.conj(beta))
-    return du
-
-
 def _step_two_level(
     a: float, b: complex, c: float, tau: float, p0: complex, p1: complex
 ) -> tuple[complex, complex]:
     """exp(-1j * h * tau) applied to (p0, p1), for h = [[a, b], [conj(b), c]].
 
-    The SU(2) closed form of ``_expm_hermitian`` in plain Python scalars,
+    The SU(2) closed form of ``_su2_stack`` in plain Python scalars,
     applied without building the matrix: a sequential two-level sweep
     steps hundreds of times per pass, and NumPy's per-call overhead on
     2 x 2 arrays would dominate it.
@@ -334,7 +250,7 @@ def _u_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayCo
     eigenpairs, so none are formed.
     """
     if H.dim == 2:
-        return _expm_hermitian(_h_stack(H, samples), dt)
+        return _su2_stack(_h_stack(H, samples), dt)
     bound = float(np.max(np.abs(samples), initial=0.0)) or 1.0
     s, c = _field_series(H, dt, bound)
     us = np.empty((samples.size, H.dim, H.dim), dtype=np.complex128)
@@ -345,17 +261,14 @@ def _u_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayCo
 def _du_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayComplex:
     """Control derivatives dU_k/deps of the forward propagators, batched over k.
 
-    Two levels take the closed SU(2) derivative. Larger stacks
-    differentiate the ``_field_series`` that ``_u_stack`` evaluates, over
-    the same range: with U = X_0^(2^s), X_0 = P(u) = sum_j u^j C_j and
-    u = eps / bound, dU/deps = D_s / bound, where D_0 = P'(u) =
-    sum_j j u^(j-1) C_j and each squaring X_{i+1} = X_i^2 carries
-    D_{i+1} = D_i X_i + X_i D_i. With no squarings only P' is formed, one
-    product of the powers with the scaled coefficients; nothing is
-    decomposed.
+    At every dimension the derivative of the ``_field_series`` that
+    ``_u_stack`` evaluates above two levels, over the same range: with
+    U = X_0^(2^s), X_0 = P(u) = sum_j u^j C_j and u = eps / bound,
+    dU/deps = D_s / bound, where D_0 = P'(u) = sum_j j u^(j-1) C_j and each
+    squaring X_{i+1} = X_i^2 carries D_{i+1} = D_i X_i + X_i D_i. With no
+    squarings only P' is formed, one product of the powers with the scaled
+    coefficients; nothing is decomposed.
     """
-    if H.dim == 2:
-        return _su2_control_derivative(_h_stack(H, samples), _operators(H)[1], dt)
     bound = float(np.max(np.abs(samples), initial=0.0)) or 1.0
     s, c = _field_series(H, dt, bound)
     p = len(c) - 1
@@ -408,20 +321,6 @@ def _march_rows(us: NDArrayComplex, r0: NDArrayComplex) -> NDArrayComplex:
     return rows
 
 
-def _march_backward(us: NDArrayComplex, x_end: NDArrayComplex) -> NDArrayComplex:
-    """Nodes x_K = x_end and x_k = U_k^dagger x_{k+1}: the forward march undone.
-
-    Marches the conjugate rows y_k = y_{k+1} U_k, each one ``ndarray.dot``
-    written in place as in ``_march_forward``, so the stack is read as it
-    is, and conjugates them once at the end.
-    """
-    rows = np.empty((us.shape[0] + 1, x_end.size), dtype=np.complex128)
-    rows[-1] = x_end.conj()
-    for u, y, x in zip(us[::-1], rows[:0:-1], rows[-2::-1]):
-        y.dot(u, out=x)
-    return np.conjugate(rows, out=rows)
-
-
 def _march_probes(
     nodes: NDArrayComplex, us: NDArrayComplex, H: ControlHamiltonian, field: ControlField,
     grid: TimeGrid, ks: np.ndarray, h: float,
@@ -465,7 +364,8 @@ def step_matrix(H: ControlHamiltonian, eps_k: float, dt: float, direction: Direc
     independent check on the stack marches.
     """
     tau = dt if direction is Direction.FORWARD else -dt
-    return _expm_hermitian(H.evaluate(eps_k), tau)
+    lam, v = np.linalg.eigh(H.evaluate(eps_k))
+    return (v * np.exp(-1j * lam * tau)) @ _adjoint(v)
 
 
 def step_control_derivative(H: ControlHamiltonian, eps_k: float, dt: float) -> NDArrayComplex:
@@ -475,7 +375,7 @@ def step_control_derivative(H: ControlHamiltonian, eps_k: float, dt: float) -> N
     shortcut, no series), an independent reference for ``_du_stack`` and
     the batched pairing rows.
     """
-    lam, v = _eigh(H.evaluate(eps_k))
+    lam, v = np.linalg.eigh(H.evaluate(eps_k))
     # W = Phi * (V^dagger mu V) with the cancellation-free divided-difference
     # kernel Phi_ij = -i dt e_i e_j sinc((l_i - l_j) dt / 2), e = exp(-i l dt / 2);
     # the first-order -i dt mu would be off at first order in dt whenever
@@ -583,7 +483,8 @@ def _costate(
     else:
         chi_minus = chi_plus = (1j / (2.0 * np.pi * boundary.n)) * source
         nodes[m:] = _march_forward(us[m:], chi_plus)
-    nodes[:m] = _march_backward(us[:m], chi_minus)[:-1]
+    rows = _march_rows(us[m - 1 :: -1], chi_minus.conj())  # the backward march's conjugates
+    np.conjugate(rows[:0:-1], out=nodes[:m])
 
     return CostateTrajectory(
         states=nodes, chi_T_minus=chi_minus, chi_T_plus=chi_plus, index_T=m

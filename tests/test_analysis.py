@@ -232,9 +232,10 @@ class TestOneStackPerCall:
     build and ``eigh_log`` (matrices, dtype) per ``np.linalg.eigh`` call:
     real-symmetric Hamiltonians build their series in float64, any complex
     operator in complex128. Above two levels every step of a stack is
-    evaluated from a field series, and the exact gradient's pairing rows
-    differentiate one series of their own; no production route decomposes
-    anything, and only the reference routes read eigenpairs.
+    evaluated from a field series, and at every dimension the exact
+    gradient's pairing rows differentiate one series of their own; no
+    production route decomposes anything, and only the reference routes
+    read eigenpairs.
     """
 
     @pytest.fixture
@@ -312,8 +313,8 @@ class TestOneStackPerCall:
         # one forward stack for both trajectories and the probes' 2m moved
         # steps, which step off the solved nodes; the gradient's m
         # derivatives come from a third series. Two levels take the SU(2)
-        # closed form and its derivative throughout, with no series
-        expected = ([n, 2 * m], 3, []) if dim == 3 else ([n, 2 * m], 0, [])
+        # closed form for both stacks, so their one series is the gradient's
+        expected = ([n, 2 * m], 3, []) if dim == 3 else ([n, 2 * m], 1, [])
         assert (stack_log, len(series_log), matrices(eigh_log)) == expected
 
     @pytest.mark.parametrize("dim", [3, 2])
@@ -334,13 +335,10 @@ class TestOneStackPerCall:
         n = problem.grid.n_steps
         # each evaluation solves its field on one stack of n steps, from one
         # series (dim 3) or the SU(2) form (dim 2), and its rows differentiate
-        # one series of their own (dim 3) or the SU(2) form; the costate and
-        # the objective read the solved steps. Only two levels sweep, in
-        # Python scalars. Nothing is decomposed.
-        if dim == 3:
-            expected = ([n] * k, 2 * k, [])
-        else:
-            expected = ([n] * k, 0, [])
+        # one series of their own at either dimension; the costate and the
+        # objective read the solved steps. Only two levels sweep, in Python
+        # scalars, on the initial field's rows. Nothing is decomposed.
+        expected = ([n] * k, 2 * k if dim == 3 else k, [])
         assert (stack_log, len(series_log), matrices(eigh_log)) == expected
 
     def test_verify_solves_its_probe_field_once(self, eigh_log, stack_log, series_log, tmp_path):

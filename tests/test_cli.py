@@ -48,6 +48,28 @@ def write_config(path, **overrides):
     return path
 
 
+def readme_config():
+    """The config example of README's "Config format" section, as a dict."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config format", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def write_example_config(path, name):
+    """README's config ("readme"), or the dim-4 real-symmetric CI config built from it ("real4")."""
+    cfg = readme_config()
+    if name == "real4":
+        rng = np.random.default_rng(4)
+        h0, mu, observable = (
+            as_pairs_matrix((a + a.T) / 2) for a in (rng.standard_normal((4, 4)) for _ in range(3))
+        )
+        cfg.update(
+            dimension=4, h0=h0, mu=mu, observable=observable, psi0=as_pairs_vector(np.eye(4)[0])
+        )
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return path
+
+
 class TestConfigValidation:
     def test_non_hermitian_h0_names_field(self, tmp_path, capsys):
         config = write_config(
@@ -124,10 +146,7 @@ class TestConfigValidation:
         assert f"config error: {key}" in capsys.readouterr().err
 
     def test_readme_example_parses(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        section = readme.split("### Config format", 1)[1]
-        block = section.split("```json\n", 1)[1].split("```", 1)[0]
-        cfg = cli.ProblemConfig.from_dict(json.loads(block))
+        cfg = cli.ProblemConfig.from_dict(readme_config())
         assert cfg.problem.dim == 2
 
     def test_missing_field_reported(self, tmp_path, capsys):
@@ -306,6 +325,30 @@ class TestGradcheck:
         assert "config error: h: " in capsys.readouterr().err
         assert not (out / "grad.json").exists()
 
+    @pytest.mark.parametrize("example", ["readme", "real4"])
+    def test_probe_step_past_the_step_phase_bound_rejected(self, tmp_path, capsys, example):
+        # finite, but the outermost probes' step phase bound ||H dt||_1 is far
+        # past 2^53 (inf on real4): malformed input naming h, with no gradient
+        # computed or written
+        config = write_example_config(tmp_path / "cfg.json", example)
+        out = tmp_path / "out"
+        assert cli.main(["gradcheck", "--config", str(config), "--out", str(out), "--h", "1e308"]) == 1
+        assert "config error: h: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale, code", [(0.99, 2), (1.01, 1)])
+    def test_step_phase_bound_is_the_limit(self, tmp_path, capsys, scale, code):
+        # README's H(eps) = diag(0, 1) + eps sigma_x has ||H(eps) dt||_1 =
+        # (|eps| + 1) dt: an h whose outermost probe is just inside the bound
+        # is run (its central differences miss the gate), one just past it
+        # is rejected
+        config = write_example_config(tmp_path / "cfg.json", "readme")
+        cfg = cli.ProblemConfig.from_file(config)
+        widest = np.max(np.abs(cfg.noisy_field(cli.NOISE_AMPLITUDE_PROBE).samples))
+        h = scale * cli.MAX_STEP_PHASE / cfg.problem.grid.dt - 1.0 - widest
+        assert cli.run_gradcheck(config, tmp_path / "out", h=h) == code
+        assert ("config error: h: " in capsys.readouterr().err) == (code == 1)
+
     def test_default_probe_step_is_the_gradient_modules(self, tmp_path, monkeypatch):
         # the runner's default and the parser's --h default both read it
         assert inspect.signature(cli.run_gradcheck).parameters["h"].default == (
@@ -380,6 +423,18 @@ class TestPropagate:
         assert cli.run_propagate(config, field_csv, tmp_path / "out") == 1
         assert "config error: field: line 43: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("example", ["readme", "real4"])
+    def test_sample_past_the_step_phase_bound_rejected(self, tmp_path, capsys, example):
+        # one finite sample whose step phase bound ||H dt||_1 is far past 2^53
+        # (inf on real4): the diagnostic names the field file and its line
+        config = write_example_config(tmp_path / "cfg.json", example)
+        samples = ["0.0"] * 420
+        samples[41] = "1e308"
+        field_csv = self.write_field_csv(tmp_path / "field.csv", samples)
+        assert cli.run_propagate(config, field_csv, tmp_path / "out") == 1
+        assert "config error: field: line 43: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestMainEntry:
     def test_dispatch_and_exit_codes(self, tmp_path):
@@ -406,7 +461,8 @@ class TestMainEntry:
     @pytest.mark.parametrize("draw", [random_symmetric, random_hermitian])
     def test_verify_and_gradcheck_above_two_levels(self, tmp_path, draw):
         # dim 4 leaves the SU(2) closed form: real-symmetric operators
-        # decompose in real arithmetic, complex-Hermitian ones in complex
+        # build their field series in real arithmetic, complex-Hermitian
+        # ones in complex
         rng = np.random.default_rng(4)
         h0, mu, observable = (as_pairs_matrix(draw(rng, 4).matrix) for _ in range(3))
         config = write_config(

@@ -78,9 +78,9 @@ class TestAnalyticGradient:
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_batched_matches_per_sample_derivative(self, dim):
-        # complex-Hermitian: the batched pairing rows (the closed-form SU(2)
-        # derivative at dim 2, one batched eigendecomposition above) against
-        # the per-sample eigenbasis dU_k/deps of step_control_derivative
+        # complex-Hermitian: the batched pairing rows (the field series'
+        # derivative at every dimension) against the per-sample eigenbasis
+        # dU_k/deps of step_control_derivative
         rng = np.random.default_rng(53)
         H = qoct.ControlHamiltonian(
             drift=random_hermitian(rng, dim), coupling=random_hermitian(rng, dim)

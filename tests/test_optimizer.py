@@ -141,7 +141,7 @@ class TestTwoLevelSweep:
         # second's from the first sweep's field and its fresh costate. Each
         # sample reads the state stepped under every sample before it, so the
         # samples check the steps too. The steps run in Python scalars; the
-        # rows take the closed-form SU(2) derivative
+        # rows differentiate the field series
         rng = np.random.default_rng(41)
         H = qoct.ControlHamiltonian(
             drift=random_hermitian(rng, 2), coupling=random_hermitian(rng, 2)

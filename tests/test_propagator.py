@@ -8,9 +8,8 @@ import qoct
 from qoct import propagator
 from qoct.gradient import _pairing_rows
 from qoct.propagator import (
-    Direction, _adjoint, _du_stack, _eigh, _expm_eigenbasis, _expm_hermitian, _field_series,
-    _h_stack, _march_forward, _march_rows, _step_two_level, _su2_control_derivative,
-    _taylor_plan, _u_stack,
+    Direction, _adjoint, _du_stack, _field_series, _h_stack, _march_forward, _march_rows,
+    _step_two_level, _su2_stack, _taylor_plan, _u_stack,
 )
 from conftest import (
     level_projector,
@@ -227,6 +226,11 @@ class TestConjugationSymmetry:
         assert worst < 1e-12
 
 
+def step_matrices(H, samples, dt):
+    """The forward reference steps ``qoct.step_matrix`` (complex eigh) at every sample, stacked."""
+    return np.array([qoct.step_matrix(H, float(eps), dt, Direction.FORWARD) for eps in samples])
+
+
 def march_by_step(x0, H, samples, dt, direction):
     """Nodes of a per-step march with qoct.step, in the order the steps are applied."""
     nodes = [np.asarray(x0, dtype=complex)]
@@ -255,7 +259,7 @@ class TestComplexHermitian:
 
     def test_propagators_match_per_step_march(self):
         # complex-Hermitian H has a non-symmetric U, so U^dagger differs
-        # from conj(U); dim 2 runs the closed form, dim 4 the eigh route
+        # from conj(U); dim 2 runs the closed form, dim 4 the field series
         rng = np.random.default_rng(30)
         for dim in (2, 4):
             H = qoct.ControlHamiltonian(
@@ -305,7 +309,7 @@ class TestComplexHermitian:
 class TestRealSymmetric:
     """The real-arithmetic stacks pinned to the complex per-sample reference routes."""
 
-    @pytest.mark.parametrize("dim", [3, 4, 8])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
     def test_u_stack_matches_step_matrix_and_is_unitary(self, dim):
         rng = np.random.default_rng(36 + dim)
         H = qoct.ControlHamiltonian(
@@ -314,12 +318,11 @@ class TestRealSymmetric:
         samples, dt = rng.uniform(-1.5, 1.5, 30), 0.07
         assert _h_stack(H, samples).dtype == np.float64
         us = _u_stack(H, samples, dt)
-        ref = np.array([qoct.step_matrix(H, eps, dt, Direction.FORWARD) for eps in samples])
-        assert np.max(np.abs(us - ref)) <= 1e-14
+        assert np.max(np.abs(us - step_matrices(H, samples, dt))) <= 1e-14
         assert np.max(np.abs(us @ _adjoint(us) - np.eye(dim))) <= 1e-14
 
     @pytest.mark.parametrize("complex_hermitian", [False, True])
-    @pytest.mark.parametrize("dim", [3, 4, 8])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
     def test_pairing_rows_match_step_control_derivative(self, dim, complex_hermitian):
         problem, field = seeded_problem(40 + dim, dim, 30, 1.0, complex_hermitian=complex_hermitian)
         H, grid = problem.hamiltonian, problem.grid
@@ -335,7 +338,7 @@ class TestRealSymmetric:
 
 
 class TestTaylorExponential:
-    """The stack kernel above two levels pinned to the eigenpair route in both dtypes.
+    """The stack kernel above two levels pinned to ``step_matrix`` in both dtypes.
 
     ``_u_stack`` reads one ``_field_series`` over the stack's samples, up to
     its squaring branch.
@@ -363,7 +366,7 @@ class TestTaylorExponential:
         tau = 0.3
         for j, norm in enumerate(self.NORMS):
             H, samples = self.problem(draw, dim, norm, tau, 100 * dim + j)
-            ref = _expm_eigenbasis(*_eigh(_h_stack(H, samples)), tau)
+            ref = step_matrices(H, samples, tau)
             u = _u_stack(H, samples, tau)
             assert u.dtype == np.complex128 and u.shape == (samples.size, dim, dim)
             assert np.max(np.abs(u - ref)) <= 1e-14 * max(1.0, norm)
@@ -395,7 +398,7 @@ class TestTaylorExponential:
             norm = max(np.linalg.norm(H.evaluate(e) * dt, 1) for e in (bound, -bound))
             u = _u_stack(H, samples, dt)
             assert taken[-1] == _taylor_plan(norm)[0]
-            ref = _expm_eigenbasis(*_eigh(_h_stack(H, samples)), dt)
+            ref = step_matrices(H, samples, dt)
             assert u.dtype == np.complex128 and u.shape == (samples.size, dim, dim)
             assert np.max(np.abs(u - ref)) <= 1e-14 * max(1.0, norm)
             assert np.max(np.abs(u @ _adjoint(u) - np.eye(dim))) <= 1e-14 * max(1.0, norm)
@@ -448,13 +451,27 @@ class TestTaylorExponential:
 
 
 class TestSeriesDerivative:
-    """``_du_stack`` above two levels pinned to two independent references.
+    """``_du_stack`` at every dimension pinned to two independent references.
 
     The eigenbasis divided difference of ``step_control_derivative`` and
     scipy's Frechet derivative of expm(-i H dt) in the direction -i mu dt,
     at every sample of a stack that holds 0 and both ends of its range,
     with and without squarings.
     """
+
+    @staticmethod
+    def assert_matches(H, samples, dt, tol):
+        """Every dU_k/deps of the stack within tol of both references."""
+        du = _du_stack(H, samples, dt)
+        assert du.dtype == np.complex128 and du.shape == (samples.size, H.dim, H.dim)
+        for eps, d in zip(samples, du):
+            ref = qoct.step_control_derivative(H, float(eps), dt)
+            frechet = scipy.linalg.expm_frechet(
+                -1j * H.evaluate(eps) * dt, -1j * H.control_derivative * dt,
+                compute_expm=False,
+            )
+            assert np.max(np.abs(d - ref)) <= tol
+            assert np.max(np.abs(d - frechet)) <= tol
 
     @pytest.mark.parametrize("draw", [random_symmetric, random_hermitian])
     @pytest.mark.parametrize("dim", [3, 8, 16])
@@ -467,18 +484,28 @@ class TestSeriesDerivative:
         for dt in (0.005, 0.1, 0.5, 2.0):
             norm = max(np.linalg.norm(H.evaluate(eps) * dt, 1) for eps in (bound, -bound))
             squarings.add(_taylor_plan(norm)[0])
-            du = _du_stack(H, samples, dt)
-            assert du.dtype == np.complex128 and du.shape == (samples.size, dim, dim)
-            tol = 1e-13 * max(1.0, norm)
-            for eps, d in zip(samples, du):
-                ref = qoct.step_control_derivative(H, float(eps), dt)
-                frechet = scipy.linalg.expm_frechet(
-                    -1j * H.evaluate(eps) * dt, -1j * H.control_derivative * dt,
-                    compute_expm=False,
-                )
-                assert np.max(np.abs(d - ref)) <= tol
-                assert np.max(np.abs(d - frechet)) <= tol
+            self.assert_matches(H, samples, dt, 1e-13 * max(1.0, norm))
         assert min(squarings) == 0 and max(squarings) >= 5
+
+    def test_two_level_random_complex_hermitian(self):
+        rng = np.random.default_rng(34)
+        for _ in range(20):
+            H = qoct.ControlHamiltonian(
+                drift=random_hermitian(rng, 2), coupling=random_hermitian(rng, 2)
+            )
+            self.assert_matches(H, rng.uniform(-1.5, 1.5, 5), float(rng.uniform(0.01, 0.5)), 1e-14)
+
+    def test_two_level_identity_multiples(self):
+        # at eps = 0 a drift 0.7 I gives h proportional to I, and small
+        # splittings put |n| dt either side of 0.01; couplings generic and
+        # proportional to I
+        rng = np.random.default_rng(35)
+        dt = 0.05
+        for split in (0.0, 0.0099 / dt, 0.0101 / dt):
+            drift = qoct.HermitianOperator(np.diag([0.7 + split, 0.7 - split]))
+            for coupling in (random_hermitian(rng, 2), qoct.HermitianOperator(0.4 * np.eye(2))):
+                H = qoct.ControlHamiltonian(drift=drift, coupling=coupling)
+                self.assert_matches(H, np.array([0.0, 0.5, -1.5]), dt, 1e-14)
 
 
 class TestFieldSeries:
@@ -505,7 +532,7 @@ class TestFieldSeries:
             u = self.step(s, c, eps / bound)
             h = H.evaluate(eps)
             tol = 1e-14 * max(1.0, np.linalg.norm(h * dt, 1))
-            assert np.max(np.abs(u - _expm_hermitian(h, dt))) <= tol
+            assert np.max(np.abs(u - qoct.step_matrix(H, eps, dt, Direction.FORWARD))) <= tol
             assert np.max(np.abs(u - scipy.linalg.expm(-1j * h * dt))) <= tol
 
     def test_squaring_branch(self):
@@ -552,7 +579,7 @@ class TestTwoLevelScalarStep:
         (a, b), (_, c) = h.tolist()
         p0, p1 = psi.tolist()
         q = np.array(_step_two_level(a.real, b, c.real, tau, p0, p1))
-        assert np.max(np.abs(q - _expm_hermitian(h, tau) @ psi)) < 1e-14
+        assert np.max(np.abs(q - _su2_stack(h, tau) @ psi)) < 1e-14
         assert np.max(np.abs(q - scipy.linalg.expm(-1j * h * tau) @ psi)) < 1e-14
 
     def test_random_complex_hermitian(self):
@@ -569,37 +596,6 @@ class TestTwoLevelScalarStep:
         psi = random_state(np.random.default_rng(33), 2).amplitudes
         for h in (0.7 * np.eye(2), np.diag([1.3, -0.4])):
             self.assert_matches(h.astype(complex), 0.3, psi)
-
-
-class TestTwoLevelControlDerivative:
-    """The closed-form SU(2) eps-derivative pinned to the eigenbasis route."""
-
-    @staticmethod
-    def assert_matches(H, samples, dt):
-        du = _su2_control_derivative(_h_stack(H, samples), H.control_derivative, dt)
-        for k, eps in enumerate(samples):
-            ref = qoct.step_control_derivative(H, float(eps), dt)
-            assert np.max(np.abs(du[k] - ref)) < 1e-14
-
-    def test_random_complex_hermitian(self):
-        rng = np.random.default_rng(34)
-        for _ in range(20):
-            H = qoct.ControlHamiltonian(
-                drift=random_hermitian(rng, 2), coupling=random_hermitian(rng, 2)
-            )
-            self.assert_matches(H, rng.uniform(-1.5, 1.5, 5), float(rng.uniform(0.01, 0.5)))
-
-    def test_identity_multiple_and_series_branch(self):
-        # at eps = 0 a drift 0.7 I gives h proportional to I (x = 0), and
-        # splittings that put x = |n| dt just either side of the series
-        # cut at 0.01; couplings generic and proportional to I
-        rng = np.random.default_rng(35)
-        dt = 0.05
-        for split in (0.0, 0.0099 / dt, 0.0101 / dt):
-            drift = qoct.HermitianOperator(np.diag([0.7 + split, 0.7 - split]))
-            for coupling in (random_hermitian(rng, 2), qoct.HermitianOperator(0.4 * np.eye(2))):
-                H = qoct.ControlHamiltonian(drift=drift, coupling=coupling)
-                self.assert_matches(H, np.zeros(1), dt)
 
 
 class TestTdseResidual:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import qoct
 from conftest import random_hermitian, random_state, random_symmetric, seeded_problem
 from qoct import cli
-from qoct.propagator import _adjoint, _forward, _h_stack, _march_backward
+from qoct.propagator import _adjoint, _forward, _h_stack
 from test_cli import as_pairs_matrix, as_pairs_vector
 
 
@@ -58,9 +58,13 @@ def test_steps_are_unitary_and_backward_undoes_forward(seed, dim, n_steps, dt, c
     assert _h_stack(H, field.samples).dtype == (np.complex128 if complex_hermitian else np.float64)
     psi, us = _forward(problem.psi0, field, H, problem.grid)
     assert np.max(np.abs(us @ _adjoint(us) - np.eye(dim))) <= 1e-13
-    # the backward march from psi(T_hat) retraces every forward node
-    back = _march_backward(us, psi.states[-1])
-    assert np.max(np.abs(back - psi.states)) <= 1e-12
+    # the reference backward steps (complex eigh) march psi(T_hat) back
+    # through every forward node
+    back = [psi.states[-1]]
+    for eps in field.samples[::-1]:
+        u = qoct.step_matrix(H, float(eps), problem.grid.dt, qoct.Direction.BACKWARD)
+        back.append(u @ back[-1])
+    assert np.max(np.abs(np.array(back[::-1]) - psi.states)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
