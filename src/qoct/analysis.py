@@ -38,7 +38,7 @@ from .core import (
     commutes,
 )
 from .propagator import CostateBoundary
-from .propagator import _costate, _forward, _march_rows, _u_stack, _worst_defect
+from .propagator import _costate, _forward, _march_rows, _step_defects, _u_stack, _worst_defect
 
 __all__ = [
     "ContinuityReport",
@@ -113,12 +113,19 @@ def solve(problem: ControlProblem, field: ControlField, boundary: CostateBoundar
 
 
 def _solve(
-    problem: ControlProblem, field: ControlField, boundary: CostateBoundary
-) -> tuple[Solution, NDArrayComplex]:
-    """``solve`` plus the forward stack it marched, for reuse."""
-    psi, us = _forward(problem.psi0, field, problem.hamiltonian, problem.grid)
-    chi = _costate(psi, problem.observable, field, problem.grid, boundary, us)
-    return Solution(problem=problem, field=field, boundary=boundary, psi=psi, chi=chi), us
+    problem: ControlProblem, field: ControlField, boundary: CostateBoundary,
+    us: Optional[NDArrayComplex] = None,
+) -> tuple[Solution, NDArrayComplex, NDArrayComplex]:
+    """``solve`` plus the forward stack it marched and the state's step defects on it, for reuse.
+
+    ``us`` is the field's stack when the caller has built it already. The
+    defects are formed once, for the costate's equation-of-motion gate
+    and for the caller.
+    """
+    psi, us = _forward(problem.psi0, field, problem.hamiltonian, problem.grid, us)
+    defects = _step_defects(us, psi.states)
+    chi = _costate(psi, problem.observable, field, problem.grid, boundary, us, defects)
+    return Solution(problem=problem, field=field, boundary=boundary, psi=psi, chi=chi), us, defects
 
 
 def check_canonical_jump(solution: Solution) -> ContinuityReport:
@@ -183,7 +190,7 @@ def check_continuous_family(
     """
     us = _u_stack(H, field.samples, grid.dt)
     chi = _costate(psi_traj, O, field, grid, CostateBoundary.continuous(n), us)
-    residual = _worst_defect(us, chi.states)
+    residual = _worst_defect(_step_defects(us, chi.states))
     value = (1j / (2.0 * np.pi * n)) * (O.matrix @ psi_traj.node(grid.index_T))
     phi_defect = np.pi * (2 * n - 1)
     return ContinuityReport(

@@ -43,7 +43,7 @@ from .core import (
 from .functional import eval_j_opt
 from .gradient import DEFAULT_PROBE_STEP, _gradient_report, gradient_report
 from .optimizer import OptimizationConfig, OptimizationResult, optimize
-from .propagator import CostateBoundary, _forward, _worst_defect, propagate_forward
+from .propagator import CostateBoundary, _forward, _step_defects, _worst_defect, propagate_forward
 
 __all__ = [
     "ConfigError",
@@ -177,6 +177,13 @@ class ProblemConfig:
             eps_ref=eps_ref,
             alpha=alpha,
         )
+        # ||H(eps) dt||_1 is convex in eps: the reference's extremes, widened by
+        # the larger noise a run adds to it, bound the steps of every start field
+        ref = eps_ref.samples
+        for eps in (float(ref.min()) - NOISE_AMPLITUDE_PROBE, float(ref.max()) + NOISE_AMPLITUDE_PROBE):
+            _require_step_phase(
+                problem, eps, "eps_ref", f"reference widened by noise {NOISE_AMPLITUDE_PROBE} reaches {eps!r}"
+            )
         return cls(
             problem=problem,
             max_iters=max_iters,
@@ -369,7 +376,7 @@ def run_verify(config_path: str | Path, out_dir: str | Path) -> int:
 
     p = cfg.problem
     field = cfg.noisy_field(NOISE_AMPLITUDE_PROBE)
-    solution, us = _solve(p, field, CostateBoundary.canonical())
+    solution, us, _ = _solve(p, field, CostateBoundary.canonical())
 
     jump = check_canonical_jump(solution)
     family = {
@@ -478,20 +485,24 @@ def run_propagate(config_path: str | Path, field_csv: str | Path, out_dir: str |
         for k in (int(np.argmin(field.samples)), int(np.argmax(field.samples))):
             eps = float(field.samples[k])
             _require_step_phase(cfg.problem, eps, "field", f"line {k + 2}: sample {eps!r}")
+        p = cfg.problem
+        try:
+            traj, us = _forward(p.psi0, field, p.hamiltonian, p.grid)
+        except ValueError as exc:
+            # the trajectory gate: a step inside MAX_STEP_PHASE still loses
+            # unitarity by about its phase times 2^-53, past NORM_TOL near 1e5
+            raise ConfigError("field", str(exc)) from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     out = _ensure_out(out_dir)
-
-    p = cfg.problem
-    traj, us = _forward(p.psi0, field, p.hamiltonian, p.grid)
 
     _write_populations(out, p, traj.states)
     _write_json(
         out / "summary.json",
         {
             "j_opt": eval_j_opt(traj, p.observable, p.grid),
-            "tdse_residual": _worst_defect(us, traj.states),
+            "tdse_residual": _worst_defect(_step_defects(us, traj.states)),
             "final_populations": (np.abs(traj.states[-1]) ** 2).tolist(),
         },
     )

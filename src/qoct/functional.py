@@ -101,12 +101,13 @@ def eval_j_tdse(
     trajectories give exactly zero for any costate.
     """
     _check_grid(grid, [field], [psi_traj, chi_traj])
-    return _j_tdse(_u_stack(H, field.samples, grid.dt), psi_traj.states, chi_traj.states)
+    us = _u_stack(H, field.samples, grid.dt)
+    return _j_tdse(_step_defects(us, psi_traj.states), chi_traj.states)
 
 
-def _j_tdse(us, psi_nodes, chi_nodes) -> float:
-    """The multiplier term on the forward step stack ``us`` of the field."""
-    overlaps = np.einsum("ki,ki->k", chi_nodes[:-1].conj(), _step_defects(us, psi_nodes))
+def _j_tdse(defects, chi_nodes) -> float:
+    """The multiplier term from the state's ``_step_defects`` on the field's forward steps."""
+    overlaps = np.einsum("ki,ki->k", chi_nodes[:-1].conj(), defects)
     return float(-2.0 * np.imag(np.sum(overlaps)))
 
 
@@ -121,18 +122,8 @@ def eval_total(
     grid: TimeGrid,
 ) -> FunctionalBreakdown:
     """Evaluate all three terms on one configuration."""
-    _check_grid(grid, [field], [psi_traj, chi_traj])
-    us = _u_stack(H, field.samples, grid.dt)
-    return _total(psi_traj, chi_traj, field, eps_ref, alpha, O, grid, us)
-
-
-def _total(
-    psi: StateTrajectory, chi: CostateTrajectory, field: ControlField, eps_ref: ControlField,
-    alpha: float, O: HermitianOperator, grid: TimeGrid, us,
-) -> FunctionalBreakdown:
-    """``eval_total`` on a forward step stack ``us`` already built for the field."""
     return FunctionalBreakdown(
-        j_opt=eval_j_opt(psi, O, grid),
+        j_opt=eval_j_opt(psi_traj, O, grid),
         j_cost=eval_j_cost(field, eps_ref, alpha, grid),
-        j_tdse=_j_tdse(us, psi.states, chi.states),
+        j_tdse=eval_j_tdse(psi_traj, chi_traj, field, H, grid),
     )

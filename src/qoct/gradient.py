@@ -129,22 +129,25 @@ def analytic_gradient(
     _check_grid(grid, [field, eps_ref], [psi_traj, chi_traj])
 
     g = -2.0 * alpha * grid.dt * (field.samples - eps_ref.samples)
-    rows = _pairing_rows(H, field.samples[:m], chi_traj, grid.dt)
+    rows = _pairing_rows(_du_stack(H, field.samples[:m], grid.dt), chi_traj, grid.dt)
     g[:m] += 2.0 * grid.dt * np.einsum("ki,ki->k", rows, psi_traj.states[:m]).real
     return g
 
 
-def _pairing_rows(H: ControlHamiltonian, samples, chi, dt):
-    """rho_k = chi_{k+1}^dagger dU_k/deps / dt at the pre-T samples, batched over k.
+def _pairing_rows(du: NDArrayComplex, chi: CostateTrajectory, dt: float) -> NDArrayComplex:
+    """rho_k = chi_{k+1}^dagger dU_k/deps / dt at the m pre-T samples, batched over k.
 
     chi_{k+1} is the canonical costate after step k, its left limit
-    O psi(T) at the last one. dU_k/deps is ``propagator._du_stack``: the
-    derivative of the field series at every dimension, with no
-    eigendecomposition.
+    O psi(T) at the last one. ``du`` holds the m derivatives dU_k/deps,
+    the field series' (``propagator._stacks``) at every dimension, with
+    no eigendecomposition: ``analytic_gradient`` builds them alone, an
+    optimizer evaluation with the steps it solves on. Each row is one
+    (1 x d) by (d x d) product of a batched ``np.matmul``, which reaches
+    BLAS where ``np.einsum`` would not.
     """
-    m = samples.size
+    m = du.shape[0]
     chi_next = np.concatenate([chi.states[1:m], chi.chi_T_minus[None, :]]).conj()
-    return np.einsum("ki,kij->kj", chi_next, _du_stack(H, samples, dt)) / dt
+    return np.matmul(chi_next[:, None, :], du)[:, 0] / dt
 
 
 def fd_gradient(problem: ControlProblem, field: ControlField, k: int, h: float) -> float:
@@ -210,7 +213,8 @@ def gradient_report(
     probe_step: float = DEFAULT_PROBE_STEP,
 ) -> GradientReport:
     """Compare the analytic gradient against central differences sample-wise."""
-    return _gradient_report(*_solve(problem, field, CostateBoundary.canonical()), probe_step)
+    sol, us, _ = _solve(problem, field, CostateBoundary.canonical())
+    return _gradient_report(sol, us, probe_step)
 
 
 def _gradient_report(sol: Solution, us: NDArrayComplex, probe_step: float) -> GradientReport:

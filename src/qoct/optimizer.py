@@ -7,12 +7,19 @@ gradient before the measurement node is
 
 with the rows rho_k = chi_{k+1}^dagger D_k / dt of
 ``gradient._pairing_rows`` (D_k = dU_k/deps, chi the canonical
-costate). An evaluation of a field is one ``analysis._solve``, its rows
-and its ``functional._total`` on the solved stack; the law gap
+costate). After the measurement node the costate vanishes, so no sample
+there reaches j_opt, j_tdse or the law, and the field is the reference
+sample-for-sample. An evaluation of a field is one ``analysis._solve``
+on the window grid up to the first node past T (index_T + 1 steps, the
+field's own first samples), its rows and its breakdown. The window's
+steps and the rows' m derivatives come from one ``propagator._stacks``
+call: one field series above two levels, the SU(2) stack and a series
+for the derivatives at two. Its step defects are formed once, for the
+costate's equation-of-motion gate and for j_tdse. j_cost is
+``functional.eval_j_cost`` on the whole field, so samples after T, the
+initial field's noise there included, stay penalized. The law gap
 eps_k - law_k is then the gradient of -J / (2 alpha dt), and its
-sup-norm is the exact-gradient residual the run is certified by. After
-the measurement node the costate vanishes and the field is the
-reference sample-for-sample.
+sup-norm is the exact-gradient residual the run is certified by.
 
 The first iteration of a two-level run is the paper's scheme: one
 immediate-feedback sweep (Zhu, Botina & Rabitz, with the exact
@@ -69,9 +76,9 @@ from .core import (
     StateVector,
     TimeGrid,
 )
-from .functional import FunctionalBreakdown, _total
+from .functional import FunctionalBreakdown, _j_tdse, eval_j_cost, eval_j_opt
 from .gradient import _pairing_rows
-from .propagator import CostateBoundary, _step_two_level
+from .propagator import CostateBoundary, _stacks, _step_two_level
 
 __all__ = ["OptimizationConfig", "OptimizationResult", "optimize"]
 
@@ -190,16 +197,28 @@ def optimize(
     eps_ref = config.eps_ref.samples
     alpha, dt, m = problem.alpha, grid.dt, grid.index_T
     canonical = CostateBoundary.canonical()
+    # the grid up to the first node past T: the costate vanishes after T, so
+    # no later step reaches j_opt, j_tdse or the law
+    window = ControlProblem(
+        psi0=psi0, hamiltonian=H, observable=O, grid=TimeGrid(dt, m + 1, m),
+        eps_ref=ControlField(eps_ref[: m + 1]), alpha=alpha,
+    )
     evaluations = 0
 
     def evaluate(samples):
         nonlocal evaluations
         evaluations += 1
         field = ControlField(samples)
-        sol, us = _solve(problem, field, canonical)
-        rows = _pairing_rows(H, samples[:m], sol.chi, dt)
+        us, du = _stacks(H, samples[: m + 1], dt, m)
+        sol, _, defects = _solve(window, ControlField(samples[: m + 1]), canonical, us)
+        rows = _pairing_rows(du, sol.chi, dt)
         law = eps_ref[:m] + np.einsum("ki,ki->k", rows, sol.psi.states[:m]).real / alpha
-        bd = _total(sol.psi, sol.chi, field, problem.eps_ref, alpha, O, grid, us)
+        bd = FunctionalBreakdown(
+            j_opt=eval_j_opt(sol.psi, O, window.grid),
+            # the penalty spans the whole grid: samples after T stay penalized
+            j_cost=eval_j_cost(field, config.eps_ref, alpha, grid),
+            j_tdse=_j_tdse(defects, sol.chi.states),
+        )
         return _Point(field, bd, rows, samples[:m] - law)
 
     def at(x):

@@ -8,8 +8,12 @@ sequential sweep (``optimizer._feedback_sweep``) steps in Python scalars
 ``_field_series``: exp(-i (H0 + eps mu) dt) as a scaling-and-squaring
 Taylor series in the scalar eps, built once over a range of field values,
 evaluated at all the samples of a stack in one product and squared. At
-every dimension dU/deps (``_du_stack``) is the derivative of that series
-carried through its squarings. A backward step is the conjugate
+every dimension dU/deps is the derivative of that series carried through
+its squarings. ``_stacks`` is the one kernel for both: an optimizer
+evaluation takes the steps up to the first node past T and the
+derivatives of the samples before it from one series, one set of powers
+and one chain of squarings; ``_u_stack`` and ``_du_stack`` take one of
+the two. A backward step is the conjugate
 transpose of a forward one; ``_march_forward`` marches states and
 ``_march_rows`` the conjugate rows of the backward march. Real-symmetric
 H0 and mu (``_operators``) are expanded in real arithmetic. Only the
@@ -187,19 +191,6 @@ def _floats(a: NDArrayComplex) -> np.ndarray:
     return a.view(np.float64).reshape(a.shape[0], 2 * a.shape[1] * a.shape[2])
 
 
-def _squarings(u: NDArrayComplex, s: int, tmp: NDArrayComplex) -> NDArrayComplex:
-    """u^(2^s) for a stack u, by s batched squarings alternating between u and tmp.
-
-    Returns the buffer that holds the result: u when s is even, tmp when odd.
-    Stacks only: ``np.matmul`` squares each matrix of the stack, where
-    ``ndarray.dot`` would contract across them.
-    """
-    for _ in range(s):
-        np.matmul(u, u, out=tmp)
-        u, tmp = tmp, u
-    return u
-
-
 def _step_two_level(
     a: float, b: complex, c: float, tau: float, p0: complex, p1: complex
 ) -> tuple[complex, complex]:
@@ -239,57 +230,76 @@ def _h_stack(H: ControlHamiltonian, samples: np.ndarray) -> np.ndarray:
     return h0[None, :, :] + samples[:, None, None] * mu[None, :, :]
 
 
-def _u_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayComplex:
-    """Forward per-interval propagators exp(-1j * H(eps_k) * dt), batched over k.
+def _stacks(
+    H: ControlHamiltonian, samples: np.ndarray, dt: float, n_du: int = 0, u: bool = True
+) -> tuple[Optional[NDArrayComplex], Optional[NDArrayComplex]]:
+    """(U, dU): the forward propagators of the samples and the derivatives of the first n_du.
 
-    Two levels take the SU(2) closed form. Larger stacks read one
-    ``_field_series`` whose range is the largest |eps_k| (1 where every
-    sample is 0): U = P C with P_kj = (eps_k / bound)^j, the real P
-    multiplying C's real and imaginary parts straight into the complex
-    result, then s batched squarings. No caller of a stack reads its
-    eigenpairs, so none are formed.
+    U_k = exp(-1j * H(eps_k) * dt), batched over k (None unless u), and
+    dU_k/deps for k < n_du (None when n_du is 0), from one
+    ``_field_series`` whose range is the largest |eps_k| of the samples
+    they cover (1 where every one is 0). Two levels take U in the SU(2)
+    closed form and dU from a series over the n_du samples alone.
+
+    With u = eps / bound, X_0 = P(u) = sum_j u^j C_j is one product of
+    the powers P_kj = (eps_k / bound)^j with C, the real P multiplying
+    C's real and imaginary parts straight into the complex result, and
+    U = X_s = X_0^(2^s) by s batched squarings. D_0 = P'(u) =
+    sum_j j u^(j-1) C_j is the same product on the scaled coefficients,
+    and each squaring X_{i+1} = X_i^2 carries D_{i+1} = D_i X_i + X_i D_i,
+    so dU/deps = D_s / bound reads the squarings U takes, and with no
+    squarings and no U only P' is formed. No caller reads eigenpairs, so
+    none are formed.
     """
-    if H.dim == 2:
-        return _su2_stack(_h_stack(H, samples), dt)
-    bound = float(np.max(np.abs(samples), initial=0.0)) or 1.0
-    s, c = _field_series(H, dt, bound)
-    us = np.empty((samples.size, H.dim, H.dim), dtype=np.complex128)
-    np.matmul(np.vander(samples / bound, len(c), increasing=True), _floats(c), out=_floats(us))
-    return _squarings(us, s, np.empty_like(us)) if s else us
-
-
-def _du_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayComplex:
-    """Control derivatives dU_k/deps of the forward propagators, batched over k.
-
-    At every dimension the derivative of the ``_field_series`` that
-    ``_u_stack`` evaluates above two levels, over the same range: with
-    U = X_0^(2^s), X_0 = P(u) = sum_j u^j C_j and u = eps / bound,
-    dU/deps = D_s / bound, where D_0 = P'(u) = sum_j j u^(j-1) C_j and each
-    squaring X_{i+1} = X_i^2 carries D_{i+1} = D_i X_i + X_i D_i. With no
-    squarings only P' is formed, one product of the powers with the scaled
-    coefficients; nothing is decomposed.
-    """
+    if u and H.dim == 2:
+        du = _stacks(H, samples, dt, n_du, u=False)[1] if n_du else None
+        return _su2_stack(_h_stack(H, samples), dt), du
+    if not u:
+        samples = samples[:n_du]
     bound = float(np.max(np.abs(samples), initial=0.0)) or 1.0
     s, c = _field_series(H, dt, bound)
     p = len(c) - 1
     powers = np.vander(samples / bound, p + 1, increasing=True)
-    # the chain is linear in D_0, so 1 / bound goes on P's coefficients
-    du = np.empty((samples.size, H.dim, H.dim), dtype=np.complex128)
-    scaled = _floats(c)[1:] * (np.arange(1, p + 1) / bound)[:, None]
-    np.matmul(powers[:, :p], scaled, out=_floats(du))
-    if not s:
-        return du
-    x, dx, xd = np.empty_like(du), np.empty_like(du), np.empty_like(du)
+    shape = (H.dim, H.dim)
+    du = None
+    if n_du:
+        # the chain is linear in D_0, so 1 / bound goes on P's coefficients
+        du = np.empty((n_du, *shape), dtype=np.complex128)
+        scaled = _floats(c)[1:] * (np.arange(1, p + 1) / bound)[:, None]
+        np.matmul(powers[:n_du, :p], scaled, out=_floats(du))
+    if not (u or s):
+        return None, du
+    x = np.empty((samples.size, *shape), dtype=np.complex128)
     np.matmul(powers, _floats(c), out=_floats(x))
+    # buffers only where a squaring reads them
+    tmp = np.empty_like(x) if s else None
+    xd = np.empty_like(du) if s and n_du else None
     for i in range(s):
-        np.matmul(du, x, out=dx)
-        np.matmul(x, du, out=xd)
-        np.add(dx, xd, out=du)
-        if i + 1 < s:
-            # X_s is never read
-            np.matmul(x, x, out=dx)
-            x, dx = dx, x
-    return du
+        if n_du:
+            # tmp is free until the squaring; matmul, not dot: each matrix
+            # of the stack by its own
+            np.matmul(du, x[:n_du], out=tmp[:n_du])
+            np.matmul(x[:n_du], du, out=xd)
+            np.add(tmp[:n_du], xd, out=du)
+        if u or i + 1 < s:
+            # without U, X_s is never read
+            np.matmul(x, x, out=tmp)
+            x, tmp = tmp, x
+    return (x if u else None), du
+
+
+def _u_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayComplex:
+    """Forward per-interval propagators exp(-1j * H(eps_k) * dt), batched over k (``_stacks``)."""
+    return _stacks(H, samples, dt)[0]
+
+
+def _du_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayComplex:
+    """Control derivatives dU_k/deps of the forward propagators, batched over k (``_stacks``).
+
+    At every dimension the derivative of the ``_field_series`` that
+    ``_u_stack`` evaluates above two levels.
+    """
+    return _stacks(H, samples, dt, samples.size, u=False)[1]
 
 
 def _march_forward(us: NDArrayComplex, x0: NDArrayComplex) -> NDArrayComplex:
@@ -352,8 +362,9 @@ def _step_defects(us: NDArrayComplex, nodes: NDArrayComplex) -> NDArrayComplex:
     return nodes[1:] - (us @ nodes[:-1, :, None])[:, :, 0]
 
 
-def _worst_defect(us: NDArrayComplex, nodes: NDArrayComplex) -> float:
-    return float(np.max(np.linalg.norm(_step_defects(us, nodes), axis=1)))
+def _worst_defect(defects: NDArrayComplex) -> float:
+    """The largest norm among ``_step_defects``' rows."""
+    return float(np.max(np.linalg.norm(defects, axis=1)))
 
 
 def step_matrix(H: ControlHamiltonian, eps_k: float, dt: float, direction: Direction) -> NDArrayComplex:
@@ -422,14 +433,19 @@ def propagate_forward(
 
 
 def _forward(
-    psi0: StateVector, field: ControlField, H: ControlHamiltonian, grid: TimeGrid
+    psi0: StateVector, field: ControlField, H: ControlHamiltonian, grid: TimeGrid,
+    us: Optional[NDArrayComplex] = None,
 ) -> tuple[StateTrajectory, NDArrayComplex]:
-    """``propagate_forward`` plus the forward stack it marched, for reuse."""
+    """``propagate_forward`` plus the forward stack it marched, for reuse.
+
+    ``us`` is the field's stack when the caller has built it already.
+    """
     psi0.require_normalized("psi0")
     if psi0.dim != H.dim:
         raise ValueError(f"dimension mismatch: state {psi0.dim} vs Hamiltonian {H.dim}")
     _check_grid(grid, [field])
-    us = _u_stack(H, field.samples, grid.dt)
+    if us is None:
+        us = _u_stack(H, field.samples, grid.dt)
     return StateTrajectory(_march_forward(us, psi0.amplitudes)), us
 
 
@@ -460,13 +476,20 @@ def propagate_costate(
 
 def _costate(
     psi_traj: StateTrajectory, O: HermitianOperator, field: ControlField, grid: TimeGrid,
-    boundary: CostateBoundary, us: NDArrayComplex,
+    boundary: CostateBoundary, us: NDArrayComplex, defects: Optional[NDArrayComplex] = None,
 ) -> CostateTrajectory:
-    """``propagate_costate`` on a forward stack ``us`` already built for the field."""
+    """``propagate_costate`` on a forward stack ``us`` already built for the field.
+
+    ``defects`` are the trajectory's ``_step_defects`` on ``us`` when the
+    caller has formed them already, for its own use too; the gate reads
+    them instead of forming them again.
+    """
     _check_grid(grid, [field], [psi_traj])
     if O.dim != psi_traj.dim:
         raise ValueError(f"dimension mismatch: operator {O.dim} vs trajectory {psi_traj.dim}")
-    resid = _worst_defect(us, psi_traj.states)
+    if defects is None:
+        defects = _step_defects(us, psi_traj.states)
+    resid = _worst_defect(defects)
     if resid > CONSISTENCY_TOL:
         raise ValueError(
             f"state trajectory violates the equation of motion (residual {resid:.3e} "
@@ -504,4 +527,4 @@ def tdse_residual(
     formed bitwise as the forward march forms each step (``_step_defects``).
     """
     _check_grid(grid, [field], [traj])
-    return _worst_defect(_u_stack(H, field.samples, grid.dt), traj.states)
+    return _worst_defect(_step_defects(_u_stack(H, field.samples, grid.dt), traj.states))

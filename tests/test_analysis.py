@@ -227,7 +227,7 @@ def patch_everywhere(monkeypatch, name, wrapper):
 class TestOneStackPerCall:
     """Count the steps each call forms and the matrices it decomposes: one stack per call.
 
-    ``stack_log`` holds the matrices per ``propagator._u_stack`` call,
+    ``stack_log`` holds the steps per forward stack ``propagator._stacks`` builds,
     ``series_log`` the arithmetic dtype per ``propagator._field_series``
     build and ``eigh_log`` (matrices, dtype) per ``np.linalg.eigh`` call:
     real-symmetric Hamiltonians build their series in float64, any complex
@@ -254,11 +254,12 @@ class TestOneStackPerCall:
     def stack_log(self, monkeypatch):
         log = []
 
-        def counting(H, samples, dt):
-            log.append(int(np.size(samples)))
-            return stack(H, samples, dt)
+        def counting(H, samples, dt, n_du=0, u=True):
+            if u:
+                log.append(int(np.size(samples)))
+            return stacks(H, samples, dt, n_du, u)
 
-        stack = patch_everywhere(monkeypatch, "_u_stack", counting)
+        stacks = patch_everywhere(monkeypatch, "_stacks", counting)
         return log
 
     @pytest.fixture
@@ -318,7 +319,20 @@ class TestOneStackPerCall:
         assert (stack_log, len(series_log), matrices(eigh_log)) == expected
 
     @pytest.mark.parametrize("dim", [3, 2])
-    def test_optimize_forms_each_solves_steps_once(self, eigh_log, stack_log, series_log, dim):
+    def test_optimize_forms_each_solves_steps_once(
+        self, monkeypatch, eigh_log, stack_log, series_log, dim
+    ):
+        calls = {"_step_defects": 0, "_worst_defect": 0}
+
+        def counted(name):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            original = patch_everywhere(monkeypatch, name, wrapper)
+
+        for name in calls:
+            counted(name)
         problem, field = seeded_problem(72, dim, 40, 1.0)
         config = qoct.OptimizationConfig(
             alpha=1.0, max_iters=2, j_tol=1e-300, stationarity_tol=1e-6,
@@ -332,14 +346,17 @@ class TestOneStackPerCall:
         # the initial field, the sweep's field and three trials
         k = {3: 4, 2: 5}[dim]
         assert (result.iterations_run, result.evaluations_run) == (2, k)
-        n = problem.grid.n_steps
-        # each evaluation solves its field on one stack of n steps, from one
-        # series (dim 3) or the SU(2) form (dim 2), and its rows differentiate
-        # one series of their own at either dimension; the costate and the
-        # objective read the solved steps. Only two levels sweep, in Python
-        # scalars, on the initial field's rows. Nothing is decomposed.
-        expected = ([n] * k, 2 * k if dim == 3 else k, [])
+        m = problem.grid.index_T
+        # each evaluation solves its field up to the first node past T, on one
+        # stack of m + 1 steps. Above two levels that stack and the rows' m
+        # derivatives come from one series; two levels take the SU(2) form for
+        # the stack and one series for the derivatives. The costate's gate
+        # and the objective read the solved steps and their one set of
+        # defects, one pass each. Only two levels sweep, in Python scalars, on
+        # the initial field's rows. Nothing is decomposed.
+        expected = ([m + 1] * k, k, [])
         assert (stack_log, len(series_log), matrices(eigh_log)) == expected
+        assert calls == {"_step_defects": k, "_worst_defect": k}
 
     def test_verify_solves_its_probe_field_once(self, eigh_log, stack_log, series_log, tmp_path):
         rng = np.random.default_rng(73)

@@ -145,6 +145,37 @@ class TestConfigValidation:
         assert cli.run_optimize(config, tmp_path / "out") == 1
         assert f"config error: {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "optimize"])
+    @pytest.mark.parametrize("example", ["readme", "real4"])
+    def test_reference_past_the_step_phase_bound_rejected(self, tmp_path, capsys, command, example):
+        # a finite reference whose step phase bound ||H dt||_1 is far past 2^53
+        # (inf on real4): malformed input naming eps_ref, with nothing solved
+        # or written
+        config = write_example_config(tmp_path / "cfg.json", example)
+        cfg = json.loads(config.read_text(encoding="utf-8"))
+        cfg["eps_ref"] = {"constant": 1e308}
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(config), "--out", str(out)]) == 1
+        assert "config error: eps_ref: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale, ok", [(0.99, True), (1.01, False)])
+    def test_reference_bound_includes_the_probe_noise(self, scale, ok):
+        # README's H(eps) = diag(0, 1) + eps sigma_x has ||H(eps) dt||_1 =
+        # (|eps| + 1) dt; the reference is checked widened by the probe noise
+        # verify adds to it, so a reference just inside the bound with that
+        # noise parses and one just past it is rejected
+        cfg = readme_config()
+        ref = scale * cli.MAX_STEP_PHASE / cfg["dt"] - 1.0 - cli.NOISE_AMPLITUDE_PROBE
+        cfg["eps_ref"] = {"constant": ref}
+        if ok:
+            cli.ProblemConfig.from_dict(cfg)
+        else:
+            with pytest.raises(cli.ConfigError, match="step phase") as info:
+                cli.ProblemConfig.from_dict(cfg)
+            assert info.value.field == "eps_ref"
+
     def test_readme_example_parses(self):
         cfg = cli.ProblemConfig.from_dict(readme_config())
         assert cfg.problem.dim == 2
@@ -433,6 +464,20 @@ class TestPropagate:
         field_csv = self.write_field_csv(tmp_path / "field.csv", samples)
         assert cli.run_propagate(config, field_csv, tmp_path / "out") == 1
         assert "config error: field: line 43: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_steps_that_lose_unitarity_rejected(self, tmp_path, capsys):
+        # one sample inside the step phase bound whose step still loses
+        # unitarity past the trajectory's norm gate (step phase 1e5 on
+        # real4): malformed input naming the field, with nothing written
+        config = write_example_config(tmp_path / "cfg.json", "real4")
+        problem = cli.ProblemConfig.from_file(config).problem
+        mu = problem.hamiltonian.coupling.matrix
+        samples = ["0.0"] * 420
+        samples[100] = repr(float(1e5 / (problem.grid.dt * np.linalg.norm(mu, 1))))
+        field_csv = self.write_field_csv(tmp_path / "field.csv", samples)
+        assert cli.run_propagate(config, field_csv, tmp_path / "out") == 1
+        assert "config error: field: norm drift along trajectory" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import qoct
-from qoct import cli, functional, gradient, optimizer
+from qoct import cli, gradient, optimizer
 from qoct.analysis import _solve
 from qoct.optimizer import _feedback_sweep
-from qoct.propagator import Direction
+from qoct.propagator import Direction, _du_stack
 from conftest import random_hermitian, random_state, seeded_problem, two_level_benchmark
 
 
@@ -156,7 +158,7 @@ class TestTwoLevelSweep:
         for _ in range(2):
             traj = qoct.propagate_forward(psi0, field, H, grid)
             chi = qoct.propagate_costate(traj, O, field, H, grid, qoct.CostateBoundary.canonical())
-            rows = gradient._pairing_rows(H, field.samples[:m], chi, dt)
+            rows = gradient._pairing_rows(_du_stack(H, field.samples[:m], dt), chi, dt)
             new_field = _feedback_sweep(psi0.amplitudes, rows, eps_ref, alpha, H, grid)
 
             chi_next = list(chi.states[1:m]) + [chi.chi_T_minus]
@@ -204,8 +206,10 @@ class TestStackInSync:
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_history_replays_from_fresh_solves(self, monkeypatch, dim):
         # every record is the breakdown of an evaluation: a fresh solve of its
-        # field gives it bitwise, the initial field's first and the final
-        # field's last, with no solve beyond the counted evaluations
+        # samples up to the first node past T gives its j_opt and j_tdse
+        # bitwise, the initial field's first and the final field's last, with
+        # no solve beyond the counted evaluations; its j_cost is the whole
+        # grid's penalty
         problem, field = seeded_problem(80 + dim, dim, 60, 1.0, complex_hermitian=True)
         config = qoct.OptimizationConfig(
             alpha=problem.alpha, max_iters=8, j_tol=1e-300, stationarity_tol=1e-6,
@@ -213,26 +217,71 @@ class TestStackInSync:
         )
         solved = []
 
-        def recording(problem, field, boundary):
+        def recording(problem, field, boundary, us):
             solved.append(field)
-            return _solve(problem, field, boundary)
+            return _solve(problem, field, boundary, us)
 
         monkeypatch.setattr(optimizer, "_solve", recording)
         H, O, grid = problem.hamiltonian, problem.observable, problem.grid
+        m = grid.index_T
         result = qoct.optimize(problem.psi0, H, O, grid, config)
         assert result.evaluations_run == len(solved)
 
-        def fresh_total(f):
-            sol, us = _solve(problem, f, qoct.CostateBoundary.canonical())
-            return functional._total(
-                sol.psi, sol.chi, f, problem.eps_ref, problem.alpha, O, grid, us
-            )
+        window = dataclasses.replace(
+            problem, grid=qoct.TimeGrid(grid.dt, m + 1, m),
+            eps_ref=qoct.ControlField(problem.eps_ref.samples[: m + 1]),
+        )
 
-        totals = iter(fresh_total(f) for f in solved)
-        assert np.array_equal(solved[0].samples, field.samples)
+        def fresh_terms(f):
+            sol = qoct.solve(window, f, qoct.CostateBoundary.canonical())
+            j_tdse = qoct.eval_j_tdse(sol.psi, sol.chi, f, H, window.grid)
+            return qoct.eval_j_opt(sol.psi, O, window.grid), j_tdse
+
+        terms = iter(fresh_terms(f) for f in solved)
+        assert np.array_equal(solved[0].samples, field.samples[: m + 1])
         for recorded in result.j_history:
-            assert any(bd == recorded for bd in totals)
-        assert fresh_total(result.final_field) == result.j_history[-1]
+            assert any(t == (recorded.j_opt, recorded.j_tdse) for t in terms)
+        last, final = result.j_history[-1], result.final_field
+        assert fresh_terms(qoct.ControlField(final.samples[: m + 1])) == (last.j_opt, last.j_tdse)
+        assert qoct.eval_j_cost(final, problem.eps_ref, problem.alpha, grid) == last.j_cost
+
+    @pytest.mark.parametrize("complex_hermitian", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_window_solve_matches_the_whole_grid(self, dim, complex_hermitian):
+        # an evaluation solves its field only up to the first node past T; with
+        # a reference that is nonzero after T and an initial field that
+        # differs from it there, the first record is still the whole grid's
+        # breakdown (j_cost bitwise: it spans every sample) and the
+        # certificate the whole grid's exact gradient, to round-off
+        problem, field = seeded_problem(
+            110 + dim, dim, 60, 0.7, complex_hermitian=complex_hermitian
+        )
+        H, O, grid = problem.hamiltonian, problem.observable, problem.grid
+        m, alpha = grid.index_T, problem.alpha
+        eps_ref = qoct.ControlField(np.random.default_rng(120 + dim).uniform(-0.5, 0.5, 60))
+        problem = dataclasses.replace(problem, eps_ref=eps_ref)
+        assert eps_ref.samples[m:].all()
+        assert (field.samples[m:] != eps_ref.samples[m:]).all()
+        config = qoct.OptimizationConfig(
+            alpha=alpha, max_iters=1, j_tol=1e-300, stationarity_tol=1e-6,
+            initial_field=field, eps_ref=eps_ref,
+        )
+        result = qoct.optimize(problem.psi0, H, O, grid, config)
+        canonical = qoct.CostateBoundary.canonical()
+
+        sol = qoct.solve(problem, field, canonical)
+        whole = qoct.eval_total(sol.psi, sol.chi, field, eps_ref, alpha, O, H, grid)
+        first = result.j_history[0]
+        assert first.j_cost == whole.j_cost
+        for term in ("j_opt", "j_tdse", "j_total"):
+            assert abs(getattr(first, term) - getattr(whole, term)) <= 1e-12 * abs(getattr(whole, term)), term
+
+        final = result.final_field
+        assert np.array_equal(final.samples[m:], eps_ref.samples[m:])
+        sol = qoct.solve(problem, final, canonical)
+        g = qoct.analytic_gradient(sol.psi, sol.chi, final, eps_ref, alpha, H, grid)
+        residual = np.max(np.abs(g[:m])) / (2 * alpha * grid.dt)
+        assert abs(result.final_stationarity_residual - residual) <= 1e-12 * residual
 
 
 class TestFirstIteration:
@@ -247,7 +296,8 @@ class TestFirstIteration:
             alpha=config.alpha,
         )
         sol = qoct.solve(problem, config.initial_field, canonical)
-        rows = gradient._pairing_rows(H, config.initial_field.samples[:m], sol.chi, grid.dt)
+        du = _du_stack(H, config.initial_field.samples[:m], grid.dt)
+        rows = gradient._pairing_rows(du, sol.chi, grid.dt)
         swept = _feedback_sweep(
             psi0.amplitudes, rows, config.eps_ref.samples, config.alpha, H, grid
         )

@@ -328,7 +328,7 @@ class TestRealSymmetric:
         H, grid = problem.hamiltonian, problem.grid
         m, dt = grid.index_T, grid.dt
         chi = qoct.solve(problem, field, qoct.CostateBoundary.canonical()).chi
-        rows = _pairing_rows(H, field.samples[:m], chi, dt)
+        rows = _pairing_rows(_du_stack(H, field.samples[:m], dt), chi, dt)
         chi_next = np.concatenate([chi.states[1:m], chi.chi_T_minus[None, :]])
         ref = np.array([
             chi_next[k].conj() @ qoct.step_control_derivative(H, eps, dt) / dt
