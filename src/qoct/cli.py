@@ -15,11 +15,13 @@ tolerance (non-convergence, failed verification, failed gradient check).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,6 +69,9 @@ BOUNDARY_TOL = 1e-12
 FIELD_GAP_TOL = 1e-10
 HOMOGENEOUS_TOL = 1e-12
 CONJUGATE_TOL = 1e-12
+# the conjugate pair's second start beta * conj(psi0): with real and imaginary
+# parts of their own, so its deviation is not an exact multiple of beta = 1's
+CONJUGATE_BETA = 0.3 + 0.7j
 PHASE_DEFECT_TOL = 1e-14
 # the largest step phase bound ||H(eps) dt||_1 a field value may give: past 2^53
 # no double fixes the phase of exp(-i H dt) to a radian, and further on it overflows
@@ -319,33 +324,59 @@ def _write_populations(out: Path, problem: ControlProblem, states: np.ndarray) -
     _write_csv(out / "populations.csv", header, _population_rows(problem.grid, states))
 
 
+def _reports_config_errors(run):
+    """``run`` with a ConfigError it raises reported on stderr, as exit status EXIT_INPUT_ERROR."""
+
+    @functools.wraps(run)
+    def reporting(*args, **kwargs) -> int:
+        try:
+            return run(*args, **kwargs)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+
+    return reporting
+
+
+@contextmanager
+def _trajectory_gate(field: str):
+    """Re-raise a ValueError inside, the trajectory's norm gate, as ConfigError(field).
+
+    A step inside MAX_STEP_PHASE still loses unitarity by about its phase
+    times 2^-53, so a trajectory can drift past NORM_TOL far inside it: on
+    a 420-step grid from a step phase of a few thousand. The runners write
+    nothing before the gate has passed.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(field, str(exc)) from exc
+
+
+@_reports_config_errors
 def run_optimize(config_path: str | Path, out_dir: str | Path) -> int:
     """Optimize the field and emit field.csv, populations.csv, summary.json."""
-    try:
-        cfg = ProblemConfig.from_file(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    out = _ensure_out(out_dir)
-
+    cfg = ProblemConfig.from_file(config_path)
     p = cfg.problem
     initial = cfg.noisy_field(NOISE_AMPLITUDE_OPTIMIZE)
-    result = optimize(
-        p.psi0,
-        p.hamiltonian,
-        p.observable,
-        p.grid,
-        OptimizationConfig(
-            alpha=p.alpha,
-            max_iters=cfg.max_iters,
-            j_tol=cfg.j_tol,
-            stationarity_tol=cfg.stationarity_tol,
-            initial_field=initial,
-            eps_ref=p.eps_ref,
-        ),
-    )
+    with _trajectory_gate("eps_ref"):
+        result = optimize(
+            p.psi0,
+            p.hamiltonian,
+            p.observable,
+            p.grid,
+            OptimizationConfig(
+                alpha=p.alpha,
+                max_iters=cfg.max_iters,
+                j_tol=cfg.j_tol,
+                stationarity_tol=cfg.stationarity_tol,
+                initial_field=initial,
+                eps_ref=p.eps_ref,
+            ),
+        )
+        traj = propagate_forward(p.psi0, result.final_field, p.hamiltonian, p.grid)
 
-    traj = propagate_forward(p.psi0, result.final_field, p.hamiltonian, p.grid)
+    out = _ensure_out(out_dir)
     _write_csv(out / "field.csv", ["t", "eps"], _field_rows(p.grid, result.final_field.samples))
     _write_populations(out, p, traj.states)
     _write_json(out / "summary.json", _optimize_summary(result))
@@ -365,18 +396,16 @@ def _optimize_summary(result: OptimizationResult) -> dict:
     }
 
 
+@_reports_config_errors
 def run_verify(config_path: str | Path, out_dir: str | Path) -> int:
     """Run the continuity/independence/gradient battery and emit verify.json."""
-    try:
-        cfg = ProblemConfig.from_file(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    out = _ensure_out(out_dir)
-
+    cfg = ProblemConfig.from_file(config_path)
     p = cfg.problem
     field = cfg.noisy_field(NOISE_AMPLITUDE_PROBE)
-    solution, us, _ = _solve(p, field, CostateBoundary.canonical())
+    # the later checks march the same field on the same stack, so only this
+    # solve can trip the trajectory's norm gate
+    with _trajectory_gate("eps_ref"):
+        solution, us, _ = _solve(p, field, CostateBoundary.canonical())
 
     jump = check_canonical_jump(solution)
     family = {
@@ -413,9 +442,13 @@ def run_verify(config_path: str | Path, out_dir: str | Path) -> int:
     if p.hamiltonian.is_real():
         dev = check_conjugate_independence(p.psi0, field, p.hamiltonian, p.grid)
         dev_beta = check_conjugate_independence(
-            p.psi0, field, p.hamiltonian, p.grid, beta=2j
+            p.psi0, field, p.hamiltonian, p.grid, beta=CONJUGATE_BETA
         )
-        conjugate = {"deviation": dev, "beta_2i_deviation": dev_beta}
+        conjugate = {
+            "deviation": dev,
+            "beta": [CONJUGATE_BETA.real, CONJUGATE_BETA.imag],
+            "beta_deviation": dev_beta,
+        }
         checks["conjugate_independence"] = bool(
             dev < CONJUGATE_TOL and dev_beta < CONJUGATE_TOL
         )
@@ -427,7 +460,7 @@ def run_verify(config_path: str | Path, out_dir: str | Path) -> int:
 
     passed = all(checks.values())
     _write_json(
-        out / "verify.json",
+        _ensure_out(out_dir) / "verify.json",
         {
             "canonical_jump": jump.as_dict(),
             "field_continuity": jump.as_dict(),
@@ -441,26 +474,22 @@ def run_verify(config_path: str | Path, out_dir: str | Path) -> int:
     return EXIT_OK if passed else EXIT_TOLERANCE
 
 
+@_reports_config_errors
 def run_gradcheck(
     config_path: str | Path,
     out_dir: str | Path,
     h: float = DEFAULT_PROBE_STEP,
 ) -> int:
     """Compare analytic and finite-difference gradients; emit grad.json."""
-    try:
-        cfg = ProblemConfig.from_file(config_path)
-        if not (math.isfinite(h) and h > 0):
-            raise ConfigError("h", f"probe step must be positive and finite, got {h!r}")
-        field = cfg.noisy_field(NOISE_AMPLITUDE_PROBE)
-        # ||H(eps) dt||_1 is convex in eps: the outermost probes bound every probe's step
-        for eps in (float(field.samples.min()) - h, float(field.samples.max()) + h):
-            _require_step_phase(cfg.problem, eps, "h", f"probe step {h!r} moves a sample to {eps!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    out = _ensure_out(out_dir)
-
-    report = gradient_report(cfg.problem, field, probe_step=h)
+    cfg = ProblemConfig.from_file(config_path)
+    if not (math.isfinite(h) and h > 0):
+        raise ConfigError("h", f"probe step must be positive and finite, got {h!r}")
+    field = cfg.noisy_field(NOISE_AMPLITUDE_PROBE)
+    # ||H(eps) dt||_1 is convex in eps: the outermost probes bound every probe's step
+    for eps in (float(field.samples.min()) - h, float(field.samples.max()) + h):
+        _require_step_phase(cfg.problem, eps, "h", f"probe step {h!r} moves a sample to {eps!r}")
+    with _trajectory_gate("eps_ref"):
+        report = gradient_report(cfg.problem, field, probe_step=h)
     passed = report.max_rel_error < GRADCHECK_TOL
 
     payload = report.as_dict()
@@ -472,31 +501,24 @@ def run_gradcheck(
             "central differences truncate at O(h^2), so an oversized h dominates the "
             "comparison long before the analytic gradient can be at fault"
         )
-    _write_json(out / "grad.json", payload)
+    _write_json(_ensure_out(out_dir) / "grad.json", payload)
     return EXIT_OK if passed else EXIT_TOLERANCE
 
 
+@_reports_config_errors
 def run_propagate(config_path: str | Path, field_csv: str | Path, out_dir: str | Path) -> int:
     """Propagate under a stored field; emit populations.csv and summary.json."""
-    try:
-        cfg = ProblemConfig.from_file(config_path)
-        field = _read_field_csv(field_csv, cfg.problem.grid.n_steps)
-        # convex in eps: the smallest and largest samples bound every step's phase
-        for k in (int(np.argmin(field.samples)), int(np.argmax(field.samples))):
-            eps = float(field.samples[k])
-            _require_step_phase(cfg.problem, eps, "field", f"line {k + 2}: sample {eps!r}")
-        p = cfg.problem
-        try:
-            traj, us = _forward(p.psi0, field, p.hamiltonian, p.grid)
-        except ValueError as exc:
-            # the trajectory gate: a step inside MAX_STEP_PHASE still loses
-            # unitarity by about its phase times 2^-53, past NORM_TOL near 1e5
-            raise ConfigError("field", str(exc)) from exc
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    out = _ensure_out(out_dir)
+    cfg = ProblemConfig.from_file(config_path)
+    field = _read_field_csv(field_csv, cfg.problem.grid.n_steps)
+    # convex in eps: the smallest and largest samples bound every step's phase
+    for k in (int(np.argmin(field.samples)), int(np.argmax(field.samples))):
+        eps = float(field.samples[k])
+        _require_step_phase(cfg.problem, eps, "field", f"line {k + 2}: sample {eps!r}")
+    p = cfg.problem
+    with _trajectory_gate("field"):
+        traj, us = _forward(p.psi0, field, p.hamiltonian, p.grid)
 
+    out = _ensure_out(out_dir)
     _write_populations(out, p, traj.states)
     _write_json(
         out / "summary.json",

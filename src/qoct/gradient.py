@@ -8,12 +8,12 @@ central differences check it to a sharp 1e-6, not to O(dt). The one
 pairing of the costate with dU/deps is ``_pairing_rows``, which the
 optimizer's field law reads too. The oracle uses neither the costate nor
 dU/deps; its probes start from the solved trajectory and march together
-on its steps. Above two levels both differentiate the one field series
+on its steps. At every dimension both differentiate the one field series
 of ``propagator``, the gradient analytically and the oracle numerically,
 so the oracle checks the adjoint and the pairing, not the exponential;
 the tests pin the series and its derivative to the eigenpair reference
-routes for that. At two levels the oracle steps the SU(2) closed form
-while the gradient differentiates the series.
+routes for that, and check the gradient against central differences
+marched on those routes' steps.
 
 The reduced objective is ``functional``'s j_opt + j_cost on the forward
 solution: its penalty spans the whole grid, so samples after the

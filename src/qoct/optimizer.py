@@ -13,11 +13,10 @@ sample-for-sample. An evaluation of a field is one ``analysis._solve``
 on the window grid up to the first node past T (index_T + 1 steps, the
 field's own first samples), its rows and its breakdown. The window's
 steps and the rows' m derivatives come from one ``propagator._stacks``
-call: one field series above two levels, the SU(2) stack and a series
-for the derivatives at two. Its step defects are formed once, for the
-costate's equation-of-motion gate and for j_tdse. j_cost is
-``functional.eval_j_cost`` on the whole field, so samples after T, the
-initial field's noise there included, stay penalized. The law gap
+call, one field series at every dimension. Its step defects are formed
+once, for the costate's equation-of-motion gate and for j_tdse. j_cost
+is ``functional.eval_j_cost`` on the whole field, so samples after T,
+the initial field's noise there included, stay penalized. The law gap
 eps_k - law_k is then the gradient of -J / (2 alpha dt), and its
 sup-norm is the exact-gradient residual the run is certified by.
 

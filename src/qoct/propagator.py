@@ -2,24 +2,24 @@
 
 The one-step propagator is the matrix exponential of H(eps_k) over one
 interval, so each step is unitary to round-off. Each job has one kernel.
-Two-level stacks take the closed SU(2) form (``_su2_stack``), which the
-sequential sweep (``optimizer._feedback_sweep``) steps in Python scalars
-(``_step_two_level``). Above two levels every step comes from
-``_field_series``: exp(-i (H0 + eps mu) dt) as a scaling-and-squaring
-Taylor series in the scalar eps, built once over a range of field values,
-evaluated at all the samples of a stack in one product and squared. At
-every dimension dU/deps is the derivative of that series carried through
-its squarings. ``_stacks`` is the one kernel for both: an optimizer
-evaluation takes the steps up to the first node past T and the
-derivatives of the samples before it from one series, one set of powers
-and one chain of squarings; ``_u_stack`` and ``_du_stack`` take one of
-the two. A backward step is the conjugate
-transpose of a forward one; ``_march_forward`` marches states and
-``_march_rows`` the conjugate rows of the backward march. Real-symmetric
+At every dimension every step of a stack comes from ``_field_series``:
+exp(-i (H0 + eps mu) dt) as a scaling-and-squaring Taylor series in the
+scalar eps, built once over a range of field values, evaluated at all the
+samples of a stack in one product and squared, and dU/deps is the
+derivative of that series carried through its squarings. The sequential
+two-level sweep (``optimizer._feedback_sweep``) steps one sample at a
+time in the closed SU(2) form, in Python scalars (``_step_two_level``).
+``_stacks`` is the one kernel for U and dU: an optimizer evaluation
+takes the steps up to the first node past T and the derivatives of the
+samples before it from one series, one set of powers and one chain of
+squarings; ``_u_stack`` and ``_du_stack`` take one of the two. A
+backward step is the conjugate transpose of a forward one;
+``_march_forward`` marches states and ``_march_rows`` the conjugate
+rows of the backward march. Real-symmetric
 H0 and mu (``_operators``) are expanded in real arithmetic. Only the
 reference routes (``step_matrix``, ``step_control_derivative``) call
 ``np.linalg.eigh``, on ``H.evaluate`` in complex arithmetic at every
-dimension, independent of the SU(2) form and the series.
+dimension, independent of the series and the SU(2) form.
 The delta source feeding the costate at the measurement time is never
 discretized as a narrow pulse; it is imposed as an exact boundary
 condition in one of two regimes:
@@ -106,29 +106,6 @@ def _adjoint(u: NDArrayComplex) -> NDArrayComplex:
     return u.conj().swapaxes(-1, -2)
 
 
-def _su2_stack(h: np.ndarray, tau: float) -> NDArrayComplex:
-    """exp(-1j * h * tau) for a stack (..., 2, 2) of Hermitian h, in the closed SU(2) form.
-
-    The two-level stack kernel of ``_u_stack``; ``_step_two_level`` is the
-    same form in Python scalars.
-    """
-    a = h[..., 0, 0].real
-    c = h[..., 1, 1].real
-    b = h[..., 0, 1]
-    s = 0.5 * (a + c)
-    d = 0.5 * (a - c)
-    omega = np.sqrt(d * d + (b * b.conj()).real)
-    phase = np.exp(-1j * s * tau)
-    cs = np.cos(omega * tau)
-    sn = -1j * tau * np.sinc(omega * tau / np.pi)
-    u = np.empty(h.shape, dtype=np.complex128)
-    u[..., 0, 0] = phase * (cs + sn * d)
-    u[..., 0, 1] = phase * sn * b
-    u[..., 1, 0] = phase * sn * b.conj()
-    u[..., 1, 1] = phase * (cs - sn * d)
-    return u
-
-
 def _taylor_plan(norm: float) -> tuple[int, int]:
     """(s, p) for exp(-1j x) with ||x||_1 = norm: s squarings and Taylor degree p.
 
@@ -196,10 +173,10 @@ def _step_two_level(
 ) -> tuple[complex, complex]:
     """exp(-1j * h * tau) applied to (p0, p1), for h = [[a, b], [conj(b), c]].
 
-    The SU(2) closed form of ``_su2_stack`` in plain Python scalars,
-    applied without building the matrix: a sequential two-level sweep
-    steps hundreds of times per pass, and NumPy's per-call overhead on
-    2 x 2 arrays would dominate it.
+    The SU(2) closed form in plain Python scalars, applied without
+    building the matrix: a sequential two-level sweep steps hundreds of
+    times per pass, and NumPy's per-call overhead on 2 x 2 arrays would
+    dominate it.
     """
     s = 0.5 * (a + c)
     d = 0.5 * (a - c)
@@ -224,12 +201,6 @@ def _operators(H: ControlHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     return H.drift.matrix, H.coupling.matrix
 
 
-def _h_stack(H: ControlHamiltonian, samples: np.ndarray) -> np.ndarray:
-    """H(eps_k) = H0 + eps_k * mu for every sample, stacked over k, in ``_operators``' dtype."""
-    h0, mu = _operators(H)
-    return h0[None, :, :] + samples[:, None, None] * mu[None, :, :]
-
-
 def _stacks(
     H: ControlHamiltonian, samples: np.ndarray, dt: float, n_du: int = 0, u: bool = True
 ) -> tuple[Optional[NDArrayComplex], Optional[NDArrayComplex]]:
@@ -238,8 +209,7 @@ def _stacks(
     U_k = exp(-1j * H(eps_k) * dt), batched over k (None unless u), and
     dU_k/deps for k < n_du (None when n_du is 0), from one
     ``_field_series`` whose range is the largest |eps_k| of the samples
-    they cover (1 where every one is 0). Two levels take U in the SU(2)
-    closed form and dU from a series over the n_du samples alone.
+    they cover (1 where every one is 0).
 
     With u = eps / bound, X_0 = P(u) = sum_j u^j C_j is one product of
     the powers P_kj = (eps_k / bound)^j with C, the real P multiplying
@@ -251,9 +221,6 @@ def _stacks(
     squarings and no U only P' is formed. No caller reads eigenpairs, so
     none are formed.
     """
-    if u and H.dim == 2:
-        du = _stacks(H, samples, dt, n_du, u=False)[1] if n_du else None
-        return _su2_stack(_h_stack(H, samples), dt), du
     if not u:
         samples = samples[:n_du]
     bound = float(np.max(np.abs(samples), initial=0.0)) or 1.0
@@ -296,8 +263,7 @@ def _u_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayCo
 def _du_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayComplex:
     """Control derivatives dU_k/deps of the forward propagators, batched over k (``_stacks``).
 
-    At every dimension the derivative of the ``_field_series`` that
-    ``_u_stack`` evaluates above two levels.
+    The derivative of the ``_field_series`` that ``_u_stack`` evaluates.
     """
     return _stacks(H, samples, dt, samples.size, u=False)[1]
 

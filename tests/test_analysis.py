@@ -231,9 +231,9 @@ class TestOneStackPerCall:
     ``series_log`` the arithmetic dtype per ``propagator._field_series``
     build and ``eigh_log`` (matrices, dtype) per ``np.linalg.eigh`` call:
     real-symmetric Hamiltonians build their series in float64, any complex
-    operator in complex128. Above two levels every step of a stack is
-    evaluated from a field series, and at every dimension the exact
-    gradient's pairing rows differentiate one series of their own; no
+    operator in complex128. At every dimension every step of a stack is
+    evaluated from a field series, and the exact gradient's pairing rows
+    differentiate one series of their own; no
     production route decomposes anything, and only the reference routes
     read eigenpairs.
     """
@@ -274,7 +274,6 @@ class TestOneStackPerCall:
         return log
 
     def test_each_call_decomposes_each_interval_once(self, eigh_log, stack_log, series_log):
-        # dim 3 leaves the SU(2) closed form, so every stack goes through the series
         problem, field = seeded_problem(70, 3, 40, 1.0)
         H, O, grid = problem.hamiltonian, problem.observable, problem.grid
 
@@ -312,11 +311,9 @@ class TestOneStackPerCall:
         qoct.gradient_report(problem, field)
         n, m = problem.grid.n_steps, problem.grid.index_T
         # one forward stack for both trajectories and the probes' 2m moved
-        # steps, which step off the solved nodes; the gradient's m
-        # derivatives come from a third series. Two levels take the SU(2)
-        # closed form for both stacks, so their one series is the gradient's
-        expected = ([n, 2 * m], 3, []) if dim == 3 else ([n, 2 * m], 1, [])
-        assert (stack_log, len(series_log), matrices(eigh_log)) == expected
+        # steps, which step off the solved nodes, each from its own series;
+        # the gradient's m derivatives come from a third series
+        assert (stack_log, len(series_log), matrices(eigh_log)) == ([n, 2 * m], 3, [])
 
     @pytest.mark.parametrize("dim", [3, 2])
     def test_optimize_forms_each_solves_steps_once(
@@ -348,12 +345,11 @@ class TestOneStackPerCall:
         assert (result.iterations_run, result.evaluations_run) == (2, k)
         m = problem.grid.index_T
         # each evaluation solves its field up to the first node past T, on one
-        # stack of m + 1 steps. Above two levels that stack and the rows' m
-        # derivatives come from one series; two levels take the SU(2) form for
-        # the stack and one series for the derivatives. The costate's gate
-        # and the objective read the solved steps and their one set of
-        # defects, one pass each. Only two levels sweep, in Python scalars, on
-        # the initial field's rows. Nothing is decomposed.
+        # stack of m + 1 steps, and that stack and the rows' m derivatives
+        # come from one series. The costate's gate and the objective read the
+        # solved steps and their one set of defects, one pass each. Only two
+        # levels sweep, in Python scalars, on the initial field's rows.
+        # Nothing is decomposed.
         expected = ([m + 1] * k, k, [])
         assert (stack_log, len(series_log), matrices(eigh_log)) == expected
         assert calls == {"_step_defects": k, "_worst_defect": k}

@@ -160,6 +160,25 @@ class TestConfigValidation:
         assert "config error: eps_ref: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["verify", "optimize", "gradcheck"])
+    @pytest.mark.parametrize("example", ["readme", "real4"])
+    def test_reference_past_the_norm_gate_rejected(self, tmp_path, capsys, command, example):
+        # a reference at step phase 1e4, far inside the step phase bound,
+        # whose steps still lose unitarity past the trajectory's norm gate at
+        # two levels and at four: malformed input naming eps_ref, with no
+        # traceback and nothing written
+        config = write_example_config(tmp_path / "cfg.json", example)
+        cfg = json.loads(config.read_text(encoding="utf-8"))
+        mu = np.array([[x[0] for x in row] for row in cfg["mu"]])
+        cfg["eps_ref"] = {"constant": float(1e4 / (cfg["dt"] * np.linalg.norm(mu, 1)))}
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: eps_ref: norm drift along trajectory")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("scale, ok", [(0.99, True), (1.01, False)])
     def test_reference_bound_includes_the_probe_noise(self, scale, ok):
         # README's H(eps) = diag(0, 1) + eps sigma_x has ||H(eps) dt||_1 =
@@ -250,7 +269,8 @@ class TestVerify:
         assert report["field_continuity"]["commutator_condition_holds"] is True
         assert report["field_continuity"]["field_left_limit_gap"] < 1e-10
         assert report["conjugate_independence"]["deviation"] < 1e-12
-        assert report["conjugate_independence"]["beta_2i_deviation"] < 1e-12
+        assert report["conjugate_independence"]["beta"] == [0.3, 0.7]
+        assert report["conjugate_independence"]["beta_deviation"] < 1e-12
         assert report["gradient"]["max_rel_error"] < 1e-6
         for n in ("1", "2", "-1"):
             fam = report["continuous_family"][n]
@@ -340,8 +360,8 @@ class TestGradcheck:
     @pytest.mark.parametrize("h", ["inf", "nan"])
     def test_non_finite_probe_rejected(self, tmp_path, capsys, h, dim):
         # as typed on the command line: malformed input, naming h, with no
-        # gradient computed or written; above two levels an infinite step
-        # would otherwise reach the series' plan
+        # gradient computed or written; an infinite step would otherwise
+        # reach the series' plan
         rng = np.random.default_rng(4)
         operators = {
             name: as_pairs_matrix(random_symmetric(rng, dim).matrix)
@@ -505,9 +525,8 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("draw", [random_symmetric, random_hermitian])
     def test_verify_and_gradcheck_above_two_levels(self, tmp_path, draw):
-        # dim 4 leaves the SU(2) closed form: real-symmetric operators
-        # build their field series in real arithmetic, complex-Hermitian
-        # ones in complex
+        # dim 4: real-symmetric operators build their field series in real
+        # arithmetic, complex-Hermitian ones in complex
         rng = np.random.default_rng(4)
         h0, mu, observable = (as_pairs_matrix(draw(rng, 4).matrix) for _ in range(3))
         config = write_config(

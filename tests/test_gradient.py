@@ -102,6 +102,51 @@ class TestAnalyticGradient:
         assert np.max(np.abs(g - loop)) < 1e-14
 
 
+class TestEigenpairOracle:
+    """The exact gradient against central differences of J marched on ``step_matrix`` steps.
+
+    ``gradient_report``'s oracle steps the field series the gradient
+    differentiates, so it checks the adjoint and the pairing only. Here
+    psi(T) is marched on the eigenpair route instead, so the series, its
+    derivative, the adjoint and the pairing are checked end to end. The
+    probe step 1e-3 keeps the round-off of |J| / h far below the
+    truncation, which stays under the relative 1e-6 gate.
+    """
+
+    PROBE_STEP = 1e-3
+
+    @staticmethod
+    def objective(problem, samples):
+        """j_opt + j_cost of the samples, with psi(T) marched by ``step_matrix``."""
+        grid, H = problem.grid, problem.hamiltonian
+        psi = problem.psi0
+        for eps in samples[: grid.index_T]:
+            psi = qoct.StateVector(
+                qoct.step_matrix(H, float(eps), grid.dt, qoct.Direction.FORWARD) @ psi.amplitudes
+            )
+        return qoct.expectation(problem.observable, psi) + qoct.eval_j_cost(
+            qoct.ControlField(samples), problem.eps_ref, problem.alpha, grid
+        )
+
+    @pytest.mark.parametrize("complex_hermitian", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_matches_central_differences_of_eigh_steps(self, dim, complex_hermitian):
+        problem, field = seeded_problem(80 + dim, dim, 40, 1.0, complex_hermitian=complex_hermitian)
+        traj, chi = forward_and_canonical(problem, field)
+        g = qoct.analytic_gradient(
+            traj, chi, field, problem.eps_ref, problem.alpha, problem.hamiltonian, problem.grid
+        )
+        h = self.PROBE_STEP
+        for k in (0, 9, 21, problem.grid.index_T - 1):
+            move = np.zeros(field.n_samples)
+            move[k] = h
+            fd = (
+                self.objective(problem, field.samples + move)
+                - self.objective(problem, field.samples - move)
+            ) / (2.0 * h)
+            assert abs(g[k] - fd) / max(1e-12, abs(fd)) < 1e-6
+
+
 class TestFiniteDifference:
     def test_post_measurement_samples_see_only_cost(self):
         problem, field = seeded_problem(43, 2, 40, 1.0)

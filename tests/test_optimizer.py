@@ -7,7 +7,7 @@ import qoct
 from qoct import cli, gradient, optimizer
 from qoct.analysis import _solve
 from qoct.optimizer import _feedback_sweep
-from qoct.propagator import Direction, _du_stack
+from qoct.propagator import Direction, _du_stack, _stacks
 from conftest import random_hermitian, random_state, seeded_problem, two_level_benchmark
 
 
@@ -291,12 +291,16 @@ class TestFirstIteration:
         psi0, H, O, grid = two_level_benchmark()
         config = benchmark_config()
         m, canonical = grid.index_T, qoct.CostateBoundary.canonical()
-        problem = qoct.ControlProblem(
-            psi0=psi0, hamiltonian=H, observable=O, grid=grid, eps_ref=config.eps_ref,
-            alpha=config.alpha,
+        # the rows the evaluation reads: its m + 1 steps up to the first node
+        # past T and the m derivatives before T from one series, and the
+        # costate solved on those steps
+        window = qoct.ControlProblem(
+            psi0=psi0, hamiltonian=H, observable=O, grid=qoct.TimeGrid(grid.dt, m + 1, m),
+            eps_ref=qoct.ControlField(config.eps_ref.samples[: m + 1]), alpha=config.alpha,
         )
-        sol = qoct.solve(problem, config.initial_field, canonical)
-        du = _du_stack(H, config.initial_field.samples[:m], grid.dt)
+        samples = config.initial_field.samples[: m + 1]
+        us, du = _stacks(H, samples, grid.dt, m)
+        sol = _solve(window, qoct.ControlField(samples), canonical, us)[0]
         rows = gradient._pairing_rows(du, sol.chi, grid.dt)
         swept = _feedback_sweep(
             psi0.amplitudes, rows, config.eps_ref.samples, config.alpha, H, grid

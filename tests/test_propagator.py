@@ -8,8 +8,8 @@ import qoct
 from qoct import propagator
 from qoct.gradient import _pairing_rows
 from qoct.propagator import (
-    Direction, _adjoint, _du_stack, _field_series, _h_stack, _march_forward, _march_rows,
-    _step_two_level, _su2_stack, _taylor_plan, _u_stack,
+    Direction, _adjoint, _du_stack, _field_series, _march_forward, _march_rows, _operators,
+    _step_two_level, _taylor_plan, _u_stack,
 )
 from conftest import (
     level_projector,
@@ -259,7 +259,7 @@ class TestComplexHermitian:
 
     def test_propagators_match_per_step_march(self):
         # complex-Hermitian H has a non-symmetric U, so U^dagger differs
-        # from conj(U); dim 2 runs the closed form, dim 4 the field series
+        # from conj(U); both dims step the field series, against eigh steps
         rng = np.random.default_rng(30)
         for dim in (2, 4):
             H = qoct.ControlHamiltonian(
@@ -316,7 +316,7 @@ class TestRealSymmetric:
             drift=random_symmetric(rng, dim), coupling=random_symmetric(rng, dim)
         )
         samples, dt = rng.uniform(-1.5, 1.5, 30), 0.07
-        assert _h_stack(H, samples).dtype == np.float64
+        assert _operators(H)[0].dtype == np.float64
         us = _u_stack(H, samples, dt)
         assert np.max(np.abs(us - step_matrices(H, samples, dt))) <= 1e-14
         assert np.max(np.abs(us @ _adjoint(us) - np.eye(dim))) <= 1e-14
@@ -338,7 +338,7 @@ class TestRealSymmetric:
 
 
 class TestTaylorExponential:
-    """The stack kernel above two levels pinned to ``step_matrix`` in both dtypes.
+    """The stack kernel at every dimension pinned to ``step_matrix`` in both dtypes.
 
     ``_u_stack`` reads one ``_field_series`` over the stack's samples, up to
     its squaring branch.
@@ -361,7 +361,7 @@ class TestTaylorExponential:
         return H, samples
 
     @pytest.mark.parametrize("draw", [random_symmetric, random_hermitian])
-    @pytest.mark.parametrize("dim", [3, 8, 16])
+    @pytest.mark.parametrize("dim", [2, 3, 8, 16])
     def test_matches_eigenbasis_route_and_is_unitary(self, draw, dim):
         tau = 0.3
         for j, norm in enumerate(self.NORMS):
@@ -374,7 +374,7 @@ class TestTaylorExponential:
 
     @pytest.mark.parametrize("dt", [0.05, 0.5])
     @pytest.mark.parametrize("complex_hermitian", [False, True])
-    @pytest.mark.parametrize("dim", [3, 8, 16])
+    @pytest.mark.parametrize("dim", [2, 3, 8, 16])
     def test_stack_takes_each_squaring_count(self, monkeypatch, dim, complex_hermitian, dt):
         # a probe field at five doublings of its range takes the stack's
         # squarings an odd and an even number of times in every case (0 to 9
@@ -416,7 +416,7 @@ class TestTaylorExponential:
         H = qoct.ControlHamiltonian(
             drift=qoct.HermitianOperator(np.zeros((dim, dim))), coupling=qoct.HermitianOperator(j)
         )
-        assert _h_stack(H, np.zeros(1)).dtype == dtype
+        assert _operators(H)[0].dtype == dtype
         c = np.array([0.0, 1e-3, -0.4, 3.0, -60.0])
         u = _u_stack(H, c, tau)
         x = (c * tau)[:, None, None]
@@ -520,7 +520,7 @@ class TestFieldSeries:
         return x
 
     @pytest.mark.parametrize("draw", [random_symmetric, random_hermitian])
-    @pytest.mark.parametrize("dim", [3, 8, 16])
+    @pytest.mark.parametrize("dim", [2, 3, 8, 16])
     @pytest.mark.parametrize("dt", [0.01, 0.5])
     def test_matches_eigh_route_and_scipy_across_the_range(self, draw, dim, dt):
         rng = np.random.default_rng(200 + dim)
@@ -572,14 +572,19 @@ class TestFieldSeries:
 
 
 class TestTwoLevelScalarStep:
-    """The scalar SU(2) step pinned to the stack closed form and to scipy."""
+    """The scalar SU(2) step pinned to ``step_matrix`` (eigh) and to scipy."""
 
     @staticmethod
     def assert_matches(h, tau, psi):
         (a, b), (_, c) = h.tolist()
         p0, p1 = psi.tolist()
         q = np.array(_step_two_level(a.real, b, c.real, tau, p0, p1))
-        assert np.max(np.abs(q - _su2_stack(h, tau) @ psi)) < 1e-14
+        # h as the drift at eps = 0; a negative tau is the backward step over |tau|
+        H = qoct.ControlHamiltonian(
+            drift=qoct.HermitianOperator(h), coupling=qoct.HermitianOperator(np.zeros((2, 2)))
+        )
+        direction = Direction.FORWARD if tau >= 0 else Direction.BACKWARD
+        assert np.max(np.abs(q - qoct.step_matrix(H, 0.0, abs(tau), direction) @ psi)) < 1e-14
         assert np.max(np.abs(q - scipy.linalg.expm(-1j * h * tau) @ psi)) < 1e-14
 
     def test_random_complex_hermitian(self):

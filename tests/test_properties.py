@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import qoct
 from conftest import random_hermitian, random_state, random_symmetric, seeded_problem
 from qoct import cli
-from qoct.propagator import _adjoint, _forward, _h_stack
+from qoct.propagator import _adjoint, _forward, _operators
 from test_cli import as_pairs_matrix, as_pairs_vector
 
 
@@ -49,13 +49,13 @@ def test_analytic_gradient_matches_central_differences(
     complex_hermitian=st.booleans(),
 )
 def test_steps_are_unitary_and_backward_undoes_forward(seed, dim, n_steps, dt, complex_hermitian):
-    # dt up to 1 takes ||H dt||_1 past 1/2 above two levels: the stack
-    # kernel's squaring branch
+    # dt up to 1 takes ||H dt||_1 past 1/2: the stack kernel's squaring
+    # branch
     problem, field = seeded_problem(
         seed, dim, n_steps, 1.0, dt=dt, complex_hermitian=complex_hermitian
     )
     H = problem.hamiltonian
-    assert _h_stack(H, field.samples).dtype == (np.complex128 if complex_hermitian else np.float64)
+    assert _operators(H)[0].dtype == (np.complex128 if complex_hermitian else np.float64)
     psi, us = _forward(problem.psi0, field, H, problem.grid)
     assert np.max(np.abs(us @ _adjoint(us) - np.eye(dim))) <= 1e-13
     # the reference backward steps (complex eigh) march psi(T_hat) back
