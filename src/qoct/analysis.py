@@ -38,7 +38,7 @@ from .core import (
     commutes,
 )
 from .propagator import CostateBoundary
-from .propagator import _costate, _forward, _march_rows, _step_defects, _u_stack, _worst_defect
+from .propagator import _costate, _field_stack, _forward, _march_rows, _step_defects, _worst_defect
 
 __all__ = [
     "ContinuityReport",
@@ -108,15 +108,19 @@ class Solution:
 
 
 def solve(problem: ControlProblem, field: ControlField, boundary: CostateBoundary) -> Solution:
-    """Propagate the state forward and the costate in the given regime, on one stack."""
+    """Propagate the state forward and the costate in the given regime, on one stack.
+
+    The forward solve becomes ``propagator``'s last one, so the checks
+    that follow on the same field read its stack instead of building it.
+    """
     return _solve(problem, field, boundary)[0]
 
 
 def _solve(
     problem: ControlProblem, field: ControlField, boundary: CostateBoundary,
     us: Optional[NDArrayComplex] = None,
-) -> tuple[Solution, NDArrayComplex, NDArrayComplex]:
-    """``solve`` plus the forward stack it marched and the state's step defects on it, for reuse.
+) -> tuple[Solution, NDArrayComplex]:
+    """``solve`` plus the state's step defects on its forward stack, for reuse.
 
     ``us`` is the field's stack when the caller has built it already. The
     defects are formed once, for the costate's equation-of-motion gate
@@ -125,7 +129,7 @@ def _solve(
     psi, us = _forward(problem.psi0, field, problem.hamiltonian, problem.grid, us)
     defects = _step_defects(us, psi.states)
     chi = _costate(psi, problem.observable, field, problem.grid, boundary, us, defects)
-    return Solution(problem=problem, field=field, boundary=boundary, psi=psi, chi=chi), us, defects
+    return Solution(problem=problem, field=field, boundary=boundary, psi=psi, chi=chi), defects
 
 
 def check_canonical_jump(solution: Solution) -> ContinuityReport:
@@ -188,7 +192,7 @@ def check_continuous_family(
     not a whole turn and |exp(i phi) - 1| = 2 quantifies the induced
     discontinuity.
     """
-    us = _u_stack(H, field.samples, grid.dt)
+    us = _field_stack(H, field, grid.dt)
     chi = _costate(psi_traj, O, field, grid, CostateBoundary.continuous(n), us)
     residual = _worst_defect(_step_defects(us, chi.states))
     value = (1j / (2.0 * np.pi * n)) * (O.matrix @ psi_traj.node(grid.index_T))
@@ -218,7 +222,9 @@ def check_conjugate_independence(
     complex beta. It is marched as its conjugate rows r_k, r_0 =
     conj(beta) psi0 and r_{k+1} = r_k U_k on the forward stack as it is,
     and |phi_k - beta conj(psi_k)| = |r_k - conj(beta) psi_k|, so neither
-    the stack nor the trajectory is conjugated.
+    the stack nor the trajectory is conjugated. After ``solve`` from the
+    same psi0 on the same field, the forward solve is its last one, and
+    only the rows are marched.
     """
     psi, us = _forward(psi0, field, H, grid)
     beta_bar = np.conj(beta)

@@ -28,10 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    _solve,
     check_canonical_jump,
     check_conjugate_independence,
     check_continuous_family,
+    solve,
 )
 from .core import (
     ControlField,
@@ -45,7 +45,7 @@ from .core import (
 from .functional import eval_j_opt
 from .gradient import DEFAULT_PROBE_STEP, _gradient_report, gradient_report
 from .optimizer import OptimizationConfig, OptimizationResult, optimize
-from .propagator import CostateBoundary, _forward, _step_defects, _worst_defect, propagate_forward
+from .propagator import CostateBoundary, propagate_forward, tdse_residual
 
 __all__ = [
     "ConfigError",
@@ -282,10 +282,6 @@ def _parse_eps_ref(raw: dict, grid: TimeGrid) -> ControlField:
     raise ConfigError("eps_ref", 'expected {"constant": x} or {"samples": [...]}')
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_atomic(path: Path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
     try:
@@ -298,30 +294,29 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    _write_atomic(path, "\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
+    """The header, then each row of a 2-d float table at 17 significant digits.
+
+    One %-format of the whole table: "%.17g" renders a float as
+    format(x, ".17g") does, without a call per value.
+    """
+    n_rows, n_cols = table.shape
+    row = ",".join(["%.17g"] * n_cols) + "\n"
+    _write_atomic(path, ",".join(header) + "\n" + (row * n_rows) % tuple(table.ravel().tolist()))
 
 
 def _write_json(path: Path, obj) -> None:
     _write_atomic(path, json.dumps(obj, indent=2) + "\n")
 
 
-def _field_rows(grid: TimeGrid, samples: np.ndarray):
-    for k in range(grid.n_steps):
-        yield (k * grid.dt, samples[k])
-
-
-def _population_rows(grid: TimeGrid, states: np.ndarray):
-    pops = np.abs(states) ** 2
-    for k in range(grid.n_steps + 1):
-        yield (k * grid.dt, *pops[k])
+def _timed(dt: float, values: np.ndarray) -> np.ndarray:
+    """Rows (k dt, values[k]) for each row k of the values."""
+    return np.column_stack((np.arange(len(values)) * dt, values))
 
 
 def _write_populations(out: Path, problem: ControlProblem, states: np.ndarray) -> None:
     header = ["t"] + [f"p{i}" for i in range(problem.dim)]
-    _write_csv(out / "populations.csv", header, _population_rows(problem.grid, states))
+    _write_csv(out / "populations.csv", header, _timed(problem.grid.dt, np.abs(states) ** 2))
 
 
 def _reports_config_errors(run):
@@ -377,7 +372,7 @@ def run_optimize(config_path: str | Path, out_dir: str | Path) -> int:
         traj = propagate_forward(p.psi0, result.final_field, p.hamiltonian, p.grid)
 
     out = _ensure_out(out_dir)
-    _write_csv(out / "field.csv", ["t", "eps"], _field_rows(p.grid, result.final_field.samples))
+    _write_csv(out / "field.csv", ["t", "eps"], _timed(p.grid.dt, result.final_field.samples))
     _write_populations(out, p, traj.states)
     _write_json(out / "summary.json", _optimize_summary(result))
     return EXIT_OK if result.converged else EXIT_TOLERANCE
@@ -402,10 +397,11 @@ def run_verify(config_path: str | Path, out_dir: str | Path) -> int:
     cfg = ProblemConfig.from_file(config_path)
     p = cfg.problem
     field = cfg.noisy_field(NOISE_AMPLITUDE_PROBE)
-    # the later checks march the same field on the same stack, so only this
-    # solve can trip the trajectory's norm gate
+    # the later checks read this solve's stack and trajectory, propagator's
+    # last solve (or build them again, bitwise the same), so only this solve
+    # can trip the trajectory's norm gate
     with _trajectory_gate("eps_ref"):
-        solution, us, _ = _solve(p, field, CostateBoundary.canonical())
+        solution = solve(p, field, CostateBoundary.canonical())
 
     jump = check_canonical_jump(solution)
     family = {
@@ -455,7 +451,7 @@ def run_verify(config_path: str | Path, out_dir: str | Path) -> int:
     else:
         conjugate = {"skipped": "Hamiltonian matrices are not real-valued"}
 
-    grad = _gradient_report(solution, us, DEFAULT_PROBE_STEP)
+    grad = _gradient_report(solution, DEFAULT_PROBE_STEP)
     checks["gradient"] = bool(grad.max_rel_error < GRADCHECK_TOL)
 
     passed = all(checks.values())
@@ -516,7 +512,7 @@ def run_propagate(config_path: str | Path, field_csv: str | Path, out_dir: str |
         _require_step_phase(cfg.problem, eps, "field", f"line {k + 2}: sample {eps!r}")
     p = cfg.problem
     with _trajectory_gate("field"):
-        traj, us = _forward(p.psi0, field, p.hamiltonian, p.grid)
+        traj = propagate_forward(p.psi0, field, p.hamiltonian, p.grid)
 
     out = _ensure_out(out_dir)
     _write_populations(out, p, traj.states)
@@ -524,7 +520,7 @@ def run_propagate(config_path: str | Path, field_csv: str | Path, out_dir: str |
         out / "summary.json",
         {
             "j_opt": eval_j_opt(traj, p.observable, p.grid),
-            "tdse_residual": _worst_defect(_step_defects(us, traj.states)),
+            "tdse_residual": tdse_residual(traj, field, p.hamiltonian, p.grid),
             "final_populations": (np.abs(traj.states[-1]) ** 2).tolist(),
         },
     )

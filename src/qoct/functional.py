@@ -29,7 +29,7 @@ from .core import (
     _check_grid,
     expectation,
 )
-from .propagator import _step_defects, _u_stack
+from .propagator import _field_stack, _step_defects
 
 __all__ = [
     "FunctionalBreakdown",
@@ -101,7 +101,7 @@ def eval_j_tdse(
     trajectories give exactly zero for any costate.
     """
     _check_grid(grid, [field], [psi_traj, chi_traj])
-    us = _u_stack(H, field.samples, grid.dt)
+    us = _field_stack(H, field, grid.dt)
     return _j_tdse(_step_defects(us, psi_traj.states), chi_traj.states)
 
 

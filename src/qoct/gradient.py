@@ -50,6 +50,7 @@ from .functional import eval_j_cost, eval_j_opt
 from .propagator import (
     CostateBoundary,
     _du_stack,
+    _field_stack,
     _forward,
     _march_probes,
     propagate_forward,
@@ -213,16 +214,15 @@ def gradient_report(
     probe_step: float = DEFAULT_PROBE_STEP,
 ) -> GradientReport:
     """Compare the analytic gradient against central differences sample-wise."""
-    sol, us, _ = _solve(problem, field, CostateBoundary.canonical())
-    return _gradient_report(sol, us, probe_step)
+    return _gradient_report(_solve(problem, field, CostateBoundary.canonical())[0], probe_step)
 
 
-def _gradient_report(sol: Solution, us: NDArrayComplex, probe_step: float) -> GradientReport:
-    """``gradient_report`` on a canonical solution and the forward stack it marched."""
+def _gradient_report(sol: Solution, probe_step: float) -> GradientReport:
+    """``gradient_report`` on a canonical solution; the probes step on its field's stack."""
     problem, field = sol.problem, sol.field
-    analytic = analytic_gradient(
-        sol.psi, sol.chi, field, problem.eps_ref, problem.alpha, problem.hamiltonian, problem.grid
-    )
+    H, grid = problem.hamiltonian, problem.grid
+    analytic = analytic_gradient(sol.psi, sol.chi, field, problem.eps_ref, problem.alpha, H, grid)
+    us = _field_stack(H, field, grid.dt)
     fd = _central_differences(problem, field, sol.psi, us, np.arange(field.n_samples), probe_step)
     rel = np.abs(analytic - fd) / np.maximum(1e-12, np.abs(fd))
     return GradientReport(

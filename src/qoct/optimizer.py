@@ -77,7 +77,7 @@ from .core import (
 )
 from .functional import FunctionalBreakdown, _j_tdse, eval_j_cost, eval_j_opt
 from .gradient import _pairing_rows
-from .propagator import CostateBoundary, _stacks, _step_two_level
+from .propagator import CostateBoundary, _clear_last_solve, _stacks, _step_two_level
 
 __all__ = ["OptimizationConfig", "OptimizationResult", "optimize"]
 
@@ -203,13 +203,16 @@ def optimize(
         eps_ref=ControlField(eps_ref[: m + 1]), alpha=alpha,
     )
     evaluations = 0
+    # every evaluation solves on a stack of its own and none reads the last
+    # forward solve, so its stack is dropped rather than held through the run
+    _clear_last_solve()
 
     def evaluate(samples):
         nonlocal evaluations
         evaluations += 1
         field = ControlField(samples)
         us, du = _stacks(H, samples[: m + 1], dt, m)
-        sol, _, defects = _solve(window, ControlField(samples[: m + 1]), canonical, us)
+        sol, defects = _solve(window, ControlField(samples[: m + 1]), canonical, us)
         rows = _pairing_rows(du, sol.chi, dt)
         law = eps_ref[:m] + np.einsum("ki,ki->k", rows, sol.psi.states[:m]).real / alpha
         bd = FunctionalBreakdown(

@@ -15,7 +15,11 @@ samples before it from one series, one set of powers and one chain of
 squarings; ``_u_stack`` and ``_du_stack`` take one of the two. A
 backward step is the conjugate transpose of a forward one;
 ``_march_forward`` marches states and ``_march_rows`` the conjugate
-rows of the backward march. Real-symmetric
+rows of the backward march. A forward solve that builds its own stack
+is kept as the last solve (``_last_solve``: the stack and the
+trajectory), and the public calls on the same field read it
+(``_forward``, ``_field_stack``) instead of building the stack again;
+a miss only builds it. Real-symmetric
 H0 and mu (``_operators``) are expanded in real arithmetic. Only the
 reference routes (``step_matrix``, ``step_control_derivative``) call
 ``np.linalg.eigh``, on ``H.evaluate`` in complex arithmetic at every
@@ -36,7 +40,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -50,6 +54,7 @@ from .core import (
     StateVector,
     TimeGrid,
     _check_grid,
+    _freeze,
 )
 
 __all__ = [
@@ -384,6 +389,37 @@ def step(
     return StateVector(u @ psi.amplitudes)
 
 
+class _Solve(NamedTuple):
+    """One forward solve: its inputs, the stack it marched and the trajectory."""
+
+    psi0: StateVector
+    samples: np.ndarray
+    H: ControlHamiltonian
+    dt: float
+    us: NDArrayComplex
+    traj: StateTrajectory
+
+
+# The last forward solve not handed a stack by its caller, or None. Its
+# inputs are frozen and held here, so their ids stay theirs while the entry
+# lives; a miss only costs the stack again.
+_last_solve: Optional[_Solve] = None
+
+
+def _clear_last_solve() -> None:
+    """Drop the last forward solve, and the stack it holds."""
+    global _last_solve
+    _last_solve = None
+
+
+def _field_stack(H: ControlHamiltonian, field: ControlField, dt: float) -> NDArrayComplex:
+    """``_u_stack`` of the field's samples, the last forward solve's when it marched them."""
+    last = _last_solve
+    if last is not None and last.samples is field.samples and last.H is H and last.dt == dt:
+        return last.us
+    return _freeze(_u_stack(H, field.samples, dt))
+
+
 def propagate_forward(
     psi0: StateVector,
     field: ControlField,
@@ -404,15 +440,26 @@ def _forward(
 ) -> tuple[StateTrajectory, NDArrayComplex]:
     """``propagate_forward`` plus the forward stack it marched, for reuse.
 
-    ``us`` is the field's stack when the caller has built it already.
+    ``us`` is the field's stack when the caller has built it already; such
+    a solve neither reads nor writes the last solve. Otherwise the last
+    solve serves its trajectory when psi0, the field's samples and H are
+    the same objects at the same dt, and its stack when only psi0 differs;
+    this solve then becomes the last one.
     """
     psi0.require_normalized("psi0")
     if psi0.dim != H.dim:
         raise ValueError(f"dimension mismatch: state {psi0.dim} vs Hamiltonian {H.dim}")
     _check_grid(grid, [field])
-    if us is None:
-        us = _u_stack(H, field.samples, grid.dt)
-    return StateTrajectory(_march_forward(us, psi0.amplitudes)), us
+    if us is not None:
+        return StateTrajectory(_march_forward(us, psi0.amplitudes)), us
+    global _last_solve
+    last = _last_solve
+    us = _field_stack(H, field, grid.dt)
+    if last is not None and last.us is us and last.psi0 is psi0:
+        return last.traj, us
+    traj = StateTrajectory(_march_forward(us, psi0.amplitudes))
+    _last_solve = _Solve(psi0, field.samples, H, grid.dt, us, traj)
+    return traj, us
 
 
 def propagate_costate(
@@ -437,7 +484,7 @@ def propagate_costate(
         continuous(n): value (i / 2 pi n) * O * psi(T) at the node,
         identical one-sided limits, homogeneous evolution both ways.
     """
-    return _costate(psi_traj, O, field, grid, boundary, _u_stack(H, field.samples, grid.dt))
+    return _costate(psi_traj, O, field, grid, boundary, _field_stack(H, field, grid.dt))
 
 
 def _costate(
@@ -493,4 +540,4 @@ def tdse_residual(
     formed bitwise as the forward march forms each step (``_step_defects``).
     """
     _check_grid(grid, [field], [traj])
-    return _worst_defect(_step_defects(_u_stack(H, field.samples, grid.dt), traj.states))
+    return _worst_defect(_step_defects(_field_stack(H, field, grid.dt), traj.states))

@@ -10,8 +10,10 @@ real-valued matrix. ``random_hermitian`` draws the complex case.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 import qoct
+from qoct import propagator
 
 # (seed, dim, n_steps, alpha) covering every value of each knob; seeds
 # picked so no probe lands next to a gradient zero crossing, where the
@@ -29,6 +31,18 @@ SEEDED_INSTANCES = [
     (209, 4, 200, 1.0),
     (110, 3, 100, 1.0),
 ]
+
+
+@pytest.fixture(autouse=True)
+def no_last_solve():
+    """Each test starts and ends without ``propagator``'s last forward solve.
+
+    A test that patches a kernel (``_stacks``, ``_field_series``) would
+    otherwise be served a stack an earlier test built before the patch.
+    """
+    propagator._clear_last_solve()
+    yield
+    propagator._clear_last_solve()
 
 
 def random_symmetric(rng: np.random.Generator, dim: int, scale: float = 1.0) -> qoct.HermitianOperator:

@@ -225,7 +225,10 @@ def patch_everywhere(monkeypatch, name, wrapper):
 
 
 class TestOneStackPerCall:
-    """Count the steps each call forms and the matrices it decomposes: one stack per call.
+    """Count the steps each call forms and the matrices it decomposes: one stack per field.
+
+    A call builds at most one forward stack, and none when ``propagator``'s
+    last forward solve marched its field.
 
     ``stack_log`` holds the steps per forward stack ``propagator._stacks`` builds,
     ``series_log`` the arithmetic dtype per ``propagator._field_series``
@@ -283,26 +286,40 @@ class TestOneStackPerCall:
             call()
             return stack_log[:], len(series_log), matrices(eigh_log)
 
+        def cold(call):
+            # the same call with no last forward solve to read
+            def run():
+                propagator._clear_last_solve()
+                call()
+
+            return run
+
+        def family():
+            qoct.check_continuous_family(sol.psi, O, field, H, grid, 1)
+
+        def conjugate():
+            qoct.check_conjugate_independence(problem.psi0, field, H, grid)
+
         sol = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
         counts = {
-            "solve": logged(lambda: qoct.solve(problem, field, qoct.CostateBoundary.canonical())),
-            "continuous_family": logged(
-                lambda: qoct.check_continuous_family(sol.psi, O, field, H, grid, 1)
-            ),
-            "conjugate": logged(
-                lambda: qoct.check_conjugate_independence(problem.psi0, field, H, grid)
-            ),
+            "solve": logged(cold(lambda: qoct.solve(problem, field, qoct.CostateBoundary.canonical()))),
+            "continuous_family": logged(family),
+            "conjugate": logged(conjugate),
             "gradient": logged(
                 lambda: qoct.analytic_gradient(sol.psi, sol.chi, field, problem.eps_ref, 1.0, H, grid)
             ),
+            "cold continuous_family": logged(cold(family)),
+            "cold conjugate": logged(cold(conjugate)),
         }
         n, m = grid.n_steps, grid.index_T
-        # (stack steps, series built, decomposed): one stack of n from one
-        # series per call, and the gradient's m derivatives from one series;
-        # nothing is decomposed
+        # (stack steps, series built, decomposed): a solve builds one stack of
+        # n from one series, and the checks after it on the same field read
+        # it; with no last solve each check builds one of its own. The
+        # gradient's m derivatives come from one series; nothing is decomposed
         assert counts == {
-            "solve": ([n], 1, []), "continuous_family": ([n], 1, []), "conjugate": ([n], 1, []),
+            "solve": ([n], 1, []), "continuous_family": ([], 0, []), "conjugate": ([], 0, []),
             "gradient": ([], 1, []),
+            "cold continuous_family": ([n], 1, []), "cold conjugate": ([n], 1, []),
         }
 
     @pytest.mark.parametrize("dim", [3, 2])
@@ -363,10 +380,11 @@ class TestOneStackPerCall:
         )
         assert cli.run_verify(config, tmp_path / "out") == 0
         n, m = 100, 80
-        # one solve, three continuous-family stacks, two conjugate-pair stacks
-        # and the probes' 2m moved steps, each from its own series, and the
-        # gradient's m derivatives from one more; nothing is decomposed
-        assert (sum(stack_log), len(series_log), matrices(eigh_log)) == (6 * n + 2 * m, 8, [])
+        # one solve, whose stack the continuous family, the conjugate pair and
+        # the probes read, and the probes' 2m moved steps, each from its own
+        # series, and the gradient's m derivatives from one more; nothing is
+        # decomposed
+        assert (sum(stack_log), len(series_log), matrices(eigh_log)) == (n + 2 * m, 3, [])
 
     @staticmethod
     def run_every_route(problem, field):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qoct
 from qoct import cli, gradient
 from conftest import random_hermitian, random_symmetric
 
@@ -204,6 +205,43 @@ class TestConfigValidation:
         config.write_text('{"dimension": 2}', encoding="utf-8")
         assert cli.run_optimize(config, tmp_path / "out") == 1
         assert "h0" in capsys.readouterr().err
+
+
+def per_value_csv(header, rows):
+    """CSV text with each value rendered by its own format(x, ".17g") call."""
+    lines = [",".join(header)]
+    lines.extend(",".join(format(float(x), ".17g") for x in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvOutput:
+    """The CSV writer's one %-format per file, byte for byte against one format call per value."""
+
+    def test_edge_values(self, tmp_path):
+        rng = np.random.default_rng(11)
+        edges = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308,
+                 -1.7976931348623157e308, 0.1, 1.0 / 3.0, 2.0 ** 53 + 2.0, 1e16, 1e-5, np.pi]
+        spread = rng.standard_normal(3000) * 10.0 ** rng.integers(-323, 308, 3000)
+        table = np.concatenate([edges + [0.0] * (3 - len(edges) % 3), spread]).reshape(-1, 3)
+        cli._write_csv(tmp_path / "t.csv", ["a", "b", "c"], table)
+        expected = per_value_csv(["a", "b", "c"], table)
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode("utf-8")
+
+    def test_optimize_outputs(self, tmp_path):
+        config = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert cli.run_optimize(config, out) == 0
+        p = cli.ProblemConfig.from_file(config).problem
+        dt = p.grid.dt
+        # 17 significant digits read back exactly
+        eps = np.loadtxt(out / "field.csv", delimiter=",", skiprows=1)[:, 1]
+        field = per_value_csv(["t", "eps"], ((k * dt, x) for k, x in enumerate(eps)))
+        states = qoct.propagate_forward(p.psi0, qoct.ControlField(eps), p.hamiltonian, p.grid).states
+        pops = per_value_csv(
+            ["t", "p0", "p1"], ((k * dt, *row) for k, row in enumerate(np.abs(states) ** 2))
+        )
+        assert (out / "field.csv").read_bytes() == field.encode("utf-8")
+        assert (out / "populations.csv").read_bytes() == pops.encode("utf-8")
 
 
 class TestOptimize:

@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -635,3 +638,156 @@ class TestTdseResidual:
         bad = qoct.ControlField.constant(0.0, 29)
         with pytest.raises(ValueError, match="samples"):
             qoct.tdse_residual(traj, bad, problem.hamiltonian, problem.grid)
+
+
+def bits(value):
+    """The value with every float as its bytes, so == compares bitwise."""
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    if dataclasses.is_dataclass(value):
+        return tuple(bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return value
+
+
+class TestLastSolve:
+    """``propagator``'s last forward solve: reused behind the public calls, never needed.
+
+    A forward solve not handed a stack keeps its stack and trajectory,
+    keyed on the identity of psi0, the field's samples and H, and on dt.
+    """
+
+    N_STEPS = 40
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Whole-grid forward stacks built and forward marches run since set-up.
+
+        Only those of N_STEPS steps count: the probes' moved steps (2m) and
+        the continuous costate's march from T are others.
+        """
+        counts = {"_stacks": 0, "_march_forward": 0}
+
+        def counting(name):
+            original = getattr(propagator, name)
+
+            def wrapper(*args, **kwargs):
+                steps = len(args[1]) if name == "_stacks" else len(args[0])
+                if steps == self.N_STEPS and kwargs.get("u", True):
+                    counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(propagator, name, wrapper)
+
+        for name in counts:
+            counting(name)
+        return counts
+
+    @staticmethod
+    def public_calls(problem, field, sol):
+        """Every public call that reads the field's stack or forward solve, by name."""
+        H, O, grid = problem.hamiltonian, problem.observable, problem.grid
+        calls = {
+            f"continuous_family({n})": lambda n=n: qoct.check_continuous_family(
+                sol.psi, O, field, H, grid, n
+            )
+            for n in (1, 2, -1)
+        }
+        for beta in (1.0, 0.3 + 0.7j):
+            calls[f"conjugate({beta})"] = lambda beta=beta: qoct.check_conjugate_independence(
+                problem.psi0, field, H, grid, beta
+            )
+        calls["eval_total"] = lambda: qoct.eval_total(
+            sol.psi, sol.chi, field, problem.eps_ref, problem.alpha, O, H, grid
+        )
+        calls["propagate_costate"] = lambda: qoct.propagate_costate(
+            sol.psi, O, field, H, grid, qoct.CostateBoundary.canonical()
+        )
+        calls["tdse_residual"] = lambda: qoct.tdse_residual(sol.psi, field, H, grid)
+        calls["gradient_report"] = lambda: qoct.gradient_report(problem, field)
+        return calls
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_reused_values_are_bitwise_the_rebuilt_ones(self, dim, built):
+        problem, field = seeded_problem(90 + dim, dim, self.N_STEPS, 1.0)
+        sol = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
+        last = propagator._last_solve
+        assert last.traj is sol.psi and built == {"_stacks": 1, "_march_forward": 1}
+        calls = self.public_calls(problem, field, sol)
+        reused = {name: bits(call()) for name, call in calls.items()}
+        # every call read the solve's stack and trajectory: none was built again
+        assert propagator._last_solve is last
+        assert built == {"_stacks": 1, "_march_forward": 1}
+        for name, call in calls.items():
+            propagator._clear_last_solve()
+            assert bits(call()) == reused[name], name
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_other_inputs_miss(self, dim, built):
+        problem, field = seeded_problem(93 + dim, dim, self.N_STEPS, 1.0)
+        H, grid = problem.hamiltonian, problem.grid
+        # the same values in new objects, and a new dt
+        others = {
+            "psi0": (qoct.StateVector(problem.psi0.amplitudes), field, H, grid),
+            "field": (problem.psi0, qoct.ControlField(field.samples), H, grid),
+            "H": (problem.psi0, field, qoct.ControlHamiltonian(H.drift, H.coupling), grid),
+            "dt": (problem.psi0, field, H, qoct.TimeGrid(grid.dt * 1.5, grid.n_steps, grid.index_T)),
+        }
+        seen = {}
+        for name, (psi0, f, h, g) in others.items():
+            solved = qoct.propagate_forward(problem.psi0, field, H, grid)
+            for count in built:
+                built[count] = 0
+            traj = qoct.propagate_forward(psi0, f, h, g)
+            assert traj is not solved
+            seen[name] = dict(built)
+        # a new psi0 marches again on the same stack; anything else builds it too
+        assert seen == {
+            "psi0": {"_stacks": 0, "_march_forward": 1},
+            "field": {"_stacks": 1, "_march_forward": 1},
+            "H": {"_stacks": 1, "_march_forward": 1},
+            "dt": {"_stacks": 1, "_march_forward": 1},
+        }
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_holds_one_solve(self, dim):
+        problem, field_a = seeded_problem(96 + dim, dim, 40, 1.0)
+        field_b = qoct.ControlField(-field_a.samples)
+        qoct.solve(problem, field_a, qoct.CostateBoundary.canonical())
+        stack_a = weakref.ref(propagator._last_solve.us)
+        assert stack_a() is not None
+        qoct.solve(problem, field_b, qoct.CostateBoundary.canonical())
+        gc.collect()
+        assert stack_a() is None
+        assert propagator._last_solve.samples is field_b.samples
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_conjugate_check_after_solve_marches_rows_only(self, dim, built):
+        problem, field = seeded_problem(99 + dim, dim, self.N_STEPS, 1.0)
+        H, grid = problem.hamiltonian, problem.grid
+        qoct.solve(problem, field, qoct.CostateBoundary.canonical())
+        built["_march_forward"] = 0
+        for beta in (1.0, 0.3 + 0.7j):
+            qoct.check_conjugate_independence(problem.psi0, field, H, grid, beta)
+        assert built == {"_stacks": 1, "_march_forward": 0}
+
+    def test_optimize_holds_no_solve(self):
+        # each evaluation solves on the stack it built with the rows' series,
+        # and neither reads nor keeps a last solve
+        problem, field = seeded_problem(102, 3, 40, 1.0)
+        qoct.solve(problem, field, qoct.CostateBoundary.canonical())
+        config = qoct.OptimizationConfig(
+            alpha=1.0, max_iters=2, j_tol=1e-300, stationarity_tol=1e-6,
+            initial_field=field, eps_ref=problem.eps_ref,
+        )
+        qoct.optimize(
+            problem.psi0, problem.hamiltonian, problem.observable, problem.grid, config
+        )
+        assert propagator._last_solve is None
+
+    def test_stack_is_read_only(self):
+        problem, field = seeded_problem(103, 3, 40, 1.0)
+        qoct.propagate_forward(problem.psi0, field, problem.hamiltonian, problem.grid)
+        with pytest.raises(ValueError, match="read-only"):
+            propagator._last_solve.us[0, 0, 0] = 0.0
