@@ -20,7 +20,7 @@ Three families of checks live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -83,17 +83,7 @@ class ContinuityReport:
                 raise ValueError(f"{name} must be finite and non-negative, got {v!r}")
 
     def as_dict(self) -> dict:
-        return {
-            "jump_norm_at_T": self.jump_norm_at_T,
-            "costate_matches_boundary": self.costate_matches_boundary,
-            "commutator_condition_holds": self.commutator_condition_holds,
-            "field_left_limit_gap": self.field_left_limit_gap,
-            "eps_left_limit": self.eps_left_limit,
-            "eps_right_limit": self.eps_right_limit,
-            "homogeneous_residual": self.homogeneous_residual,
-            "phase_defect_magnitude": self.phase_defect_magnitude,
-            "commutator_expectation_at_T": self.commutator_expectation_at_T,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

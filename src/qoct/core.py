@@ -29,7 +29,6 @@ __all__ = [
     "StateTrajectory",
     "CostateTrajectory",
     "ControlProblem",
-    "inner_product",
     "expectation",
     "commutes",
     "make_grid",
@@ -313,13 +312,6 @@ class ControlProblem:
     @property
     def dim(self) -> int:
         return self.psi0.dim
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """Hermitian inner product <a|b>, conjugate-linear in the first slot."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def expectation(O: HermitianOperator, psi: StateVector) -> float:

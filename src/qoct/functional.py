@@ -14,7 +14,7 @@ annihilate the integrand identically instead of to O(dt^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,12 +57,7 @@ class FunctionalBreakdown:
         return self.j_opt + self.j_cost + self.j_tdse
 
     def as_dict(self) -> dict:
-        return {
-            "j_opt": self.j_opt,
-            "j_cost": self.j_cost,
-            "j_tdse": self.j_tdse,
-            "j_total": self.j_total,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "j_total": self.j_total}
 
 
 def eval_j_opt(traj: StateTrajectory, O: HermitianOperator, grid: TimeGrid) -> float:

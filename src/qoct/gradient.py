@@ -6,14 +6,15 @@ forward solution, the costate recursion is the exact adjoint of the
 stepper, and the per-step propagator is differentiated exactly, so
 central differences check it to a sharp 1e-6, not to O(dt). The one
 pairing of the costate with dU/deps is ``_pairing_rows``, which the
-optimizer's field law reads too. The oracle uses neither the costate nor
-dU/deps; its probes start from the solved trajectory and march together
-on its steps. At every dimension both differentiate the one field series
-of ``propagator``, the gradient analytically and the oracle numerically,
-so the oracle checks the adjoint and the pairing, not the exponential;
-the tests pin the series and its derivative to the eigenpair reference
-routes for that, and check the gradient against central differences
-marched on those routes' steps.
+optimizer's field law reads too. The oracle, ``gradient_report``, uses
+neither the costate nor dU/deps; its probes start from the solved
+trajectory and march together on its steps. At every dimension both
+differentiate the one field series of ``propagator``, the gradient
+analytically and the oracle numerically, so the oracle checks the
+adjoint and the pairing, not the exponential; the tests pin the series
+and its derivative to the eigenpair reference routes for that, and
+check the gradient against central differences marched on those routes'
+steps.
 
 The reduced objective is ``functional``'s j_opt + j_cost on the forward
 solution: its penalty spans the whole grid, so samples after the
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import Solution, _solve
+from .analysis import Solution, solve
 from .core import (
     ControlField,
     ControlHamiltonian,
@@ -51,7 +52,6 @@ from .propagator import (
     CostateBoundary,
     _du_stack,
     _field_stack,
-    _forward,
     _march_probes,
     propagate_forward,
 )
@@ -60,7 +60,6 @@ __all__ = [
     "GradientReport",
     "reduced_objective",
     "analytic_gradient",
-    "fd_gradient",
     "stationarity_residual",
     "gradient_report",
 ]
@@ -151,35 +150,6 @@ def _pairing_rows(du: NDArrayComplex, chi: CostateTrajectory, dt: float) -> NDAr
     return np.matmul(chi_next[:, None, :], du)[:, 0] / dt
 
 
-def fd_gradient(problem: ControlProblem, field: ControlField, k: int, h: float) -> float:
-    """Central-difference probe of the reduced objective at sample k."""
-    if not (0 <= k < field.n_samples):
-        raise ValueError(f"sample index {k} out of range 0..{field.n_samples - 1}")
-    psi, us = _forward(problem.psi0, field, problem.hamiltonian, problem.grid)
-    return float(_central_differences(problem, field, psi, us, np.array([k]), h)[0])
-
-
-def _central_differences(
-    problem: ControlProblem, field: ControlField, psi: StateTrajectory, us: NDArrayComplex,
-    ks: np.ndarray, h: float,
-) -> NDArrayFloat:
-    """``fd_gradient`` at ascending ks off the field's solved psi and steps us.
-
-    Only probes before T move psi(T).
-    """
-    if h <= 0:
-        raise ValueError(f"probe step must be positive, got {h!r}")
-    grid = problem.grid
-    dev = field.samples[ks, None] + [h, -h] - problem.eps_ref.samples[ks, None]
-    j = -problem.alpha * dev * dev * grid.dt
-    early = ks[ks < grid.index_T]
-    if early.size:
-        psi_T = _march_probes(psi.states, us, problem.hamiltonian, field, grid, early, h)
-        j_opt = np.einsum("ip,ij,jp->p", psi_T.conj(), problem.observable.matrix, psi_T)
-        j[: early.size] += j_opt.real.reshape(-1, 2)
-    return (j[:, 0] - j[:, 1]) / (2.0 * h)
-
-
 def stationarity_residual(
     psi_traj: StateTrajectory,
     chi_traj: CostateTrajectory,
@@ -214,20 +184,31 @@ def gradient_report(
     probe_step: float = DEFAULT_PROBE_STEP,
 ) -> GradientReport:
     """Compare the analytic gradient against central differences sample-wise."""
-    return _gradient_report(_solve(problem, field, CostateBoundary.canonical())[0], probe_step)
+    return _gradient_report(solve(problem, field, CostateBoundary.canonical()), probe_step)
 
 
-def _gradient_report(sol: Solution, probe_step: float) -> GradientReport:
-    """``gradient_report`` on a canonical solution; the probes step on its field's stack."""
+def _gradient_report(sol: Solution, h: float) -> GradientReport:
+    """``gradient_report`` on a canonical solution.
+
+    The oracle is (J(eps_k + h) - J(eps_k - h)) / 2h of the reduced
+    objective at every sample k. The cost term is formed in closed form;
+    only probes before T move psi(T), and they step on the field's stack.
+    """
+    if h <= 0:
+        raise ValueError(f"probe step must be positive, got {h!r}")
     problem, field = sol.problem, sol.field
     H, grid = problem.hamiltonian, problem.grid
     analytic = analytic_gradient(sol.psi, sol.chi, field, problem.eps_ref, problem.alpha, H, grid)
-    us = _field_stack(H, field, grid.dt)
-    fd = _central_differences(problem, field, sol.psi, us, np.arange(field.n_samples), probe_step)
+    dev = field.samples[:, None] + [h, -h] - problem.eps_ref.samples[:, None]
+    j = -problem.alpha * dev * dev * grid.dt
+    psi_T = _march_probes(sol.psi.states, _field_stack(H, field, grid.dt), H, field, grid, h)
+    j_opt = np.einsum("ip,ij,jp->p", psi_T.conj(), problem.observable.matrix, psi_T)
+    j[: grid.index_T] += j_opt.real.reshape(-1, 2)
+    fd = (j[:, 0] - j[:, 1]) / (2.0 * h)
     rel = np.abs(analytic - fd) / np.maximum(1e-12, np.abs(fd))
     return GradientReport(
         analytic=analytic,
         finite_diff=fd,
         max_rel_error=float(np.max(rel)),
-        probe_step=float(probe_step),
+        probe_step=float(h),
     )

@@ -10,10 +10,12 @@ with the rows rho_k = chi_{k+1}^dagger D_k / dt of
 costate). After the measurement node the costate vanishes, so no sample
 there reaches j_opt, j_tdse or the law, and the field is the reference
 sample-for-sample. An evaluation of a field is one ``analysis._solve``
-on the window grid up to the first node past T (index_T + 1 steps, the
-field's own first samples), its rows and its breakdown. The window's
-steps and the rows' m derivatives come from one ``propagator._stacks``
-call, one field series at every dimension. Its step defects are formed
+on the window grid up to the first node past T (index_T + 1 steps: the
+field's samples before T, then the reference's sample at T, which moves
+only the node past T), its rows and its breakdown, so a field's solve
+depends only on its samples before T. The window's steps and the rows'
+m derivatives come from one ``propagator._stacks`` call, one field
+series at every dimension. Its step defects are formed
 once, for the costate's equation-of-motion gate and for j_tdse. j_cost
 is ``functional.eval_j_cost`` on the whole field, so samples after T,
 the initial field's noise there included, stay penalized. The law gap
@@ -29,8 +31,9 @@ stepped and the rows of the initial field. Its field is evaluated like
 any other. Should the sweep lower J, it is not taken. Above two levels
 no sweep runs: there it mostly lowered J and was thrown away, and
 L-BFGS from the initial field took fewer evaluations in all. A first
-iteration without a sweep steps from the initial samples before T (the
-reference after it). Every later iteration is L-BFGS on the samples
+iteration without a sweep steps from the initial samples before T with
+the reference after them: their solve is the initial one, and only
+j_cost is formed anew. Every later iteration is L-BFGS on the samples
 before T (Nocedal & Wright, *Numerical Optimization*, 2nd ed.), after
 the Krotov/BFGS hybrid of Eitan, Mundt & Tannor (Phys. Rev. A 83,
 053426 (2011)) and GRAPE with BFGS (de Fouquieres et al., J. Magn.
@@ -61,7 +64,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 import numpy as np
@@ -211,8 +214,9 @@ def optimize(
         nonlocal evaluations
         evaluations += 1
         field = ControlField(samples)
-        us, du = _stacks(H, samples[: m + 1], dt, m)
-        sol, defects = _solve(window, ControlField(samples[: m + 1]), canonical, us)
+        head = np.append(samples[:m], eps_ref[m])
+        us, du = _stacks(H, head, dt, m)
+        sol, defects = _solve(window, ControlField(head), canonical, us)
         rows = _pairing_rows(du, sol.chi, dt)
         law = eps_ref[:m] + np.einsum("ki,ki->k", rows, sol.psi.states[:m]).real / alpha
         bd = FunctionalBreakdown(
@@ -256,7 +260,10 @@ def optimize(
                 if new.breakdown.j_total < base.breakdown.j_total:
                     new = None
             if new is None and not np.array_equal(base.field.samples[m:], eps_ref[m:]):
-                base = at(base.x)
+                # the reference after T moves only the penalty: same solve, rows and gap
+                field = ControlField(np.concatenate([base.x, eps_ref[m:]]))
+                j_cost = eval_j_cost(field, config.eps_ref, alpha, grid)
+                base = _Point(field, replace(base.breakdown, j_cost=j_cost), base.rows, base.gap)
         if new is None:
             new = search(base, _two_loop(pairs, base.gap))
             if new is None and pairs:

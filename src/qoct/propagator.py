@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -80,8 +81,9 @@ class Direction(Enum):
 class CostateBoundary:
     """Boundary regime for the costate at the measurement node.
 
-    ``continuous`` carries the nonzero integer n of the phase condition;
-    n = 0 would make the boundary value undefined and is rejected.
+    ``continuous`` carries the nonzero integer n of the phase condition,
+    any integral type but bool, stored as int; n = 0 would make the
+    boundary value undefined and is rejected.
     """
 
     mode: str
@@ -92,8 +94,10 @@ class CostateBoundary:
             if self.n is not None:
                 raise ValueError("canonical boundary takes no integer parameter")
         elif self.mode == "continuous":
-            if not isinstance(self.n, int) or self.n == 0:
-                raise ValueError(f"continuous boundary requires a nonzero integer n, got {self.n!r}")
+            n = self.n
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n == 0:
+                raise ValueError(f"continuous boundary requires a nonzero integer n, got {n!r}")
+            object.__setattr__(self, "n", int(n))
         else:
             raise ValueError(f"unknown boundary mode {self.mode!r}")
 
@@ -304,22 +308,20 @@ def _march_rows(us: NDArrayComplex, r0: NDArrayComplex) -> NDArrayComplex:
 
 def _march_probes(
     nodes: NDArrayComplex, us: NDArrayComplex, H: ControlHamiltonian, field: ControlField,
-    grid: TimeGrid, ks: np.ndarray, h: float,
+    grid: TimeGrid, h: float,
 ) -> NDArrayComplex:
-    """psi(T) with sample ks[j] moved by +h and by -h, as columns 2j and 2j + 1.
+    """psi(T) with each sample k before T moved by +h and by -h, as columns 2k and 2k + 1.
 
-    ks ascends and stays before the measurement node. Only the moved steps
-    are formed: probe j's pair steps off the solved node ks[j], and every
-    column already past its probe advances together on the solved steps
-    ``us``, one (d x d) by (d x entered) ``ndarray.dot`` per step, for its
-    cheaper dispatch as in ``_march_forward``.
+    Only the moved steps are formed: probe k's pair steps off the solved
+    node k, and every column already past its probe advances together on
+    the solved steps ``us``, one (d x d) by (d x 2k) ``ndarray.dot`` per
+    step, for its cheaper dispatch as in ``_march_forward``.
     """
     m = grid.index_T
-    moved = _u_stack(H, (field.samples[ks, None] + [h, -h]).ravel(), grid.dt)
-    cols = (moved @ np.repeat(nodes[ks], 2, axis=0)[:, :, None])[:, :, 0].T.copy()
-    entered = 2 * np.searchsorted(ks, np.arange(m))
-    for k in range(ks[0] + 1, m):
-        cols[:, : entered[k]] = us[k].dot(cols[:, : entered[k]])
+    moved = _u_stack(H, (field.samples[:m, None] + [h, -h]).ravel(), grid.dt)
+    cols = (moved @ np.repeat(nodes[:m], 2, axis=0)[:, :, None])[:, :, 0].T.copy()
+    for k in range(1, m):
+        cols[:, : 2 * k] = us[k].dot(cols[:, : 2 * k])
     return cols
 
 

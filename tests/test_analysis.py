@@ -178,6 +178,20 @@ class TestContinuousFamily:
         assert canonical_report.jump_norm_at_T > 0.1
         assert continuous_report.jump_norm_at_T == 0.0
 
+    def test_numpy_integer_n_gives_the_int_report(self):
+        # n taken from np.arange is a numpy integer; the report is the int's
+        problem, field = seeded_problem(76, 3, 40, 1.0)
+        psi = qoct.propagate_forward(problem.psi0, field, problem.hamiltonian, problem.grid)
+        reports = [
+            qoct.check_continuous_family(
+                psi, problem.observable, field, problem.hamiltonian, problem.grid, n
+            )
+            for n in (2, np.int64(2))
+        ]
+        assert reports[0].as_dict() == reports[1].as_dict()
+        assert qoct.CostateBoundary.continuous(np.int64(2)) == qoct.CostateBoundary.continuous(2)
+        assert type(qoct.CostateBoundary.continuous(np.int32(-3)).n) is int
+
 
 class TestConjugateIndependence:
     def test_seeded_instances(self):
@@ -355,10 +369,12 @@ class TestOneStackPerCall:
         result = qoct.optimize(
             problem.psi0, problem.hamiltonian, problem.observable, problem.grid, config
         )
-        # dim 3: the initial field, the same samples before T with the
-        # reference after T, and one line-search trial per iteration; dim 2:
-        # the initial field, the sweep's field and three trials
-        k = {3: 4, 2: 5}[dim]
+        # dim 3: the initial field and one line-search trial per iteration;
+        # dim 2: the initial field, the sweep's field (it lowers J here, so it
+        # is not taken) and one trial per iteration. The first iteration steps
+        # from the initial samples before T with the reference after T, whose
+        # solve is the initial field's: it forms only j_cost, and solves nothing
+        k = {3: 3, 2: 4}[dim]
         assert (result.iterations_run, result.evaluations_run) == (2, k)
         m = problem.grid.index_T
         # each evaluation solves its field up to the first node past T, on one

@@ -7,41 +7,32 @@ import qoct
 from conftest import random_hermitian, random_state, random_symmetric, seeded_problem
 
 
-class TestInnerProduct:
-    def test_orthogonal_basis_vectors(self):
-        a = qoct.StateVector([1.0, 0.0])
-        b = qoct.StateVector([0.0, 1.0])
-        assert qoct.inner_product(a, b) == 0.0
+class TestPublicSurface:
+    NAMES = {
+        "ContinuityReport", "ControlField", "ControlHamiltonian", "ControlProblem",
+        "CostateBoundary", "CostateTrajectory", "Direction", "FunctionalBreakdown",
+        "GradientReport", "HermitianOperator", "OptimizationConfig", "OptimizationResult",
+        "Solution", "StateTrajectory", "StateVector", "TimeGrid", "analytic_gradient",
+        "check_canonical_jump", "check_conjugate_independence", "check_continuous_family",
+        "check_field_continuity", "commutes", "eval_j_cost", "eval_j_opt", "eval_j_tdse",
+        "eval_total", "expectation", "gradient_report", "make_grid", "optimize",
+        "propagate_costate", "propagate_forward", "reduced_objective", "solve",
+        "stationarity_residual", "step", "step_control_derivative", "step_matrix",
+        "tdse_residual",
+    }
 
-    def test_normalized_self_overlap(self):
-        s = qoct.StateVector([1 / np.sqrt(2), 1j / np.sqrt(2)])
-        assert qoct.inner_product(s, s) == pytest.approx(1.0, abs=1e-15)
+    def test_all_joins_the_modules_lists(self):
+        from qoct import analysis, core, functional, gradient, optimizer, propagator
 
-    def test_component_readoff(self):
-        a = qoct.StateVector([1.0, 0.0])
-        b = qoct.StateVector([0.6j, 0.8])
-        assert qoct.inner_product(a, b) == pytest.approx(0.6j, abs=1e-15)
-
-    def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(0)
-        for dim in (2, 3, 4):
-            a = random_state(rng, dim)
-            b = random_state(rng, dim)
-            assert qoct.inner_product(a, b) == pytest.approx(
-                np.conj(qoct.inner_product(b, a)), abs=1e-15
-            )
-
-    def test_self_overlap_real_nonnegative(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            a = random_state(rng, 3)
-            val = qoct.inner_product(a, a)
-            assert val.imag == 0.0
-            assert val.real >= 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            qoct.inner_product(qoct.StateVector([1, 0]), qoct.StateVector([1, 0, 0]))
+        modules = (analysis, core, functional, gradient, optimizer, propagator)
+        assert qoct.__all__ == [name for mod in modules for name in mod.__all__]
+        assert len(qoct.__all__) == len(set(qoct.__all__)) == 39
+        assert set(qoct.__all__) == self.NAMES
+        for mod in modules:
+            for name in mod.__all__:
+                assert getattr(qoct, name) is getattr(mod, name)
+        for gone in ("fd_gradient", "inner_product"):
+            assert not hasattr(qoct, gone)
 
 
 class TestExpectation:

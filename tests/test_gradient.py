@@ -152,10 +152,10 @@ class TestFiniteDifference:
         problem, field = seeded_problem(43, 2, 40, 1.0)
         m = problem.grid.index_T
         dt = problem.grid.dt
+        fd = qoct.gradient_report(problem, field, probe_step=1e-5).finite_diff
         for k in (m, m + 3, problem.grid.n_steps - 1):
-            fd = qoct.fd_gradient(problem, field, k, 1e-5)
             expected = -2.0 * problem.alpha * dt * (field.samples[k] - problem.eps_ref.samples[k])
-            assert fd == pytest.approx(expected, abs=1e-9)
+            assert fd[k] == pytest.approx(expected, abs=1e-9)
 
     def test_matches_analytic_on_seeded_three_level(self):
         problem, field = seeded_problem(44, 3, 60, 1.0)
@@ -163,9 +163,9 @@ class TestFiniteDifference:
         g = qoct.analytic_gradient(
             traj, chi, field, problem.eps_ref, problem.alpha, problem.hamiltonian, problem.grid
         )
+        fd = qoct.gradient_report(problem, field, probe_step=1e-5).finite_diff
         for k in range(0, 60, 7):
-            fd = qoct.fd_gradient(problem, field, k, 1e-5)
-            assert abs(g[k] - fd) / max(1e-12, abs(fd)) < 1e-6
+            assert abs(g[k] - fd[k]) / max(1e-12, abs(fd[k])) < 1e-6
 
     def test_truncation_shrinks_quadratically(self):
         problem, field = seeded_problem(45, 2, 30, 1.0)
@@ -174,18 +174,20 @@ class TestFiniteDifference:
             traj, chi, field, problem.eps_ref, problem.alpha, problem.hamiltonian, problem.grid
         )
         k = int(np.argmax(np.abs(g[: problem.grid.index_T])))
-        errors = [abs(qoct.fd_gradient(problem, field, k, h) - g[k]) for h in (1e-1, 1e-2, 1e-5)]
+        errors = [
+            abs(qoct.gradient_report(problem, field, probe_step=h).finite_diff[k] - g[k])
+            for h in (1e-1, 1e-2, 1e-5)
+        ]
         # central differences: a tenfold step cut shrinks the error ~100x,
         # until the probe hits the round-off plateau well below 1e-9
         assert 50 < errors[0] / errors[1] < 200
         assert errors[2] < 1e-9
 
-    def test_index_and_step_validation(self):
+    def test_probe_step_validation(self):
         problem, field = seeded_problem(46, 2, 30, 1.0)
-        with pytest.raises(ValueError, match="out of range"):
-            qoct.fd_gradient(problem, field, 30, 1e-5)
-        with pytest.raises(ValueError, match="positive"):
-            qoct.fd_gradient(problem, field, 0, 0.0)
+        for h in (0.0, -1e-5):
+            with pytest.raises(ValueError, match="positive"):
+                qoct.gradient_report(problem, field, probe_step=h)
 
 
 class TestGradientReport:
@@ -221,8 +223,6 @@ class TestBatchedOracle:
                 - qoct.reduced_objective(problem, qoct.ControlField(field.samples - move))
             ) / (2.0 * h)
         assert np.max(np.abs(report.finite_diff - definition)) <= 1e-9
-        for k in (0, 17, problem.grid.index_T - 1, problem.grid.index_T, field.n_samples - 1):
-            assert abs(qoct.fd_gradient(problem, field, k, h) - definition[k]) <= 1e-9
 
 
 class TestStationarityResidual:

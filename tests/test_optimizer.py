@@ -125,10 +125,8 @@ class TestBenchmark:
             psi0=psi0, hamiltonian=H, observable=O, grid=grid,
             eps_ref=qoct.ControlField.constant(0.0, grid.n_steps), alpha=1.0,
         )
-        sup_fd = max(
-            abs(qoct.fd_gradient(problem, result.final_field, k, 1e-5))
-            for k in range(0, grid.n_steps, 10)
-        )
+        fd = qoct.gradient_report(problem, result.final_field, probe_step=1e-5).finite_diff
+        sup_fd = np.max(np.abs(fd[::10]))
         assert sup_fd < 10 * tol * 2 * grid.dt * 1.0
 
 
@@ -206,10 +204,10 @@ class TestStackInSync:
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_history_replays_from_fresh_solves(self, monkeypatch, dim):
         # every record is the breakdown of an evaluation: a fresh solve of its
-        # samples up to the first node past T gives its j_opt and j_tdse
-        # bitwise, the initial field's first and the final field's last, with
-        # no solve beyond the counted evaluations; its j_cost is the whole
-        # grid's penalty
+        # samples before T, with the reference's sample at T, gives its j_opt
+        # and j_tdse bitwise, the initial field's first and the final field's
+        # last, with no solve beyond the counted evaluations; its j_cost is the
+        # whole grid's penalty
         problem, field = seeded_problem(80 + dim, dim, 60, 1.0, complex_hermitian=True)
         config = qoct.OptimizationConfig(
             alpha=problem.alpha, max_iters=8, j_tol=1e-300, stationarity_tol=1e-6,
@@ -238,7 +236,8 @@ class TestStackInSync:
             return qoct.eval_j_opt(sol.psi, O, window.grid), j_tdse
 
         terms = iter(fresh_terms(f) for f in solved)
-        assert np.array_equal(solved[0].samples, field.samples[: m + 1])
+        head = np.append(field.samples[:m], problem.eps_ref.samples[m])
+        assert np.array_equal(solved[0].samples, head)
         for recorded in result.j_history:
             assert any(t == (recorded.j_opt, recorded.j_tdse) for t in terms)
         last, final = result.j_history[-1], result.final_field

@@ -202,6 +202,11 @@ class TestPropagateCostate:
         with pytest.raises(ValueError, match="nonzero integer"):
             qoct.CostateBoundary.continuous(0)
 
+    @pytest.mark.parametrize("n", [True, False, 2.0, np.int64(0)])
+    def test_continuous_rejects_bool_float_and_zero(self, n):
+        with pytest.raises(ValueError, match="nonzero integer"):
+            qoct.CostateBoundary.continuous(n)
+
     def test_rejects_inconsistent_trajectory(self):
         problem, field = seeded_problem(24, 2, 30, 1.0)
         traj = qoct.propagate_forward(problem.psi0, field, problem.hamiltonian, problem.grid)
