@@ -38,7 +38,9 @@ from .core import (
     commutes,
 )
 from .propagator import CostateBoundary
-from .propagator import _costate, _field_stack, _forward, _march_rows, _step_defects, _worst_defect
+from .propagator import (
+    _costate, _field_stack, _forward, _march_rows, _step_defects, _trajectory_defects, _worst_defect,
+)
 
 __all__ = [
     "ContinuityReport",
@@ -114,10 +116,12 @@ def _solve(
 
     ``us`` is the field's stack when the caller has built it already. The
     defects are formed once, for the costate's equation-of-motion gate
-    and for the caller.
+    and for the caller, and kept with ``propagator``'s last forward solve
+    when this solve is that one (``_trajectory_defects``), for the checks
+    that follow on the same field.
     """
     psi, us = _forward(problem.psi0, field, problem.hamiltonian, problem.grid, us)
-    defects = _step_defects(us, psi.states)
+    defects = _trajectory_defects(us, psi)
     chi = _costate(psi, problem.observable, field, problem.grid, boundary, us, defects)
     return Solution(problem=problem, field=field, boundary=boundary, psi=psi, chi=chi), defects
 
@@ -181,6 +185,13 @@ def check_continuous_family(
     is probed on the scalar phase factor itself: phi = pi * (2n - 1) is
     not a whole turn and |exp(i phi) - 1| = 2 quantifies the induced
     discontinuity.
+
+    The costate is (i / 2 pi n) times the one adjoint solution through
+    O psi(T) that the canonical costate runs before T. After ``solve`` on
+    the same field it reads that solve's stack, defects and adjoint
+    solution: the first n marches only the tail after T, and any other n
+    marches nothing. Only its own step defects, for the residual, are
+    formed each call.
     """
     us = _field_stack(H, field, grid.dt)
     chi = _costate(psi_traj, O, field, grid, CostateBoundary.continuous(n), us)

@@ -29,7 +29,7 @@ from .core import (
     _check_grid,
     expectation,
 )
-from .propagator import _field_stack, _step_defects
+from .propagator import _field_stack, _trajectory_defects
 
 __all__ = [
     "FunctionalBreakdown",
@@ -93,11 +93,12 @@ def eval_j_tdse(
     r_k is the one-step defect (psi_{k+1} - U_k psi_k) / dt, i.e. the
     discrete realization of (i d/dt - H) psi consistent with the exact
     stepper; it reuses the forward march's product, so propagated
-    trajectories give exactly zero for any costate.
+    trajectories give exactly zero for any costate. On the last forward
+    solve's trajectory it reads the defects that solve kept.
     """
     _check_grid(grid, [field], [psi_traj, chi_traj])
     us = _field_stack(H, field, grid.dt)
-    return _j_tdse(_step_defects(us, psi_traj.states), chi_traj.states)
+    return _j_tdse(_trajectory_defects(us, psi_traj), chi_traj.states)
 
 
 def _j_tdse(defects, chi_nodes) -> float:

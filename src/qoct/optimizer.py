@@ -329,11 +329,20 @@ def _wolfe_step(phi, f0, d0):
     f that met sufficient decrease, and a trial is accepted only below it,
     so an accepted f is never above f0. None once ``MAX_TRIALS``
     evaluations found no step, or when d0 is not negative.
+
+    None also as soon as the bracket is below the round-off floor of f0:
+    every later trial lies inside [lo, hi], where f moves from f(lo) by
+    about |hi - lo| max(|f'(lo)|, |f'(hi)|) to first order, and once that
+    is at most ulp(f0), the spacing of doubles at f0, no trial can tell a
+    change of f from round-off. On a field that already meets the law the
+    trials' f then differ from f0 only by round-off, and the search would
+    otherwise spend all ``MAX_TRIALS`` evaluations shrinking the bracket.
     """
     if not d0 < 0:
         return None
     lo, hi = (0.0, f0, d0), None
     a = 1.0
+    floor = math.ulp(f0)
     for _ in range(MAX_TRIALS):
         f, d, payload = phi(a)
         if f > f0 + WOLFE_C1 * a * d0 or f >= lo[1]:
@@ -345,7 +354,12 @@ def _wolfe_step(phi, f0, d0):
             if d * ((hi[0] if hi else math.inf) - lo[0]) >= 0:
                 hi = lo
             lo = (a, f, d)
-        a = EXPANSION * lo[0] if hi is None else _cubic_step(lo, hi)
+        if hi is None:
+            a = EXPANSION * lo[0]
+        elif abs(hi[0] - lo[0]) * max(abs(lo[2]), abs(hi[2])) <= floor:
+            return None
+        else:
+            a = _cubic_step(lo, hi)
     return None
 
 

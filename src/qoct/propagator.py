@@ -15,11 +15,16 @@ samples before it from one series, one set of powers and one chain of
 squarings; ``_u_stack`` and ``_du_stack`` take one of the two. A
 backward step is the conjugate transpose of a forward one;
 ``_march_forward`` marches states and ``_march_rows`` the conjugate
-rows of the backward march. A forward solve that builds its own stack
-is kept as the last solve (``_last_solve``: the stack and the
-trajectory), and the public calls on the same field read it
-(``_forward``, ``_field_stack``) instead of building the stack again;
-a miss only builds it. Real-symmetric
+rows of the backward march, one ``ndarray.dot`` per step. A forward
+solve that builds its own stack is kept as the last solve
+(``_last_solve``: the stack and the trajectory), and the public calls on
+the same field read it (``_forward``, ``_field_stack``) instead of
+building the stack again; a miss only builds it. The last solve also
+keeps, once formed, its trajectory's step defects, which the costate's
+equation-of-motion gate, ``eval_j_tdse`` and ``tdse_residual`` read, and
+for one observable the unit adjoint solution through O psi(T), from
+which every costate on that trajectory is built (``_unit_adjoint``). A
+solve handed its stack by the caller keeps nothing. Real-symmetric
 H0 and mu (``_operators``) are expanded in real arithmetic. Only the
 reference routes (``step_matrix``, ``step_control_derivative``) call
 ``np.linalg.eigh``, on ``H.evaluate`` in complex arithmetic at every
@@ -32,6 +37,10 @@ condition in one of two regimes:
   right limit zero, zero thereafter);
 * continuous: chi passes through (i / 2 pi n) * O * psi(T) at the
   measurement node and obeys the homogeneous equation on the whole grid.
+
+Both are read off one homogeneous solution through O psi(T): the
+canonical costate is that solution before T, and continuous(n) is
+(i / 2 pi n) times it on the whole grid.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -280,14 +290,15 @@ def _du_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayC
 def _march_forward(us: NDArrayComplex, x0: NDArrayComplex) -> NDArrayComplex:
     """Nodes x_0 = x0 and x_{k+1} = U_k x_k over a forward stack.
 
-    Each step is one ``ndarray.dot`` written in place: the march cannot be
-    batched, so the per-call dispatch is its cost, and ``dot`` dispatches
-    in under half of ``np.matmul``'s time.
+    Each step is one ``ndarray.dot`` written in place into the next node's
+    row view. The march cannot be batched, so the per-call dispatch is its
+    cost: ``dot`` dispatches in under half of ``np.matmul``'s time, and
+    ``map`` drives the calls without a Python loop body (a zero-length
+    ``deque`` drains it).
     """
     nodes = np.empty((us.shape[0] + 1, x0.size), dtype=np.complex128)
     nodes[0] = x0
-    for u, x, y in zip(us, nodes[:-1], nodes[1:]):
-        u.dot(x, out=y)
+    deque(map(np.ndarray.dot, us, nodes[:-1], nodes[1:]), maxlen=0)
     return nodes
 
 
@@ -296,13 +307,12 @@ def _march_rows(us: NDArrayComplex, r0: NDArrayComplex) -> NDArrayComplex:
 
     They are the conjugates of the nodes x_{k+1} = U_k^dagger x_k from
     x_0 = conj(r0), the forward march of the backward steps, read off the
-    stack as it is: one ``ndarray.dot`` per step written in place, as in
-    ``_march_forward``, and no conjugated copy of the stack.
+    stack as it is: one ``ndarray.dot`` per step written in place, driven
+    as in ``_march_forward``, and no conjugated copy of the stack.
     """
     rows = np.empty((us.shape[0] + 1, r0.size), dtype=np.complex128)
     rows[0] = r0
-    for u, r, r_next in zip(us, rows[:-1], rows[1:]):
-        r.dot(u, out=r_next)
+    deque(map(np.ndarray.dot, rows[:-1], us, rows[1:]), maxlen=0)
     return rows
 
 
@@ -391,8 +401,24 @@ def step(
     return StateVector(u @ psi.amplitudes)
 
 
+class _Derived:
+    """What later calls form from one forward solve, each once, when first asked for.
+
+    The trajectory's step defects (``_trajectory_defects``) and, for one
+    observable O and measurement node m, the unit adjoint solution
+    (``_unit_adjoint``), whose tail after T is marched once a continuous
+    costate asks for it.
+    """
+
+    __slots__ = ("defects", "O", "m", "adjoint", "tail")
+
+    def __init__(self):
+        self.defects = self.O = self.m = self.adjoint = None
+        self.tail = False
+
+
 class _Solve(NamedTuple):
-    """One forward solve: its inputs, the stack it marched and the trajectory."""
+    """One forward solve: its inputs, the stack it marched, the trajectory and what derives from them."""
 
     psi0: StateVector
     samples: np.ndarray
@@ -400,6 +426,7 @@ class _Solve(NamedTuple):
     dt: float
     us: NDArrayComplex
     traj: StateTrajectory
+    derived: _Derived
 
 
 # The last forward solve not handed a stack by its caller, or None. Its
@@ -412,6 +439,54 @@ def _clear_last_solve() -> None:
     """Drop the last forward solve, and the stack it holds."""
     global _last_solve
     _last_solve = None
+
+
+def _derived(us: NDArrayComplex, traj: StateTrajectory) -> _Derived:
+    """The last forward solve's ``_Derived`` when it marched ``traj`` on ``us``, else a new one.
+
+    A new one is not kept: what is formed in it lives only for the call.
+    """
+    last = _last_solve
+    if last is not None and last.us is us and last.traj is traj:
+        return last.derived
+    return _Derived()
+
+
+def _trajectory_defects(us: NDArrayComplex, traj: StateTrajectory) -> NDArrayComplex:
+    """``_step_defects`` of a trajectory on its stack, formed once for the last forward solve."""
+    derived = _derived(us, traj)
+    if derived.defects is None:
+        derived.defects = _freeze(_step_defects(us, traj.states))
+    return derived.defects
+
+
+def _unit_adjoint(
+    psi_traj: StateTrajectory, O: HermitianOperator, us: NDArrayComplex, m: int, tail: bool
+) -> NDArrayComplex:
+    """The homogeneous adjoint solution through O psi(T) at node m, on the whole grid.
+
+    Before T its nodes are the backward march from O psi(T), as the
+    conjugates of ``_march_rows`` over the steps before T reversed; node m
+    is O psi(T); after T, once ``tail`` asks for them, the forward march
+    from it, and zero until then. Both costate regimes read this one
+    solution (``_costate``). For the last forward solve's trajectory and
+    stack it is formed once per observable and node, keyed on the identity
+    of O as psi0 and H are, and its tail is marched once; for any other it
+    is formed afresh and nothing is kept. Callers only read it: ``_costate``
+    hands out scaled or copied nodes.
+    """
+    derived = _derived(us, psi_traj)
+    if derived.O is not O or derived.m != m:
+        source = O.matrix @ psi_traj.node(m)
+        nodes = np.zeros((us.shape[0] + 1, source.size), dtype=np.complex128)
+        rows = _march_rows(us[m - 1 :: -1], source.conj())  # the backward march's conjugates
+        np.conjugate(rows[:0:-1], out=nodes[:m])
+        nodes[m] = source
+        derived.O, derived.m, derived.adjoint, derived.tail = O, m, nodes, False
+    if tail and not derived.tail:
+        derived.adjoint[m:] = _march_forward(us[m:], derived.adjoint[m])
+        derived.tail = True
+    return derived.adjoint
 
 
 def _field_stack(H: ControlHamiltonian, field: ControlField, dt: float) -> NDArrayComplex:
@@ -460,7 +535,7 @@ def _forward(
     if last is not None and last.us is us and last.psi0 is psi0:
         return last.traj, us
     traj = StateTrajectory(_march_forward(us, psi0.amplitudes))
-    _last_solve = _Solve(psi0, field.samples, H, grid.dt, us, traj)
+    _last_solve = _Solve(psi0, field.samples, H, grid.dt, us, traj, _Derived())
     return traj, us
 
 
@@ -495,15 +570,21 @@ def _costate(
 ) -> CostateTrajectory:
     """``propagate_costate`` on a forward stack ``us`` already built for the field.
 
+    Both regimes come from one homogeneous solution, ``_unit_adjoint``:
+    the canonical costate is its nodes before T and zero from T on, and
+    continuous(n) is (i / 2 pi n) times it on the whole grid, so after the
+    last forward solve's canonical costate a continuous one marches only
+    the tail after T, once, and every further n marches nothing.
     ``defects`` are the trajectory's ``_step_defects`` on ``us`` when the
-    caller has formed them already, for its own use too; the gate reads
-    them instead of forming them again.
+    caller has formed them already; otherwise the gate reads
+    ``_trajectory_defects``, the last forward solve's when it is that
+    solve's trajectory.
     """
     _check_grid(grid, [field], [psi_traj])
     if O.dim != psi_traj.dim:
         raise ValueError(f"dimension mismatch: operator {O.dim} vs trajectory {psi_traj.dim}")
     if defects is None:
-        defects = _step_defects(us, psi_traj.states)
+        defects = _trajectory_defects(us, psi_traj)
     resid = _worst_defect(defects)
     if resid > CONSISTENCY_TOL:
         raise ValueError(
@@ -512,17 +593,15 @@ def _costate(
         )
 
     m = grid.index_T
-    source = O.matrix @ psi_traj.node(m)
-    nodes = np.zeros((grid.n_steps + 1, psi_traj.dim), dtype=np.complex128)
-
-    if boundary.mode == "canonical":
-        chi_minus = source
-        chi_plus = np.zeros(psi_traj.dim, dtype=np.complex128)
+    continuous = boundary.mode == "continuous"
+    unit = _unit_adjoint(psi_traj, O, us, m, continuous)
+    if continuous:
+        nodes = (1j / (2.0 * np.pi * boundary.n)) * unit
+        chi_minus = chi_plus = nodes[m]
     else:
-        chi_minus = chi_plus = (1j / (2.0 * np.pi * boundary.n)) * source
-        nodes[m:] = _march_forward(us[m:], chi_plus)
-    rows = _march_rows(us[m - 1 :: -1], chi_minus.conj())  # the backward march's conjugates
-    np.conjugate(rows[:0:-1], out=nodes[:m])
+        nodes = np.zeros_like(unit)
+        nodes[:m] = unit[:m]
+        chi_minus, chi_plus = unit[m], nodes[m]
 
     return CostateTrajectory(
         states=nodes, chi_T_minus=chi_minus, chi_T_plus=chi_plus, index_T=m
@@ -542,4 +621,4 @@ def tdse_residual(
     formed bitwise as the forward march forms each step (``_step_defects``).
     """
     _check_grid(grid, [field], [traj])
-    return _worst_defect(_step_defects(_field_stack(H, field, grid.dt), traj.states))
+    return _worst_defect(_trajectory_defects(_field_stack(H, field, grid.dt), traj))

@@ -242,7 +242,9 @@ class TestOneStackPerCall:
     """Count the steps each call forms and the matrices it decomposes: one stack per field.
 
     A call builds at most one forward stack, and none when ``propagator``'s
-    last forward solve marched its field.
+    last forward solve marched its field; after that solve the checks also
+    read its step defects and its adjoint solution instead of forming or
+    marching them again.
 
     ``stack_log`` holds the steps per forward stack ``propagator._stacks`` builds,
     ``series_log`` the arithmetic dtype per ``propagator._field_series``
@@ -334,6 +336,60 @@ class TestOneStackPerCall:
             "solve": ([n], 1, []), "continuous_family": ([], 0, []), "conjugate": ([], 0, []),
             "gradient": ([], 1, []),
             "cold continuous_family": ([n], 1, []), "cold conjugate": ([n], 1, []),
+        }
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_checks_after_solve_reuse_its_marches_and_defects(self, monkeypatch, dim, complex_):
+        # the solve marches psi forward and the canonical costate back and
+        # forms the state's defects once; the checks after it read them. The
+        # continuous family is (i / 2 pi n) times the solve's adjoint
+        # solution: n = 1 marches only its tail after T, the other n nothing,
+        # and each forms only its own costate's defects for the residual
+        log = []
+
+        def counting(name):
+            def wrapper(*args):
+                log.append((name, len(args[0])))
+                return original(*args)
+
+            original = patch_everywhere(monkeypatch, name, wrapper)
+
+        for name in ("_march_forward", "_march_rows", "_step_defects"):
+            counting(name)
+        problem, field = seeded_problem(78, dim, 40, 1.0, complex_hermitian=complex_)
+        H, O, grid = problem.hamiltonian, problem.observable, problem.grid
+        n, m = grid.n_steps, grid.index_T
+
+        def logged(call):
+            log.clear()
+            call()
+            return log[:]
+
+        canonical = qoct.CostateBoundary.canonical()
+        solved = []
+        counts = {"solve": logged(lambda: solved.append(qoct.solve(problem, field, canonical)))}
+        sol = solved[0]
+        for k in (1, 2, -1):
+            counts[f"family({k})"] = logged(
+                lambda: qoct.check_continuous_family(sol.psi, O, field, H, grid, k)
+            )
+        counts["eval_total"] = logged(
+            lambda: qoct.eval_total(sol.psi, sol.chi, field, problem.eps_ref, 1.0, O, H, grid)
+        )
+        counts["tdse_residual"] = logged(lambda: qoct.tdse_residual(sol.psi, field, H, grid))
+        counts["canonical costate"] = logged(
+            lambda: qoct.propagate_costate(sol.psi, O, field, H, grid, canonical)
+        )
+        # (kernel, steps or defect rows) per call
+        assert counts == {
+            "solve": [("_march_forward", n), ("_step_defects", n), ("_march_rows", m)],
+            "family(1)": [("_march_forward", n - m), ("_step_defects", n)],
+            "family(2)": [("_step_defects", n)],
+            "family(-1)": [("_step_defects", n)],
+            "eval_total": [],
+            "tdse_residual": [],
+            "canonical costate": [],
         }
 
     @pytest.mark.parametrize("dim", [3, 2])

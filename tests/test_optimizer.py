@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -445,6 +446,69 @@ class TestDegenerateObjectives:
         psi0, H, O, grid = two_level_benchmark()
         result = qoct.optimize(psi0, H, O, grid, benchmark_config(alpha=1e6, max_iters=100))
         assert np.max(np.abs(result.final_field.samples)) < 1e-3
+
+
+class TestLineSearchFloor:
+    """A strong-Wolfe search ends once no trial can move J beyond round-off of f0."""
+
+    def test_flat_search_stops_before_its_budget(self):
+        # f sits a few ulps above f0 wherever it is probed: every bracket
+        # fails sufficient decrease, and once its width times the slope is
+        # below ulp(f0) the search gives up instead of shrinking it further
+        f0, d0 = -2.5, -1e-15
+        trials = []
+
+        def phi(a):
+            trials.append(a)
+            return f0 + 8 * math.ulp(f0), d0, a
+
+        assert optimizer._wolfe_step(phi, f0, d0) is None
+        assert 1 < len(trials) < optimizer.MAX_TRIALS
+        bracket = trials[-1]
+        assert bracket * abs(d0) <= math.ulp(f0) < trials[-2] * abs(d0)
+
+    def test_resolvable_search_is_not_cut(self):
+        # f0 + d0 a + c a^2 / 2 overshoots at a = 1 and has its minimizer at
+        # -d0 / c = 0.1, 5e-12 (about 2e4 ulps of f0) below f0: the bracket
+        # [0, 1] is far above the floor, so the cubic step finds it
+        f0, d0, c = 1.0, -1e-10, 1e-9
+
+        def phi(a):
+            return f0 + d0 * a + 0.5 * c * a * a, d0 + c * a, a
+
+        assert optimizer._wolfe_step(phi, f0, d0) == pytest.approx(0.1, rel=1e-6)
+
+    @pytest.mark.parametrize("seed, dim", [(80, 3), (82, 8), (83, 2)])
+    def test_run_to_the_floor_keeps_its_field(self, monkeypatch, seed, dim):
+        # j_tol below round-off: the run converges only on an iteration that
+        # keeps its field (Delta J = 0) after both searches fail. Each failed
+        # search now ends on the floor, short of MAX_TRIALS evaluations
+        searches = []
+        wolfe = optimizer._wolfe_step
+
+        def counted(phi, f0, d0):
+            trials = []
+
+            def logged(a):
+                trials.append(a)
+                return phi(a)
+
+            step = wolfe(logged, f0, d0)
+            searches.append((len(trials), step is not None))
+            return step
+
+        monkeypatch.setattr(optimizer, "_wolfe_step", counted)
+        problem, field = seeded_problem(seed, dim, 60, 1.0)
+        config = qoct.OptimizationConfig(
+            alpha=1.0, max_iters=200, j_tol=1e-300, stationarity_tol=1e-6,
+            initial_field=qoct.ControlField(0.01 * field.samples), eps_ref=problem.eps_ref,
+        )
+        result = qoct.optimize(
+            problem.psi0, problem.hamiltonian, problem.observable, problem.grid, config
+        )
+        assert result.converged and result.j_history[-1] == result.j_history[-2]
+        failed = [n for n, found in searches if not found]
+        assert failed and max(failed) < optimizer.MAX_TRIALS
 
 
 class TestStoppingAndValidation:

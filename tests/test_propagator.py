@@ -709,13 +709,22 @@ class TestLastSolve:
         calls["propagate_costate"] = lambda: qoct.propagate_costate(
             sol.psi, O, field, H, grid, qoct.CostateBoundary.canonical()
         )
+        for n in (1, 2, -1):
+            calls[f"propagate_costate({n})"] = lambda n=n: qoct.propagate_costate(
+                sol.psi, O, field, H, grid, qoct.CostateBoundary.continuous(n)
+            )
         calls["tdse_residual"] = lambda: qoct.tdse_residual(sol.psi, field, H, grid)
         calls["gradient_report"] = lambda: qoct.gradient_report(problem, field)
         return calls
 
+    @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("dim", [2, 3, 8])
-    def test_reused_values_are_bitwise_the_rebuilt_ones(self, dim, built):
-        problem, field = seeded_problem(90 + dim, dim, self.N_STEPS, 1.0)
+    def test_reused_values_are_bitwise_the_rebuilt_ones(self, dim, complex_, built):
+        # the kept stack, defects and adjoint solution give what a cold call
+        # forms afresh, bit for bit: the continuous costates included
+        problem, field = seeded_problem(
+            90 + dim, dim, self.N_STEPS, 1.0, complex_hermitian=complex_
+        )
         sol = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
         last = propagator._last_solve
         assert last.traj is sol.psi and built == {"_stacks": 1, "_march_forward": 1}
@@ -777,11 +786,88 @@ class TestLastSolve:
             qoct.check_conjugate_independence(problem.psi0, field, H, grid, beta)
         assert built == {"_stacks": 1, "_march_forward": 0}
 
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_continuous_costates_scale_the_unit_solution(self, dim, complex_):
+        # the unit solution is the canonical costate before T, O psi(T) at T
+        # and the forward march of O psi(T) after it; continuous(n) is
+        # (i / 2 pi n) times it on the whole grid, bitwise, kept or not
+        problem, field = seeded_problem(
+            110 + dim, dim, self.N_STEPS, 1.0, complex_hermitian=complex_
+        )
+        H, O, grid = problem.hamiltonian, problem.observable, problem.grid
+        m = grid.index_T
+        sol = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
+        us = propagator._last_solve.us
+        unit = np.concatenate([
+            sol.chi.states[:m], _march_forward(us[m:], sol.chi.chi_T_minus)
+        ])
+        for kept in (True, False):
+            if not kept:
+                propagator._clear_last_solve()
+            for n in (1, 2, -1, 3):
+                scale = 1j / (2.0 * np.pi * n)
+                chi = qoct.propagate_costate(
+                    sol.psi, O, field, H, grid, qoct.CostateBoundary.continuous(n)
+                )
+                assert chi.states.tobytes() == (scale * unit).tobytes(), (kept, n)
+                assert chi.chi_T_minus.tobytes() == (scale * unit[m]).tobytes()
+                assert chi.jump_norm == 0.0
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_new_observable_or_solve_marches_again(self, dim, monkeypatch):
+        marches = []
+
+        def counting(name):
+            original = getattr(propagator, name)
+
+            def wrapper(us, x0):
+                marches.append((name, len(us)))
+                return original(us, x0)
+
+            monkeypatch.setattr(propagator, name, wrapper)
+
+        for name in ("_march_forward", "_march_rows"):
+            counting(name)
+        problem, field = seeded_problem(120 + dim, dim, self.N_STEPS, 1.0)
+        H, O, grid = problem.hamiltonian, problem.observable, problem.grid
+        n, m = grid.n_steps, grid.index_T
+        sol = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
+
+        def family(observable, g=grid, traj=None):
+            marches.clear()
+            rep = qoct.check_continuous_family(traj or sol.psi, observable, field, H, g, 1)
+            return rep, marches[:]
+
+        head, tail = ("_march_rows", m), ("_march_forward", n - m)
+        kept, seen = family(O)
+        assert seen == [tail]
+        assert family(O)[1] == []
+        # the same values in a new object are another observable: one is kept
+        other = qoct.HermitianOperator(O.matrix)
+        rep, seen = family(other)
+        assert seen == [head, tail] and bits(rep) == bits(kept)
+        assert family(O)[1] == [head, tail]
+        # another measurement node on the same steps
+        moved = qoct.TimeGrid(grid.dt, n, m - 1)
+        assert family(O, moved)[1] == [("_march_rows", m - 1), ("_march_forward", n - m + 1)]
+        # a new solve: the same values from a new psi0 object
+        again = dataclasses.replace(problem, psi0=qoct.StateVector(problem.psi0.amplitudes))
+        resolved = qoct.solve(again, field, qoct.CostateBoundary.canonical())
+        assert propagator._last_solve.traj is resolved.psi
+        rep, seen = family(O, traj=resolved.psi)
+        assert seen == [tail] and bits(rep) == bits(kept)
+
     def test_optimize_holds_no_solve(self):
         # each evaluation solves on the stack it built with the rows' series,
-        # and neither reads nor keeps a last solve
+        # and neither reads nor keeps a last solve, its defects or an
+        # adjoint solution
         problem, field = seeded_problem(102, 3, 40, 1.0)
-        qoct.solve(problem, field, qoct.CostateBoundary.canonical())
+        sol = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
+        H, grid = problem.hamiltonian, problem.grid
+        qoct.check_continuous_family(sol.psi, problem.observable, field, H, grid, 1)
+        derived = propagator._last_solve.derived
+        assert derived.defects is not None and derived.tail
         config = qoct.OptimizationConfig(
             alpha=1.0, max_iters=2, j_tol=1e-300, stationarity_tol=1e-6,
             initial_field=field, eps_ref=problem.eps_ref,
