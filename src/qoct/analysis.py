@@ -31,7 +31,6 @@ from .core import (
     ControlProblem,
     CostateTrajectory,
     HermitianOperator,
-    NDArrayComplex,
     StateTrajectory,
     StateVector,
     TimeGrid,
@@ -39,7 +38,7 @@ from .core import (
 )
 from .propagator import CostateBoundary
 from .propagator import (
-    _costate, _field_stack, _forward, _march_rows, _step_defects, _trajectory_defects, _worst_defect,
+    _costate, _field_stack, _forward, _march_rows, _step_defects, _worst_defect,
 )
 
 __all__ = [
@@ -103,27 +102,13 @@ def solve(problem: ControlProblem, field: ControlField, boundary: CostateBoundar
     """Propagate the state forward and the costate in the given regime, on one stack.
 
     The forward solve becomes ``propagator``'s last one, so the checks
-    that follow on the same field read its stack instead of building it.
+    that follow on the same field read its stack, step defects and
+    adjoint solution instead of forming them again; a stack kept for the
+    field beforehand (``propagator._keep_stacks``) is marched as it is.
     """
-    return _solve(problem, field, boundary)[0]
-
-
-def _solve(
-    problem: ControlProblem, field: ControlField, boundary: CostateBoundary,
-    us: Optional[NDArrayComplex] = None,
-) -> tuple[Solution, NDArrayComplex]:
-    """``solve`` plus the state's step defects on its forward stack, for reuse.
-
-    ``us`` is the field's stack when the caller has built it already. The
-    defects are formed once, for the costate's equation-of-motion gate
-    and for the caller, and kept with ``propagator``'s last forward solve
-    when this solve is that one (``_trajectory_defects``), for the checks
-    that follow on the same field.
-    """
-    psi, us = _forward(problem.psi0, field, problem.hamiltonian, problem.grid, us)
-    defects = _trajectory_defects(us, psi)
-    chi = _costate(psi, problem.observable, field, problem.grid, boundary, us, defects)
-    return Solution(problem=problem, field=field, boundary=boundary, psi=psi, chi=chi), defects
+    psi, us = _forward(problem.psi0, field, problem.hamiltonian, problem.grid)
+    chi = _costate(psi, problem.observable, field, problem.grid, boundary, us)
+    return Solution(problem=problem, field=field, boundary=boundary, psi=psi, chi=chi)
 
 
 def check_canonical_jump(solution: Solution) -> ContinuityReport:

@@ -43,7 +43,7 @@ from .core import (
     make_grid,
 )
 from .functional import eval_j_opt
-from .gradient import DEFAULT_PROBE_STEP, _gradient_report, gradient_report
+from .gradient import DEFAULT_PROBE_STEP, gradient_report
 from .optimizer import OptimizationConfig, OptimizationResult, optimize
 from .propagator import CostateBoundary, propagate_forward, tdse_residual
 
@@ -76,6 +76,10 @@ PHASE_DEFECT_TOL = 1e-14
 # the largest step phase bound ||H(eps) dt||_1 a field value may give: past 2^53
 # no double fixes the phase of exp(-i H dt) to a radian, and further on it overflows
 MAX_STEP_PHASE = 2.0 ** 53
+# the most complex entries, n_steps * dim^2, one forward stack of the grid may
+# hold: 2^26 of them are 1 GiB, and every run holds such a stack, so a grid past
+# it is refused at parse time, before anything of its size is allocated
+MAX_STACK_ENTRIES = 2 ** 26
 
 
 class ConfigError(Exception):
@@ -154,6 +158,12 @@ class ProblemConfig:
         except ValueError as exc:
             field = "T_hat" if "T_hat" in str(exc) else "T"
             raise ConfigError(field, str(exc)) from exc
+        if grid.n_steps * dim * dim > MAX_STACK_ENTRIES:
+            raise ConfigError(
+                "T_hat",
+                f"{float(grid.n_steps):.4g} steps of dt={dt!r} at dimension {dim}: a forward "
+                f"stack would hold more than {MAX_STACK_ENTRIES} complex entries (1 GiB)",
+            )
 
         alpha = _require(raw, "alpha", float)
         if not alpha > 0:
@@ -451,7 +461,7 @@ def run_verify(config_path: str | Path, out_dir: str | Path) -> int:
     else:
         conjugate = {"skipped": "Hamiltonian matrices are not real-valued"}
 
-    grad = _gradient_report(solution, DEFAULT_PROBE_STEP)
+    grad = gradient_report(p, field)
     checks["gradient"] = bool(grad.max_rel_error < GRADCHECK_TOL)
 
     passed = all(checks.values())

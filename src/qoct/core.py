@@ -355,6 +355,8 @@ def make_grid(T: float, T_hat: float, dt: float) -> TimeGrid:
 
 def _commensurate(t: float, dt: float, name: str) -> int:
     ratio = t / dt
+    if not np.isfinite(ratio):
+        raise ValueError(f"{name}={t!r} over dt={dt!r} is not a finite step count")
     k = int(round(ratio))
     if k < 1 or abs(ratio - k) > 1e-12 * max(1.0, abs(ratio)):
         raise ValueError(f"{name}={t!r} is not an integer multiple of dt={dt!r}")

@@ -97,13 +97,8 @@ def eval_j_tdse(
     solve's trajectory it reads the defects that solve kept.
     """
     _check_grid(grid, [field], [psi_traj, chi_traj])
-    us = _field_stack(H, field, grid.dt)
-    return _j_tdse(_trajectory_defects(us, psi_traj), chi_traj.states)
-
-
-def _j_tdse(defects, chi_nodes) -> float:
-    """The multiplier term from the state's ``_step_defects`` on the field's forward steps."""
-    overlaps = np.einsum("ki,ki->k", chi_nodes[:-1].conj(), defects)
+    defects = _trajectory_defects(_field_stack(H, field, grid.dt), psi_traj)
+    overlaps = np.einsum("ki,ki->k", chi_traj.states[:-1].conj(), defects)
     return float(-2.0 * np.imag(np.sum(overlaps)))
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import Solution, solve
+from .analysis import solve
 from .core import (
     ControlField,
     ControlHamiltonian,
@@ -183,20 +183,18 @@ def gradient_report(
     field: ControlField,
     probe_step: float = DEFAULT_PROBE_STEP,
 ) -> GradientReport:
-    """Compare the analytic gradient against central differences sample-wise."""
-    return _gradient_report(solve(problem, field, CostateBoundary.canonical()), probe_step)
-
-
-def _gradient_report(sol: Solution, h: float) -> GradientReport:
-    """``gradient_report`` on a canonical solution.
+    """Compare the analytic gradient against central differences sample-wise.
 
     The oracle is (J(eps_k + h) - J(eps_k - h)) / 2h of the reduced
-    objective at every sample k. The cost term is formed in closed form;
-    only probes before T move psi(T), and they step on the field's stack.
+    objective at every sample k, h the probe step. The cost term is formed
+    in closed form; only probes before T move psi(T), and they step on the
+    field's stack. The canonical solve is ``solve``'s, so after ``solve``
+    on the same field it reads that solve's stack and trajectory.
     """
+    h = probe_step
     if h <= 0:
         raise ValueError(f"probe step must be positive, got {h!r}")
-    problem, field = sol.problem, sol.field
+    sol = solve(problem, field, CostateBoundary.canonical())
     H, grid = problem.hamiltonian, problem.grid
     analytic = analytic_gradient(sol.psi, sol.chi, field, problem.eps_ref, problem.alpha, H, grid)
     dev = field.samples[:, None] + [h, -h] - problem.eps_ref.samples[:, None]

@@ -9,14 +9,15 @@ with the rows rho_k = chi_{k+1}^dagger D_k / dt of
 ``gradient._pairing_rows`` (D_k = dU_k/deps, chi the canonical
 costate). After the measurement node the costate vanishes, so no sample
 there reaches j_opt, j_tdse or the law, and the field is the reference
-sample-for-sample. An evaluation of a field is one ``analysis._solve``
+sample-for-sample. An evaluation of a field is one ``analysis.solve``
 on the window grid up to the first node past T (index_T + 1 steps: the
 field's samples before T, then the reference's sample at T, which moves
 only the node past T), its rows and its breakdown, so a field's solve
 depends only on its samples before T. The window's steps and the rows'
 m derivatives come from one ``propagator._stacks`` call, one field
-series at every dimension. Its step defects are formed
-once, for the costate's equation-of-motion gate and for j_tdse. j_cost
+series at every dimension, which ``propagator._keep_stacks`` keeps as
+the solve's stack. Its step defects are formed once, for the costate's
+equation-of-motion gate and for ``eval_j_tdse``. j_cost
 is ``functional.eval_j_cost`` on the whole field, so samples after T,
 the initial field's noise there included, stay penalized. The law gap
 eps_k - law_k is then the gradient of -J / (2 alpha dt), and its
@@ -69,7 +70,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .analysis import _solve
+from .analysis import solve
 from .core import (
     ControlField,
     ControlHamiltonian,
@@ -78,9 +79,9 @@ from .core import (
     StateVector,
     TimeGrid,
 )
-from .functional import FunctionalBreakdown, _j_tdse, eval_j_cost, eval_j_opt
+from .functional import FunctionalBreakdown, eval_j_cost, eval_j_opt, eval_j_tdse
 from .gradient import _pairing_rows
-from .propagator import CostateBoundary, _clear_last_solve, _stacks, _step_two_level
+from .propagator import CostateBoundary, _keep_stacks, _step_two_level
 
 __all__ = ["OptimizationConfig", "OptimizationResult", "optimize"]
 
@@ -190,7 +191,9 @@ def optimize(
     Non-convergence within ``max_iters``, or a line search that finds no
     step away from the law, is reported through the ``converged`` flag,
     not an exception; the history and residual let the caller judge how
-    far the run got.
+    far the run got. Each evaluation's ``analysis.solve`` becomes
+    ``propagator``'s last solve, so the last one's window is kept after
+    the run.
     """
     problem = ControlProblem(
         psi0=psi0, hamiltonian=H, observable=O, grid=grid, eps_ref=config.eps_ref,
@@ -206,24 +209,22 @@ def optimize(
         eps_ref=ControlField(eps_ref[: m + 1]), alpha=alpha,
     )
     evaluations = 0
-    # every evaluation solves on a stack of its own and none reads the last
-    # forward solve, so its stack is dropped rather than held through the run
-    _clear_last_solve()
 
     def evaluate(samples):
         nonlocal evaluations
         evaluations += 1
         field = ControlField(samples)
-        head = np.append(samples[:m], eps_ref[m])
-        us, du = _stacks(H, head, dt, m)
-        sol, defects = _solve(window, ControlField(head), canonical, us)
+        head = ControlField(np.append(samples[:m], eps_ref[m]))
+        # the window's steps are kept for its solve, built with the rows' m derivatives
+        du = _keep_stacks(H, head, dt, m)
+        sol = solve(window, head, canonical)
         rows = _pairing_rows(du, sol.chi, dt)
         law = eps_ref[:m] + np.einsum("ki,ki->k", rows, sol.psi.states[:m]).real / alpha
         bd = FunctionalBreakdown(
             j_opt=eval_j_opt(sol.psi, O, window.grid),
             # the penalty spans the whole grid: samples after T stay penalized
             j_cost=eval_j_cost(field, config.eps_ref, alpha, grid),
-            j_tdse=_j_tdse(defects, sol.chi.states),
+            j_tdse=eval_j_tdse(sol.psi, sol.chi, head, H, window.grid),
         )
         return _Point(field, bd, rows, samples[:m] - law)
 

@@ -15,18 +15,18 @@ samples before it from one series, one set of powers and one chain of
 squarings; ``_u_stack`` and ``_du_stack`` take one of the two. A
 backward step is the conjugate transpose of a forward one;
 ``_march_forward`` marches states and ``_march_rows`` the conjugate
-rows of the backward march, one ``ndarray.dot`` per step. A forward
-solve that builds its own stack is kept as the last solve
-(``_last_solve``: the stack and the trajectory), and the public calls on
-the same field read it (``_forward``, ``_field_stack``) instead of
-building the stack again; a miss only builds it. The last solve also
-keeps, once formed, its trajectory's step defects, which the costate's
-equation-of-motion gate, ``eval_j_tdse`` and ``tdse_residual`` read, and
-for one observable the unit adjoint solution through O psi(T), from
-which every costate on that trajectory is built (``_unit_adjoint``). A
-solve handed its stack by the caller keeps nothing. Real-symmetric
-H0 and mu (``_operators``) are expanded in real arithmetic. Only the
-reference routes (``step_matrix``, ``step_control_derivative``) call
+rows of the backward march, one ``ndarray.dot`` per step. Every forward
+solve is kept as the last solve (``_last_solve``: the stack and the
+trajectory), and the public calls on the same field read it
+(``_forward``, ``_field_stack``) instead of building the stack again; a
+miss only builds it. An optimizer evaluation keeps its steps, built with
+its derivatives, as the next solve's stack (``_keep_stacks``). The last
+solve also keeps, once formed, its trajectory's step defects, which the
+costate's equation-of-motion gate, ``eval_j_tdse`` and ``tdse_residual``
+read, and for one observable the unit adjoint solution through O psi(T),
+from which every costate on that trajectory is built
+(``_unit_adjoint``). Real-symmetric H0 and mu (``_operators``) are
+expanded in real arithmetic. Only the reference routes (``step_matrix``, ``step_control_derivative``) call
 ``np.linalg.eigh``, on ``H.evaluate`` in complex arithmetic at every
 dimension, independent of the series and the SU(2) form.
 The delta source feeding the costate at the measurement time is never
@@ -51,7 +51,7 @@ import numbers
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -228,7 +228,7 @@ def _stacks(
     U_k = exp(-1j * H(eps_k) * dt), batched over k (None unless u), and
     dU_k/deps for k < n_du (None when n_du is 0), from one
     ``_field_series`` whose range is the largest |eps_k| of the samples
-    they cover (1 where every one is 0).
+    they cover, or 1 where that is below 2^-64 (every one 0 included).
 
     With u = eps / bound, X_0 = P(u) = sum_j u^j C_j is one product of
     the powers P_kj = (eps_k / bound)^j with C, the real P multiplying
@@ -242,7 +242,12 @@ def _stacks(
     """
     if not u:
         samples = samples[:n_du]
-    bound = float(np.max(np.abs(samples), initial=0.0)) or 1.0
+    bound = float(np.max(np.abs(samples), initial=0.0))
+    if bound < 2.0 ** -64:
+        # P' scales C_j by j / bound, which overflows as bound nears the
+        # subnormals (dU was NaN at max |eps| = 1e-308); the zero field's
+        # range covers such samples as well
+        bound = 1.0
     s, c = _field_series(H, dt, bound)
     p = len(c) - 1
     powers = np.vander(samples / bound, p + 1, increasing=True)
@@ -401,37 +406,28 @@ def step(
     return StateVector(u @ psi.amplitudes)
 
 
-class _Derived:
-    """What later calls form from one forward solve, each once, when first asked for.
+class _Solve:
+    """One forward solve: its inputs, the stack it marched, the trajectory and what derives from them.
 
     The trajectory's step defects (``_trajectory_defects``) and, for one
     observable O and measurement node m, the unit adjoint solution
     (``_unit_adjoint``), whose tail after T is marched once a continuous
-    costate asks for it.
+    costate asks for it, are each formed once, when first asked for. A
+    stack kept before its solve (``_keep_stacks``) has no psi0 and no
+    trajectory yet.
     """
 
-    __slots__ = ("defects", "O", "m", "adjoint", "tail")
+    __slots__ = ("psi0", "samples", "H", "dt", "us", "traj", "defects", "O", "m", "adjoint", "tail")
 
-    def __init__(self):
+    def __init__(self, samples, H, dt, us, psi0=None, traj=None):
+        self.samples, self.H, self.dt, self.us, self.psi0, self.traj = samples, H, dt, us, psi0, traj
         self.defects = self.O = self.m = self.adjoint = None
         self.tail = False
 
 
-class _Solve(NamedTuple):
-    """One forward solve: its inputs, the stack it marched, the trajectory and what derives from them."""
-
-    psi0: StateVector
-    samples: np.ndarray
-    H: ControlHamiltonian
-    dt: float
-    us: NDArrayComplex
-    traj: StateTrajectory
-    derived: _Derived
-
-
-# The last forward solve not handed a stack by its caller, or None. Its
-# inputs are frozen and held here, so their ids stay theirs while the entry
-# lives; a miss only costs the stack again.
+# The last forward solve, or None. Its inputs are frozen and held here, so
+# their ids stay theirs while the entry lives; a miss only costs the stack
+# again.
 _last_solve: Optional[_Solve] = None
 
 
@@ -441,23 +437,37 @@ def _clear_last_solve() -> None:
     _last_solve = None
 
 
-def _derived(us: NDArrayComplex, traj: StateTrajectory) -> _Derived:
-    """The last forward solve's ``_Derived`` when it marched ``traj`` on ``us``, else a new one.
+def _keep_stacks(H: ControlHamiltonian, field: ControlField, dt: float, n_du: int) -> NDArrayComplex:
+    """dU of the field's first n_du samples, its U kept as the next solve's stack (``_stacks``).
+
+    The last solve is dropped first, so its stack is freed before the new
+    ones are built; U and dU come from one series, one set of powers and
+    one chain of squarings, and a solve of the field then marches on U.
+    """
+    global _last_solve
+    _clear_last_solve()
+    us, du = _stacks(H, field.samples, dt, n_du)
+    _last_solve = _Solve(field.samples, H, dt, _freeze(us))
+    return du
+
+
+def _solve_of(us: NDArrayComplex, traj: StateTrajectory) -> _Solve:
+    """The last forward solve when it marched ``traj`` on ``us``, else a new record.
 
     A new one is not kept: what is formed in it lives only for the call.
     """
     last = _last_solve
     if last is not None and last.us is us and last.traj is traj:
-        return last.derived
-    return _Derived()
+        return last
+    return _Solve(None, None, None, us, traj=traj)
 
 
 def _trajectory_defects(us: NDArrayComplex, traj: StateTrajectory) -> NDArrayComplex:
     """``_step_defects`` of a trajectory on its stack, formed once for the last forward solve."""
-    derived = _derived(us, traj)
-    if derived.defects is None:
-        derived.defects = _freeze(_step_defects(us, traj.states))
-    return derived.defects
+    solved = _solve_of(us, traj)
+    if solved.defects is None:
+        solved.defects = _freeze(_step_defects(us, traj.states))
+    return solved.defects
 
 
 def _unit_adjoint(
@@ -475,18 +485,18 @@ def _unit_adjoint(
     is formed afresh and nothing is kept. Callers only read it: ``_costate``
     hands out scaled or copied nodes.
     """
-    derived = _derived(us, psi_traj)
-    if derived.O is not O or derived.m != m:
+    solved = _solve_of(us, psi_traj)
+    if solved.O is not O or solved.m != m:
         source = O.matrix @ psi_traj.node(m)
         nodes = np.zeros((us.shape[0] + 1, source.size), dtype=np.complex128)
         rows = _march_rows(us[m - 1 :: -1], source.conj())  # the backward march's conjugates
         np.conjugate(rows[:0:-1], out=nodes[:m])
         nodes[m] = source
-        derived.O, derived.m, derived.adjoint, derived.tail = O, m, nodes, False
-    if tail and not derived.tail:
-        derived.adjoint[m:] = _march_forward(us[m:], derived.adjoint[m])
-        derived.tail = True
-    return derived.adjoint
+        solved.O, solved.m, solved.adjoint, solved.tail = O, m, nodes, False
+    if tail and not solved.tail:
+        solved.adjoint[m:] = _march_forward(us[m:], solved.adjoint[m])
+        solved.tail = True
+    return solved.adjoint
 
 
 def _field_stack(H: ControlHamiltonian, field: ControlField, dt: float) -> NDArrayComplex:
@@ -512,30 +522,26 @@ def propagate_forward(
 
 
 def _forward(
-    psi0: StateVector, field: ControlField, H: ControlHamiltonian, grid: TimeGrid,
-    us: Optional[NDArrayComplex] = None,
+    psi0: StateVector, field: ControlField, H: ControlHamiltonian, grid: TimeGrid
 ) -> tuple[StateTrajectory, NDArrayComplex]:
     """``propagate_forward`` plus the forward stack it marched, for reuse.
 
-    ``us`` is the field's stack when the caller has built it already; such
-    a solve neither reads nor writes the last solve. Otherwise the last
-    solve serves its trajectory when psi0, the field's samples and H are
-    the same objects at the same dt, and its stack when only psi0 differs;
+    The last solve serves its trajectory when psi0, the field's samples
+    and H are the same objects at the same dt, and its stack when only
+    psi0 differs or no trajectory was marched on it yet (``_keep_stacks``);
     this solve then becomes the last one.
     """
     psi0.require_normalized("psi0")
     if psi0.dim != H.dim:
         raise ValueError(f"dimension mismatch: state {psi0.dim} vs Hamiltonian {H.dim}")
     _check_grid(grid, [field])
-    if us is not None:
-        return StateTrajectory(_march_forward(us, psi0.amplitudes)), us
     global _last_solve
     last = _last_solve
     us = _field_stack(H, field, grid.dt)
     if last is not None and last.us is us and last.psi0 is psi0:
         return last.traj, us
     traj = StateTrajectory(_march_forward(us, psi0.amplitudes))
-    _last_solve = _Solve(psi0, field.samples, H, grid.dt, us, traj, _Derived())
+    _last_solve = _Solve(field.samples, H, grid.dt, us, psi0, traj)
     return traj, us
 
 
@@ -566,7 +572,7 @@ def propagate_costate(
 
 def _costate(
     psi_traj: StateTrajectory, O: HermitianOperator, field: ControlField, grid: TimeGrid,
-    boundary: CostateBoundary, us: NDArrayComplex, defects: Optional[NDArrayComplex] = None,
+    boundary: CostateBoundary, us: NDArrayComplex,
 ) -> CostateTrajectory:
     """``propagate_costate`` on a forward stack ``us`` already built for the field.
 
@@ -574,18 +580,14 @@ def _costate(
     the canonical costate is its nodes before T and zero from T on, and
     continuous(n) is (i / 2 pi n) times it on the whole grid, so after the
     last forward solve's canonical costate a continuous one marches only
-    the tail after T, once, and every further n marches nothing.
-    ``defects`` are the trajectory's ``_step_defects`` on ``us`` when the
-    caller has formed them already; otherwise the gate reads
-    ``_trajectory_defects``, the last forward solve's when it is that
-    solve's trajectory.
+    the tail after T, once, and every further n marches nothing. The
+    equation-of-motion gate reads ``_trajectory_defects``, the last
+    forward solve's when it is that solve's trajectory.
     """
     _check_grid(grid, [field], [psi_traj])
     if O.dim != psi_traj.dim:
         raise ValueError(f"dimension mismatch: operator {O.dim} vs trajectory {psi_traj.dim}")
-    if defects is None:
-        defects = _trajectory_defects(us, psi_traj)
-    resid = _worst_defect(defects)
+    resid = _worst_defect(_trajectory_defects(us, psi_traj))
     if resid > CONSISTENCY_TOL:
         raise ValueError(
             f"state trajectory violates the equation of motion (residual {resid:.3e} "

@@ -122,29 +122,49 @@ class TestConfigValidation:
         assert key in err and "must be finite" in err
 
     @pytest.mark.parametrize(
-        "key, value",
+        "key, value, named",
         [
-            ("alpha", BIG),
-            ("T_hat", BIG),
-            ("dt", BIG),
-            ("j_tol", BIG),
-            ("stationarity_tol", BIG),
-            ("h0", [[[BIG, 0], [0, 0]], [[0, 0], [1, 0]]]),
-            ("psi0", [[BIG, 0], [0, 0]]),
-            ("eps_ref", {"constant": BIG}),
-            ("eps_ref", {"samples": [BIG] + [0.0] * 99}),
-            ("seed", -1),
+            ("alpha", BIG, "alpha"),
+            ("T_hat", BIG, "T_hat"),
+            ("dt", BIG, "dt"),
+            ("j_tol", BIG, "j_tol"),
+            ("stationarity_tol", BIG, "stationarity_tol"),
+            ("h0", [[[BIG, 0], [0, 0]], [[0, 0], [1, 0]]], "h0"),
+            ("psi0", [[BIG, 0], [0, 0]], "psi0"),
+            ("eps_ref", {"constant": BIG}, "eps_ref"),
+            ("eps_ref", {"samples": [BIG] + [0.0] * 99}, "eps_ref"),
+            ("seed", -1, "seed"),
+            # grids no stack can hold, 4e13 and 1e300 steps: refused by the
+            # step count, before anything of the grid's size is allocated
+            ("T_hat", 1e12, "T_hat"),
+            ("dt", 1e-300, "T_hat"),
+            # T / dt overflows to inf steps
+            ("dt", 5e-324, "T"),
         ],
         ids=[
             "alpha", "T_hat", "dt", "j_tol", "stationarity_tol", "h0", "psi0",
-            "eps_ref-constant", "eps_ref-samples", "seed",
+            "eps_ref-constant", "eps_ref-samples", "seed", "T_hat-steps", "dt-steps",
+            "dt-subnormal",
         ],
     )
-    def test_out_of_range_number_rejected(self, tmp_path, capsys, key, value):
+    def test_out_of_range_number_rejected(self, tmp_path, capsys, key, value, named):
         # Python's json parses integers of any size exactly; none may end in a traceback
         config = write_config(tmp_path / "bad.json", **{key: value})
         assert cli.run_optimize(config, tmp_path / "out") == 1
-        assert f"config error: {key}" in capsys.readouterr().err
+        assert f"config error: {named}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("limit, ok", [(100 * 2 * 2, True), (100 * 2 * 2 - 1, False)])
+    def test_stack_entries_limit_is_the_bound(self, tmp_path, monkeypatch, limit, ok):
+        # 100 steps at dimension 2: a stack of 400 entries parses at a limit of
+        # 400 and is refused, naming T_hat, at 399
+        monkeypatch.setattr(cli, "MAX_STACK_ENTRIES", limit)
+        config = write_config(tmp_path / "cfg.json")
+        if ok:
+            assert cli.ProblemConfig.from_file(config).problem.grid.n_steps == 100
+        else:
+            with pytest.raises(cli.ConfigError) as info:
+                cli.ProblemConfig.from_file(config)
+            assert info.value.field == "T_hat"
 
     @pytest.mark.parametrize("command", ["verify", "optimize"])
     @pytest.mark.parametrize("example", ["readme", "real4"])
@@ -289,6 +309,21 @@ class TestOptimize:
             assert cli.run_optimize(config, out) == 0
             outputs.append([(out / f).read_bytes() for f in files])
         assert outputs[0] == outputs[1]
+
+    def test_largest_penalty_is_certified(self, tmp_path):
+        # README's config at alpha 1e308: the sweep shrinks the field below
+        # 1e-308, where the field series' derivative must stay finite; the run
+        # certifies that field with a finite residual
+        cfg = readme_config()
+        cfg["alpha"] = 1e308
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["optimize", "--config", str(config), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["converged"] is True
+        assert np.isfinite(summary["final_stationarity_residual"])
+        assert summary["final_stationarity_residual"] < cfg["stationarity_tol"]
 
     def test_exhausted_iterations_exit_code(self, tmp_path):
         config = write_config(tmp_path / "cfg.json", max_iters=2, j_tol=1e-16)

@@ -6,9 +6,8 @@ import pytest
 
 import qoct
 from qoct import cli, gradient, optimizer
-from qoct.analysis import _solve
 from qoct.optimizer import _feedback_sweep
-from qoct.propagator import Direction, _du_stack, _stacks
+from qoct.propagator import Direction, _du_stack, _keep_stacks
 from conftest import random_hermitian, random_state, seeded_problem, two_level_benchmark
 
 
@@ -64,9 +63,9 @@ class TestBenchmark:
 
         def counting(*args):
             solves.append(None)
-            return _solve(*args)
+            return qoct.solve(*args)
 
-        monkeypatch.setattr(optimizer, "_solve", counting)
+        monkeypatch.setattr(optimizer, "solve", counting)
         psi0, H, O, grid = two_level_benchmark()
         result = qoct.optimize(psi0, H, O, grid, benchmark_config())
         assert result.converged
@@ -216,11 +215,11 @@ class TestStackInSync:
         )
         solved = []
 
-        def recording(problem, field, boundary, us):
+        def recording(problem, field, boundary):
             solved.append(field)
-            return _solve(problem, field, boundary, us)
+            return qoct.solve(problem, field, boundary)
 
-        monkeypatch.setattr(optimizer, "_solve", recording)
+        monkeypatch.setattr(optimizer, "solve", recording)
         H, O, grid = problem.hamiltonian, problem.observable, problem.grid
         m = grid.index_T
         result = qoct.optimize(problem.psi0, H, O, grid, config)
@@ -298,9 +297,9 @@ class TestFirstIteration:
             psi0=psi0, hamiltonian=H, observable=O, grid=qoct.TimeGrid(grid.dt, m + 1, m),
             eps_ref=qoct.ControlField(config.eps_ref.samples[: m + 1]), alpha=config.alpha,
         )
-        samples = config.initial_field.samples[: m + 1]
-        us, du = _stacks(H, samples, grid.dt, m)
-        sol = _solve(window, qoct.ControlField(samples), canonical, us)[0]
+        samples = qoct.ControlField(config.initial_field.samples[: m + 1])
+        du = _keep_stacks(H, samples, grid.dt, m)
+        sol = qoct.solve(window, samples, canonical)
         rows = gradient._pairing_rows(du, sol.chi, grid.dt)
         swept = _feedback_sweep(
             psi0.amplitudes, rows, config.eps_ref.samples, config.alpha, H, grid

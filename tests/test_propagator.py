@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 import qoct
-from qoct import propagator
+from qoct import optimizer, propagator
 from qoct.gradient import _pairing_rows
 from qoct.propagator import (
     Direction, _adjoint, _du_stack, _field_series, _march_forward, _march_rows, _operators,
@@ -495,6 +495,18 @@ class TestSeriesDerivative:
             self.assert_matches(H, samples, dt, 1e-13 * max(1.0, norm))
         assert min(squarings) == 0 and max(squarings) >= 5
 
+    @pytest.mark.parametrize("largest", [1e-310, 1e-300, 2.0 ** -70])
+    @pytest.mark.parametrize("draw", [random_symmetric, random_hermitian])
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_tiny_fields_take_the_zero_fields_range(self, dim, draw, largest):
+        # a largest |eps| below 2^-64 gets the series range 1, as the zero
+        # field does: a range of its own size scaled P' past the largest
+        # double near the subnormals, where dU was NaN
+        rng = np.random.default_rng(230 + dim)
+        H = qoct.ControlHamiltonian(drift=draw(rng, dim), coupling=draw(rng, dim))
+        samples = largest * np.array([0.0, 1.0, -1.0, 0.37])
+        self.assert_matches(H, samples, 0.1, 1e-14)
+
     def test_two_level_random_complex_hermitian(self):
         rng = np.random.default_rng(34)
         for _ in range(20):
@@ -659,8 +671,8 @@ def bits(value):
 class TestLastSolve:
     """``propagator``'s last forward solve: reused behind the public calls, never needed.
 
-    A forward solve not handed a stack keeps its stack and trajectory,
-    keyed on the identity of psi0, the field's samples and H, and on dt.
+    Every forward solve keeps its stack and trajectory, keyed on the
+    identity of psi0, the field's samples and H, and on dt.
     """
 
     N_STEPS = 40
@@ -858,24 +870,63 @@ class TestLastSolve:
         rep, seen = family(O, traj=resolved.psi)
         assert seen == [tail] and bits(rep) == bits(kept)
 
-    def test_optimize_holds_no_solve(self):
-        # each evaluation solves on the stack it built with the rows' series,
-        # and neither reads nor keeps a last solve, its defects or an
-        # adjoint solution
-        problem, field = seeded_problem(102, 3, 40, 1.0)
-        sol = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
-        H, grid = problem.hamiltonian, problem.grid
-        qoct.check_continuous_family(sol.psi, problem.observable, field, H, grid, 1)
-        derived = propagator._last_solve.derived
-        assert derived.defects is not None and derived.tail
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_optimize_solves_on_the_kept_stack(self, dim, monkeypatch):
+        # each evaluation keeps its window's m + 1 steps, built with the rows'
+        # m derivatives by one _stacks call, and its solve marches on them
+        # with no further stack or series; after the run the last window
+        # solve is kept, and a whole-grid solve builds its own stack
+        problem, field = seeded_problem(102, dim, self.N_STEPS, 1.0)
+        H, O, grid = problem.hamiltonian, problem.observable, problem.grid
+        n, m = grid.n_steps, grid.index_T
+        log = []
+
+        def counting(name):
+            original = getattr(propagator, name)
+
+            def wrapper(*args, **kwargs):
+                log.append((name, len(args[1])) if name != "_field_series" else (name,))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(propagator, name, wrapper)
+
+        for name in ("_stacks", "_u_stack", "_field_series"):
+            counting(name)
+        solves = []
+
+        def recording(*args):
+            kept = propagator._last_solve
+            assert kept.traj is None and kept.samples is args[1].samples
+            sol = qoct.solve(*args)
+            assert propagator._last_solve.us is kept.us
+            assert propagator._last_solve.traj is sol.psi
+            log.append(("solve",))
+            solves.append(sol)
+            return sol
+
+        monkeypatch.setattr(optimizer, "solve", recording)
+        qoct.solve(problem, field, qoct.CostateBoundary.canonical())
+        before = propagator._last_solve
+        log.clear()
         config = qoct.OptimizationConfig(
             alpha=1.0, max_iters=2, j_tol=1e-300, stationarity_tol=1e-6,
             initial_field=field, eps_ref=problem.eps_ref,
         )
-        qoct.optimize(
-            problem.psi0, problem.hamiltonian, problem.observable, problem.grid, config
-        )
-        assert propagator._last_solve is None
+        result = qoct.optimize(problem.psi0, H, O, grid, config)
+        k = result.evaluations_run
+        assert k == len(solves) >= 3
+        assert log == [("_stacks", m + 1), ("_field_series",), ("solve",)] * k
+        last = propagator._last_solve
+        assert last is not before and last.traj is solves[-1].psi
+        assert last.us.shape[0] == m + 1 and last.traj.n_nodes == m + 2
+
+        log.clear()
+        traj = qoct.propagate_forward(problem.psi0, result.final_field, H, grid)
+        assert log == [("_u_stack", n), ("_stacks", n), ("_field_series",)]
+        assert propagator._last_solve.us.shape[0] == n
+        propagator._clear_last_solve()
+        cold = qoct.propagate_forward(problem.psi0, result.final_field, H, grid)
+        assert traj.states.tobytes() == cold.states.tobytes()
 
     def test_stack_is_read_only(self):
         problem, field = seeded_problem(103, 3, 40, 1.0)
