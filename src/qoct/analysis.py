@@ -38,7 +38,7 @@ from .core import (
 )
 from .propagator import CostateBoundary
 from .propagator import (
-    _costate, _field_stack, _forward, _march_rows, _step_defects, _worst_defect,
+    _costate, _field_stack, _forward, _march_rows, _unit_residual,
 )
 
 __all__ = [
@@ -107,7 +107,7 @@ def solve(problem: ControlProblem, field: ControlField, boundary: CostateBoundar
     field beforehand (``propagator._keep_stacks``) is marched as it is.
     """
     psi, us = _forward(problem.psi0, field, problem.hamiltonian, problem.grid)
-    chi = _costate(psi, problem.observable, field, problem.grid, boundary, us)
+    chi = _costate(psi, problem.observable, field, problem.grid, boundary, us)[0]
     return Solution(problem=problem, field=field, boundary=boundary, psi=psi, chi=chi)
 
 
@@ -172,15 +172,16 @@ def check_continuous_family(
     discontinuity.
 
     The costate is (i / 2 pi n) times the one adjoint solution through
-    O psi(T) that the canonical costate runs before T. After ``solve`` on
-    the same field it reads that solve's stack, defects and adjoint
-    solution: the first n marches only the tail after T, and any other n
-    marches nothing. Only its own step defects, for the residual, are
-    formed each call.
+    O psi(T) that the canonical costate runs before T, and so are its step
+    defects: the residual is continuous(1)'s over |n| (bitwise its own for
+    n = +-2^k, within round-off otherwise). After ``solve`` on the same
+    field it reads that solve's stack, defects and adjoint solution, and
+    continuous(1)'s residual is formed once: the first n marches only the
+    tail after T and forms it, and any other n forms nothing.
     """
     us = _field_stack(H, field, grid.dt)
-    chi = _costate(psi_traj, O, field, grid, CostateBoundary.continuous(n), us)
-    residual = _worst_defect(_step_defects(us, chi.states))
+    chi, solved = _costate(psi_traj, O, field, grid, CostateBoundary.continuous(n), us)
+    residual = _unit_residual(solved) / abs(n)
     value = (1j / (2.0 * np.pi * n)) * (O.matrix @ psi_traj.node(grid.index_T))
     phi_defect = np.pi * (2 * n - 1)
     return ContinuityReport(

@@ -81,7 +81,7 @@ from .core import (
 )
 from .functional import FunctionalBreakdown, eval_j_cost, eval_j_opt, eval_j_tdse
 from .gradient import _pairing_rows
-from .propagator import CostateBoundary, _keep_stacks, _step_two_level
+from .propagator import CostateBoundary, _clear_last_solve, _keep_stacks, _step_two_level
 
 __all__ = ["OptimizationConfig", "OptimizationResult", "optimize"]
 
@@ -192,8 +192,9 @@ def optimize(
     step away from the law, is reported through the ``converged`` flag,
     not an exception; the history and residual let the caller judge how
     far the run got. Each evaluation's ``analysis.solve`` becomes
-    ``propagator``'s last solve, so the last one's window is kept after
-    the run.
+    ``propagator``'s last solve while the run lasts; none is kept after it
+    returns, since the last window is no whole-grid solve a caller could
+    read.
     """
     problem = ControlProblem(
         psi0=psi0, hamiltonian=H, observable=O, grid=grid, eps_ref=config.eps_ref,
@@ -231,13 +232,19 @@ def optimize(
     def at(x):
         return evaluate(np.concatenate([x, eps_ref[m:]]))
 
+    def slope(point, p):
+        # the slope of -J along p is 2 alpha dt (gap . p); where gap . p is 0 the
+        # product is skipped, as 2 alpha overflows to inf for alpha near the
+        # largest double and inf * 0 is NaN
+        gp = point.gap @ p
+        return 2.0 * alpha * dt * gp if gp else 0.0
+
     def search(base, p):
-        # the slope of -J along p is 2 alpha dt (gap . p)
         def phi(a):
             point = at(base.x + a * p)
-            return -point.breakdown.j_total, 2.0 * alpha * dt * (point.gap @ p), point
+            return -point.breakdown.j_total, slope(point, p), point
 
-        return _wolfe_step(phi, -base.breakdown.j_total, 2.0 * alpha * dt * (base.gap @ p))
+        return _wolfe_step(phi, -base.breakdown.j_total, slope(base, p))
 
     def remember(old, new):
         s, y = new.x - old.x, new.gap - old.gap
@@ -286,6 +293,7 @@ def optimize(
             converged = True
             break
 
+    _clear_last_solve()
     return OptimizationResult(
         final_field=accepted.field,
         j_history=tuple(history),

@@ -15,20 +15,24 @@ samples before it from one series, one set of powers and one chain of
 squarings; ``_u_stack`` and ``_du_stack`` take one of the two. A
 backward step is the conjugate transpose of a forward one;
 ``_march_forward`` marches states and ``_march_rows`` the conjugate
-rows of the backward march, one ``ndarray.dot`` per step. Every forward
-solve is kept as the last solve (``_last_solve``: the stack and the
-trajectory), and the public calls on the same field read it
-(``_forward``, ``_field_stack``) instead of building the stack again; a
-miss only builds it. An optimizer evaluation keeps its steps, built with
-its derivatives, as the next solve's stack (``_keep_stacks``). The last
-solve also keeps, once formed, its trajectory's step defects, which the
-costate's equation-of-motion gate, ``eval_j_tdse`` and ``tdse_residual``
-read, and for one observable the unit adjoint solution through O psi(T),
-from which every costate on that trajectory is built
-(``_unit_adjoint``). Real-symmetric H0 and mu (``_operators``) are
-expanded in real arithmetic. Only the reference routes (``step_matrix``, ``step_control_derivative``) call
-``np.linalg.eigh``, on ``H.evaluate`` in complex arithmetic at every
-dimension, independent of the series and the SU(2) form.
+rows of the backward march, one ``ndarray.dot`` per step, written through
+a workspace of ``_CHUNK`` row views made once per dimension and per
+thread (``_march``). Every forward solve is kept as the last solve
+(``_last_solve``: the stack and the trajectory), and the public calls on
+the same field read it (``_forward``, ``_field_stack``) instead of
+building the stack again; a miss only builds it. An optimizer evaluation
+keeps its steps, built with its derivatives, as the next solve's stack
+(``_keep_stacks``). The last solve also keeps, once formed, its
+trajectory's step defects, which the costate's equation-of-motion gate,
+``eval_j_tdse`` and ``tdse_residual`` read, and for one observable the
+unit adjoint solution through O psi(T), from which every costate on that
+trajectory is built (``_unit_adjoint``), with the continuous(1)
+costate's worst step defect, every continuous(n)'s times |n|
+(``_unit_residual``). Real-symmetric H0 and mu (``_operators``) are
+expanded in real arithmetic. Only the reference routes (``step_matrix``,
+``step_control_derivative``) call ``np.linalg.eigh``, on ``H.evaluate``
+in complex arithmetic at every dimension, independent of the series and
+the SU(2) form.
 The delta source feeding the costate at the measurement time is never
 discretized as a narrow pulse; it is imposed as an exact boundary
 condition in one of two regimes:
@@ -48,6 +52,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import threading
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -292,19 +297,74 @@ def _du_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayC
     return _stacks(H, samples, dt, samples.size, u=False)[1]
 
 
+# Steps one chunk of a march writes through the workspace before its rows are
+# copied out. The workspace is made once per dimension and thread and kept,
+# so K bounds its memory at any grid size ((K + 1) d complex entries and
+# K + 1 row views, about 64 KiB at dim 8), while the per-chunk cost (one
+# stack slice, a seed copy and one slice copy out) spreads over K steps; a
+# dim-8 march times the same from K = 64 to 1024 and slower at 32.
+_CHUNK = 256
+
+# Each thread's workspaces, by dimension: two threads marching at once must
+# not write the same rows.
+_workspaces = threading.local()
+
+
+def _workspace(d: int) -> tuple[np.ndarray, list, list]:
+    """This thread's march buffer at dimension d, (K + 1) x d for K = ``_CHUNK``.
+
+    Returned with the views of its rows 0..K-1 and of its rows 1..K.
+    """
+    spaces = getattr(_workspaces, "by_dim", None)
+    if spaces is None:
+        spaces = _workspaces.by_dim = {}
+    space = spaces.get(d)
+    if space is None:
+        buf = np.empty((_CHUNK + 1, d), dtype=np.complex128)
+        views = list(buf)
+        space = spaces[d] = (buf, views[:-1], views[1:])
+    return space
+
+
+def _march(us: NDArrayComplex, x0: NDArrayComplex, rows: bool) -> NDArrayComplex:
+    """Nodes x_0 = x0 and x_{k+1} = U_k x_k, or r_{k+1} = r_k U_k when ``rows``, over a stack.
+
+    Each step is one ``ndarray.dot`` written in place into a row view of
+    the thread's ``_workspace``, driven by ``map`` without a Python loop
+    body (a zero-length ``deque`` drains it), in chunks of at most
+    ``_CHUNK`` steps: row 0 is seeded from the last node written, and the
+    chunk's rows are copied into the result in one slice assignment. The
+    march cannot be batched, so the per-call overhead is its cost:
+    ``dot`` dispatches in under half of ``np.matmul``'s time, and with the
+    row views made once a step creates only its step's view of the stack,
+    not three views. The nodes are bitwise those of a per-step march, and
+    the result never aliases the workspace. Each thread marches through
+    its own workspaces, so threads marching at once never write the same
+    rows.
+    """
+    n = us.shape[0]
+    nodes = np.empty((n + 1, x0.size), dtype=np.complex128)
+    nodes[0] = x0
+    buf, heads, tails = _workspace(x0.size)
+    for start in range(0, n, _CHUNK):
+        chunk = us[start : start + _CHUNK]
+        buf[0] = nodes[start]
+        if rows:
+            deque(map(np.ndarray.dot, heads, chunk, tails), maxlen=0)
+        else:
+            deque(map(np.ndarray.dot, chunk, heads, tails), maxlen=0)
+        k = chunk.shape[0]
+        nodes[start + 1 : start + 1 + k] = buf[1 : 1 + k]
+    return nodes
+
+
 def _march_forward(us: NDArrayComplex, x0: NDArrayComplex) -> NDArrayComplex:
     """Nodes x_0 = x0 and x_{k+1} = U_k x_k over a forward stack.
 
-    Each step is one ``ndarray.dot`` written in place into the next node's
-    row view. The march cannot be batched, so the per-call dispatch is its
-    cost: ``dot`` dispatches in under half of ``np.matmul``'s time, and
-    ``map`` drives the calls without a Python loop body (a zero-length
-    ``deque`` drains it).
+    One ``ndarray.dot`` per step, through this thread's workspace of
+    ``_CHUNK`` steps (``_march``).
     """
-    nodes = np.empty((us.shape[0] + 1, x0.size), dtype=np.complex128)
-    nodes[0] = x0
-    deque(map(np.ndarray.dot, us, nodes[:-1], nodes[1:]), maxlen=0)
-    return nodes
+    return _march(us, x0, rows=False)
 
 
 def _march_rows(us: NDArrayComplex, r0: NDArrayComplex) -> NDArrayComplex:
@@ -312,13 +372,11 @@ def _march_rows(us: NDArrayComplex, r0: NDArrayComplex) -> NDArrayComplex:
 
     They are the conjugates of the nodes x_{k+1} = U_k^dagger x_k from
     x_0 = conj(r0), the forward march of the backward steps, read off the
-    stack as it is: one ``ndarray.dot`` per step written in place, driven
-    as in ``_march_forward``, and no conjugated copy of the stack.
+    stack as it is: one ``ndarray.dot`` per step, through this thread's
+    workspace of ``_CHUNK`` steps (``_march``), and no conjugated copy of
+    the stack.
     """
-    rows = np.empty((us.shape[0] + 1, r0.size), dtype=np.complex128)
-    rows[0] = r0
-    deque(map(np.ndarray.dot, rows[:-1], us, rows[1:]), maxlen=0)
-    return rows
+    return _march(us, r0, rows=True)
 
 
 def _march_probes(
@@ -412,16 +470,20 @@ class _Solve:
     The trajectory's step defects (``_trajectory_defects``) and, for one
     observable O and measurement node m, the unit adjoint solution
     (``_unit_adjoint``), whose tail after T is marched once a continuous
-    costate asks for it, are each formed once, when first asked for. A
+    costate asks for it, and the continuous(1) costate's worst step defect
+    (``_unit_residual``) are each formed once, when first asked for. A
     stack kept before its solve (``_keep_stacks``) has no psi0 and no
     trajectory yet.
     """
 
-    __slots__ = ("psi0", "samples", "H", "dt", "us", "traj", "defects", "O", "m", "adjoint", "tail")
+    __slots__ = (
+        "psi0", "samples", "H", "dt", "us", "traj", "defects", "O", "m", "adjoint", "tail",
+        "residual",
+    )
 
     def __init__(self, samples, H, dt, us, psi0=None, traj=None):
         self.samples, self.H, self.dt, self.us, self.psi0, self.traj = samples, H, dt, us, psi0, traj
-        self.defects = self.O = self.m = self.adjoint = None
+        self.defects = self.O = self.m = self.adjoint = self.residual = None
         self.tail = False
 
 
@@ -472,8 +534,8 @@ def _trajectory_defects(us: NDArrayComplex, traj: StateTrajectory) -> NDArrayCom
 
 def _unit_adjoint(
     psi_traj: StateTrajectory, O: HermitianOperator, us: NDArrayComplex, m: int, tail: bool
-) -> NDArrayComplex:
-    """The homogeneous adjoint solution through O psi(T) at node m, on the whole grid.
+) -> _Solve:
+    """The solve record whose ``adjoint`` is the homogeneous solution through O psi(T) at node m.
 
     Before T its nodes are the backward march from O psi(T), as the
     conjugates of ``_march_rows`` over the steps before T reversed; node m
@@ -482,8 +544,8 @@ def _unit_adjoint(
     solution (``_costate``). For the last forward solve's trajectory and
     stack it is formed once per observable and node, keyed on the identity
     of O as psi0 and H are, and its tail is marched once; for any other it
-    is formed afresh and nothing is kept. Callers only read it: ``_costate``
-    hands out scaled or copied nodes.
+    is formed afresh in a record that is not kept. Callers only read it:
+    ``_costate`` hands out scaled or copied nodes.
     """
     solved = _solve_of(us, psi_traj)
     if solved.O is not O or solved.m != m:
@@ -493,10 +555,25 @@ def _unit_adjoint(
         np.conjugate(rows[:0:-1], out=nodes[:m])
         nodes[m] = source
         solved.O, solved.m, solved.adjoint, solved.tail = O, m, nodes, False
+        solved.residual = None
     if tail and not solved.tail:
         solved.adjoint[m:] = _march_forward(us[m:], solved.adjoint[m])
         solved.tail = True
-    return solved.adjoint
+    return solved
+
+
+def _unit_residual(solved: _Solve) -> float:
+    """Worst step defect of the continuous(1) costate: (i / 2 pi) times the record's ``adjoint``.
+
+    The adjoint solution spans the whole grid, its tail included.
+    continuous(n) is that costate over n, and so are its step defects: its
+    homogeneous residual is this over |n|, bitwise for n = +-2^k, within
+    round-off otherwise. Formed once per unit adjoint solution.
+    """
+    if solved.residual is None:
+        costate = (1j / (2.0 * np.pi)) * solved.adjoint
+        solved.residual = _worst_defect(_step_defects(solved.us, costate))
+    return solved.residual
 
 
 def _field_stack(H: ControlHamiltonian, field: ControlField, dt: float) -> NDArrayComplex:
@@ -567,14 +644,14 @@ def propagate_costate(
         continuous(n): value (i / 2 pi n) * O * psi(T) at the node,
         identical one-sided limits, homogeneous evolution both ways.
     """
-    return _costate(psi_traj, O, field, grid, boundary, _field_stack(H, field, grid.dt))
+    return _costate(psi_traj, O, field, grid, boundary, _field_stack(H, field, grid.dt))[0]
 
 
 def _costate(
     psi_traj: StateTrajectory, O: HermitianOperator, field: ControlField, grid: TimeGrid,
     boundary: CostateBoundary, us: NDArrayComplex,
-) -> CostateTrajectory:
-    """``propagate_costate`` on a forward stack ``us`` already built for the field.
+) -> tuple[CostateTrajectory, _Solve]:
+    """``propagate_costate`` on a forward stack ``us`` built for the field, and its solve record.
 
     Both regimes come from one homogeneous solution, ``_unit_adjoint``:
     the canonical costate is its nodes before T and zero from T on, and
@@ -582,7 +659,9 @@ def _costate(
     last forward solve's canonical costate a continuous one marches only
     the tail after T, once, and every further n marches nothing. The
     equation-of-motion gate reads ``_trajectory_defects``, the last
-    forward solve's when it is that solve's trajectory.
+    forward solve's when it is that solve's trajectory. The record is the
+    last solve when it is, else one formed for this call only
+    (``_unit_residual`` reads it).
     """
     _check_grid(grid, [field], [psi_traj])
     if O.dim != psi_traj.dim:
@@ -596,7 +675,8 @@ def _costate(
 
     m = grid.index_T
     continuous = boundary.mode == "continuous"
-    unit = _unit_adjoint(psi_traj, O, us, m, continuous)
+    solved = _unit_adjoint(psi_traj, O, us, m, continuous)
+    unit = solved.adjoint
     if continuous:
         nodes = (1j / (2.0 * np.pi * boundary.n)) * unit
         chi_minus = chi_plus = nodes[m]
@@ -605,9 +685,8 @@ def _costate(
         nodes[:m] = unit[:m]
         chi_minus, chi_plus = unit[m], nodes[m]
 
-    return CostateTrajectory(
-        states=nodes, chi_T_minus=chi_minus, chi_T_plus=chi_plus, index_T=m
-    )
+    chi = CostateTrajectory(states=nodes, chi_T_minus=chi_minus, chi_T_plus=chi_plus, index_T=m)
+    return chi, solved
 
 
 def tdse_residual(

@@ -158,6 +158,35 @@ class TestContinuousFamily:
         assert report.homogeneous_residual < 1e-12
         assert abs(report.phase_defect_magnitude - 2.0) < 1e-14
 
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_residual_is_the_unit_costates_over_n(self, complex_):
+        # continuous(n) is continuous(1) over n, so are its step defects: the
+        # residual is n = 1's over |n|, bitwise its own costate's worst defect
+        # for n = +-2^k, kept or not; otherwise the two differ by round-off in
+        # the costate's nodes, since both defects are round-off themselves
+        problem, field = seeded_problem(77, 3, 40, 1.0, complex_hermitian=complex_)
+        H, O, grid = problem.hamiltonian, problem.observable, problem.grid
+        sol = canonical_solution(problem, field)
+        us = propagator._u_stack(H, field.samples, grid.dt)
+        ns = (1, 2, -1, 4, -8, 3, -5, 7)
+        for kept in (True, False):
+            if not kept:
+                propagator._clear_last_solve()
+            residuals = {
+                n: qoct.check_continuous_family(sol.psi, O, field, H, grid, n).homogeneous_residual
+                for n in ns
+            }
+            for n in ns:
+                boundary = qoct.CostateBoundary.continuous(n)
+                chi = qoct.propagate_costate(sol.psi, O, field, H, grid, boundary)
+                own = propagator._worst_defect(propagator._step_defects(us, chi.states))
+                assert residuals[n] == residuals[1] / abs(n), (kept, n)
+                if n in (1, 2, -1, 4, -8):
+                    assert residuals[n] == own, (kept, n)
+                else:
+                    size = np.max(np.linalg.norm(chi.states, axis=1))
+                    assert abs(residuals[n] - own) <= 4 * np.finfo(float).eps * size, (kept, n)
+
     def test_identity_observable_value(self):
         problem, field = seeded_problem(74, 2, 30, 1.0)
         psi = qoct.propagate_forward(problem.psi0, field, problem.hamiltonian, problem.grid)
@@ -344,8 +373,9 @@ class TestOneStackPerCall:
         # the solve marches psi forward and the canonical costate back and
         # forms the state's defects once; the checks after it read them. The
         # continuous family is (i / 2 pi n) times the solve's adjoint
-        # solution: n = 1 marches only its tail after T, the other n nothing,
-        # and each forms only its own costate's defects for the residual
+        # solution: n = 1 marches only its tail after T and forms its
+        # costate's defects for the residual, and the other n, whose residuals
+        # are n = 1's over |n|, form nothing
         log = []
 
         def counting(name):
@@ -385,8 +415,8 @@ class TestOneStackPerCall:
         assert counts == {
             "solve": [("_march_forward", n), ("_step_defects", n), ("_march_rows", m)],
             "family(1)": [("_march_forward", n - m), ("_step_defects", n)],
-            "family(2)": [("_step_defects", n)],
-            "family(-1)": [("_step_defects", n)],
+            "family(2)": [],
+            "family(-1)": [],
             "eval_total": [],
             "tdse_residual": [],
             "canonical costate": [],

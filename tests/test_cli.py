@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -313,13 +314,17 @@ class TestOptimize:
     def test_largest_penalty_is_certified(self, tmp_path):
         # README's config at alpha 1e308: the sweep shrinks the field below
         # 1e-308, where the field series' derivative must stay finite; the run
-        # certifies that field with a finite residual
+        # certifies that field with a finite residual, and its line search's
+        # slope along a vanishing gap is 0, not 2 alpha = inf times 0 = NaN
         cfg = readme_config()
         cfg["alpha"] = 1e308
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(cfg), encoding="utf-8")
         out = tmp_path / "out"
-        assert cli.main(["optimize", "--config", str(config), "--out", str(out)]) == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["optimize", "--config", str(config), "--out", str(out)]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is True
         assert np.isfinite(summary["final_stationarity_residual"])

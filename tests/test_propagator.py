@@ -1,6 +1,8 @@
 import dataclasses
 import gc
 import math
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -623,6 +625,84 @@ class TestTwoLevelScalarStep:
             self.assert_matches(h.astype(complex), 0.3, psi)
 
 
+def dot_march(us, x0, rows=False):
+    """The plain per-step ``ndarray.dot`` march: x_{k+1} = U_k x_k, or r_{k+1} = r_k U_k."""
+    nodes = [np.asarray(x0, dtype=complex)]
+    for u in us:
+        nodes.append(nodes[-1].dot(u) if rows else u.dot(nodes[-1]))
+    return np.array(nodes)
+
+
+class TestChunkedMarch:
+    """The marches write through a per-thread workspace of ``_CHUNK`` steps."""
+
+    K = propagator._CHUNK
+    LENGTHS = [1, K - 1, K, K + 1, 2 * K, 2000]
+
+    @staticmethod
+    def stack(dim, complex_, n, seed):
+        rng = np.random.default_rng(seed)
+        draw = random_hermitian if complex_ else random_symmetric
+        H = qoct.ControlHamiltonian(drift=draw(rng, dim), coupling=draw(rng, dim))
+        return _u_stack(H, rng.uniform(-1.5, 1.5, n), 0.07), random_state(rng, dim).amplitudes
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_bitwise_the_per_step_dot_march(self, dim, complex_):
+        us, x0 = self.stack(dim, complex_, max(self.LENGTHS), 140 + dim)
+        for n in self.LENGTHS:
+            # the head of the stack, its reversal (the costate's march) and its
+            # tail (the continuous costate's march from T)
+            for part in (us[:n], us[n - 1 :: -1], us[-n:]):
+                assert _march_forward(part, x0).tobytes() == dot_march(part, x0).tobytes(), n
+                assert _march_rows(part, x0).tobytes() == dot_march(part, x0, True).tobytes(), n
+
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_result_never_aliases_the_workspace(self, dim):
+        # a later march at the same dimension leaves an earlier result as it
+        # was, and the workspace stays K + 1 rows at any length
+        us, x0 = self.stack(dim, True, 2000, 150 + dim)
+        first = _march_forward(us, x0)
+        rows = _march_rows(us[:300], x0)
+        kept = first.copy(), rows.copy()
+        for n in self.LENGTHS:
+            _march_forward(us[-n:], x0[::-1].copy())
+            _march_rows(us[-n:], x0[::-1].copy())
+        assert first.tobytes() == kept[0].tobytes() and rows.tobytes() == kept[1].tobytes()
+        assert propagator._workspace(dim)[0].shape == (self.K + 1, dim)
+
+    def test_threads_march_on_their_own_workspaces(self):
+        # threads marching different stacks at one dimension at once each get
+        # their serial result; a shared workspace would mix their chunks
+        # (4 threads on a 2-core host, with a short switch interval)
+        stacks = [self.stack(8, k % 2 == 1, 2000, 160 + k) for k in range(4)]
+        serial = [
+            (dot_march(us, x0).tobytes(), dot_march(us, x0, True).tobytes()) for us, x0 in stacks
+        ]
+        results = [[] for _ in stacks]
+        start = threading.Barrier(len(stacks))
+
+        def worker(k):
+            us, x0 = stacks[k]
+            start.wait(timeout=10)
+            for _ in range(20):
+                results[k].append((_march_forward(us, x0).tobytes(), _march_rows(us, x0).tobytes()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(stacks))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k, runs in enumerate(results):
+            assert len(runs) == 20 and all(run == serial[k] for run in runs), k
+
+
 class TestTdseResidual:
     def test_zero_for_propagated_trajectory(self):
         problem, field = seeded_problem(26, 3, 50, 1.0)
@@ -874,8 +954,8 @@ class TestLastSolve:
     def test_optimize_solves_on_the_kept_stack(self, dim, monkeypatch):
         # each evaluation keeps its window's m + 1 steps, built with the rows'
         # m derivatives by one _stacks call, and its solve marches on them
-        # with no further stack or series; after the run the last window
-        # solve is kept, and a whole-grid solve builds its own stack
+        # with no further stack or series; after the run no solve is kept, so
+        # the whole-grid solve that follows builds its own stack, as cold
         problem, field = seeded_problem(102, dim, self.N_STEPS, 1.0)
         H, O, grid = problem.hamiltonian, problem.observable, problem.grid
         n, m = grid.n_steps, grid.index_T
@@ -916,9 +996,7 @@ class TestLastSolve:
         k = result.evaluations_run
         assert k == len(solves) >= 3
         assert log == [("_stacks", m + 1), ("_field_series",), ("solve",)] * k
-        last = propagator._last_solve
-        assert last is not before and last.traj is solves[-1].psi
-        assert last.us.shape[0] == m + 1 and last.traj.n_nodes == m + 2
+        assert before is not None and propagator._last_solve is None
 
         log.clear()
         traj = qoct.propagate_forward(problem.psi0, result.final_field, H, grid)
