@@ -45,7 +45,7 @@ from .core import (
 from .functional import eval_j_opt
 from .gradient import DEFAULT_PROBE_STEP, gradient_report
 from .optimizer import OptimizationConfig, OptimizationResult, optimize
-from .propagator import CostateBoundary, propagate_forward, tdse_residual
+from .propagator import MAX_STEP_PHASE, CostateBoundary, propagate_forward, tdse_residual
 
 __all__ = [
     "ConfigError",
@@ -73,9 +73,6 @@ CONJUGATE_TOL = 1e-12
 # parts of their own, so its deviation is not an exact multiple of beta = 1's
 CONJUGATE_BETA = 0.3 + 0.7j
 PHASE_DEFECT_TOL = 1e-14
-# the largest step phase bound ||H(eps) dt||_1 a field value may give: past 2^53
-# no double fixes the phase of exp(-i H dt) to a radian, and further on it overflows
-MAX_STEP_PHASE = 2.0 ** 53
 # the most complex entries, n_steps * dim^2, one forward stack of the grid may
 # hold: 2^26 of them are 1 GiB, and every run holds such a stack, so a grid past
 # it is refused at parse time, before anything of its size is allocated
@@ -407,10 +404,10 @@ def run_verify(config_path: str | Path, out_dir: str | Path) -> int:
     cfg = ProblemConfig.from_file(config_path)
     p = cfg.problem
     field = cfg.noisy_field(NOISE_AMPLITUDE_PROBE)
-    # the later checks read this solve's stack and trajectory, propagator's
-    # last solve (or build them again, bitwise the same), so only this solve
-    # can trip the trajectory's norm gate
+    # the oracle solves the probe field first and keeps that solve for the
+    # solve and checks after it, so only it can trip the trajectory's norm gate
     with _trajectory_gate("eps_ref"):
+        grad = gradient_report(p, field)
         solution = solve(p, field, CostateBoundary.canonical())
 
     jump = check_canonical_jump(solution)
@@ -461,7 +458,6 @@ def run_verify(config_path: str | Path, out_dir: str | Path) -> int:
     else:
         conjugate = {"skipped": "Hamiltonian matrices are not real-valued"}
 
-    grad = gradient_report(p, field)
     checks["gradient"] = bool(grad.max_rel_error < GRADCHECK_TOL)
 
     passed = all(checks.values())

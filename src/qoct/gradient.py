@@ -1,36 +1,38 @@
-"""Analytic field gradient, finite-difference oracle, and stationarity residual.
+"""Field law, analytic gradient, finite-difference oracle, and stationarity residual.
 
-The gradient is the exact derivative of the discrete reduced objective
-(discretize-then-differentiate): the equation of motion is eliminated by
-forward solution, the costate recursion is the exact adjoint of the
-stepper, and the per-step propagator is differentiated exactly, so
-central differences check it to a sharp 1e-6, not to O(dt). The one
-pairing of the costate with dU/deps is ``_pairing_rows``, which the
-optimizer's field law reads too. The oracle, ``gradient_report``, uses
-neither the costate nor dU/deps; its probes start from the solved
-trajectory and march together on its steps. At every dimension both
-differentiate the one field series of ``propagator``, the gradient
-analytically and the oracle numerically, so the oracle checks the
-adjoint and the pairing, not the exponential; the tests pin the series
-and its derivative to the eigenpair reference routes for that, and
-check the gradient against central differences marched on those routes'
-steps.
+The gradient is the exact derivative of the discrete reduced objective,
+``functional``'s j_opt + j_cost on the forward solution
+(discretize-then-differentiate): the costate recursion is the exact
+adjoint of the stepper and the per-step propagator is differentiated
+exactly, so central differences check it to a sharp 1e-6, not to O(dt).
 
-The reduced objective is ``functional``'s j_opt + j_cost on the forward
-solution: its penalty spans the whole grid, so samples after the
-measurement node stay penalized and both gradient routes agree there;
-the field-equation residual itself is only defined up to that node.
+The field law is formed once, in ``_law_gap``: before the measurement
+node, law_k = ref_k + Re(rho_k psi_k) / alpha with the rows
+rho_k = chi_{k+1}^dagger dU_k/deps / dt of the canonical costate and the
+field series' derivative, and g_k = -2 alpha dt (eps_k - law_k). After
+the node the costate vanishes and only the penalty, which spans the
+whole grid, survives (``_gradient``). ``_evaluate`` is the one
+evaluation of a field: its steps and derivatives from one series, its
+solve on those steps and its law gap eps - law. ``optimize`` evaluates
+its window grid and is certified by max |gap|; ``gradient_report``
+evaluates the whole grid, so the oracle checks the gap ``optimize``
+certifies. ``analytic_gradient`` forms the law on a solve it is handed.
 
-The optimizer's field law is the zero of this gradient before the
-measurement node, and its certificate is max_k |g_k| / (2 alpha dt)
-there. ``stationarity_residual`` is a different quantity: the paper's
-collocated continuum law eps_k = ref_k + Im<chi_k| mu psi_k> / alpha,
-kept as a diagnostic. At the discrete optimum it is O(dt), not zero
+The oracle itself reads neither the costate nor dU/deps: its probes
+start from the solved trajectory and march together on its steps. Both
+differentiate the one field series of ``propagator``, so the oracle
+checks the adjoint and the pairing, not the exponential; the tests pin
+the series and its derivative to the eigenpair reference routes.
+
+``stationarity_residual`` is the paper's collocated continuum law
+eps_k = ref_k + Im<chi_k| mu psi_k> / alpha, the continuum diagnostic,
+not the certificate: at the discrete optimum it is O(dt), not zero
 (0.122 dt on the two-level benchmark).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +54,7 @@ from .propagator import (
     CostateBoundary,
     _du_stack,
     _field_stack,
+    _keep_stacks,
     _march_probes,
     propagate_forward,
 )
@@ -117,9 +120,7 @@ def analytic_gradient(
     measurement node. Afterwards only the cost term survives (the
     costate vanishes there), reducing to the continuum field law
     2 dt [Im <chi_k| mu psi_k> - alpha (eps_k - ref_k)] as dt -> 0.
-
-    The pairing term is 2 dt Re(rho_k psi_k) with the rows of
-    ``_pairing_rows``, batched over the m samples before the node.
+    Formed from ``_law_gap`` by ``_gradient``.
     """
     m = grid.index_T
     if not chi_traj.is_canonical():
@@ -127,27 +128,48 @@ def analytic_gradient(
     if chi_traj.index_T != m:
         raise ValueError("costate and grid disagree on the measurement node")
     _check_grid(grid, [field, eps_ref], [psi_traj, chi_traj])
-
-    g = -2.0 * alpha * grid.dt * (field.samples - eps_ref.samples)
-    rows = _pairing_rows(_du_stack(H, field.samples[:m], grid.dt), chi_traj, grid.dt)
-    g[:m] += 2.0 * grid.dt * np.einsum("ki,ki->k", rows, psi_traj.states[:m]).real
-    return g
+    du = _du_stack(H, field.samples[:m], grid.dt)
+    gap = _law_gap(du, psi_traj, chi_traj, field, eps_ref, alpha, grid.dt)[1]
+    return _gradient(gap, field, eps_ref, alpha, grid.dt)
 
 
-def _pairing_rows(du: NDArrayComplex, chi: CostateTrajectory, dt: float) -> NDArrayComplex:
-    """rho_k = chi_{k+1}^dagger dU_k/deps / dt at the m pre-T samples, batched over k.
+def _law_gap(
+    du: NDArrayComplex, psi: StateTrajectory, chi: CostateTrajectory, field: ControlField,
+    eps_ref: ControlField, alpha: float, dt: float,
+) -> tuple[NDArrayComplex, NDArrayFloat]:
+    """(rows, gap) of the field law at the m = len(du) samples before T.
 
-    chi_{k+1} is the canonical costate after step k, its left limit
-    O psi(T) at the last one. ``du`` holds the m derivatives dU_k/deps,
-    the field series' (``propagator._stacks``) at every dimension, with
-    no eigendecomposition: ``analytic_gradient`` builds them alone, an
-    optimizer evaluation with the steps it solves on. Each row is one
-    (1 x d) by (d x d) product of a batched ``np.matmul``, which reaches
-    BLAS where ``np.einsum`` would not.
+    rho_k = chi_{k+1}^dagger dU_k/deps / dt, with chi_{k+1} the canonical
+    costate after step k (its left limit O psi(T) at the last one), and
+    gap_k = eps_k - (ref_k + Re(rho_k psi_k) / alpha). The rows are one
+    batched ``np.matmul``, which reaches BLAS where ``np.einsum`` would not.
     """
     m = du.shape[0]
     chi_next = np.concatenate([chi.states[1:m], chi.chi_T_minus[None, :]]).conj()
-    return np.matmul(chi_next[:, None, :], du)[:, 0] / dt
+    rows = np.matmul(chi_next[:, None, :], du)[:, 0] / dt
+    law = eps_ref.samples[:m] + np.einsum("ki,ki->k", rows, psi.states[:m]).real / alpha
+    return rows, field.samples[:m] - law
+
+
+def _gradient(gap, field, eps_ref, alpha, dt):
+    """g = -2 alpha dt gap before T and -2 alpha dt (eps - ref) after it."""
+    dev = field.samples - eps_ref.samples
+    dev[: gap.size] = gap
+    # alpha multiplies last, so g overflows only where its value does
+    return -2.0 * dt * dev * alpha
+
+
+def _evaluate(problem: ControlProblem, field: ControlField):
+    """(Solution, rows, gap) of the field: its ``_law_gap`` on its canonical solve.
+
+    The steps, kept as ``propagator``'s last solve, and the derivatives
+    before T come from one series (``propagator._keep_stacks``).
+    """
+    grid = problem.grid
+    du = _keep_stacks(problem.hamiltonian, field, grid.dt, grid.index_T)
+    sol = solve(problem, field, CostateBoundary.canonical())
+    rows, gap = _law_gap(du, sol.psi, sol.chi, field, problem.eps_ref, problem.alpha, grid.dt)
+    return sol, rows, gap
 
 
 def stationarity_residual(
@@ -162,9 +184,9 @@ def stationarity_residual(
     """Sup-norm violation of the collocated field equation over samples before T.
 
     Zero exactly when eps_k = ref_k + Im<chi_k| mu psi_k> / alpha holds
-    at every sample up to the measurement node: the continuum law, which
-    the discrete optimum meets only to O(dt). ``optimize`` certifies the
-    exact discrete condition instead (see ``analytic_gradient``).
+    at every sample up to the measurement node. The discrete optimum meets
+    this continuum law only to O(dt): it is the collocated continuum
+    diagnostic, not the certificate (``_law_gap``).
     """
     m = grid.index_T
     if not chi_traj.is_canonical():
@@ -188,15 +210,16 @@ def gradient_report(
     The oracle is (J(eps_k + h) - J(eps_k - h)) / 2h of the reduced
     objective at every sample k, h the probe step. The cost term is formed
     in closed form; only probes before T move psi(T), and they step on the
-    field's stack. The canonical solve is ``solve``'s, so after ``solve``
-    on the same field it reads that solve's stack and trajectory.
+    field's stack. The analytic gradient is ``_gradient`` of the field's
+    ``_evaluate``, the law gap ``optimize`` certifies; that solve stays
+    kept, so a ``solve`` of the same field afterwards reads it.
     """
     h = probe_step
-    if h <= 0:
-        raise ValueError(f"probe step must be positive, got {h!r}")
-    sol = solve(problem, field, CostateBoundary.canonical())
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"probe step must be positive and finite, got {h!r}")
+    sol, _, gap = _evaluate(problem, field)
     H, grid = problem.hamiltonian, problem.grid
-    analytic = analytic_gradient(sol.psi, sol.chi, field, problem.eps_ref, problem.alpha, H, grid)
+    analytic = _gradient(gap, field, problem.eps_ref, problem.alpha, grid.dt)
     dev = field.samples[:, None] + [h, -h] - problem.eps_ref.samples[:, None]
     j = -problem.alpha * dev * dev * grid.dt
     psi_T = _march_probes(sol.psi.states, _field_stack(H, field, grid.dt), H, field, grid, h)

@@ -1,27 +1,16 @@
 """Quasi-Newton ascent on the exact discrete gradient, started at two levels by one feedback sweep.
 
-The objective is the discrete reduced J of ``functional``; its exact
-gradient before the measurement node is
-
-    g_k = -2 alpha dt (eps_k - law_k),  law_k = ref_k + Re(rho_k psi_k) / alpha,
-
-with the rows rho_k = chi_{k+1}^dagger D_k / dt of
-``gradient._pairing_rows`` (D_k = dU_k/deps, chi the canonical
-costate). After the measurement node the costate vanishes, so no sample
-there reaches j_opt, j_tdse or the law, and the field is the reference
-sample-for-sample. An evaluation of a field is one ``analysis.solve``
-on the window grid up to the first node past T (index_T + 1 steps: the
-field's samples before T, then the reference's sample at T, which moves
-only the node past T), its rows and its breakdown, so a field's solve
-depends only on its samples before T. The window's steps and the rows'
-m derivatives come from one ``propagator._stacks`` call, one field
-series at every dimension, which ``propagator._keep_stacks`` keeps as
-the solve's stack. Its step defects are formed once, for the costate's
-equation-of-motion gate and for ``eval_j_tdse``. j_cost
-is ``functional.eval_j_cost`` on the whole field, so samples after T,
-the initial field's noise there included, stay penalized. The law gap
-eps_k - law_k is then the gradient of -J / (2 alpha dt), and its
-sup-norm is the exact-gradient residual the run is certified by.
+The objective is the discrete reduced J of ``functional``. An
+evaluation of a field is ``gradient._evaluate`` (where the field law is
+defined) on the window grid up to the first node past T: the field's
+samples before T, then the reference's sample at T, which moves only the
+node past T, so a field's solve depends only on its samples before T.
+After T the costate vanishes, no sample reaches j_opt, j_tdse or the
+law, and the field is the reference sample-for-sample. The breakdown
+takes j_opt and j_tdse from the window's solve and j_cost from the whole
+field, so samples after T, the initial field's noise there included,
+stay penalized. The law gap eps_k - law_k before T is the gradient of
+-J / (2 alpha dt), and its sup-norm certifies the run.
 
 The first iteration of a two-level run is the paper's scheme: one
 immediate-feedback sweep (Zhu, Botina & Rabitz, with the exact
@@ -70,7 +59,6 @@ from typing import Tuple
 
 import numpy as np
 
-from .analysis import solve
 from .core import (
     ControlField,
     ControlHamiltonian,
@@ -80,8 +68,8 @@ from .core import (
     TimeGrid,
 )
 from .functional import FunctionalBreakdown, eval_j_cost, eval_j_opt, eval_j_tdse
-from .gradient import _pairing_rows
-from .propagator import CostateBoundary, _clear_last_solve, _keep_stacks, _step_two_level
+from .gradient import _evaluate
+from .propagator import _clear_last_solve, _step_two_level
 
 __all__ = ["OptimizationConfig", "OptimizationResult", "optimize"]
 
@@ -125,8 +113,8 @@ class OptimizationResult:
     """Converged (or last) field with the per-iteration objective history.
 
     ``final_stationarity_residual`` is the exact-gradient residual of the
-    final field, max_{k < index_T} |g_k| / (2 alpha dt) with g the
-    ``analytic_gradient`` of a fresh solve: how far each sample before T
+    final field, max_{k < index_T} |eps_k - law_k| = |g_k| / (2 alpha dt)
+    with the law of ``gradient._law_gap``: how far each sample before T
     sits from the discrete field law. (``stationarity_residual``, the
     collocated continuum law, is O(dt) at the discrete optimum.)
     ``largest_j_decrease`` records the worst single-iteration drop of the
@@ -191,10 +179,9 @@ def optimize(
     Non-convergence within ``max_iters``, or a line search that finds no
     step away from the law, is reported through the ``converged`` flag,
     not an exception; the history and residual let the caller judge how
-    far the run got. Each evaluation's ``analysis.solve`` becomes
-    ``propagator``'s last solve while the run lasts; none is kept after it
-    returns, since the last window is no whole-grid solve a caller could
-    read.
+    far the run got. Each evaluation's solve is ``propagator``'s last solve
+    while the run lasts; none is kept after it returns, since the last
+    window is no whole-grid solve a caller could read.
     """
     problem = ControlProblem(
         psi0=psi0, hamiltonian=H, observable=O, grid=grid, eps_ref=config.eps_ref,
@@ -202,7 +189,6 @@ def optimize(
     )
     eps_ref = config.eps_ref.samples
     alpha, dt, m = problem.alpha, grid.dt, grid.index_T
-    canonical = CostateBoundary.canonical()
     # the grid up to the first node past T: the costate vanishes after T, so
     # no later step reaches j_opt, j_tdse or the law
     window = ControlProblem(
@@ -216,27 +202,23 @@ def optimize(
         evaluations += 1
         field = ControlField(samples)
         head = ControlField(np.append(samples[:m], eps_ref[m]))
-        # the window's steps are kept for its solve, built with the rows' m derivatives
-        du = _keep_stacks(H, head, dt, m)
-        sol = solve(window, head, canonical)
-        rows = _pairing_rows(du, sol.chi, dt)
-        law = eps_ref[:m] + np.einsum("ki,ki->k", rows, sol.psi.states[:m]).real / alpha
+        sol, rows, gap = _evaluate(window, head)
         bd = FunctionalBreakdown(
             j_opt=eval_j_opt(sol.psi, O, window.grid),
             # the penalty spans the whole grid: samples after T stay penalized
             j_cost=eval_j_cost(field, config.eps_ref, alpha, grid),
             j_tdse=eval_j_tdse(sol.psi, sol.chi, head, H, window.grid),
         )
-        return _Point(field, bd, rows, samples[:m] - law)
+        return _Point(field, bd, rows, gap)
 
     def at(x):
         return evaluate(np.concatenate([x, eps_ref[m:]]))
 
     def slope(point, p):
-        # the slope of -J along p is 2 alpha dt (gap . p); where gap . p is 0 the
-        # product is skipped, as 2 alpha overflows to inf for alpha near the
-        # largest double and inf * 0 is NaN
-        gp = point.gap @ p
+        # the slope of -J along p, 2 alpha dt (gap . p), in Python floats: their
+        # overflow in the cubic step raises no warning; where gap . p is 0 the product
+        # is skipped, as 2 alpha is inf for alpha near the largest double, inf * 0 NaN
+        gp = float(point.gap @ p)
         return 2.0 * alpha * dt * gp if gp else 0.0
 
     def search(base, p):

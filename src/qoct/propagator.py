@@ -9,30 +9,28 @@ samples of a stack in one product and squared, and dU/deps is the
 derivative of that series carried through its squarings. The sequential
 two-level sweep (``optimizer._feedback_sweep``) steps one sample at a
 time in the closed SU(2) form, in Python scalars (``_step_two_level``).
-``_stacks`` is the one kernel for U and dU: an optimizer evaluation
-takes the steps up to the first node past T and the derivatives of the
-samples before it from one series, one set of powers and one chain of
-squarings; ``_u_stack`` and ``_du_stack`` take one of the two. A
-backward step is the conjugate transpose of a forward one;
-``_march_forward`` marches states and ``_march_rows`` the conjugate
-rows of the backward march, one ``ndarray.dot`` per step, written through
-a workspace of ``_CHUNK`` row views made once per dimension and per
-thread (``_march``). Every forward solve is kept as the last solve
-(``_last_solve``: the stack and the trajectory), and the public calls on
-the same field read it (``_forward``, ``_field_stack``) instead of
-building the stack again; a miss only builds it. An optimizer evaluation
-keeps its steps, built with its derivatives, as the next solve's stack
-(``_keep_stacks``). The last solve also keeps, once formed, its
-trajectory's step defects, which the costate's equation-of-motion gate,
-``eval_j_tdse`` and ``tdse_residual`` read, and for one observable the
-unit adjoint solution through O psi(T), from which every costate on that
-trajectory is built (``_unit_adjoint``), with the continuous(1)
-costate's worst step defect, every continuous(n)'s times |n|
-(``_unit_residual``). Real-symmetric H0 and mu (``_operators``) are
-expanded in real arithmetic. Only the reference routes (``step_matrix``,
-``step_control_derivative``) call ``np.linalg.eigh``, on ``H.evaluate``
-in complex arithmetic at every dimension, independent of the series and
-the SU(2) form.
+``_stacks`` is the one kernel for U and dU; ``_u_stack`` and
+``_du_stack`` take one of the two. An evaluation of a field
+(``gradient._evaluate``, the one route of ``optimize`` and the gradient
+oracle) takes its steps and the derivatives before T, which the field
+law (``gradient._law_gap``) pairs with the costate, from one series, and
+keeps the steps as the next solve's stack (``_keep_stacks``). A backward
+step is the conjugate transpose of a forward one; ``_march_forward``
+marches states and ``_march_rows`` the conjugate rows of the backward
+march, one ``ndarray.dot`` per step, through a per-thread workspace of
+``_CHUNK`` row views (``_march``). Every forward solve is kept as the
+last solve (``_last_solve``), and the public calls on the same field
+read its stack and trajectory (``_forward``, ``_field_stack``); a miss
+only builds them. The last solve also keeps, once formed, its step
+defects, which the costate's equation-of-motion gate, ``eval_j_tdse``
+and ``tdse_residual`` read, and for one observable the unit adjoint
+solution through O psi(T), from which every costate on that trajectory
+is built (``_unit_adjoint``), with the continuous(1) costate's worst step
+defect (``_unit_residual``). Real-symmetric H0 and mu (``_operators``)
+are expanded in real arithmetic. Only the reference routes
+(``step_matrix``, ``step_control_derivative``) call ``np.linalg.eigh``,
+in complex arithmetic, independent of the series and the SU(2) form.
+
 The delta source feeding the costate at the measurement time is never
 discretized as a narrow pulse; it is imposed as an exact boundary
 condition in one of two regimes:
@@ -85,6 +83,9 @@ __all__ = [
 ]
 
 CONSISTENCY_TOL = 1e-10
+# the largest step phase bound ||H(eps) dt||_1 a field value may give: past 2^53
+# no double fixes the phase of exp(-i H dt) to a radian, and further on it overflows
+MAX_STEP_PHASE = 2.0 ** 53
 
 
 class Direction(Enum):
@@ -135,10 +136,11 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
 
     s is the least count that brings theta = norm / 2^s to 1/2 or below;
     p >= 3 is the least degree whose remainder, sum_{j > p} theta^j / j!
-    <= 2 theta^(p+1) / (p+1)! for theta <= 1/2, is at most 2^-53.
+    <= 2 theta^(p+1) / (p+1)! for theta <= 1/2, is at most 2^-53. A norm
+    past ``MAX_STEP_PHASE``, or NaN, is refused before any stack is built.
     """
-    if not math.isfinite(norm):
-        raise ValueError(f"Hamiltonian has a non-finite 1-norm bound ({norm})")
+    if not norm <= MAX_STEP_PHASE:
+        raise ValueError(f"step phase ||H dt||_1 = {norm:.3e} is non-finite or > {MAX_STEP_PHASE:.3e}")
     s = math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0
     theta = norm / 2.0 ** s
     p, term = 3, theta ** 4 / 24.0
@@ -243,7 +245,9 @@ def _stacks(
     and each squaring X_{i+1} = X_i^2 carries D_{i+1} = D_i X_i + X_i D_i,
     so dU/deps = D_s / bound reads the squarings U takes, and with no
     squarings and no U only P' is formed. No caller reads eigenpairs, so
-    none are formed.
+    none are formed. With U, the range covers every sample, so an
+    evaluation's derivatives (``_keep_stacks``) differ from ``_du_stack``'s
+    of the same samples at round-off.
     """
     if not u:
         samples = samples[:n_du]
@@ -359,22 +363,15 @@ def _march(us: NDArrayComplex, x0: NDArrayComplex, rows: bool) -> NDArrayComplex
 
 
 def _march_forward(us: NDArrayComplex, x0: NDArrayComplex) -> NDArrayComplex:
-    """Nodes x_0 = x0 and x_{k+1} = U_k x_k over a forward stack.
-
-    One ``ndarray.dot`` per step, through this thread's workspace of
-    ``_CHUNK`` steps (``_march``).
-    """
+    """Nodes x_0 = x0 and x_{k+1} = U_k x_k over a forward stack (``_march``)."""
     return _march(us, x0, rows=False)
 
 
 def _march_rows(us: NDArrayComplex, r0: NDArrayComplex) -> NDArrayComplex:
-    """Rows r_0 = r0 and r_{k+1} = r_k U_k over a forward stack.
+    """Rows r_0 = r0 and r_{k+1} = r_k U_k over a forward stack (``_march``).
 
     They are the conjugates of the nodes x_{k+1} = U_k^dagger x_k from
-    x_0 = conj(r0), the forward march of the backward steps, read off the
-    stack as it is: one ``ndarray.dot`` per step, through this thread's
-    workspace of ``_CHUNK`` steps (``_march``), and no conjugated copy of
-    the stack.
+    x_0 = conj(r0), the backward march, with no conjugated copy of the stack.
     """
     return _march(us, r0, rows=True)
 
@@ -502,9 +499,11 @@ def _clear_last_solve() -> None:
 def _keep_stacks(H: ControlHamiltonian, field: ControlField, dt: float, n_du: int) -> NDArrayComplex:
     """dU of the field's first n_du samples, its U kept as the next solve's stack (``_stacks``).
 
-    The last solve is dropped first, so its stack is freed before the new
-    ones are built; U and dU come from one series, one set of powers and
-    one chain of squarings, and a solve of the field then marches on U.
+    An evaluation's stacks (``gradient._evaluate``), on ``optimize``'s
+    window grid or the oracle's whole grid. The last solve is dropped
+    first, so its stack is freed before the new ones are built; U and dU
+    come from one series, one set of powers and one chain of squarings,
+    and a solve of the field then marches on U.
     """
     global _last_solve
     _clear_last_solve()

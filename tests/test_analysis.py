@@ -427,10 +427,10 @@ class TestOneStackPerCall:
         problem, field = seeded_problem(71, dim, 40, 1.0)
         qoct.gradient_report(problem, field)
         n, m = problem.grid.n_steps, problem.grid.index_T
-        # one forward stack for both trajectories and the probes' 2m moved
-        # steps, which step off the solved nodes, each from its own series;
-        # the gradient's m derivatives come from a third series
-        assert (stack_log, len(series_log), matrices(eigh_log)) == ([n, 2 * m], 3, [])
+        # one forward stack for both trajectories, built with the gradient's m
+        # derivatives from one series, and the probes' 2m moved steps, which
+        # step off the solved nodes, from a second
+        assert (stack_log, len(series_log), matrices(eigh_log)) == ([n, 2 * m], 2, [])
 
     @pytest.mark.parametrize("dim", [3, 2])
     def test_optimize_forms_each_solves_steps_once(
@@ -482,11 +482,11 @@ class TestOneStackPerCall:
         )
         assert cli.run_verify(config, tmp_path / "out") == 0
         n, m = 100, 80
-        # one solve, whose stack the continuous family, the conjugate pair and
-        # the probes read, and the probes' 2m moved steps, each from its own
-        # series, and the gradient's m derivatives from one more; nothing is
-        # decomposed
-        assert (sum(stack_log), len(series_log), matrices(eigh_log)) == (n + 2 * m, 3, [])
+        # one solve, the oracle's, whose stack comes with the gradient's m
+        # derivatives from one series and which the probes, the solve after
+        # it, the continuous family and the conjugate pair read, and the
+        # probes' 2m moved steps from a second series; nothing is decomposed
+        assert (sum(stack_log), len(series_log), matrices(eigh_log)) == (n + 2 * m, 2, [])
 
     @staticmethod
     def run_every_route(problem, field):

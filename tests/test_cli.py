@@ -330,6 +330,21 @@ class TestOptimize:
         assert np.isfinite(summary["final_stationarity_residual"])
         assert summary["final_stationarity_residual"] < cfg["stationarity_tol"]
 
+    def test_sweep_past_the_step_phase_bound_is_refused(self, tmp_path, capsys):
+        # at alpha 1e-11 the two-level sweep sets samples whose step phase is
+        # past MAX_STEP_PHASE: the stack kernel refuses them before building
+        # anything (their squarings overflowed), so the run exits 1, naming
+        # eps_ref as the trajectory gate does, with no RuntimeWarning
+        rng = np.random.default_rng(0)
+        h0, mu, observable = (as_pairs_matrix(1e3 * random_symmetric(rng, 2).matrix) for _ in range(3))
+        config = write_config(
+            tmp_path / "cfg.json", h0=h0, mu=mu, observable=observable, T=1.0, T_hat=2.0,
+            dt=1.0, alpha=1e-11, max_iters=1,
+        )
+        assert cli.run_optimize(config, tmp_path / "out") == 1
+        assert capsys.readouterr().err.startswith("config error: eps_ref: step phase ||H dt||_1 = ")
+        assert not (tmp_path / "out").exists()
+
     def test_exhausted_iterations_exit_code(self, tmp_path):
         config = write_config(tmp_path / "cfg.json", max_iters=2, j_tol=1e-16)
         assert cli.run_optimize(config, tmp_path / "out") == 2
@@ -425,6 +440,19 @@ class TestGradcheck:
         report = json.loads((out / "grad.json").read_text())
         assert report["passed"] is True
         assert report["max_rel_error"] < 1e-6
+
+    def test_largest_penalty_gradient_is_finite(self, tmp_path):
+        # README's config at alpha 1e308: -2 alpha dt (eps - ref) is finite, and
+        # the gradient multiplies by alpha last, so grad.json is finite too (with
+        # 2 alpha formed first it overflowed, and every entry read Infinity)
+        cfg = readme_config()
+        cfg["alpha"] = 1e308
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.run_gradcheck(config, out) == 0
+        report = json.loads((out / "grad.json").read_text())
+        assert np.isfinite(report["analytic"]).all() and report["max_rel_error"] < 1e-6
 
     def test_coarse_probe_fails_with_diagnostic(self, tmp_path):
         config = write_config(tmp_path / "cfg.json")

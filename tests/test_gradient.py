@@ -1,7 +1,11 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 import qoct
+from qoct import gradient, propagator
 from conftest import pauli_x, random_hermitian, random_state, seeded_problem
 
 
@@ -185,8 +189,9 @@ class TestFiniteDifference:
 
     def test_probe_step_validation(self):
         problem, field = seeded_problem(46, 2, 30, 1.0)
-        for h in (0.0, -1e-5):
-            with pytest.raises(ValueError, match="positive"):
+        # a non-finite step is refused up front, not deep in the probes' stack
+        for h in (0.0, -1e-5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
                 qoct.gradient_report(problem, field, probe_step=h)
 
 
@@ -204,6 +209,28 @@ class TestGradientReport:
             1e-12, np.abs(report.finite_diff)
         )
         assert report.max_rel_error == np.max(rel)
+
+
+class TestOneLaw:
+    """The oracle checks the gap ``optimize`` certifies: both evaluate through ``_evaluate``."""
+
+    @pytest.mark.parametrize("complex_hermitian", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_report_is_the_evaluated_gap(self, dim, complex_hermitian):
+        problem, field = seeded_problem(130 + dim, dim, 50, 0.7, complex_hermitian=complex_hermitian)
+        eps_ref = qoct.ControlField(np.random.default_rng(140 + dim).uniform(-0.5, 0.5, 50))
+        problem = dataclasses.replace(problem, eps_ref=eps_ref)
+        grid, alpha, m = problem.grid, problem.alpha, problem.grid.index_T
+        gap = gradient._evaluate(problem, field)[2]
+        report = qoct.gradient_report(problem, field)
+        # before T the gradient is -2 alpha dt times the evaluated gap, bit for bit
+        assert np.array_equal(report.analytic[:m], -2.0 * grid.dt * gap * alpha)
+        # analytic_gradient on a fresh solve takes the derivatives of the m
+        # samples before T from a series of their own range: round-off apart
+        propagator._clear_last_solve()
+        traj, chi = forward_and_canonical(problem, field)
+        g = qoct.analytic_gradient(traj, chi, field, eps_ref, alpha, problem.hamiltonian, grid)
+        assert np.max(np.abs(g - report.analytic)) <= 1e-12 * max(1.0, np.max(np.abs(g)))
 
 
 class TestBatchedOracle:

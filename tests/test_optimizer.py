@@ -65,7 +65,7 @@ class TestBenchmark:
             solves.append(None)
             return qoct.solve(*args)
 
-        monkeypatch.setattr(optimizer, "solve", counting)
+        monkeypatch.setattr(gradient, "solve", counting)
         psi0, H, O, grid = two_level_benchmark()
         result = qoct.optimize(psi0, H, O, grid, benchmark_config())
         assert result.converged
@@ -156,7 +156,8 @@ class TestTwoLevelSweep:
         for _ in range(2):
             traj = qoct.propagate_forward(psi0, field, H, grid)
             chi = qoct.propagate_costate(traj, O, field, H, grid, qoct.CostateBoundary.canonical())
-            rows = gradient._pairing_rows(_du_stack(H, field.samples[:m], dt), chi, dt)
+            du = _du_stack(H, field.samples[:m], dt)
+            rows = gradient._law_gap(du, traj, chi, field, qoct.ControlField(eps_ref), alpha, dt)[0]
             new_field = _feedback_sweep(psi0.amplitudes, rows, eps_ref, alpha, H, grid)
 
             chi_next = list(chi.states[1:m]) + [chi.chi_T_minus]
@@ -219,7 +220,7 @@ class TestStackInSync:
             solved.append(field)
             return qoct.solve(problem, field, boundary)
 
-        monkeypatch.setattr(optimizer, "solve", recording)
+        monkeypatch.setattr(gradient, "solve", recording)
         H, O, grid = problem.hamiltonian, problem.observable, problem.grid
         m = grid.index_T
         result = qoct.optimize(problem.psi0, H, O, grid, config)
@@ -300,7 +301,7 @@ class TestFirstIteration:
         samples = qoct.ControlField(config.initial_field.samples[: m + 1])
         du = _keep_stacks(H, samples, grid.dt, m)
         sol = qoct.solve(window, samples, canonical)
-        rows = gradient._pairing_rows(du, sol.chi, grid.dt)
+        rows = gradient._law_gap(du, sol.psi, sol.chi, samples, window.eps_ref, config.alpha, grid.dt)[0]
         swept = _feedback_sweep(
             psi0.amplitudes, rows, config.eps_ref.samples, config.alpha, H, grid
         )

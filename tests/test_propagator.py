@@ -10,8 +10,8 @@ import pytest
 import scipy.linalg
 
 import qoct
-from qoct import optimizer, propagator
-from qoct.gradient import _pairing_rows
+from qoct import gradient, propagator
+from qoct.gradient import _law_gap
 from qoct.propagator import (
     Direction, _adjoint, _du_stack, _field_series, _march_forward, _march_rows, _operators,
     _step_two_level, _taylor_plan, _u_stack,
@@ -337,8 +337,10 @@ class TestRealSymmetric:
         problem, field = seeded_problem(40 + dim, dim, 30, 1.0, complex_hermitian=complex_hermitian)
         H, grid = problem.hamiltonian, problem.grid
         m, dt = grid.index_T, grid.dt
-        chi = qoct.solve(problem, field, qoct.CostateBoundary.canonical()).chi
-        rows = _pairing_rows(_du_stack(H, field.samples[:m], dt), chi, dt)
+        sol = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
+        chi = sol.chi
+        du = _du_stack(H, field.samples[:m], dt)
+        rows = _law_gap(du, sol.psi, chi, field, problem.eps_ref, problem.alpha, dt)[0]
         chi_next = np.concatenate([chi.states[1:m], chi.chi_T_minus[None, :]])
         ref = np.array([
             chi_next[k].conj() @ qoct.step_control_derivative(H, eps, dt) / dt
@@ -458,6 +460,17 @@ class TestTaylorExponential:
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError, match="non-finite"):
                 _u_stack(H, np.array([0.1, bad]), 0.1)
+
+    def test_refuses_a_step_phase_past_the_bound(self):
+        # past 2^53 no double fixes a step's phase: no stack is built there
+        rng = np.random.default_rng(38)
+        H = qoct.ControlHamiltonian(
+            drift=random_symmetric(rng, 3), coupling=random_symmetric(rng, 3)
+        )
+        dt = 0.1
+        eps = 2.0 * propagator.MAX_STEP_PHASE / (dt * np.linalg.norm(H.coupling.matrix, 1))
+        with pytest.raises(ValueError, match="> 9.007e"):
+            _u_stack(H, np.array([0.1, eps]), dt)
 
 
 class TestSeriesDerivative:
@@ -806,7 +819,6 @@ class TestLastSolve:
                 sol.psi, O, field, H, grid, qoct.CostateBoundary.continuous(n)
             )
         calls["tdse_residual"] = lambda: qoct.tdse_residual(sol.psi, field, H, grid)
-        calls["gradient_report"] = lambda: qoct.gradient_report(problem, field)
         return calls
 
     @pytest.mark.parametrize("complex_", [False, True])
@@ -828,6 +840,16 @@ class TestLastSolve:
         for name, call in calls.items():
             propagator._clear_last_solve()
             assert bits(call()) == reused[name], name
+        # gradient_report solves the field on steps it builds itself and keeps
+        # that solve: a solve after it builds nothing and is a cold one's bits
+        qoct.gradient_report(problem, field)
+        for count in built:
+            built[count] = 0
+        after = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
+        assert built == {"_stacks": 0, "_march_forward": 0}
+        propagator._clear_last_solve()
+        cold = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
+        assert (bits(after.psi), bits(after.chi)) == (bits(cold.psi), bits(cold.chi))
 
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_other_inputs_miss(self, dim, built):
@@ -984,7 +1006,7 @@ class TestLastSolve:
             solves.append(sol)
             return sol
 
-        monkeypatch.setattr(optimizer, "solve", recording)
+        monkeypatch.setattr(gradient, "solve", recording)
         qoct.solve(problem, field, qoct.CostateBoundary.canonical())
         before = propagator._last_solve
         log.clear()

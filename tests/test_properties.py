@@ -4,7 +4,10 @@ Real-symmetric operators take the real-arithmetic route (float64 stacks and
 eigenvectors), complex-Hermitian ones the complex route; both are drawn.
 """
 
+import contextlib
+import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -151,3 +154,73 @@ def test_config_round_trip(
     assert (problem.alpha, config.max_iters, config.j_tol, config.stationarity_tol, config.seed) == (
         alpha, max_iters, j_tol, stationarity_tol, config_seed
     )
+
+
+def _finite_outputs(out: Path) -> bool:
+    """Whether every number in the run's JSON and CSV outputs is finite."""
+    for path in out.iterdir():
+        if path.suffix == ".json":
+            # json reads NaN, Infinity and -Infinity through parse_constant only
+            constants = []
+            json.loads(path.read_text(encoding="utf-8"), parse_constant=constants.append)
+            if constants:
+                return False
+        elif not np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)).all():
+            return False
+    return True
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 4),
+    complex_hermitian=st.booleans(),
+    scale=st.integers(-12, 12).map(lambda e: 10.0**e),
+    dt=st.integers(-6, 2).map(lambda e: 10.0**e),
+    index_T=st.integers(1, 30),
+    extra=st.integers(1, 10),
+    alpha=st.integers(-12, 308).map(lambda e: 10.0**e),
+    eps_ref=st.one_of(
+        st.just(0.0), st.tuples(st.sampled_from([-1.0, 1.0]), st.integers(-12, 12)).map(
+            lambda se: se[0] * 10.0 ** se[1]
+        ),
+    ),
+    max_iters=st.integers(1, 3),
+)
+def test_no_config_ends_in_a_traceback_or_a_non_finite_output(
+    seed, dim, complex_hermitian, scale, dt, index_T, extra, alpha, eps_ref, max_iters
+):
+    # every subcommand ends in exit 0, 1 or 2 on any config of the schema,
+    # extreme but finite values included; exit 1 names the offending field,
+    # and nothing it writes holds NaN or an infinity
+    rng = np.random.default_rng(seed)
+    draw = random_hermitian if complex_hermitian else random_symmetric
+    h0, mu, observable = (scale * draw(rng, dim).matrix for _ in range(3))
+    raw = {
+        "dimension": dim,
+        "h0": as_pairs_matrix(h0),
+        "mu": as_pairs_matrix(mu),
+        "observable": as_pairs_matrix(observable),
+        "psi0": as_pairs_vector(random_state(rng, dim).amplitudes),
+        "T": index_T * dt,
+        "T_hat": (index_T + extra) * dt,
+        "dt": dt,
+        "alpha": alpha,
+        "eps_ref": {"constant": eps_ref},
+        "max_iters": max_iters,
+        "seed": seed,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        for command in ("verify", "optimize", "gradcheck"):
+            out = Path(tmp) / command
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main([command, "--config", str(config), "--out", str(out)])
+            assert code in (0, 1, 2), command
+            if code == 1:
+                named = re.match(r"config error: (\w+): ", err.getvalue())
+                assert named and named[1] in cli._CONFIG_FIELDS, (command, err.getvalue())
+            if out.exists():
+                assert _finite_outputs(out), command
