@@ -18,11 +18,14 @@ its window grid and is certified by max |gap|; ``gradient_report``
 evaluates the whole grid, so the oracle checks the gap ``optimize``
 certifies. ``analytic_gradient`` forms the law on a solve it is handed.
 
-The oracle itself reads neither the costate nor dU/deps: its probes
-start from the solved trajectory and march together on its steps. Both
-differentiate the one field series of ``propagator``, so the oracle
-checks the adjoint and the pairing, not the exponential; the tests pin
-the series and its derivative to the eigenpair reference routes.
+The oracle itself reads neither the costate nor dU/deps: each probe
+pair steps off the solved trajectory on its moved step and reaches T
+through the suffix product of the solved steps after it
+(``propagator._march_probes``), so the pair's rounding cancels in its
+difference. Both differentiate the one field series of ``propagator``,
+so the oracle checks the adjoint and the pairing, not the exponential;
+the tests pin the series and its derivative to the eigenpair reference
+routes.
 
 ``stationarity_residual`` is the paper's collocated continuum law
 eps_k = ref_k + Im<chi_k| mu psi_k> / alpha, the continuum diagnostic,
@@ -193,9 +196,7 @@ def stationarity_residual(
         raise ValueError("stationarity residual requires a canonical costate")
     _check_grid(grid, [field, eps_ref], [psi_traj, chi_traj])
     mu = H.control_derivative
-    overlaps = np.einsum(
-        "ki,ij,kj->k", chi_traj.states[:m].conj(), mu, psi_traj.states[:m]
-    )
+    overlaps = np.einsum("ki,ki->k", chi_traj.states[:m].conj(), psi_traj.states[:m] @ mu.T)
     target = eps_ref.samples[:m] + np.imag(overlaps) / alpha
     return float(np.max(np.abs(field.samples[:m] - target)))
 
@@ -208,11 +209,18 @@ def gradient_report(
     """Compare the analytic gradient against central differences sample-wise.
 
     The oracle is (J(eps_k + h) - J(eps_k - h)) / 2h of the reduced
-    objective at every sample k, h the probe step. The cost term is formed
-    in closed form; only probes before T move psi(T), and they step on the
-    field's stack. The analytic gradient is ``_gradient`` of the field's
-    ``_evaluate``, the law gap ``optimize`` certifies; that solve stays
-    kept, so a ``solve`` of the same field afterwards reads it.
+    objective at every sample k, h the probe step. The cost term's
+    difference is formed in closed form; only probes before T move psi(T).
+    Each probe pair steps off the solved node k and reaches T through the
+    suffix product S_k of the field's solved steps after k
+    (``propagator._march_probes``): O(m d^3) work for the m = index_T
+    pairs, where marching each probe on is O(m^2 d^2), and no more memory
+    than the 2m moved steps take. Both probes of a pair share one rounded
+    S_k, so its rounding cancels in their difference. A relative mismatch
+    past the largest double reads as that double. The analytic gradient is
+    ``_gradient`` of the field's ``_evaluate``, the law gap ``optimize``
+    certifies; that solve stays kept, so a ``solve`` of the same field
+    afterwards reads it.
     """
     h = probe_step
     if not (math.isfinite(h) and h > 0):
@@ -220,13 +228,18 @@ def gradient_report(
     sol, _, gap = _evaluate(problem, field)
     H, grid = problem.hamiltonian, problem.grid
     analytic = _gradient(gap, field, problem.eps_ref, problem.alpha, grid.dt)
-    dev = field.samples[:, None] + [h, -h] - problem.eps_ref.samples[:, None]
-    j = -problem.alpha * dev * dev * grid.dt
+    plus, minus = (field.samples + s - problem.eps_ref.samples for s in (h, -h))
+    # the penalty's difference -alpha dt (plus^2 - minus^2) as a product, with
+    # alpha last: no square overflows where the difference does not
+    fd = -((plus - minus) * (plus + minus)) * grid.dt / (2.0 * h) * problem.alpha
     psi_T = _march_probes(sol.psi.states, _field_stack(H, field, grid.dt), H, field, grid, h)
     j_opt = np.einsum("ip,ij,jp->p", psi_T.conj(), problem.observable.matrix, psi_T)
-    j[: grid.index_T] += j_opt.real.reshape(-1, 2)
-    fd = (j[:, 0] - j[:, 1]) / (2.0 * h)
-    rel = np.abs(analytic - fd) / np.maximum(1e-12, np.abs(fd))
+    j_opt = j_opt.real.reshape(-1, 2)
+    fd[: grid.index_T] += (j_opt[:, 0] - j_opt[:, 1]) / (2.0 * h)
+    with np.errstate(over="ignore"):
+        # a mismatch past the largest double (a tiny h at a huge alpha) reads as it
+        rel = np.abs(analytic - fd) / np.maximum(1e-12, np.abs(fd))
+    rel = np.minimum(rel, np.finfo(np.float64).max)
     return GradientReport(
         analytic=analytic,
         finite_diff=fd,

@@ -423,7 +423,17 @@ class TestOneStackPerCall:
         }
 
     @pytest.mark.parametrize("dim", [3, 2])
-    def test_gradient_report_decomposes_each_step_once(self, eigh_log, stack_log, series_log, dim):
+    def test_gradient_report_decomposes_each_step_once(
+        self, monkeypatch, eigh_log, stack_log, series_log, dim
+    ):
+        marches = []
+        march = propagator._march
+
+        def counting(us, x0, rows):
+            marches.append((len(us), rows))
+            return march(us, x0, rows)
+
+        monkeypatch.setattr(propagator, "_march", counting)
         problem, field = seeded_problem(71, dim, 40, 1.0)
         qoct.gradient_report(problem, field)
         n, m = problem.grid.n_steps, problem.grid.index_T
@@ -431,6 +441,9 @@ class TestOneStackPerCall:
         # derivatives from one series, and the probes' 2m moved steps, which
         # step off the solved nodes, from a second
         assert (stack_log, len(series_log), matrices(eigh_log)) == ([n, 2 * m], 2, [])
+        # the solve's forward march and its costate's row march; the probes
+        # reach T through suffix products of the solved steps and march nothing
+        assert marches == [(n, False), (m, True)]
 
     @pytest.mark.parametrize("dim", [3, 2])
     def test_optimize_forms_each_solves_steps_once(

@@ -57,18 +57,26 @@ def readme_config():
     return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
 
 
-def write_example_config(path, name):
-    """README's config ("readme"), or the dim-4 real-symmetric CI config built from it ("real4")."""
+def example_config(name):
+    """README's config ("readme"), or a dim-4 CI config built from it, as a dict.
+
+    "real4" draws real-symmetric operators from ``default_rng(4)``,
+    "complex4" complex-Hermitian ones, in CI's order: h0, mu, observable.
+    """
     cfg = readme_config()
-    if name == "real4":
+    if name in ("real4", "complex4"):
         rng = np.random.default_rng(4)
-        h0, mu, observable = (
-            as_pairs_matrix((a + a.T) / 2) for a in (rng.standard_normal((4, 4)) for _ in range(3))
-        )
+        draw = random_symmetric if name == "real4" else random_hermitian
+        h0, mu, observable = (as_pairs_matrix(draw(rng, 4).matrix) for _ in range(3))
         cfg.update(
             dimension=4, h0=h0, mu=mu, observable=observable, psi0=as_pairs_vector(np.eye(4)[0])
         )
-    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return cfg
+
+
+def write_example_config(path, name):
+    """``example_config(name)`` written as JSON to path."""
+    path.write_text(json.dumps(example_config(name)), encoding="utf-8")
     return path
 
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import qoct
-from qoct import gradient, propagator
+from qoct import cli, gradient, propagator
 from conftest import pauli_x, random_hermitian, random_state, seeded_problem
+from test_cli import example_config
 
 
 def forward_and_canonical(problem, field):
@@ -196,6 +197,23 @@ class TestFiniteDifference:
 
 
 class TestGradientReport:
+    def test_mismatch_past_the_largest_double_reads_as_it(self):
+        # h below the samples' spacing leaves most probes unmoved (fd = 0)
+        # while alpha = 1e300 makes |g| ~ 1e299: the relative mismatch
+        # |g| / 1e-12 is past the largest double, with no overflow warning
+        problem, field = seeded_problem(49, 2, 30, 1e300)
+        report = qoct.gradient_report(problem, field, probe_step=1e-17)
+        assert np.isfinite(report.analytic).all() and np.isfinite(report.finite_diff).all()
+        assert report.max_rel_error == np.finfo(np.float64).max
+
+    def test_penalty_difference_does_not_overflow(self):
+        # alpha (eps +- h - ref)^2 is past the largest double at alpha = 1e279
+        # and h = 1e15, but its central difference, about -2 alpha dt (eps - ref),
+        # is not
+        problem, field = seeded_problem(53, 2, 30, 1e279)
+        report = qoct.gradient_report(problem, field, probe_step=1e15)
+        assert np.isfinite(report.finite_diff).all() and math.isfinite(report.max_rel_error)
+
     def test_seeded_instance_passes_oracle(self):
         problem, field = seeded_problem(47, 3, 50, 1.0)
         report = qoct.gradient_report(problem, field)
@@ -209,6 +227,15 @@ class TestGradientReport:
             1e-12, np.abs(report.finite_diff)
         )
         assert report.max_rel_error == np.max(rel)
+
+    def test_complex4_passes_the_gate_at_the_default_probe_step(self):
+        # gradcheck's probe field on CI's dim-4 complex-Hermitian config: each
+        # probe pair shares its suffix product, so the pair's round-off
+        # cancels and stays far below the relative gate
+        config = cli.ProblemConfig.from_dict(example_config("complex4"))
+        field = config.noisy_field(cli.NOISE_AMPLITUDE_PROBE)
+        report = qoct.gradient_report(config.problem, field)
+        assert report.max_rel_error < cli.GRADCHECK_TOL
 
 
 class TestOneLaw:

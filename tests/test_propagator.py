@@ -716,6 +716,35 @@ class TestChunkedMarch:
             assert len(runs) == 20 and all(run == serial[k] for run in runs), k
 
 
+class TestProbeMarch:
+    """The probes' psi(T) read suffix products of the solved steps (``_march_probes``)."""
+
+    @pytest.mark.parametrize("last", [False, True])
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_each_probe_as_if_marched_alone(self, dim, complex_, last):
+        # T at node 1 (one probe pair, an empty suffix product) or at node
+        # n - 1; each probe column steps off its solved node on its moved
+        # step and then on every solved step up to T, one ndarray.dot each
+        n, dt, h = 30, 0.07, 1e-3
+        rng = np.random.default_rng(170 + dim)
+        draw = random_hermitian if complex_ else random_symmetric
+        H = qoct.ControlHamiltonian(drift=draw(rng, dim), coupling=draw(rng, dim))
+        field = qoct.ControlField(rng.uniform(-1.5, 1.5, n))
+        grid = qoct.TimeGrid(dt=dt, n_steps=n, index_T=n - 1 if last else 1)
+        m = grid.index_T
+        us = _u_stack(H, field.samples, dt)
+        nodes = _march_forward(us, random_state(rng, dim).amplitudes)
+        probes = propagator._march_probes(nodes, us, H, field, grid, h)
+        moved = _u_stack(H, (field.samples[:m, None] + [h, -h]).ravel(), dt)
+        alone = np.empty((dim, 2 * m), dtype=complex)
+        for p in range(2 * m):
+            k = p // 2
+            alone[:, p] = dot_march(us[k + 1 : m], moved[p].dot(nodes[k]))[-1]
+        assert probes.shape == (dim, 2 * m)
+        assert np.max(np.abs(probes - alone)) <= 1e-13
+
+
 class TestTdseResidual:
     def test_zero_for_propagated_trajectory(self):
         problem, field = seeded_problem(26, 3, 50, 1.0)

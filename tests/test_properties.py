@@ -173,7 +173,7 @@ def _finite_outputs(out: Path) -> bool:
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    dim=st.integers(2, 4),
+    dim=st.integers(2, 6),
     complex_hermitian=st.booleans(),
     scale=st.integers(-12, 12).map(lambda e: 10.0**e),
     dt=st.integers(-6, 2).map(lambda e: 10.0**e),
@@ -186,13 +186,16 @@ def _finite_outputs(out: Path) -> bool:
         ),
     ),
     max_iters=st.integers(1, 3),
+    h=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
 )
 def test_no_config_ends_in_a_traceback_or_a_non_finite_output(
-    seed, dim, complex_hermitian, scale, dt, index_T, extra, alpha, eps_ref, max_iters
+    seed, dim, complex_hermitian, scale, dt, index_T, extra, alpha, eps_ref, max_iters, h
 ):
     # every subcommand ends in exit 0, 1 or 2 on any config of the schema,
-    # extreme but finite values included; exit 1 names the offending field,
-    # and nothing it writes holds NaN or an infinity
+    # extreme but finite values included, and gradcheck on any probe step
+    # h, log-uniform over 1e-300 ... 1e300; exit 1 names the offending field
+    # (gradcheck's h among them), and nothing it writes holds NaN or an
+    # infinity
     rng = np.random.default_rng(seed)
     draw = random_hermitian if complex_hermitian else random_symmetric
     h0, mu, observable = (scale * draw(rng, dim).matrix for _ in range(3))
@@ -213,14 +216,18 @@ def test_no_config_ends_in_a_traceback_or_a_non_finite_output(
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(raw), encoding="utf-8")
-        for command in ("verify", "optimize", "gradcheck"):
+        for command, options, fields in (
+            ("verify", [], cli._CONFIG_FIELDS),
+            ("optimize", [], cli._CONFIG_FIELDS),
+            ("gradcheck", ["--h", repr(h)], cli._CONFIG_FIELDS | {"h"}),
+        ):
             out = Path(tmp) / command
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
-                code = cli.main([command, "--config", str(config), "--out", str(out)])
+                code = cli.main([command, "--config", str(config), "--out", str(out), *options])
             assert code in (0, 1, 2), command
             if code == 1:
                 named = re.match(r"config error: (\w+): ", err.getvalue())
-                assert named and named[1] in cli._CONFIG_FIELDS, (command, err.getvalue())
+                assert named and named[1] in fields, (command, err.getvalue())
             if out.exists():
                 assert _finite_outputs(out), command
