@@ -404,6 +404,7 @@ def run_verify(config_path: str | Path, out_dir: str | Path) -> int:
     cfg = ProblemConfig.from_file(config_path)
     p = cfg.problem
     field = cfg.noisy_field(NOISE_AMPLITUDE_PROBE)
+    _require_finite_gradient(p, field, DEFAULT_PROBE_STEP)
     # the oracle solves the probe field first and keeps that solve for the
     # solve and checks after it, so only it can trip the trajectory's norm gate
     with _trajectory_gate("eps_ref"):
@@ -490,6 +491,7 @@ def run_gradcheck(
     # ||H(eps) dt||_1 is convex in eps: the outermost probes bound every probe's step
     for eps in (float(field.samples.min()) - h, float(field.samples.max()) + h):
         _require_step_phase(cfg.problem, eps, "h", f"probe step {h!r} moves a sample to {eps!r}")
+    _require_finite_gradient(cfg.problem, field, h)
     with _trajectory_gate("eps_ref"):
         report = gradient_report(cfg.problem, field, probe_step=h)
     passed = report.max_rel_error < GRADCHECK_TOL
@@ -539,6 +541,27 @@ def _require_step_phase(problem: ControlProblem, eps: float, field: str, where: 
         phase = float(np.linalg.norm(problem.hamiltonian.evaluate(eps), 1)) * problem.grid.dt
     if not phase <= MAX_STEP_PHASE:
         raise ConfigError(field, f"{where}: step phase ||H dt||_1 = {phase:.3e} > {MAX_STEP_PHASE:.3e}")
+
+
+def _require_finite_gradient(problem: ControlProblem, field: ControlField, h: float) -> None:
+    """ConfigError("alpha") unless the field's gradient and its central differences stay finite.
+
+    g_k = -2 dt (alpha (eps_k - ref_k) - Re(rho_k psi_k)) before T, where
+    |rho_k psi_k| <= ||O|| ||mu||, and -2 dt alpha (eps_k - ref_k) after
+    it. The penalty's central difference with the samples moved by h
+    rounds to less than 3 dt alpha (|eps_k - ref_k| + h), so
+    4 dt (alpha (max |eps - ref| + h) + ||O|| ||mu||) bounds both.
+    """
+    dev = float(np.max(np.abs(field.samples - problem.eps_ref.samples))) + h
+    mu = problem.hamiltonian.coupling.matrix
+    law = float(np.linalg.norm(problem.observable.matrix, 2) * np.linalg.norm(mu, 2))
+    scale = 4.0 * problem.grid.dt * (problem.alpha * dev + law)
+    if not scale <= np.finfo(np.float64).max:
+        raise ConfigError(
+            "alpha",
+            f"{problem.alpha!r} at dt={problem.grid.dt!r}: the gradient's bound "
+            f"4 dt (alpha (max|eps - ref| + h) + ||O|| ||mu||) = {scale:.3e} is past the largest double",
+        )
 
 
 def _read_field_csv(path: str | Path, n_steps: int) -> ControlField:

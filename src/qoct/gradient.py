@@ -56,8 +56,8 @@ from .functional import eval_j_cost, eval_j_opt
 from .propagator import (
     CostateBoundary,
     _du_stack,
-    _field_stack,
     _keep_stacks,
+    _kept_solve,
     _march_probes,
     propagate_forward,
 )
@@ -123,7 +123,10 @@ def analytic_gradient(
     measurement node. Afterwards only the cost term survives (the
     costate vanishes there), reducing to the continuum field law
     2 dt [Im <chi_k| mu psi_k> - alpha (eps_k - ref_k)] as dt -> 0.
-    Formed from ``_law_gap`` by ``_gradient``.
+    Formed from ``_law_gap`` by ``_gradient``. dU/deps comes from the
+    series of ``propagator``'s kept solve when it solved this field (after
+    ``solve``, the gradient builds no series of its own), else from a
+    series of its own over the m samples.
     """
     m = grid.index_T
     if not chi_traj.is_canonical():
@@ -131,7 +134,8 @@ def analytic_gradient(
     if chi_traj.index_T != m:
         raise ValueError("costate and grid disagree on the measurement node")
     _check_grid(grid, [field, eps_ref], [psi_traj, chi_traj])
-    du = _du_stack(H, field.samples[:m], grid.dt)
+    kept = _kept_solve(H, field, grid.dt)
+    du = _du_stack(H, field.samples[:m], grid.dt, None if kept is None else kept.series)
     gap = _law_gap(du, psi_traj, chi_traj, field, eps_ref, alpha, grid.dt)[1]
     return _gradient(gap, field, eps_ref, alpha, grid.dt)
 
@@ -166,7 +170,9 @@ def _evaluate(problem: ControlProblem, field: ControlField):
     """(Solution, rows, gap) of the field: its ``_law_gap`` on its canonical solve.
 
     The steps, kept as ``propagator``'s last solve, and the derivatives
-    before T come from one series (``propagator._keep_stacks``).
+    before T come from one series (``propagator._keep_stacks``); a solve
+    of the field kept already stays, and only the derivatives are built,
+    from its series.
     """
     grid = problem.grid
     du = _keep_stacks(problem.hamiltonian, field, grid.dt, grid.index_T)
@@ -220,7 +226,10 @@ def gradient_report(
     past the largest double reads as that double. The analytic gradient is
     ``_gradient`` of the field's ``_evaluate``, the law gap ``optimize``
     certifies; that solve stays kept, so a ``solve`` of the same field
-    afterwards reads it.
+    afterwards reads it, and a solve of the field kept beforehand stays,
+    so only its derivatives are built. The probes' 2m moved steps evaluate
+    the series that solve's steps came from wherever its reach covers
+    every eps_k +- h, so one report builds one series.
     """
     h = probe_step
     if not (math.isfinite(h) and h > 0):
@@ -232,8 +241,10 @@ def gradient_report(
     # the penalty's difference -alpha dt (plus^2 - minus^2) as a product, with
     # alpha last: no square overflows where the difference does not
     fd = -((plus - minus) * (plus + minus)) * grid.dt / (2.0 * h) * problem.alpha
-    psi_T = _march_probes(sol.psi.states, _field_stack(H, field, grid.dt), H, field, grid, h)
-    j_opt = np.einsum("ip,ij,jp->p", psi_T.conj(), problem.observable.matrix, psi_T)
+    solved = _kept_solve(H, field, grid.dt)  # the evaluation's solve
+    psi_T = _march_probes(sol.psi.states, solved.us, H, field, grid, h, solved.series)
+    # two operands: einsum runs a three-operand contraction as a naive loop
+    j_opt = np.einsum("ip,ip->p", psi_T.conj(), problem.observable.matrix @ psi_T)
     j_opt = j_opt.real.reshape(-1, 2)
     fd[: grid.index_T] += (j_opt[:, 0] - j_opt[:, 1]) / (2.0 * h)
     with np.errstate(over="ignore"):

@@ -10,11 +10,17 @@ derivative of that series carried through its squarings. The sequential
 two-level sweep (``optimizer._feedback_sweep``) steps one sample at a
 time in the closed SU(2) form, in Python scalars (``_step_two_level``).
 ``_stacks`` is the one kernel for U and dU; ``_u_stack`` and
-``_du_stack`` take one of the two. An evaluation of a field
-(``gradient._evaluate``, the one route of ``optimize`` and the gradient
-oracle) takes its steps and the derivatives before T, which the field
-law (``gradient._law_gap``) pairs with the costate, from one series, and
-keeps the steps as the next solve's stack (``_keep_stacks``). A backward
+``_du_stack`` take one of the two. Each solved field has one series: a
+solve keeps the series its stack came from (``_Solve.series``), and the
+stacks built later for that field, the FD probes' moved steps
+(``_march_probes``) and the exact gradient's derivatives, evaluate it
+wherever its reach, the widest |eps| its plan still covers, takes their
+samples. An evaluation of a field (``gradient._evaluate``, the one route
+of ``optimize`` and the gradient oracle) takes its steps and the
+derivatives before T, which the field law (``gradient._law_gap``) pairs
+with the costate, from one series, and keeps the steps as the next
+solve's stack (``_keep_stacks``); where a solve of the field is kept
+already, it stays, and only the derivatives are built. A backward
 step is the conjugate transpose of a forward one; ``_march_forward``
 marches states and ``_march_rows`` the conjugate rows of the backward
 march, one ``ndarray.dot`` per step, through a per-thread workspace of
@@ -54,7 +60,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -150,8 +156,17 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
     return s, p
 
 
-def _field_series(H: ControlHamiltonian, dt: float, bound: float) -> tuple[int, np.ndarray]:
-    """(s, C) with exp(-1j (H0 + eps mu) dt) = (sum_j (eps / bound)^j C_j)^(2^s) for |eps| <= bound.
+class _Series(NamedTuple):
+    """A ``_field_series``: exp(-1j (H0 + eps mu) dt) = (sum_j (eps / bound)^j c_j)^(2^s), |eps| <= reach."""
+
+    bound: float
+    reach: float
+    s: int
+    c: np.ndarray
+
+
+def _field_series(H: ControlHamiltonian, dt: float, bound: float) -> _Series:
+    """exp(-1j (H0 + eps mu) dt) = (sum_j (eps / bound)^j C_j)^(2^s) for |eps| <= bound and a bit past.
 
     A Taylor series in two variables, built once for every field value in
     the range. With u = eps / bound, tau = dt / 2^s, a = tau H0 and
@@ -164,10 +179,22 @@ def _field_series(H: ControlHamiltonian, dt: float, bound: float) -> tuple[int, 
     bounds ||H(eps) dt||_1 over the whole range (the norm is convex in
     eps), so the truncation stays at most 2^-53 for every |eps| <= bound.
     C is (p + 1, d, d) complex.
+
+    The series holds for every |eps| <= reach. Past the range the norm
+    grows at most in proportion to |eps| (||H(eps) dt||_1 <= |eps| / bound
+    times the range's largest, by the triangle inequality), and the plan's
+    bound holds up to theta = 1/2 or the least theta whose remainder bound
+    2 theta^(p+1) / (p+1)! exceeds 2^-53. The reach stays within
+    ``MAX_STEP_PHASE`` and twice the range, so the powers of u stay below
+    2^(p+1) and never overflow.
     """
     h0, mu = _operators(H)
     # ||H0 + eps mu||_1 is convex in eps, so the range's ends bound it
-    s, p = _taylor_plan(max(np.linalg.norm(h0 + e * mu, 1) for e in (bound, -bound)) * dt)
+    norm = max(np.linalg.norm(h0 + e * mu, 1) for e in (bound, -bound)) * dt
+    s, p = _taylor_plan(norm)
+    theta = min(0.5, (math.factorial(p + 1) * 2.0 ** -54) ** (1.0 / (p + 1)))
+    covered = min(2.0 ** s * theta, MAX_STEP_PHASE)
+    reach = bound * min(2.0, max(1.0, covered / norm)) if norm else 2.0 * bound
     d = h0.shape[0]
     ab = np.concatenate([h0, bound * mu]) * (dt / 2.0 ** s)
     r = np.zeros((p + 1, d, d), dtype=h0.dtype)
@@ -186,7 +213,7 @@ def _field_series(H: ControlHamiltonian, dt: float, bound: float) -> tuple[int, 
             part -= r[: n + 1]
         else:
             part += r[: n + 1]
-    return s, even - 1j * odd
+    return _Series(bound, float(reach), s, even - 1j * odd)
 
 
 def _floats(a: NDArrayComplex) -> np.ndarray:
@@ -228,14 +255,17 @@ def _operators(H: ControlHamiltonian) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stacks(
-    H: ControlHamiltonian, samples: np.ndarray, dt: float, n_du: int = 0, u: bool = True
-) -> tuple[Optional[NDArrayComplex], Optional[NDArrayComplex]]:
-    """(U, dU): the forward propagators of the samples and the derivatives of the first n_du.
+    H: ControlHamiltonian, samples: np.ndarray, dt: float, n_du: int = 0, u: bool = True,
+    series: Optional[_Series] = None,
+) -> tuple[Optional[NDArrayComplex], Optional[NDArrayComplex], _Series]:
+    """(U, dU, series): the forward propagators of the samples, the derivatives of the first n_du.
 
     U_k = exp(-1j * H(eps_k) * dt), batched over k (None unless u), and
     dU_k/deps for k < n_du (None when n_du is 0), from one
-    ``_field_series`` whose range is the largest |eps_k| of the samples
-    they cover, or 1 where that is below 2^-64 (every one 0 included).
+    ``_field_series``, returned with them: ``series``, one of H at dt
+    already built, when its reach covers every sample they cover, else a
+    new one whose range is the largest |eps_k| of those samples, or 1
+    where that is below 2^-64 (every one 0 included).
 
     With u = eps / bound, X_0 = P(u) = sum_j u^j C_j is one product of
     the powers P_kj = (eps_k / bound)^j with C, the real P multiplying
@@ -245,19 +275,19 @@ def _stacks(
     and each squaring X_{i+1} = X_i^2 carries D_{i+1} = D_i X_i + X_i D_i,
     so dU/deps = D_s / bound reads the squarings U takes, and with no
     squarings and no U only P' is formed. No caller reads eigenpairs, so
-    none are formed. With U, the range covers every sample, so an
-    evaluation's derivatives (``_keep_stacks``) differ from ``_du_stack``'s
-    of the same samples at round-off.
+    none are formed. One series gives the derivatives bitwise alike with
+    U or without (the tests pin it: ``_keep_stacks`` after a kept solve
+    builds them without U); series of other ranges agree at round-off.
     """
     if not u:
         samples = samples[:n_du]
-    bound = float(np.max(np.abs(samples), initial=0.0))
-    if bound < 2.0 ** -64:
+    widest = float(np.max(np.abs(samples), initial=0.0))
+    if series is None or not widest <= series.reach:
         # P' scales C_j by j / bound, which overflows as bound nears the
         # subnormals (dU was NaN at max |eps| = 1e-308); the zero field's
         # range covers such samples as well
-        bound = 1.0
-    s, c = _field_series(H, dt, bound)
+        series = _field_series(H, dt, 1.0 if widest < 2.0 ** -64 else widest)
+    bound, _, s, c = series
     p = len(c) - 1
     powers = np.vander(samples / bound, p + 1, increasing=True)
     shape = (H.dim, H.dim)
@@ -268,7 +298,7 @@ def _stacks(
         scaled = _floats(c)[1:] * (np.arange(1, p + 1) / bound)[:, None]
         np.matmul(powers[:n_du, :p], scaled, out=_floats(du))
     if not (u or s):
-        return None, du
+        return None, du, series
     x = np.empty((samples.size, *shape), dtype=np.complex128)
     np.matmul(powers, _floats(c), out=_floats(x))
     # buffers only where a squaring reads them
@@ -285,7 +315,7 @@ def _stacks(
             # without U, X_s is never read
             np.matmul(x, x, out=tmp)
             x, tmp = tmp, x
-    return (x if u else None), du
+    return (x if u else None), du, series
 
 
 def _u_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayComplex:
@@ -293,12 +323,15 @@ def _u_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayCo
     return _stacks(H, samples, dt)[0]
 
 
-def _du_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayComplex:
+def _du_stack(
+    H: ControlHamiltonian, samples: np.ndarray, dt: float, series: Optional[_Series] = None
+) -> NDArrayComplex:
     """Control derivatives dU_k/deps of the forward propagators, batched over k (``_stacks``).
 
-    The derivative of the ``_field_series`` that ``_u_stack`` evaluates.
+    The derivative of the ``_field_series`` that ``_u_stack`` evaluates, or
+    of ``series`` where it reaches every sample.
     """
-    return _stacks(H, samples, dt, samples.size, u=False)[1]
+    return _stacks(H, samples, dt, samples.size, u=False, series=series)[1]
 
 
 # Steps one chunk of a march writes through the workspace before its rows are
@@ -378,24 +411,28 @@ def _march_rows(us: NDArrayComplex, r0: NDArrayComplex) -> NDArrayComplex:
 
 def _march_probes(
     nodes: NDArrayComplex, us: NDArrayComplex, H: ControlHamiltonian, field: ControlField,
-    grid: TimeGrid, h: float,
+    grid: TimeGrid, h: float, series: _Series,
 ) -> NDArrayComplex:
     """psi(T) with each sample k before T moved by +h and by -h, as columns 2k and 2k + 1.
 
-    Only the moved steps are formed: probe k's pair x_k^+- = U_k(eps_k +- h)
-    psi_k steps off the solved node k, and reaches T through the suffix
-    product S_k = U_{m-1} ... U_{k+1} of the solved steps ``us`` (S_{m-1} =
-    I), so psi(T) = S_k x_k^+-. The m - 1 products S_k = S_{k+1} U_{k+1}
-    march backward in place, one d x d ``ndarray.dot`` each, driven by
-    ``map`` as in ``_march``, and every probe's psi(T) is one batched
-    matmul: O(m d^3) work, where advancing each probe on the steps after
-    it is O(m^2 d^2). The pairs are formed and the 2m moved steps dropped
+    Only the moved steps are formed. They evaluate ``series``, the series
+    the solved steps ``us`` came from, when its reach covers every
+    eps_k +- h, and a series of their own otherwise (``_stacks``); a small
+    h moves no sample past the room the plan leaves beyond the range, so
+    one field's evaluation and probes build one series. Probe k's pair
+    x_k^+- = U_k(eps_k +- h) psi_k steps off the solved node k, and reaches
+    T through the suffix product S_k = U_{m-1} ... U_{k+1} of the solved
+    steps ``us`` (S_{m-1} = I), so psi(T) = S_k x_k^+-. The m - 1 products
+    S_k = S_{k+1} U_{k+1} march backward in place, one d x d
+    ``ndarray.dot`` each, driven by ``map`` as in ``_march``, and every
+    probe's psi(T) is one batched matmul: O(m d^3) work, where advancing
+    each probe on the steps after it is O(m^2 d^2). The pairs are formed and the 2m moved steps dropped
     before S, (m, d, d), is built, so the moved stack stays the peak. A
     probe pair shares one rounded S_k, so S_k's rounding, linear in the
     probe, cancels to first order in the pair's difference.
     """
     m, d = grid.index_T, nodes.shape[1]
-    moved = _u_stack(H, (field.samples[:m, None] + [h, -h]).ravel(), grid.dt)
+    moved = _stacks(H, (field.samples[:m, None] + [h, -h]).ravel(), grid.dt, series=series)[0]
     pairs = (moved @ np.repeat(nodes[:m], 2, axis=0)[:, :, None]).reshape(m, 2, d)
     del moved
     suffix = np.empty((m, d, d), dtype=np.complex128)
@@ -480,16 +517,18 @@ class _Solve:
     costate asks for it, and the continuous(1) costate's worst step defect
     (``_unit_residual``) are each formed once, when first asked for. A
     stack kept before its solve (``_keep_stacks``) has no psi0 and no
-    trajectory yet.
+    trajectory yet. ``series`` is the ``_field_series`` the stack came
+    from, which stacks built later for the same field evaluate too.
     """
 
     __slots__ = (
-        "psi0", "samples", "H", "dt", "us", "traj", "defects", "O", "m", "adjoint", "tail",
-        "residual",
+        "psi0", "samples", "H", "dt", "us", "series", "traj", "defects", "O", "m", "adjoint",
+        "tail", "residual",
     )
 
-    def __init__(self, samples, H, dt, us, psi0=None, traj=None):
-        self.samples, self.H, self.dt, self.us, self.psi0, self.traj = samples, H, dt, us, psi0, traj
+    def __init__(self, samples, H, dt, us, series, psi0=None, traj=None):
+        self.samples, self.H, self.dt, self.us, self.series = samples, H, dt, us, series
+        self.psi0, self.traj = psi0, traj
         self.defects = self.O = self.m = self.adjoint = self.residual = None
         self.tail = False
 
@@ -506,19 +545,32 @@ def _clear_last_solve() -> None:
     _last_solve = None
 
 
+def _kept_solve(H: ControlHamiltonian, field: ControlField, dt: float) -> Optional[_Solve]:
+    """The last forward solve when it solved the field's samples under H at dt, else None."""
+    last = _last_solve
+    if last is not None and last.samples is field.samples and last.H is H and last.dt == dt:
+        return last
+    return None
+
+
 def _keep_stacks(H: ControlHamiltonian, field: ControlField, dt: float, n_du: int) -> NDArrayComplex:
     """dU of the field's first n_du samples, its U kept as the next solve's stack (``_stacks``).
 
     An evaluation's stacks (``gradient._evaluate``), on ``optimize``'s
-    window grid or the oracle's whole grid. The last solve is dropped
-    first, so its stack is freed before the new ones are built; U and dU
-    come from one series, one set of powers and one chain of squarings,
-    and a solve of the field then marches on U.
+    window grid or the oracle's whole grid. A solve of the field already
+    kept (a ``solve`` of it, or an evaluation) stays kept, and only dU is
+    built, from its series. Otherwise the last solve is dropped first, so
+    its stack is freed before the new ones are built; U and dU come from
+    one series, one set of powers and one chain of squarings, and a solve
+    of the field then marches on U.
     """
     global _last_solve
+    kept = _kept_solve(H, field, dt)
+    if kept is not None:
+        return _du_stack(H, field.samples[:n_du], dt, kept.series)
     _clear_last_solve()
-    us, du = _stacks(H, field.samples, dt, n_du)
-    _last_solve = _Solve(field.samples, H, dt, _freeze(us))
+    us, du, series = _stacks(H, field.samples, dt, n_du)
+    _last_solve = _Solve(field.samples, H, dt, _freeze(us), series)
     return du
 
 
@@ -530,7 +582,7 @@ def _solve_of(us: NDArrayComplex, traj: StateTrajectory) -> _Solve:
     last = _last_solve
     if last is not None and last.us is us and last.traj is traj:
         return last
-    return _Solve(None, None, None, us, traj=traj)
+    return _Solve(None, None, None, us, None, traj=traj)
 
 
 def _trajectory_defects(us: NDArrayComplex, traj: StateTrajectory) -> NDArrayComplex:
@@ -587,10 +639,8 @@ def _unit_residual(solved: _Solve) -> float:
 
 def _field_stack(H: ControlHamiltonian, field: ControlField, dt: float) -> NDArrayComplex:
     """``_u_stack`` of the field's samples, the last forward solve's when it marched them."""
-    last = _last_solve
-    if last is not None and last.samples is field.samples and last.H is H and last.dt == dt:
-        return last.us
-    return _freeze(_u_stack(H, field.samples, dt))
+    kept = _kept_solve(H, field, dt)
+    return _freeze(_u_stack(H, field.samples, dt)) if kept is None else kept.us
 
 
 def propagate_forward(
@@ -622,12 +672,16 @@ def _forward(
         raise ValueError(f"dimension mismatch: state {psi0.dim} vs Hamiltonian {H.dim}")
     _check_grid(grid, [field])
     global _last_solve
-    last = _last_solve
-    us = _field_stack(H, field, grid.dt)
-    if last is not None and last.us is us and last.psi0 is psi0:
-        return last.traj, us
+    kept = _kept_solve(H, field, grid.dt)
+    if kept is None:
+        us, _, series = _stacks(H, field.samples, grid.dt)
+        us = _freeze(us)
+    elif kept.psi0 is psi0:
+        return kept.traj, kept.us
+    else:
+        us, series = kept.us, kept.series
     traj = StateTrajectory(_march_forward(us, psi0.amplitudes))
-    _last_solve = _Solve(field.samples, H, grid.dt, us, psi0, traj)
+    _last_solve = _Solve(field.samples, H, grid.dt, us, series, psi0, traj)
     return traj, us
 
 

@@ -14,6 +14,7 @@ from conftest import (
     seeded_problem,
 )
 from test_cli import as_pairs_matrix, as_pairs_vector, write_config
+from test_propagator import bits
 
 
 def frozen_state_problem(psi0_amps, O, mu=None, alpha=1.0, n_steps=10, index_T=6):
@@ -280,10 +281,10 @@ class TestOneStackPerCall:
     build and ``eigh_log`` (matrices, dtype) per ``np.linalg.eigh`` call:
     real-symmetric Hamiltonians build their series in float64, any complex
     operator in complex128. At every dimension every step of a stack is
-    evaluated from a field series, and the exact gradient's pairing rows
-    differentiate one series of their own; no
-    production route decomposes anything, and only the reference routes
-    read eigenpairs.
+    evaluated from a field series, and the stacks built later for a field
+    whose solve is kept (the probes' moved steps, the exact gradient's
+    derivatives) evaluate that solve's series; no production route
+    decomposes anything, and only the reference routes read eigenpairs.
     """
 
     @pytest.fixture
@@ -302,10 +303,10 @@ class TestOneStackPerCall:
     def stack_log(self, monkeypatch):
         log = []
 
-        def counting(H, samples, dt, n_du=0, u=True):
+        def counting(H, samples, dt, n_du=0, u=True, series=None):
             if u:
                 log.append(int(np.size(samples)))
-            return stacks(H, samples, dt, n_du, u)
+            return stacks(H, samples, dt, n_du, u, series)
 
         stacks = patch_everywhere(monkeypatch, "_stacks", counting)
         return log
@@ -360,10 +361,11 @@ class TestOneStackPerCall:
         # (stack steps, series built, decomposed): a solve builds one stack of
         # n from one series, and the checks after it on the same field read
         # it; with no last solve each check builds one of its own. The
-        # gradient's m derivatives come from one series; nothing is decomposed
+        # gradient's m derivatives come from the solve's series; nothing is
+        # decomposed
         assert counts == {
             "solve": ([n], 1, []), "continuous_family": ([], 0, []), "conjugate": ([], 0, []),
-            "gradient": ([], 1, []),
+            "gradient": ([], 0, []),
             "cold continuous_family": ([n], 1, []), "cold conjugate": ([n], 1, []),
         }
 
@@ -439,11 +441,37 @@ class TestOneStackPerCall:
         n, m = problem.grid.n_steps, problem.grid.index_T
         # one forward stack for both trajectories, built with the gradient's m
         # derivatives from one series, and the probes' 2m moved steps, which
-        # step off the solved nodes, from a second
-        assert (stack_log, len(series_log), matrices(eigh_log)) == ([n, 2 * m], 2, [])
+        # step off the solved nodes, from the same series
+        assert (stack_log, len(series_log), matrices(eigh_log)) == ([n, 2 * m], 1, [])
         # the solve's forward march and its costate's row march; the probes
         # reach T through suffix products of the solved steps and march nothing
         assert marches == [(n, False), (m, True)]
+
+    @pytest.mark.parametrize("dim", [3, 2])
+    def test_gradient_report_after_solve_keeps_its_stack(
+        self, monkeypatch, eigh_log, stack_log, series_log, dim
+    ):
+        marches = []
+        march = propagator._march
+
+        def counting(us, x0, rows):
+            marches.append((len(us), rows))
+            return march(us, x0, rows)
+
+        monkeypatch.setattr(propagator, "_march", counting)
+        problem, field = seeded_problem(71, dim, 40, 1.0)
+        sol = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
+        report = qoct.gradient_report(problem, field)
+        n, m = problem.grid.n_steps, problem.grid.index_T
+        # the solve's stack and series stay kept: the report builds only its
+        # m derivatives and the probes' 2m moved steps from that series, and
+        # its solve is the kept one, marched by nothing
+        assert (stack_log, len(series_log), matrices(eigh_log)) == ([n, 2 * m], 1, [])
+        assert marches == [(n, False), (m, True)]
+        assert propagator._last_solve.traj is sol.psi
+        propagator._clear_last_solve()
+        cold = qoct.gradient_report(problem, field)
+        assert bits(report) == bits(cold)
 
     @pytest.mark.parametrize("dim", [3, 2])
     def test_optimize_forms_each_solves_steps_once(
@@ -498,8 +526,8 @@ class TestOneStackPerCall:
         # one solve, the oracle's, whose stack comes with the gradient's m
         # derivatives from one series and which the probes, the solve after
         # it, the continuous family and the conjugate pair read, and the
-        # probes' 2m moved steps from a second series; nothing is decomposed
-        assert (sum(stack_log), len(series_log), matrices(eigh_log)) == (n + 2 * m, 2, [])
+        # probes' 2m moved steps from the same series; nothing is decomposed
+        assert (sum(stack_log), len(series_log), matrices(eigh_log)) == (n + 2 * m, 1, [])
 
     @staticmethod
     def run_every_route(problem, field):

@@ -462,6 +462,20 @@ class TestGradcheck:
         report = json.loads((out / "grad.json").read_text())
         assert np.isfinite(report["analytic"]).all() and report["max_rel_error"] < 1e-6
 
+    @pytest.mark.parametrize("command", ["gradcheck", "verify"])
+    def test_gradient_past_the_largest_double_is_refused(self, tmp_path, capsys, command):
+        # README's operators at dt 10 and alpha 1e308 (seed 0): -2 alpha dt
+        # (eps - ref) overflows for the probe field's deviations, which wrote
+        # Infinity and NaN; the config is refused naming alpha, with nothing written
+        cfg = readme_config()
+        cfg.update(dt=10.0, T=20.0, T_hat=30.0, alpha=1e308, seed=0)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: alpha: ")
+        assert not out.exists()
+
     def test_coarse_probe_fails_with_diagnostic(self, tmp_path):
         config = write_config(tmp_path / "cfg.json")
         out = tmp_path / "out"

@@ -399,9 +399,9 @@ class TestTaylorExponential:
         build, taken = propagator._field_series, []
 
         def spying(H, dt, bound):
-            s, c = build(H, dt, bound)
-            taken.append(s)
-            return s, c
+            series = build(H, dt, bound)
+            taken.append(series.s)
+            return series
 
         monkeypatch.setattr(propagator, "_field_series", spying)
         for scale in (1.0, 2.0, 4.0, 8.0, 16.0):
@@ -561,7 +561,7 @@ class TestFieldSeries:
         rng = np.random.default_rng(200 + dim)
         H = qoct.ControlHamiltonian(drift=draw(rng, dim), coupling=draw(rng, dim))
         bound = 1.7
-        s, c = _field_series(H, dt, bound)
+        s, c = _field_series(H, dt, bound)[2:]
         assert c.shape[1:] == (dim, dim) and c.dtype == np.complex128
         for eps in (-bound, 0.0, bound, 0.61 * bound):
             u = self.step(s, c, eps / bound)
@@ -570,6 +570,47 @@ class TestFieldSeries:
             assert np.max(np.abs(u - qoct.step_matrix(H, eps, dt, Direction.FORWARD))) <= tol
             assert np.max(np.abs(u - scipy.linalg.expm(-1j * h * dt))) <= tol
 
+    @pytest.mark.parametrize("draw", [random_symmetric, random_hermitian])
+    @pytest.mark.parametrize("dim", [2, 3, 8, 16])
+    @pytest.mark.parametrize("dt", [0.01, 0.5, 2.0])
+    def test_holds_at_the_reach_edge(self, draw, dim, dt):
+        # past the range, up to its reach, the plan (s, p) still bounds the
+        # truncation, and the series is the exponential there
+        rng = np.random.default_rng(200 + dim)
+        H = qoct.ControlHamiltonian(drift=draw(rng, dim), coupling=draw(rng, dim))
+        bound = 1.7
+        series = _field_series(H, dt, bound)
+        s, p = series.s, len(series.c) - 1
+        assert bound < series.reach <= 2.0 * bound
+        for eps in (-series.reach, series.reach):
+            h = H.evaluate(eps)
+            norm = np.linalg.norm(h * dt, 1)
+            theta = norm / 2.0 ** s
+            assert theta <= 0.5
+            assert 2.0 * theta ** (p + 1) / math.factorial(p + 1) <= 2.0 ** -53 * (1.0 + 1e-12)
+            u = self.step(s, series.c, eps / bound)
+            tol = 1e-14 * max(1.0, norm)
+            assert np.max(np.abs(u - scipy.linalg.expm(-1j * h * dt))) <= tol
+
+    def test_reach_ends_where_the_plan_does(self):
+        # a range whose plan has no room left past its ends reaches no further
+        # than the range; one with room reaches past it
+        rng = np.random.default_rng(213)
+        H = qoct.ControlHamiltonian(
+            drift=random_symmetric(rng, 3), coupling=random_symmetric(rng, 3)
+        )
+        dt = 0.1
+        h0, mu = H.drift.matrix.real, H.coupling.matrix.real
+        norm = lambda b: max(np.linalg.norm(h0 + e * mu, 1) for e in (b, -b)) * dt
+        # the range whose norm is exactly 1/2: theta = 1/2 with no squaring
+        lo, hi = 0.0, 100.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if norm(mid) <= 0.5 else (lo, mid)
+        series = _field_series(H, dt, lo)
+        assert series.s == 0 and series.reach - lo <= 1e-12 * lo
+        assert _field_series(H, dt, 0.5 * lo).reach > 0.5 * lo
+
     def test_squaring_branch(self):
         # a range wide enough that ||H dt||_1 > 1/2 takes s > 0 squarings
         rng = np.random.default_rng(210)
@@ -577,7 +618,7 @@ class TestFieldSeries:
             drift=random_hermitian(rng, 8), coupling=random_hermitian(rng, 8)
         )
         dt, bound = 0.5, 20.0
-        s, c = _field_series(H, dt, bound)
+        s, c = _field_series(H, dt, bound)[2:]
         assert s >= 5
         for eps in (-bound, -3.0, 0.0, 0.25, bound):
             h = H.evaluate(eps)
@@ -591,7 +632,7 @@ class TestFieldSeries:
         H = qoct.ControlHamiltonian(
             drift=random_symmetric(rng, 4), coupling=random_symmetric(rng, 4)
         )
-        s, c = _field_series(H, 0.3, 0.0)
+        s, c = _field_series(H, 0.3, 0.0)[2:]
         assert not c[1:].any()
         ref = scipy.linalg.expm(-0.3j * H.drift.matrix)
         assert np.max(np.abs(self.step(s, c, 0.0) - ref)) <= 1e-14
@@ -719,23 +760,35 @@ class TestChunkedMarch:
 class TestProbeMarch:
     """The probes' psi(T) read suffix products of the solved steps (``_march_probes``)."""
 
-    @pytest.mark.parametrize("last", [False, True])
-    @pytest.mark.parametrize("complex_", [False, True])
-    @pytest.mark.parametrize("dim", [2, 3, 8])
-    def test_each_probe_as_if_marched_alone(self, dim, complex_, last):
+    @staticmethod
+    def check_against_lone_marches(monkeypatch, dim, complex_, last, past):
         # T at node 1 (one probe pair, an empty suffix product) or at node
         # n - 1; each probe column steps off its solved node on its moved
-        # step and then on every solved step up to T, one ndarray.dot each
-        n, dt, h = 30, 0.07, 1e-3
+        # step and then on every solved step up to T, one ndarray.dot each.
+        # The moved steps come from the solved steps' series when h keeps
+        # every eps_k +- h within its reach, else from a series of their own
+        n, dt = 30, 0.07
         rng = np.random.default_rng(170 + dim)
         draw = random_hermitian if complex_ else random_symmetric
         H = qoct.ControlHamiltonian(drift=draw(rng, dim), coupling=draw(rng, dim))
         field = qoct.ControlField(rng.uniform(-1.5, 1.5, n))
         grid = qoct.TimeGrid(dt=dt, n_steps=n, index_T=n - 1 if last else 1)
         m = grid.index_T
-        us = _u_stack(H, field.samples, dt)
+        us, _, series = propagator._stacks(H, field.samples, dt)
+        widest = np.max(np.abs(field.samples[:m]))
+        h = series.reach - widest + 1e-3 if past else 1e-3
+        assert (widest + h > series.reach) == past
         nodes = _march_forward(us, random_state(rng, dim).amplitudes)
-        probes = propagator._march_probes(nodes, us, H, field, grid, h)
+        built = []
+
+        def counting(*args):
+            built.append(args[2])
+            return build(*args)
+
+        build = propagator._field_series
+        monkeypatch.setattr(propagator, "_field_series", counting)
+        probes = propagator._march_probes(nodes, us, H, field, grid, h, series)
+        assert len(built) == past
         moved = _u_stack(H, (field.samples[:m, None] + [h, -h]).ravel(), dt)
         alone = np.empty((dim, 2 * m), dtype=complex)
         for p in range(2 * m):
@@ -743,6 +796,18 @@ class TestProbeMarch:
             alone[:, p] = dot_march(us[k + 1 : m], moved[p].dot(nodes[k]))[-1]
         assert probes.shape == (dim, 2 * m)
         assert np.max(np.abs(probes - alone)) <= 1e-13
+
+    @pytest.mark.parametrize("last", [False, True])
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_each_probe_as_if_marched_alone(self, monkeypatch, dim, complex_, last):
+        self.check_against_lone_marches(monkeypatch, dim, complex_, last, past=False)
+
+    @pytest.mark.parametrize("last", [False, True])
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_probes_past_the_reach_take_their_own_series(self, monkeypatch, dim, complex_, last):
+        self.check_against_lone_marches(monkeypatch, dim, complex_, last, past=True)
 
 
 class TestTdseResidual:
@@ -1051,7 +1116,7 @@ class TestLastSolve:
 
         log.clear()
         traj = qoct.propagate_forward(problem.psi0, result.final_field, H, grid)
-        assert log == [("_u_stack", n), ("_stacks", n), ("_field_series",)]
+        assert log == [("_stacks", n), ("_field_series",)]
         assert propagator._last_solve.us.shape[0] == n
         propagator._clear_last_solve()
         cold = qoct.propagate_forward(problem.psi0, result.final_field, H, grid)
