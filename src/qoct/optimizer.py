@@ -18,7 +18,9 @@ first-order condition of Reich, Ndong & Koch) that steps the state
 forward and rewrites every sample before T on the fly from the law,
 eps_k = ref_k + Re(rho_k psi_k) / alpha, with psi_k the state just
 stepped and the rows of the initial field. Its field is evaluated like
-any other. Should the sweep lower J, it is not taken. Above two levels
+any other. Should the sweep lower J, it is not taken, nor is it where
+the stack kernel refuses it: a sample whose step phase ||H(eps) dt||_1
+is past ``propagator.MAX_STEP_PHASE`` (or NaN). Above two levels
 no sweep runs: there it mostly lowered J and was thrown away, and
 L-BFGS from the initial field took fewer evaluations in all. A first
 iteration without a sweep steps from the initial samples before T with
@@ -34,7 +36,9 @@ line search (Alg. 3.5 and 3.6) takes a step along it. The sweep's own
 pair is not kept: taken where the field is still small and J nearly
 flat, its curvature misjudges the scale of the first steps, which cost
 more evaluations with it than without. Every trial point is an
-evaluation, and the accepted one's breakdown and law gap become the
+evaluation; one the stack kernel refuses reads as f = +inf, which
+brackets the step, so the search falls back toward the best point it
+has (``_wolfe_step``). The accepted trial's breakdown and law gap become the
 iteration's record and certificate with no further solve. An accepted
 step never lowers J. A search that finds no step clears the memory and
 retries along the law gap. If that fails too, the run ends unconverged,
@@ -69,7 +73,7 @@ from .core import (
 )
 from .functional import FunctionalBreakdown, eval_j_cost, eval_j_opt, eval_j_tdse
 from .gradient import _evaluate
-from .propagator import _clear_last_solve, _step_two_level
+from .propagator import _clear_last_solve, _step_two_level, _StepPhaseError
 
 __all__ = ["OptimizationConfig", "OptimizationResult", "optimize"]
 
@@ -121,8 +125,9 @@ class OptimizationResult:
     total objective: 0.0, since no accepted iteration lowers J.
     ``iterations_run`` counts accepted iterations, one breakdown each in
     ``j_history``, which has ``iterations_run + 1`` entries.
-    ``evaluations_run`` counts every field solved, the initial one and
-    every line-search trial included. ``converged`` means the run stopped
+    ``evaluations_run`` counts every field evaluated, the initial one and
+    every line-search trial included, a trial the stack kernel refused
+    too. ``converged`` means the run stopped
     before ``max_iters`` because J stagnated and the residual passed in
     the same iteration. A line search that finds no step ends the run
     unconverged while the residual fails; once it passes, the field is
@@ -179,7 +184,10 @@ def optimize(
     Non-convergence within ``max_iters``, or a line search that finds no
     step away from the law, is reported through the ``converged`` flag,
     not an exception; the history and residual let the caller judge how
-    far the run got. Each evaluation's solve is ``propagator``'s last solve
+    far the run got. A field the run makes itself, the sweep's or a
+    line-search trial's, whose step phase the stack kernel refuses is not
+    taken; an initial field it refuses raises its ``ValueError``. Each
+    evaluation's solve is ``propagator``'s last solve
     while the run lasts; none is kept after it returns, since the last
     window is no whole-grid solve a caller could read.
     """
@@ -211,8 +219,13 @@ def optimize(
         )
         return _Point(field, bd, rows, gap)
 
-    def at(x):
-        return evaluate(np.concatenate([x, eps_ref[m:]]))
+    def trial(samples):
+        # a field of the run's own making whose step phase the stack kernel
+        # refuses is not taken; only the initial field's refusal ends the run
+        try:
+            return evaluate(samples)
+        except _StepPhaseError:
+            return None
 
     def slope(point, p):
         # the slope of -J along p, 2 alpha dt (gap . p), in Python floats: their
@@ -223,7 +236,9 @@ def optimize(
 
     def search(base, p):
         def phi(a):
-            point = at(base.x + a * p)
+            point = trial(np.concatenate([base.x + a * p, eps_ref[m:]]))
+            if point is None:
+                return math.inf, 0.0, None
             return -point.breakdown.j_total, slope(point, p), point
 
         return _wolfe_step(phi, -base.breakdown.j_total, slope(base, p))
@@ -246,8 +261,8 @@ def optimize(
         base, new = accepted, None
         if not iterations:
             if H.dim == 2:
-                new = evaluate(_feedback_sweep(psi0.amplitudes, base.rows, eps_ref, alpha, H, grid))
-                if new.breakdown.j_total < base.breakdown.j_total:
+                new = trial(_feedback_sweep(psi0.amplitudes, base.rows, eps_ref, alpha, H, grid))
+                if new is not None and new.breakdown.j_total < base.breakdown.j_total:
                     new = None
             if new is None and not np.array_equal(base.field.samples[m:], eps_ref[m:]):
                 # the reference after T moves only the penalty: same solve, rows and gap
@@ -316,7 +331,11 @@ def _wolfe_step(phi, f0, d0):
     phi(a) returns (f(a), f'(a), payload) along a descent direction, with
     f(0) = f0 and f'(0) = d0 < 0. The trial starts at a = 1 and grows by
     ``EXPANSION`` until a step is bracketed, then the bracket [lo, hi]
-    shrinks by safeguarded cubic interpolation. lo always holds the lowest
+    shrinks by safeguarded cubic interpolation. A trial phi cannot
+    evaluate (``optimize``'s refused fields) returns f = +inf, which
+    brackets: hi moves to it and the next trial is the bracket's midpoint,
+    as the cubic through an infinite end has no finite minimizer, so the
+    search backs off toward lo. lo always holds the lowest
     f that met sufficient decrease, and a trial is accepted only below it,
     so an accepted f is never above f0. None once ``MAX_TRIALS``
     evaluations found no step, or when d0 is not negative.

@@ -6,7 +6,11 @@ At every dimension every step of a stack comes from ``_field_series``:
 exp(-i (H0 + eps mu) dt) as a scaling-and-squaring Taylor series in the
 scalar eps, built once over a range of field values, evaluated at all the
 samples of a stack in one product and squared, and dU/deps is the
-derivative of that series carried through its squarings. The sequential
+derivative of that series carried through its squarings. dt is halved
+only until theta = ||H dt||_1 / 2^s is at most 1 (``_taylor_plan``),
+where the degree's remainder bound 2 theta^(p+1) / (p+1)! still holds
+(the omitted terms sum to at most (p + 2) / (p + 1) times the first), so
+a range of ||H dt||_1 up to 1 takes no squaring. The sequential
 two-level sweep (``optimizer._feedback_sweep``) steps one sample at a
 time in the closed SU(2) form, in Python scalars (``_step_two_level``).
 ``_stacks`` is the one kernel for U and dU; ``_u_stack`` and
@@ -92,6 +96,14 @@ CONSISTENCY_TOL = 1e-10
 # the largest step phase bound ||H(eps) dt||_1 a field value may give: past 2^53
 # no double fixes the phase of exp(-i H dt) to a radian, and further on it overflows
 MAX_STEP_PHASE = 2.0 ** 53
+# the widest scaled step phase theta = ||H dt||_1 / 2^s a Taylor plan takes
+# without a squaring (``_taylor_plan``), and a series' reach covers
+# (``_field_series``)
+_THETA_MAX = 1.0
+
+
+class _StepPhaseError(ValueError):
+    """A step phase bound past ``MAX_STEP_PHASE``, or NaN: ``_taylor_plan`` builds no stack for it."""
 
 
 class Direction(Enum):
@@ -140,14 +152,24 @@ def _adjoint(u: NDArrayComplex) -> NDArrayComplex:
 def _taylor_plan(norm: float) -> tuple[int, int]:
     """(s, p) for exp(-1j x) with ||x||_1 = norm: s squarings and Taylor degree p.
 
-    s is the least count that brings theta = norm / 2^s to 1/2 or below;
-    p >= 3 is the least degree whose remainder, sum_{j > p} theta^j / j!
-    <= 2 theta^(p+1) / (p+1)! for theta <= 1/2, is at most 2^-53. A norm
-    past ``MAX_STEP_PHASE``, or NaN, is refused before any stack is built.
+    s is the least count that brings theta = norm / 2^s to ``_THETA_MAX``
+    = 1 or below; p >= 3 is the least degree whose remainder bound
+    2 theta^(p+1) / (p+1)! is at most 2^-53 (p <= 18). The bound holds for
+    every theta <= (p + 2) / 2: the remainder sum_{j > p} theta^j / j! is
+    theta^(p+1) / (p+1)! times a series dominated by the geometric one of
+    ratio theta / (p + 2), at most (p + 2) / (p + 2 - theta), which is
+    (p + 2) / (p + 1) at theta = 1 and never past 2. A squaring costs one
+    product per step of every stack and three per derivative, a degree
+    more only one column of the powers and one round of the series'
+    recursion, so the plan halves as little as that bound allows. A norm
+    past ``MAX_STEP_PHASE``, or NaN, is refused before any stack is built,
+    with ``_StepPhaseError``.
     """
     if not norm <= MAX_STEP_PHASE:
-        raise ValueError(f"step phase ||H dt||_1 = {norm:.3e} is non-finite or > {MAX_STEP_PHASE:.3e}")
-    s = math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0
+        raise _StepPhaseError(
+            f"step phase ||H dt||_1 = {norm:.3e} is non-finite or > {MAX_STEP_PHASE:.3e}"
+        )
+    s = math.ceil(math.log2(norm / _THETA_MAX)) if norm > _THETA_MAX else 0
     theta = norm / 2.0 ** s
     p, term = 3, theta ** 4 / 24.0
     while term > 2.0 ** -54:
@@ -183,16 +205,18 @@ def _field_series(H: ControlHamiltonian, dt: float, bound: float) -> _Series:
     The series holds for every |eps| <= reach. Past the range the norm
     grows at most in proportion to |eps| (||H(eps) dt||_1 <= |eps| / bound
     times the range's largest, by the triangle inequality), and the plan's
-    bound holds up to theta = 1/2 or the least theta whose remainder bound
-    2 theta^(p+1) / (p+1)! exceeds 2^-53. The reach stays within
-    ``MAX_STEP_PHASE`` and twice the range, so the powers of u stay below
-    2^(p+1) and never overflow.
+    bound holds up to theta = ``_THETA_MAX`` = 1, the plan's own cap (its
+    remainder bound holds for every theta <= (p + 2) / 2, which 1 never
+    passes), or the least theta whose remainder bound
+    2 theta^(p+1) / (p+1)! exceeds 2^-53, whichever is less. The reach
+    stays within ``MAX_STEP_PHASE`` and twice the range, so the powers of u
+    stay below 2^(p+1) and never overflow.
     """
     h0, mu = _operators(H)
     # ||H0 + eps mu||_1 is convex in eps, so the range's ends bound it
     norm = max(np.linalg.norm(h0 + e * mu, 1) for e in (bound, -bound)) * dt
     s, p = _taylor_plan(norm)
-    theta = min(0.5, (math.factorial(p + 1) * 2.0 ** -54) ** (1.0 / (p + 1)))
+    theta = min(_THETA_MAX, (math.factorial(p + 1) * 2.0 ** -54) ** (1.0 / (p + 1)))
     covered = min(2.0 ** s * theta, MAX_STEP_PHASE)
     reach = bound * min(2.0, max(1.0, covered / norm)) if norm else 2.0 * bound
     d = h0.shape[0]

@@ -447,6 +447,42 @@ class TestOneStackPerCall:
         # reach T through suffix products of the solved steps and march nothing
         assert marches == [(n, False), (m, True)]
 
+    @pytest.mark.parametrize("dt, norm_range, s", [(0.05, (0.5, 1.0), 0), (0.1, (1.0, 2.0), 1)])
+    def test_gradient_report_in_the_unsquared_band(self, monkeypatch, stack_log, dt, norm_range, s):
+        # a dim-8 complex-Hermitian report whose field range has ||H dt||_1 in
+        # (1/2, 1] builds one series with no squaring: its stack, its m
+        # derivatives and the probes' 2m moved steps are each one product of
+        # powers and coefficients. At twice dt the range is past 1, and the
+        # same report squares once: the kept stack, the derivatives' chain
+        # (two products) and the moved steps
+        built, products = [], []
+
+        def spying(H, dt, bound):
+            series = build(H, dt, bound)
+            built.append(series.s)
+            return series
+
+        def counting(a, b, *args, **kwargs):
+            # the products of whole stacks, written in place: only the
+            # squarings and the derivatives' chain through them
+            if np.ndim(a) == np.ndim(b) == 3 and "out" in kwargs:
+                products.append(len(a))
+            return matmul(a, b, *args, **kwargs)
+
+        build = patch_everywhere(monkeypatch, "_field_series", spying)
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", counting)
+        problem, field = seeded_problem(79, 8, 40, 1.0, dt=dt, complex_hermitian=True)
+        h0, mu = propagator._operators(problem.hamiltonian)
+        bound = np.max(np.abs(field.samples))
+        norm = max(np.linalg.norm(h0 + e * mu, 1) for e in (bound, -bound)) * dt
+        assert norm_range[0] < norm <= norm_range[1]
+        propagator._clear_last_solve()
+        qoct.gradient_report(problem, field)
+        n, m = problem.grid.n_steps, problem.grid.index_T
+        assert (stack_log, built) == ([n, 2 * m], [s])
+        assert products == ([] if s == 0 else [m, m, n, 2 * m])
+
     @pytest.mark.parametrize("dim", [3, 2])
     def test_gradient_report_after_solve_keeps_its_stack(
         self, monkeypatch, eigh_log, stack_log, series_log, dim

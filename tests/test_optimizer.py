@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import qoct
-from qoct import cli, gradient, optimizer
+from qoct import cli, gradient, optimizer, propagator
 from qoct.optimizer import _feedback_sweep
 from qoct.propagator import Direction, _du_stack, _keep_stacks
-from conftest import random_hermitian, random_state, seeded_problem, two_level_benchmark
+from conftest import (
+    random_hermitian, random_state, random_symmetric, seeded_problem, two_level_benchmark,
+)
 
 
 def benchmark_config(alpha=1.0, seed=42, max_iters=500, j_tol=1e-12, stationarity_tol=1e-6,
@@ -509,6 +511,79 @@ class TestLineSearchFloor:
         assert result.converged and result.j_history[-1] == result.j_history[-2]
         failed = [n for n, found in searches if not found]
         assert failed and max(failed) < optimizer.MAX_TRIALS
+
+
+class TestRefusedFields:
+    """A field the run makes itself whose step phase the stack kernel refuses is not taken."""
+
+    def test_refused_trial_brackets_the_step(self):
+        # f0 + d0 a + c a^2 / 2 has its minimizer at 0.1; trials at a >= 0.3
+        # are refused (f = +inf): a = 1 brackets, the search halves back
+        # toward lo and returns a strong-Wolfe step short of the refused ones
+        f0, d0, c = 1.0, -1.0, 10.0
+        trials = []
+
+        def phi(a):
+            trials.append(a)
+            if a >= 0.3:
+                return math.inf, 0.0, None
+            return f0 + d0 * a + 0.5 * c * a * a, d0 + c * a, a
+
+        step = optimizer._wolfe_step(phi, f0, d0)
+        assert trials[:3] == [1.0, 0.5, 0.25] and step == trials[-1] < 0.3
+        assert f0 + d0 * step + 0.5 * c * step * step <= f0 + optimizer.WOLFE_C1 * step * d0
+        assert abs(d0 + c * step) <= -optimizer.WOLFE_C2 * d0
+
+    def test_search_refused_everywhere_fails(self):
+        trials = []
+
+        def phi(a):
+            trials.append(a)
+            return math.inf, 0.0, None
+
+        assert optimizer._wolfe_step(phi, 1.0, -1.0) is None
+        assert len(trials) == optimizer.MAX_TRIALS
+
+    def test_refused_sweep_is_not_taken(self, monkeypatch):
+        # at alpha 1e-11 the two-level sweep's samples are past the step phase
+        # bound: its field is not taken, as one that lowers J is not, and the
+        # first iteration is a line search from the initial samples
+        rng = np.random.default_rng(0)
+        drift, coupling, observable = (1e3 * random_symmetric(rng, 2).matrix for _ in range(3))
+        H = qoct.ControlHamiltonian(
+            drift=qoct.HermitianOperator(drift), coupling=qoct.HermitianOperator(coupling)
+        )
+        grid = qoct.TimeGrid(dt=1.0, n_steps=2, index_T=1)
+        psi0 = qoct.StateVector(np.array([1.0, 0.0]))
+        eps_ref = qoct.ControlField.constant(0.0, 2)
+        swept = []
+
+        def recording(*args):
+            swept.append(_feedback_sweep(*args))
+            return swept[-1]
+
+        monkeypatch.setattr(optimizer, "_feedback_sweep", recording)
+        config = qoct.OptimizationConfig(
+            alpha=1e-11, max_iters=1, j_tol=1e-300, stationarity_tol=1e-6,
+            initial_field=qoct.ControlField(np.array([1e-3, 0.0])), eps_ref=eps_ref,
+        )
+        result = qoct.optimize(psi0, H, qoct.HermitianOperator(observable), grid, config)
+        phase = max(np.linalg.norm(H.evaluate(eps), 1) for eps in swept[0]) * grid.dt
+        assert not phase <= propagator.MAX_STEP_PHASE
+        assert result.iterations_run == 1 and result.largest_j_decrease == 0.0
+        assert not np.array_equal(result.final_field.samples, swept[0])
+        assert np.isfinite(result.final_field.samples).all()
+        assert result.j_history[1].j_total >= result.j_history[0].j_total
+
+    def test_refused_initial_field_raises(self):
+        # the caller's own field is not the run's to drop
+        psi0, H, O, grid = two_level_benchmark()
+        config = benchmark_config(max_iters=1)
+        samples = config.initial_field.samples.copy()
+        samples[3] = 1e18
+        config = dataclasses.replace(config, initial_field=qoct.ControlField(samples))
+        with pytest.raises(ValueError, match="step phase"):
+            qoct.optimize(psi0, H, O, grid, config)
 
 
 class TestStoppingAndValidation:

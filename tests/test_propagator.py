@@ -404,7 +404,7 @@ class TestTaylorExponential:
             return series
 
         monkeypatch.setattr(propagator, "_field_series", spying)
-        for scale in (1.0, 2.0, 4.0, 8.0, 16.0):
+        for scale in (2.0, 4.0, 8.0, 16.0, 32.0):
             samples = scale * field.samples
             bound = np.max(np.abs(samples))
             norm = max(np.linalg.norm(H.evaluate(e) * dt, 1) for e in (bound, -bound))
@@ -442,15 +442,18 @@ class TestTaylorExponential:
         assert empty.shape == (0, dim, dim) and empty.dtype == np.complex128
 
     def test_plan_bounds_the_remainder(self):
-        # s halves the norm to 1/2 or below; p is the least degree >= 3 whose
-        # remainder bound 2 theta^(p+1) / (p+1)! is at most 2^-53
-        for norm in [0.0, 1e-3, 0.1, 0.5, 0.5000001, 2.0, 10.0, 50.0, 1e4]:
+        # s halves the norm to 1 or below; p is the least degree >= 3 whose
+        # remainder bound 2 theta^(p+1) / (p+1)! is at most 2^-53, and the
+        # remainder itself, summed term by term, is within that bound
+        for norm in [0.0, 1e-3, 0.1, 0.5, 0.75, 1.0, 1.0000001, 2.0, 10.0, 50.0, 1e4]:
             s, p = _taylor_plan(norm)
             theta = norm / 2.0 ** s
-            assert theta <= 0.5 and (s == 0 or theta > 0.25)
+            assert theta <= 1.0 and (s == 0 or theta > 0.5) and p <= 18
             bound = lambda q: 2 * theta ** (q + 1) / math.factorial(q + 1)
             assert bound(p) <= 2.0 ** -53 and (p == 3 or bound(p - 1) > 2.0 ** -53)
-        assert _taylor_plan(0.5)[0] == 0 and _taylor_plan(0.5000001)[0] == 1
+            remainder = math.fsum(theta ** j / math.factorial(j) for j in range(p + 1, p + 40))
+            assert remainder <= 2.0 ** -53
+        assert _taylor_plan(1.0)[0] == 0 and _taylor_plan(1.0000001)[0] == 1
 
     def test_rejects_non_finite_stack(self):
         rng = np.random.default_rng(37)
@@ -543,6 +546,68 @@ class TestSeriesDerivative:
                 self.assert_matches(H, np.array([0.0, 0.5, -1.5]), dt, 1e-14)
 
 
+class TestUnsquaredBand:
+    """Stacks whose ||H dt||_1 lies in (1/2, 1] take no squaring, U and dU alike.
+
+    The plan halves dt until theta <= 1, so this band evaluates its series
+    with no squaring; each stack here must still match the eigenpair
+    reference routes and scipy within the bounds the squaring branch keeps.
+    """
+
+    NORMS = [0.55, 0.75, 1.0]
+
+    @staticmethod
+    def problem(draw, dim, norm, dt, seed):
+        """(H, samples) whose range's largest ||H(eps) dt||_1, as ``_field_series`` forms it, is ``norm``.
+
+        The samples hold both ends of their range, so the stack's range is
+        theirs; the scale steps down by ulps until round-off keeps the plan's
+        norm at most ``norm``, never past it.
+        """
+        rng = np.random.default_rng(seed)
+        drift, coupling = draw(rng, dim).matrix, draw(rng, dim).matrix
+        samples = np.concatenate([[-2.0, 2.0, 0.0], rng.uniform(-2.0, 2.0, 17)])
+        scale = norm / max(np.linalg.norm((drift + e * coupling) * dt, 1) for e in (2.0, -2.0))
+        while True:
+            H = qoct.ControlHamiltonian(
+                drift=qoct.HermitianOperator(scale * drift),
+                coupling=qoct.HermitianOperator(scale * coupling),
+            )
+            h0, mu = _operators(H)
+            got = max(np.linalg.norm(h0 + e * mu, 1) for e in (2.0, -2.0)) * dt
+            if got <= norm:
+                assert got >= norm * (1.0 - 1e-14)
+                return H, samples
+            scale = np.nextafter(scale, 0.0)
+
+    @pytest.mark.parametrize("draw", [random_symmetric, random_hermitian])
+    @pytest.mark.parametrize("dim", [2, 3, 8, 16])
+    def test_takes_no_squaring_and_matches_the_references(self, monkeypatch, draw, dim):
+        build, taken = propagator._field_series, []
+
+        def spying(H, dt, bound):
+            series = build(H, dt, bound)
+            taken.append(series.s)
+            return series
+
+        monkeypatch.setattr(propagator, "_field_series", spying)
+        dt = 0.3
+        for j, norm in enumerate(self.NORMS):
+            H, samples = self.problem(draw, dim, norm, dt, 300 + 10 * dim + j)
+            assert _operators(H)[0].dtype == (np.float64 if draw is random_symmetric else np.complex128)
+            taken.clear()
+            u = _u_stack(H, samples, dt)
+            assert taken == [0]
+            assert u.dtype == np.complex128 and u.shape == (samples.size, dim, dim)
+            assert np.max(np.abs(u - step_matrices(H, samples, dt))) <= 1e-14 * max(1.0, norm)
+            ref = np.array([scipy.linalg.expm(-1j * H.evaluate(eps) * dt) for eps in samples])
+            assert np.max(np.abs(u - ref)) <= 1e-14 * max(1.0, norm)
+            assert np.max(np.abs(u @ _adjoint(u) - np.eye(dim))) <= 1e-13
+            # dU from its own series over the same range: no squaring either
+            TestSeriesDerivative.assert_matches(H, samples, dt, 1e-14 * max(1.0, norm))
+            assert taken == [0, 0]
+
+
 class TestFieldSeries:
     """One series per field range, pinned to the per-matrix routes at every eps in the range."""
 
@@ -586,7 +651,7 @@ class TestFieldSeries:
             h = H.evaluate(eps)
             norm = np.linalg.norm(h * dt, 1)
             theta = norm / 2.0 ** s
-            assert theta <= 0.5
+            assert theta <= 1.0
             assert 2.0 * theta ** (p + 1) / math.factorial(p + 1) <= 2.0 ** -53 * (1.0 + 1e-12)
             u = self.step(s, series.c, eps / bound)
             tol = 1e-14 * max(1.0, norm)
@@ -602,17 +667,17 @@ class TestFieldSeries:
         dt = 0.1
         h0, mu = H.drift.matrix.real, H.coupling.matrix.real
         norm = lambda b: max(np.linalg.norm(h0 + e * mu, 1) for e in (b, -b)) * dt
-        # the range whose norm is exactly 1/2: theta = 1/2 with no squaring
+        # the range whose norm is exactly 1: theta = 1 with no squaring
         lo, hi = 0.0, 100.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if norm(mid) <= 0.5 else (lo, mid)
+            lo, hi = (mid, hi) if norm(mid) <= 1.0 else (lo, mid)
         series = _field_series(H, dt, lo)
         assert series.s == 0 and series.reach - lo <= 1e-12 * lo
         assert _field_series(H, dt, 0.5 * lo).reach > 0.5 * lo
 
     def test_squaring_branch(self):
-        # a range wide enough that ||H dt||_1 > 1/2 takes s > 0 squarings
+        # a range wide enough that ||H dt||_1 > 1 takes s > 0 squarings
         rng = np.random.default_rng(210)
         H = qoct.ControlHamiltonian(
             drift=random_hermitian(rng, 8), coupling=random_hermitian(rng, 8)

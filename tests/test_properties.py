@@ -19,7 +19,7 @@ import qoct
 from conftest import random_hermitian, random_state, random_symmetric, seeded_problem
 from qoct import cli
 from qoct.propagator import _adjoint, _forward, _operators
-from test_cli import as_pairs_matrix, as_pairs_vector
+from test_cli import as_pairs_matrix, as_pairs_vector, finite_outputs
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -52,7 +52,7 @@ def test_analytic_gradient_matches_central_differences(
     complex_hermitian=st.booleans(),
 )
 def test_steps_are_unitary_and_backward_undoes_forward(seed, dim, n_steps, dt, complex_hermitian):
-    # dt up to 1 takes ||H dt||_1 past 1/2: the stack kernel's squaring
+    # dt up to 1 takes ||H dt||_1 past 1: the stack kernel's squaring
     # branch
     problem, field = seeded_problem(
         seed, dim, n_steps, 1.0, dt=dt, complex_hermitian=complex_hermitian
@@ -156,20 +156,6 @@ def test_config_round_trip(
     )
 
 
-def _finite_outputs(out: Path) -> bool:
-    """Whether every number in the run's JSON and CSV outputs is finite."""
-    for path in out.iterdir():
-        if path.suffix == ".json":
-            # json reads NaN, Infinity and -Infinity through parse_constant only
-            constants = []
-            json.loads(path.read_text(encoding="utf-8"), parse_constant=constants.append)
-            if constants:
-                return False
-        elif not np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)).all():
-            return False
-    return True
-
-
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -187,15 +173,19 @@ def _finite_outputs(out: Path) -> bool:
     ),
     max_iters=st.integers(1, 3),
     h=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+    field_exp=st.floats(-12.0, 20.0),
 )
 def test_no_config_ends_in_a_traceback_or_a_non_finite_output(
-    seed, dim, complex_hermitian, scale, dt, index_T, extra, alpha, eps_ref, max_iters, h
+    seed, dim, complex_hermitian, scale, dt, index_T, extra, alpha, eps_ref, max_iters, h,
+    field_exp,
 ):
     # every subcommand ends in exit 0, 1 or 2 on any config of the schema,
-    # extreme but finite values included, and gradcheck on any probe step
-    # h, log-uniform over 1e-300 ... 1e300; exit 1 names the offending field
-    # (gradcheck's h among them), and nothing it writes holds NaN or an
-    # infinity
+    # extreme but finite values included, gradcheck on any probe step h,
+    # log-uniform over 1e-300 ... 1e300, and propagate on any field whose
+    # samples have both signs and magnitudes log-uniform over the three
+    # decades below 10^field_exp; exit 1 names the offending field
+    # (gradcheck's h and propagate's field among them), and nothing it
+    # writes holds NaN or an infinity
     rng = np.random.default_rng(seed)
     draw = random_hermitian if complex_hermitian else random_symmetric
     h0, mu, observable = (scale * draw(rng, dim).matrix for _ in range(3))
@@ -213,13 +203,22 @@ def test_no_config_ends_in_a_traceback_or_a_non_finite_output(
         "max_iters": max_iters,
         "seed": seed,
     }
+    n_steps = index_T + extra
+    magnitudes = 10.0 ** (field_exp - 3.0 * rng.random(n_steps))
+    samples = rng.choice([-1.0, 1.0], n_steps) * magnitudes
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(raw), encoding="utf-8")
+        field = Path(tmp) / "field.csv"
+        field.write_text(
+            "t,eps\n" + "".join(f"{k * dt!r},{x!r}\n" for k, x in enumerate(samples.tolist())),
+            encoding="utf-8",
+        )
         for command, options, fields in (
             ("verify", [], cli._CONFIG_FIELDS),
             ("optimize", [], cli._CONFIG_FIELDS),
             ("gradcheck", ["--h", repr(h)], cli._CONFIG_FIELDS | {"h"}),
+            ("propagate", ["--field", str(field)], cli._CONFIG_FIELDS | {"field"}),
         ):
             out = Path(tmp) / command
             err = io.StringIO()
@@ -230,4 +229,4 @@ def test_no_config_ends_in_a_traceback_or_a_non_finite_output(
                 named = re.match(r"config error: (\w+): ", err.getvalue())
                 assert named and named[1] in fields, (command, err.getvalue())
             if out.exists():
-                assert _finite_outputs(out), command
+                assert finite_outputs(out), command
