@@ -102,13 +102,14 @@ def solve(problem: ControlProblem, field: ControlField, boundary: CostateBoundar
     """Propagate the state forward and the costate in the given regime, on one stack.
 
     The forward solve becomes ``propagator``'s last one, so the checks
-    that follow on the same field read its stack, step defects and
-    adjoint solution instead of forming them again; a stack kept for the
-    field beforehand (``propagator._keep_stacks``) is marched as it is.
+    that follow on the same field read its stack, step views, step
+    defects and adjoint solution instead of forming them again; a stack
+    kept for the field beforehand (``propagator._keep_stacks``) is marched
+    as it is.
     """
-    psi, us = _forward(problem.psi0, field, problem.hamiltonian, problem.grid)
-    chi = _costate(psi, problem.observable, field, problem.grid, boundary, us)[0]
-    return Solution(problem=problem, field=field, boundary=boundary, psi=psi, chi=chi)
+    solved = _forward(problem.psi0, field, problem.hamiltonian, problem.grid)
+    chi = _costate(solved.traj, problem.observable, field, problem.grid, boundary, solved.us)[0]
+    return Solution(problem=problem, field=field, boundary=boundary, psi=solved.traj, chi=chi)
 
 
 def check_canonical_jump(solution: Solution) -> ContinuityReport:
@@ -209,14 +210,16 @@ def check_conjugate_independence(
     complex beta. It is marched as its conjugate rows r_k, r_0 =
     conj(beta) psi0 and r_{k+1} = r_k U_k on the forward stack as it is,
     and |phi_k - beta conj(psi_k)| = |r_k - conj(beta) psi_k|, so neither
-    the stack nor the trajectory is conjugated. After ``solve`` from the
-    same psi0 on the same field, the forward solve is its last one, and
-    only the rows are marched.
+    the stack nor the trajectory is conjugated. The rows are marched on
+    the forward solve's step views, and their deviation is formed in
+    place. After ``solve`` from the same psi0 on the same field, the
+    forward solve is its last one, and only the rows are marched.
     """
-    psi, us = _forward(psi0, field, H, grid)
+    solved = _forward(psi0, field, H, grid)
     beta_bar = np.conj(beta)
-    rows = _march_rows(us, beta_bar * psi0.amplitudes)
-    return float(np.max(np.linalg.norm(rows - beta_bar * psi.states, axis=1)))
+    rows = _march_rows(solved.steps, beta_bar * psi0.amplitudes)
+    rows -= beta_bar * solved.traj.states
+    return float(np.max(np.linalg.norm(rows, axis=1)))
 
 
 def _require_canonical(solution: Solution) -> None:

@@ -45,6 +45,22 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _complex_nodes(x) -> NDArrayComplex:
+    """x itself when it is a read-only complex128 ndarray that owns its data, else a complex128 copy.
+
+    An array frozen by its maker is handed over: the propagator freezes its
+    fresh nodes, so a trajectory keeps them without a copy. Anything else,
+    a writable array above all, is copied, so the caller cannot change
+    the trajectory through it.
+    """
+    if (
+        type(x) is np.ndarray and x.dtype == np.complex128
+        and x.flags.owndata and not x.flags.writeable
+    ):
+        return x
+    return np.array(x, dtype=np.complex128)
+
+
 def _as_complex_vector(x, name: str) -> NDArrayComplex:
     a = np.array(x, dtype=np.complex128)
     if a.ndim != 1 or a.size == 0:
@@ -207,13 +223,15 @@ class StateTrajectory:
     """Node-resolved states, one row per grid node (n_steps + 1 rows).
 
     Unitary evolution is enforced: every node norm must match the
-    initial norm to 1e-10.
+    initial norm to 1e-10. A read-only complex128 array that owns its data
+    (a frozen march output) is kept as given, not copied; any other input
+    is copied.
     """
 
     states: NDArrayComplex
 
     def __post_init__(self):
-        s = np.array(self.states, dtype=np.complex128)
+        s = _complex_nodes(self.states)
         if s.ndim != 2 or s.shape[0] < 2:
             raise ValueError(f"trajectory must be (n_nodes, dim) with n_nodes >= 2, got {s.shape}")
         if not np.isfinite(s.view(np.float64)).all():
@@ -243,7 +261,9 @@ class CostateTrajectory:
     The stored node value at ``index_T`` equals ``chi_T_plus`` by
     convention; both limits are kept because the two boundary regimes
     differ exactly there (the jump is the object of interest, not an
-    artifact to hide).
+    artifact to hide). A read-only complex128 ``states`` array that owns
+    its data (frozen costate nodes) is kept as given, not copied; any
+    other input is copied.
     """
 
     states: NDArrayComplex
@@ -252,7 +272,7 @@ class CostateTrajectory:
     index_T: int
 
     def __post_init__(self):
-        s = np.array(self.states, dtype=np.complex128)
+        s = _complex_nodes(self.states)
         minus = _as_complex_vector(self.chi_T_minus, "chi_T_minus")
         plus = _as_complex_vector(self.chi_T_plus, "chi_T_plus")
         if s.ndim != 2:

@@ -218,18 +218,18 @@ def gradient_report(
     objective at every sample k, h the probe step. The cost term's
     difference is formed in closed form; only probes before T move psi(T).
     Each probe pair steps off the solved node k and reaches T through the
-    suffix product S_k of the field's solved steps after k
-    (``propagator._march_probes``): O(m d^3) work for the m = index_T
-    pairs, where marching each probe on is O(m^2 d^2), and no more memory
-    than the 2m moved steps take. Both probes of a pair share one rounded
-    S_k, so its rounding cancels in their difference. A relative mismatch
-    past the largest double reads as that double. The analytic gradient is
-    ``_gradient`` of the field's ``_evaluate``, the law gap ``optimize``
-    certifies; that solve stays kept, so a ``solve`` of the same field
-    afterwards reads it, and a solve of the field kept beforehand stays,
-    so only its derivatives are built. The probes' 2m moved steps evaluate
-    the series that solve's steps came from wherever its reach covers
-    every eps_k +- h, so one report builds one series.
+    suffix product S_k of the field's solved steps after k, walked on that
+    solve's step views (``propagator._march_probes``): O(m d^3) work for
+    the m = index_T pairs, where marching each probe on is O(m^2 d^2),
+    and no more memory than the 2m moved steps take. Both probes of a pair
+    share one rounded S_k, so its rounding cancels in their difference. A
+    relative mismatch past the largest double reads as that double. The
+    analytic gradient is ``_gradient`` of the field's ``_evaluate``, the
+    law gap ``optimize`` certifies; that solve stays kept, so a ``solve``
+    of the same field afterwards reads it, and a solve of the field kept
+    beforehand stays, so only its derivatives are built. The probes' 2m
+    moved steps evaluate the series that solve's steps came from wherever
+    its reach covers every eps_k +- h, so one report builds one series.
     """
     h = probe_step
     if not (math.isfinite(h) and h > 0):
@@ -242,7 +242,7 @@ def gradient_report(
     # alpha last: no square overflows where the difference does not
     fd = -((plus - minus) * (plus + minus)) * grid.dt / (2.0 * h) * problem.alpha
     solved = _kept_solve(H, field, grid.dt)  # the evaluation's solve
-    psi_T = _march_probes(sol.psi.states, solved.us, H, field, grid, h, solved.series)
+    psi_T = _march_probes(sol.psi.states, solved.steps, H, field, grid, h, solved.series)
     # two operands: einsum runs a three-operand contraction as a naive loop
     j_opt = np.einsum("ip,ip->p", psi_T.conj(), problem.observable.matrix @ psi_T)
     j_opt = j_opt.real.reshape(-1, 2)

@@ -31,13 +31,18 @@ march, one ``ndarray.dot`` per step, through a per-thread workspace of
 ``_CHUNK`` row views (``_march``). Every forward solve is kept as the
 last solve (``_last_solve``), and the public calls on the same field
 read its stack and trajectory (``_forward``, ``_field_stack``); a miss
-only builds them. The last solve also keeps, once formed, its step
-defects, which the costate's equation-of-motion gate, ``eval_j_tdse``
-and ``tdse_residual`` read, and for one observable the unit adjoint
-solution through O psi(T), from which every costate on that trajectory
-is built (``_unit_adjoint``), with the continuous(1) costate's worst step
-defect (``_unit_residual``). Real-symmetric H0 and mu (``_operators``)
-are expanded in real arithmetic. Only the reference routes
+only builds them. Next to its stack a kept solve holds the stack's step
+views (``_Solve.steps``), made once by the stack's first march, and every
+later walk of that stack (the canonical adjoint, the continuous tail,
+the conjugate check's rows, the probes' suffix products) reads them, so
+a step of those marches creates no view. The last solve also keeps,
+once formed, its step defects, which the costate's equation-of-motion
+gate, ``eval_j_tdse`` and ``tdse_residual`` read, and for one
+observable the unit adjoint solution through O psi(T), from which every
+costate on that trajectory is built (``_unit_adjoint``), with the
+continuous(1) costate's worst step defect (``_unit_residual``).
+Real-symmetric H0 and mu (``_operators``) are expanded in real
+arithmetic. Only the reference routes
 (``step_matrix``, ``step_control_derivative``) call ``np.linalg.eigh``,
 in complex arithmetic, independent of the series and the SU(2) form.
 
@@ -313,7 +318,16 @@ def _stacks(
         series = _field_series(H, dt, 1.0 if widest < 2.0 ** -64 else widest)
     bound, _, s, c = series
     p = len(c) - 1
-    powers = np.vander(samples / bound, p + 1, increasing=True)
+    # row j holds u^j as u^(j-1) times u, np.vander's column j bitwise, one
+    # multiply of contiguous rows per degree; the products read them copied
+    # into C order, as np.vander lays them out: a transposed operand makes
+    # BLAS sum in another order at some shapes (odd dim, p >= 15)
+    rows = np.empty((p + 1, samples.size))
+    rows[0] = 1.0
+    np.divide(samples, bound, out=rows[1])
+    for j in range(2, p + 1):
+        np.multiply(rows[j - 1], rows[1], out=rows[j])
+    powers = np.ascontiguousarray(rows.T)
     shape = (H.dim, H.dim)
     du = None
     if n_du:
@@ -387,23 +401,30 @@ def _workspace(d: int) -> tuple[np.ndarray, list, list]:
     return space
 
 
-def _march(us: NDArrayComplex, x0: NDArrayComplex, rows: bool) -> NDArrayComplex:
-    """Nodes x_0 = x0 and x_{k+1} = U_k x_k, or r_{k+1} = r_k U_k when ``rows``, over a stack.
+def _step_views(us: NDArrayComplex) -> list:
+    """The stack's steps as a list of views, one per step: a kept solve's ``steps``."""
+    return list(us)
 
-    Each step is one ``ndarray.dot`` written in place into a row view of
-    the thread's ``_workspace``, driven by ``map`` without a Python loop
-    body (a zero-length ``deque`` drains it), in chunks of at most
-    ``_CHUNK`` steps: row 0 is seeded from the last node written, and the
-    chunk's rows are copied into the result in one slice assignment. The
-    march cannot be batched, so the per-call overhead is its cost:
-    ``dot`` dispatches in under half of ``np.matmul``'s time, and with the
-    row views made once a step creates only its step's view of the stack,
-    not three views. The nodes are bitwise those of a per-step march, and
-    the result never aliases the workspace. Each thread marches through
-    its own workspaces, so threads marching at once never write the same
-    rows.
+
+def _march(us, x0: NDArrayComplex, rows: bool) -> NDArrayComplex:
+    """Nodes x_0 = x0 and x_{k+1} = U_k x_k, or r_{k+1} = r_k U_k when ``rows``, over steps ``us``.
+
+    ``us`` is any sequence of (d, d) steps that slices: a stack, or a kept
+    solve's ``steps`` (``_step_views``) or a slice of them. Each step is
+    one ``ndarray.dot`` written in place into a row view of the thread's
+    ``_workspace``, driven by ``map`` without a Python loop body (a
+    zero-length ``deque`` drains it), in chunks of at most ``_CHUNK``
+    steps: row 0 is seeded from the last node written, and the chunk's
+    rows are copied into the result in one slice assignment. The march
+    cannot be batched, so the per-call overhead is its cost: ``dot``
+    dispatches in under half of ``np.matmul``'s time, and with the row
+    views made once a step over a kept solve's views creates no view at
+    all, one over a stack only its step's. The nodes are bitwise those of
+    a per-step march over either, and the result never aliases the
+    workspace. Each thread marches through its own workspaces, so threads
+    marching at once never write the same rows.
     """
-    n = us.shape[0]
+    n = len(us)
     nodes = np.empty((n + 1, x0.size), dtype=np.complex128)
     nodes[0] = x0
     buf, heads, tails = _workspace(x0.size)
@@ -414,18 +435,18 @@ def _march(us: NDArrayComplex, x0: NDArrayComplex, rows: bool) -> NDArrayComplex
             deque(map(np.ndarray.dot, heads, chunk, tails), maxlen=0)
         else:
             deque(map(np.ndarray.dot, chunk, heads, tails), maxlen=0)
-        k = chunk.shape[0]
+        k = len(chunk)
         nodes[start + 1 : start + 1 + k] = buf[1 : 1 + k]
     return nodes
 
 
-def _march_forward(us: NDArrayComplex, x0: NDArrayComplex) -> NDArrayComplex:
-    """Nodes x_0 = x0 and x_{k+1} = U_k x_k over a forward stack (``_march``)."""
+def _march_forward(us, x0: NDArrayComplex) -> NDArrayComplex:
+    """Nodes x_0 = x0 and x_{k+1} = U_k x_k over forward steps (``_march``)."""
     return _march(us, x0, rows=False)
 
 
-def _march_rows(us: NDArrayComplex, r0: NDArrayComplex) -> NDArrayComplex:
-    """Rows r_0 = r0 and r_{k+1} = r_k U_k over a forward stack (``_march``).
+def _march_rows(us, r0: NDArrayComplex) -> NDArrayComplex:
+    """Rows r_0 = r0 and r_{k+1} = r_k U_k over forward steps (``_march``).
 
     They are the conjugates of the nodes x_{k+1} = U_k^dagger x_k from
     x_0 = conj(r0), the backward march, with no conjugated copy of the stack.
@@ -434,7 +455,7 @@ def _march_rows(us: NDArrayComplex, r0: NDArrayComplex) -> NDArrayComplex:
 
 
 def _march_probes(
-    nodes: NDArrayComplex, us: NDArrayComplex, H: ControlHamiltonian, field: ControlField,
+    nodes: NDArrayComplex, us, H: ControlHamiltonian, field: ControlField,
     grid: TimeGrid, h: float, series: _Series,
 ) -> NDArrayComplex:
     """psi(T) with each sample k before T moved by +h and by -h, as columns 2k and 2k + 1.
@@ -446,7 +467,9 @@ def _march_probes(
     one field's evaluation and probes build one series. Probe k's pair
     x_k^+- = U_k(eps_k +- h) psi_k steps off the solved node k, and reaches
     T through the suffix product S_k = U_{m-1} ... U_{k+1} of the solved
-    steps ``us`` (S_{m-1} = I), so psi(T) = S_k x_k^+-. The m - 1 products
+    steps ``us`` (S_{m-1} = I), so psi(T) = S_k x_k^+-; ``us`` is any
+    sequence of them that slices, as ``_march`` takes: ``gradient_report``
+    hands in its solve's step views. The m - 1 products
     S_k = S_{k+1} U_{k+1} march backward in place, one d x d
     ``ndarray.dot`` each, driven by ``map`` as in ``_march``, and every
     probe's psi(T) is one batched matmul: O(m d^3) work, where advancing
@@ -543,16 +566,23 @@ class _Solve:
     stack kept before its solve (``_keep_stacks``) has no psi0 and no
     trajectory yet. ``series`` is the ``_field_series`` the stack came
     from, which stacks built later for the same field evaluate too.
+    ``steps`` is the stack as a list of its step views (``_step_views``),
+    made by the first march of the stack (``_forward``) and shared by every
+    solve on it, so each later walk of the stack (the canonical adjoint,
+    the continuous tail, the conjugate check's rows, the probes' suffix
+    products) reads those views instead of making its own; it is dropped
+    with the solve. A record that is not kept (``_solve_of``) walks the
+    stack itself.
     """
 
     __slots__ = (
-        "psi0", "samples", "H", "dt", "us", "series", "traj", "defects", "O", "m", "adjoint",
-        "tail", "residual",
+        "psi0", "samples", "H", "dt", "us", "series", "traj", "steps", "defects", "O", "m",
+        "adjoint", "tail", "residual",
     )
 
-    def __init__(self, samples, H, dt, us, series, psi0=None, traj=None):
+    def __init__(self, samples, H, dt, us, series, psi0=None, traj=None, steps=None):
         self.samples, self.H, self.dt, self.us, self.series = samples, H, dt, us, series
-        self.psi0, self.traj = psi0, traj
+        self.psi0, self.traj, self.steps = psi0, traj, steps
         self.defects = self.O = self.m = self.adjoint = self.residual = None
         self.tail = False
 
@@ -564,7 +594,7 @@ _last_solve: Optional[_Solve] = None
 
 
 def _clear_last_solve() -> None:
-    """Drop the last forward solve, and the stack it holds."""
+    """Drop the last forward solve, and the stack and step views it holds."""
     global _last_solve
     _last_solve = None
 
@@ -601,12 +631,13 @@ def _keep_stacks(H: ControlHamiltonian, field: ControlField, dt: float, n_du: in
 def _solve_of(us: NDArrayComplex, traj: StateTrajectory) -> _Solve:
     """The last forward solve when it marched ``traj`` on ``us``, else a new record.
 
-    A new one is not kept: what is formed in it lives only for the call.
+    A new one is not kept: what is formed in it lives only for the call,
+    and it walks the stack itself, as its ``steps``.
     """
     last = _last_solve
     if last is not None and last.us is us and last.traj is traj:
         return last
-    return _Solve(None, None, None, us, None, traj=traj)
+    return _Solve(None, None, None, us, None, traj=traj, steps=us)
 
 
 def _trajectory_defects(us: NDArrayComplex, traj: StateTrajectory) -> NDArrayComplex:
@@ -628,21 +659,23 @@ def _unit_adjoint(
     from it, and zero until then. Both costate regimes read this one
     solution (``_costate``). For the last forward solve's trajectory and
     stack it is formed once per observable and node, keyed on the identity
-    of O as psi0 and H are, and its tail is marched once; for any other it
-    is formed afresh in a record that is not kept. Callers only read it:
-    ``_costate`` hands out scaled or copied nodes.
+    of O as psi0 and H are, and its tail is marched once, both on that
+    solve's step views; for any other it is formed afresh in a record that
+    is not kept. Callers only read it: ``_costate`` hands out scaled or
+    copied nodes.
     """
     solved = _solve_of(us, psi_traj)
+    steps = solved.steps
     if solved.O is not O or solved.m != m:
         source = O.matrix @ psi_traj.node(m)
         nodes = np.zeros((us.shape[0] + 1, source.size), dtype=np.complex128)
-        rows = _march_rows(us[m - 1 :: -1], source.conj())  # the backward march's conjugates
+        rows = _march_rows(steps[m - 1 :: -1], source.conj())  # the backward march's conjugates
         np.conjugate(rows[:0:-1], out=nodes[:m])
         nodes[m] = source
         solved.O, solved.m, solved.adjoint, solved.tail = O, m, nodes, False
         solved.residual = None
     if tail and not solved.tail:
-        solved.adjoint[m:] = _march_forward(us[m:], solved.adjoint[m])
+        solved.adjoint[m:] = _march_forward(steps[m:], solved.adjoint[m])
         solved.tail = True
     return solved
 
@@ -678,18 +711,20 @@ def propagate_forward(
     Node 0 is psi0 and each subsequent node applies the exact
     one-interval propagator of its field sample.
     """
-    return _forward(psi0, field, H, grid)[0]
+    return _forward(psi0, field, H, grid).traj
 
 
 def _forward(
     psi0: StateVector, field: ControlField, H: ControlHamiltonian, grid: TimeGrid
-) -> tuple[StateTrajectory, NDArrayComplex]:
-    """``propagate_forward`` plus the forward stack it marched, for reuse.
+) -> _Solve:
+    """``propagate_forward`` as its solve record: the trajectory, the stack and its step views.
 
     The last solve serves its trajectory when psi0, the field's samples
-    and H are the same objects at the same dt, and its stack when only
-    psi0 differs or no trajectory was marched on it yet (``_keep_stacks``);
-    this solve then becomes the last one.
+    and H are the same objects at the same dt, and its stack and step views
+    when only psi0 differs or no trajectory was marched on it yet
+    (``_keep_stacks``); the first march of a stack makes its views
+    (``_step_views``). This solve then becomes the last one. The nodes are
+    frozen as they are handed over, so the trajectory keeps them uncopied.
     """
     psi0.require_normalized("psi0")
     if psi0.dim != H.dim:
@@ -699,14 +734,16 @@ def _forward(
     kept = _kept_solve(H, field, grid.dt)
     if kept is None:
         us, _, series = _stacks(H, field.samples, grid.dt)
-        us = _freeze(us)
+        us, steps = _freeze(us), None
     elif kept.psi0 is psi0:
-        return kept.traj, kept.us
+        return kept
     else:
-        us, series = kept.us, kept.series
-    traj = StateTrajectory(_march_forward(us, psi0.amplitudes))
-    _last_solve = _Solve(field.samples, H, grid.dt, us, series, psi0, traj)
-    return traj, us
+        us, series, steps = kept.us, kept.series, kept.steps
+    if steps is None:
+        steps = _step_views(us)
+    traj = StateTrajectory(_freeze(_march_forward(steps, psi0.amplitudes)))
+    _last_solve = _Solve(field.samples, H, grid.dt, us, series, psi0, traj, steps)
+    return _last_solve
 
 
 def propagate_costate(
@@ -771,6 +808,8 @@ def _costate(
         nodes = np.zeros_like(unit)
         nodes[:m] = unit[:m]
         chi_minus, chi_plus = unit[m], nodes[m]
+    # frozen fresh, so the costate keeps them uncopied
+    _freeze(nodes)
 
     chi = CostateTrajectory(states=nodes, chi_T_minus=chi_minus, chi_T_plus=chi_plus, index_T=m)
     return chi, solved

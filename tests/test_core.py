@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qoct
+from qoct import propagator
 from conftest import random_hermitian, random_state, random_symmetric, seeded_problem
 
 
@@ -326,3 +327,58 @@ class TestImmutability:
         s = qoct.StateVector(raw)
         raw[0] = 5.0
         assert s.amplitudes[0] == 1.0
+
+    @staticmethod
+    def trajectories(states):
+        """A state trajectory and a costate on the same node array."""
+        m = states.shape[0] // 2
+        chi = qoct.CostateTrajectory(
+            states=states, chi_T_minus=states[m].copy(), chi_T_plus=states[m].copy(), index_T=m
+        )
+        return qoct.StateTrajectory(states), chi
+
+    def test_trajectories_copy_a_writable_array(self):
+        # a user's writable nodes are copied: writing them later leaves the
+        # trajectories as built
+        raw = np.tile(np.array([1.0 + 0j, 0.0]), (4, 1))
+        built = self.trajectories(raw)
+        for traj in built:
+            assert not np.shares_memory(traj.states, raw)
+        raw[1] = [0.0, 1.0]
+        for traj in built:
+            assert traj.states[1].tobytes() == np.array([1.0 + 0j, 0.0]).tobytes()
+
+    def test_trajectories_copy_a_frozen_view_or_another_dtype(self):
+        # only a read-only complex128 array that owns its data is kept
+        base = np.tile(np.array([1.0 + 0j, 0.0]), (5, 1))
+        view = base[1:]
+        view.setflags(write=False)
+        real = np.tile(np.array([1.0, 0.0]), (4, 1))
+        real.setflags(write=False)
+        for states in (view, real):
+            for traj in self.trajectories(states):
+                assert not np.shares_memory(traj.states, states)
+
+    def test_trajectories_keep_a_frozen_march_output(self, monkeypatch):
+        # the propagator freezes its fresh nodes before it hands them over,
+        # and both trajectories keep those very arrays
+        frozen = []
+
+        def recording(a):
+            frozen.append(a)
+            return freeze(a)
+
+        freeze = propagator._freeze
+        monkeypatch.setattr(propagator, "_freeze", recording)
+        problem, field = seeded_problem(31, 3, 40, 1.0)
+        sol = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
+        chi = qoct.propagate_costate(
+            sol.psi, problem.observable, field, problem.hamiltonian, problem.grid,
+            qoct.CostateBoundary.continuous(2),
+        )
+        for states in (sol.psi.states, sol.chi.states, chi.states):
+            assert any(states is a for a in frozen)
+            assert states.flags.owndata and not states.flags.writeable
+        psi = sol.psi.states
+        assert qoct.StateTrajectory(psi).states is psi
+        assert all(traj.states is chi.states for traj in self.trajectories(chi.states)[1:])

@@ -608,6 +608,63 @@ class TestUnsquaredBand:
             assert taken == [0, 0]
 
 
+def vander_stacks(H, samples, dt, n_du, u, series):
+    """``_stacks`` of one series with its powers from ``np.vander``: the reference they pin."""
+    bound, _, s, c = series
+    p = len(c) - 1
+    if not u:
+        samples = samples[:n_du]
+    powers = np.vander(samples / bound, p + 1, increasing=True)
+    floats = propagator._floats
+    du = None
+    if n_du:
+        du = np.empty((n_du, H.dim, H.dim), dtype=complex)
+        scaled = floats(c)[1:] * (np.arange(1, p + 1) / bound)[:, None]
+        np.matmul(powers[:n_du, :p], scaled, out=floats(du))
+    x = np.empty((samples.size, H.dim, H.dim), dtype=complex)
+    np.matmul(powers, floats(c), out=floats(x))
+    for _ in range(s):
+        if n_du:
+            du = du @ x[:n_du] + x[:n_du] @ du
+        x = x @ x
+    return (x if u else None), du
+
+
+class TestPowers:
+    """``_stacks`` builds the powers u^j row by row, bitwise as ``np.vander`` lays them out."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_bitwise_the_vander_reference(self, dim, complex_):
+        # ||H dt||_1 of the range at 0.3 (s = 0, a low degree), 0.9 (s = 0,
+        # p >= 15, where a transposed operand of the product sums in another
+        # order at odd dims) and 3 (s = 2); U with its derivatives, without,
+        # and the derivatives alone, of n_du = n and n_du < n samples
+        rng = np.random.default_rng(230 + dim)
+        draw = random_hermitian if complex_ else random_symmetric
+        H = qoct.ControlHamiltonian(drift=draw(rng, dim), coupling=draw(rng, dim))
+        n = 300
+        samples = rng.uniform(-1.5, 1.5, n)
+        h0, mu = _operators(H)
+        bound = np.max(np.abs(samples))
+        norm = max(np.linalg.norm(h0 + e * mu, 1) for e in (bound, -bound))
+        plans = set()
+        for phase in (0.3, 0.9, 3.0):
+            dt = phase / norm
+            series = None
+            for n_du, u in ((0, True), (n, True), (n // 3, True), (n // 3, False), (n, False)):
+                us, du, series = propagator._stacks(H, samples, dt, n_du, u, series)
+                ref_us, ref_du = vander_stacks(H, samples, dt, n_du, u, series)
+                assert (us is None) == (ref_us is None) and (du is None) == (ref_du is None)
+                if u:
+                    assert us.tobytes() == ref_us.tobytes(), (phase, n_du)
+                if n_du:
+                    assert du.tobytes() == ref_du.tobytes(), (phase, n_du, u)
+            plans.add((series.s, len(series.c) - 1))
+        assert {s for s, _ in plans} == {0, 2}
+        assert max(p for s, p in plans if s == 0) >= 15
+
+
 class TestFieldSeries:
     """One series per field range, pinned to the per-matrix routes at every eps in the range."""
 
@@ -775,6 +832,27 @@ class TestChunkedMarch:
             for part in (us[:n], us[n - 1 :: -1], us[-n:]):
                 assert _march_forward(part, x0).tobytes() == dot_march(part, x0).tobytes(), n
                 assert _march_rows(part, x0).tobytes() == dot_march(part, x0, True).tobytes(), n
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_a_list_of_views_marches_as_the_stack(self, dim, complex_):
+        # a kept solve's step views, whole or sliced as the marches slice
+        # them, give bitwise the march over the stack they view, with rows
+        # and without, on each side of a chunk boundary
+        K = self.K
+        us, x0 = self.stack(dim, complex_, K + 1, 145 + dim)
+        steps = propagator._step_views(us)
+        assert type(steps) is list and len(steps) == K + 1
+        assert all(v.base is us and np.shares_memory(v, us[k]) for k, v in enumerate(steps))
+        for n in (K - 1, K, K + 1):
+            cases = [(steps[:n], us[:n]), (steps[n - 1 :: -1], us[n - 1 :: -1]), (steps[-n:], us[-n:])]
+            if n == K + 1:
+                cases.append((steps, us))
+            for views, part in cases:
+                for rows in (False, True):
+                    marched = propagator._march(views, x0, rows)
+                    assert marched.tobytes() == propagator._march(part, x0, rows).tobytes(), n
+                    assert marched.tobytes() == dot_march(part, x0, rows).tobytes(), n
 
     @pytest.mark.parametrize("dim", [2, 8])
     def test_result_never_aliases_the_workspace(self, dim):
@@ -1186,6 +1264,97 @@ class TestLastSolve:
         propagator._clear_last_solve()
         cold = qoct.propagate_forward(problem.psi0, result.final_field, H, grid)
         assert traj.states.tobytes() == cold.states.tobytes()
+
+    @pytest.fixture
+    def views(self, monkeypatch):
+        """Per list of step views made since set-up, (steps, a weak reference to its first view)."""
+        made = []
+
+        def spying(us):
+            steps = make(us)
+            made.append((len(steps), weakref.ref(steps[0])))
+            return steps
+
+        make = propagator._step_views
+        monkeypatch.setattr(propagator, "_step_views", spying)
+        return made
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_a_kept_stack_makes_its_views_once(self, dim, complex_, views, monkeypatch):
+        # the solve's forward march makes the stack's views; the canonical
+        # adjoint, the continuous tail, the conjugate check's rows and the
+        # probes' suffix products all walk that list and make none
+        problem, field = seeded_problem(
+            130 + dim, dim, self.N_STEPS, 1.0, complex_hermitian=complex_
+        )
+        H, O, grid = problem.hamiltonian, problem.observable, problem.grid
+        walked = []
+
+        def probing(nodes, us, *args):
+            walked.append(us)
+            return probe(nodes, us, *args)
+
+        def marching(us, x0, rows):
+            walked.append(type(us))
+            return march(us, x0, rows)
+
+        probe, march = gradient._march_probes, propagator._march
+        monkeypatch.setattr(gradient, "_march_probes", probing)
+        monkeypatch.setattr(propagator, "_march", marching)
+        sol = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
+        last = propagator._last_solve
+        assert [steps for steps, _ in views] == [self.N_STEPS]
+        assert len(last.steps) == self.N_STEPS and last.steps[0].base is last.us
+        for n in (1, 2, -1):
+            qoct.check_continuous_family(sol.psi, O, field, H, grid, n)
+        for beta in (1.0, 0.3 + 0.7j):
+            qoct.check_conjugate_independence(problem.psi0, field, H, grid, beta)
+        qoct.gradient_report(problem, field)
+        assert len(views) == 1 and propagator._last_solve is last
+        # the forward march, the adjoint, the tail, two conjugate row marches
+        # and the probes, each over the list or a slice of it
+        assert walked[:5] == [list] * 5 and walked[5] is last.steps and len(walked) == 6
+        # a new psi0 marches on the same stack and shares its views
+        again = qoct.StateVector(problem.psi0.amplitudes)
+        qoct.propagate_forward(again, field, H, grid)
+        assert len(views) == 1 and propagator._last_solve.steps is last.steps
+        del last
+        walked.clear()
+        gc.collect()
+        assert views[0][1]() is not None
+        propagator._clear_last_solve()
+        gc.collect()
+        assert views[0][1]() is None
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_views_made_before_the_solve_is_kept_once(self, dim, views):
+        # an evaluation keeps the stack before any march (no views yet); its
+        # solve's march makes them, and the report's probes walk them
+        problem, field = seeded_problem(133 + dim, dim, self.N_STEPS, 1.0)
+        qoct.gradient_report(problem, field)
+        assert [steps for steps, _ in views] == [self.N_STEPS]
+        assert propagator._last_solve.steps is not None
+        qoct.solve(problem, field, qoct.CostateBoundary.canonical())
+        assert len(views) == 1
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_optimize_drops_its_views(self, dim, views):
+        # each evaluation's solve makes the views of its window's m + 1
+        # steps; the end of the run drops the last solve and every list
+        problem, field = seeded_problem(136 + dim, dim, self.N_STEPS, 1.0)
+        config = qoct.OptimizationConfig(
+            alpha=1.0, max_iters=2, j_tol=1e-300, stationarity_tol=1e-6,
+            initial_field=field, eps_ref=problem.eps_ref,
+        )
+        result = qoct.optimize(
+            problem.psi0, problem.hamiltonian, problem.observable, problem.grid, config
+        )
+        m = problem.grid.index_T
+        assert [steps for steps, _ in views] == [m + 1] * result.evaluations_run
+        gc.collect()
+        assert propagator._last_solve is None
+        assert all(ref() is None for _, ref in views)
 
     def test_stack_is_read_only(self):
         problem, field = seeded_problem(103, 3, 40, 1.0)

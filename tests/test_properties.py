@@ -59,7 +59,8 @@ def test_steps_are_unitary_and_backward_undoes_forward(seed, dim, n_steps, dt, c
     )
     H = problem.hamiltonian
     assert _operators(H)[0].dtype == (np.complex128 if complex_hermitian else np.float64)
-    psi, us = _forward(problem.psi0, field, H, problem.grid)
+    solved = _forward(problem.psi0, field, H, problem.grid)
+    psi, us = solved.traj, solved.us
     assert np.max(np.abs(us @ _adjoint(us) - np.eye(dim))) <= 1e-13
     # the reference backward steps (complex eigh) march psi(T_hat) back
     # through every forward node
