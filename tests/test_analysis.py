@@ -1,5 +1,4 @@
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
@@ -8,11 +7,14 @@ import qoct
 from qoct import cli, propagator
 from conftest import (
     level_projector,
+    patch_everywhere,
     pauli_x,
     random_state,
     random_symmetric,
     seeded_problem,
+    u_stack,
 )
+from reference import Direction, step_control_derivative, step_matrix
 from test_cli import as_pairs_matrix, as_pairs_vector, write_config
 from test_propagator import bits
 
@@ -168,7 +170,7 @@ class TestContinuousFamily:
         problem, field = seeded_problem(77, 3, 40, 1.0, complex_hermitian=complex_)
         H, O, grid = problem.hamiltonian, problem.observable, problem.grid
         sol = canonical_solution(problem, field)
-        us = propagator._u_stack(H, field.samples, grid.dt)
+        us = u_stack(H, field.samples, grid.dt)
         ns = (1, 2, -1, 4, -8, 3, -5, 7)
         for kept in (True, False):
             if not kept:
@@ -247,7 +249,7 @@ class TestConjugateIndependence:
         field = qoct.ControlField.constant(0.0, 40)
         phi = np.array([0.0, 1.0], dtype=complex)
         for k in range(grid.n_steps):
-            u = qoct.step_matrix(H, 0.0, grid.dt, qoct.Direction.BACKWARD)
+            u = step_matrix(H, 0.0, grid.dt, Direction.BACKWARD)
             phi = u @ phi
             assert abs(phi[1] - np.exp(1j * grid.times[k + 1])) < 1e-12
         dev = qoct.check_conjugate_independence(qoct.StateVector([0, 1]), field, H, grid)
@@ -256,16 +258,6 @@ class TestConjugateIndependence:
 
 def matrices(log):
     return [n for n, _ in log]
-
-
-def patch_everywhere(monkeypatch, name, wrapper):
-    """Replace ``propagator.<name>`` in every qoct module that imported it."""
-    original = getattr(propagator, name)
-    for module in list(sys.modules.values()):
-        ours = getattr(module, "__name__", "").startswith("qoct")
-        if ours and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, wrapper)
-    return original
 
 
 class TestOneStackPerCall:
@@ -607,7 +599,7 @@ class TestOneStackPerCall:
         # against an independent complex one
         problem, _ = seeded_problem(77, 4, 30, 1.0)
         H = problem.hamiltonian
-        qoct.step_matrix(H, 0.3, 0.05, qoct.Direction.FORWARD)
-        qoct.step_control_derivative(H, 0.3, 0.05)
+        step_matrix(H, 0.3, 0.05, Direction.FORWARD)
+        step_control_derivative(H, 0.3, 0.05)
         assert [dtype for _, dtype in eigh_log] == [np.dtype(np.complex128)] * 2
         assert series_log == []

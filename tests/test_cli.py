@@ -375,6 +375,29 @@ class TestOptimize:
         ]
         assert finite_outputs(out)
 
+    @pytest.mark.parametrize("alpha", [1e-10, 1e-12])
+    def test_trial_past_the_norm_gate_is_refused(self, tmp_path, capsys, alpha):
+        # on README's config at these alpha the line search tries fields whose
+        # samples grow like 1 / alpha: inside the step phase bound, but their
+        # trajectories drift past the norm gate. The fields are the run's own,
+        # so they are not taken, as one past the bound is not, and the run does
+        # not blame the reference (the constant 0): it ends unconverged (exit
+        # 2), with no RuntimeWarning, and everything it writes is finite
+        cfg = example_config("readme")
+        cfg["alpha"] = alpha
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["optimize", "--config", str(config), "--out", str(out)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err == ""
+        assert sorted(path.name for path in out.iterdir()) == [
+            "field.csv", "populations.csv", "summary.json"
+        ]
+        assert finite_outputs(out)
+
     def test_exhausted_iterations_exit_code(self, tmp_path):
         config = write_config(tmp_path / "cfg.json", max_iters=2, j_tol=1e-16)
         assert cli.run_optimize(config, tmp_path / "out") == 2

@@ -11,15 +11,14 @@ from conftest import random_hermitian, random_state, random_symmetric, seeded_pr
 class TestPublicSurface:
     NAMES = {
         "ContinuityReport", "ControlField", "ControlHamiltonian", "ControlProblem",
-        "CostateBoundary", "CostateTrajectory", "Direction", "FunctionalBreakdown",
+        "CostateBoundary", "CostateTrajectory", "FunctionalBreakdown",
         "GradientReport", "HermitianOperator", "OptimizationConfig", "OptimizationResult",
         "Solution", "StateTrajectory", "StateVector", "TimeGrid", "analytic_gradient",
         "check_canonical_jump", "check_conjugate_independence", "check_continuous_family",
         "check_field_continuity", "commutes", "eval_j_cost", "eval_j_opt", "eval_j_tdse",
         "eval_total", "expectation", "gradient_report", "make_grid", "optimize",
         "propagate_costate", "propagate_forward", "reduced_objective", "solve",
-        "stationarity_residual", "step", "step_control_derivative", "step_matrix",
-        "tdse_residual",
+        "stationarity_residual", "tdse_residual",
     }
 
     def test_all_joins_the_modules_lists(self):
@@ -27,12 +26,15 @@ class TestPublicSurface:
 
         modules = (analysis, core, functional, gradient, optimizer, propagator)
         assert qoct.__all__ == [name for mod in modules for name in mod.__all__]
-        assert len(qoct.__all__) == len(set(qoct.__all__)) == 39
+        assert len(qoct.__all__) == len(set(qoct.__all__)) == 35
         assert set(qoct.__all__) == self.NAMES
         for mod in modules:
             for name in mod.__all__:
                 assert getattr(qoct, name) is getattr(mod, name)
-        for gone in ("fd_gradient", "inner_product"):
+        for gone in (
+            "fd_gradient", "inner_product", "Direction", "step", "step_matrix",
+            "step_control_derivative",
+        ):
             assert not hasattr(qoct, gone)
 
 

@@ -7,6 +7,7 @@ import pytest
 import qoct
 from qoct import cli, gradient, propagator
 from conftest import pauli_x, random_hermitian, random_state, seeded_problem
+from reference import Direction, step_control_derivative, step_matrix
 from test_cli import example_config
 
 
@@ -102,7 +103,7 @@ class TestAnalyticGradient:
         loop = -2.0 * 0.7 * grid.dt * (field.samples - ref.samples)
         for k in range(m):
             chi_next = chi.chi_T_minus if k + 1 == m else chi.node(k + 1)
-            du = qoct.step_control_derivative(H, float(field.samples[k]), grid.dt)
+            du = step_control_derivative(H, float(field.samples[k]), grid.dt)
             loop[k] += 2.0 * np.vdot(chi_next, du @ traj.node(k)).real
         assert np.max(np.abs(g - loop)) < 1e-14
 
@@ -127,7 +128,7 @@ class TestEigenpairOracle:
         psi = problem.psi0
         for eps in samples[: grid.index_T]:
             psi = qoct.StateVector(
-                qoct.step_matrix(H, float(eps), grid.dt, qoct.Direction.FORWARD) @ psi.amplitudes
+                step_matrix(H, float(eps), grid.dt, Direction.FORWARD) @ psi.amplitudes
             )
         return qoct.expectation(problem.observable, psi) + qoct.eval_j_cost(
             qoct.ControlField(samples), problem.eps_ref, problem.alpha, grid

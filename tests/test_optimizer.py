@@ -7,10 +7,12 @@ import pytest
 import qoct
 from qoct import cli, gradient, optimizer, propagator
 from qoct.optimizer import _feedback_sweep
-from qoct.propagator import Direction, _du_stack, _keep_stacks
+from qoct.propagator import _du_stack
 from conftest import (
-    random_hermitian, random_state, random_symmetric, seeded_problem, two_level_benchmark,
+    patch_everywhere, random_hermitian, random_state, random_symmetric, seeded_problem,
+    two_level_benchmark,
 )
+from reference import Direction, step_control_derivative, step_matrix
 
 
 def benchmark_config(alpha=1.0, seed=42, max_iters=500, j_tol=1e-12, stationarity_tol=1e-6,
@@ -65,9 +67,9 @@ class TestBenchmark:
 
         def counting(*args):
             solves.append(None)
-            return qoct.solve(*args)
+            return forward(*args)
 
-        monkeypatch.setattr(gradient, "solve", counting)
+        forward = patch_everywhere(monkeypatch, "_forward", counting)
         psi0, H, O, grid = two_level_benchmark()
         result = qoct.optimize(psi0, H, O, grid, benchmark_config())
         assert result.converged
@@ -166,9 +168,9 @@ class TestTwoLevelSweep:
             ref_field = eps_ref.copy()
             psi = psi0.amplitudes
             for k in range(m):
-                du = qoct.step_control_derivative(H, float(field.samples[k]), dt)
+                du = step_control_derivative(H, float(field.samples[k]), dt)
                 ref_field[k] += np.vdot(chi_next[k], du @ psi).real / (alpha * dt)
-                psi = qoct.step_matrix(H, ref_field[k], dt, Direction.FORWARD) @ psi
+                psi = step_matrix(H, ref_field[k], dt, Direction.FORWARD) @ psi
             assert new_field.shape == (n,)
             assert np.max(np.abs(new_field - ref_field)) < 1e-12
             assert np.array_equal(new_field[m:], eps_ref[m:])
@@ -218,11 +220,11 @@ class TestStackInSync:
         )
         solved = []
 
-        def recording(problem, field, boundary):
+        def recording(psi0, field, *args):
             solved.append(field)
-            return qoct.solve(problem, field, boundary)
+            return forward(psi0, field, *args)
 
-        monkeypatch.setattr(gradient, "solve", recording)
+        forward = patch_everywhere(monkeypatch, "_forward", recording)
         H, O, grid = problem.hamiltonian, problem.observable, problem.grid
         m = grid.index_T
         result = qoct.optimize(problem.psi0, H, O, grid, config)
@@ -292,7 +294,7 @@ class TestFirstIteration:
         # benchmark, so its field is the first record
         psi0, H, O, grid = two_level_benchmark()
         config = benchmark_config()
-        m, canonical = grid.index_T, qoct.CostateBoundary.canonical()
+        m = grid.index_T
         # the rows the evaluation reads: its m + 1 steps up to the first node
         # past T and the m derivatives before T from one series, and the
         # costate solved on those steps
@@ -301,9 +303,7 @@ class TestFirstIteration:
             eps_ref=qoct.ControlField(config.eps_ref.samples[: m + 1]), alpha=config.alpha,
         )
         samples = qoct.ControlField(config.initial_field.samples[: m + 1])
-        du = _keep_stacks(H, samples, grid.dt, m)
-        sol = qoct.solve(window, samples, canonical)
-        rows = gradient._law_gap(du, sol.psi, sol.chi, samples, window.eps_ref, config.alpha, grid.dt)[0]
+        rows = gradient._evaluate(window, samples)[1]
         swept = _feedback_sweep(
             psi0.amplitudes, rows, config.eps_ref.samples, config.alpha, H, grid
         )

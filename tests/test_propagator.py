@@ -13,8 +13,8 @@ import qoct
 from qoct import gradient, propagator
 from qoct.gradient import _law_gap
 from qoct.propagator import (
-    Direction, _adjoint, _du_stack, _field_series, _march_forward, _march_rows, _operators,
-    _step_two_level, _taylor_plan, _u_stack,
+    _adjoint, _du_stack, _field_series, _march_forward, _march_rows, _operators,
+    _step_two_level, _taylor_plan,
 )
 from conftest import (
     level_projector,
@@ -23,7 +23,9 @@ from conftest import (
     random_state,
     random_symmetric,
     seeded_problem,
+    u_stack,
 )
+from reference import Direction, step, step_control_derivative, step_matrix
 
 
 def free_hamiltonian(dim: int = 2) -> qoct.ControlHamiltonian:
@@ -37,7 +39,7 @@ def free_hamiltonian(dim: int = 2) -> qoct.ControlHamiltonian:
 class TestStep:
     def test_quarter_turn_closed_form(self):
         # exp(-i theta sigma_x) = cos(theta) I - i sin(theta) sigma_x at theta = pi/2
-        psi = qoct.step(qoct.StateVector([1, 0]), free_hamiltonian(), np.pi / 2, 1.0)
+        psi = step(qoct.StateVector([1, 0]), free_hamiltonian(), np.pi / 2, 1.0)
         assert np.allclose(psi.amplitudes, [0.0, -1.0j], atol=1e-15)
 
     def test_backward_inverts_forward(self):
@@ -48,8 +50,8 @@ class TestStep:
             )
             psi = random_state(rng, dim)
             eps, dt = float(rng.uniform(-2, 2)), float(rng.uniform(0.01, 0.5))
-            roundtrip = qoct.step(
-                qoct.step(psi, H, eps, dt, Direction.FORWARD), H, eps, dt, Direction.BACKWARD
+            roundtrip = step(
+                step(psi, H, eps, dt, Direction.FORWARD), H, eps, dt, Direction.BACKWARD
             )
             assert np.linalg.norm(roundtrip.amplitudes - psi.amplitudes) < 1e-13
 
@@ -57,7 +59,7 @@ class TestStep:
         H = qoct.ControlHamiltonian(
             drift=level_projector(), coupling=qoct.HermitianOperator(np.zeros((2, 2)))
         )
-        psi = qoct.step(qoct.StateVector([1, 0]), H, 0.0, 0.7)
+        psi = step(qoct.StateVector([1, 0]), H, 0.0, 0.7)
         assert np.allclose(psi.amplitudes, [1.0, 0.0], atol=1e-15)
 
     def test_norm_preserved_per_step(self):
@@ -67,7 +69,7 @@ class TestStep:
             H = qoct.ControlHamiltonian(
                 drift=random_symmetric(rng, dim), coupling=random_symmetric(rng, dim)
             )
-            psi = qoct.step(random_state(rng, dim), H, float(rng.uniform(-3, 3)), 0.3)
+            psi = step(random_state(rng, dim), H, float(rng.uniform(-3, 3)), 0.3)
             assert abs(psi.norm - 1.0) < 1e-13
 
     def test_matches_dense_matrix_exponential(self):
@@ -78,15 +80,15 @@ class TestStep:
             drift = qoct.HermitianOperator((a + a.conj().T) / 2)
             H = qoct.ControlHamiltonian(drift=drift, coupling=random_symmetric(rng, dim))
             eps, dt = 0.37, 0.11
-            u = qoct.step_matrix(H, eps, dt, Direction.FORWARD)
+            u = step_matrix(H, eps, dt, Direction.FORWARD)
             u_ref = scipy.linalg.expm(-1j * H.evaluate(eps) * dt)
             assert np.max(np.abs(u - u_ref)) < 1e-13
-            ub = qoct.step_matrix(H, eps, dt, Direction.BACKWARD)
+            ub = step_matrix(H, eps, dt, Direction.BACKWARD)
             assert np.max(np.abs(ub - u_ref.conj().T)) < 1e-13
 
     def test_rejects_nonfinite_field(self):
         with pytest.raises(ValueError, match="finite"):
-            qoct.step(qoct.StateVector([1, 0]), free_hamiltonian(), np.nan, 0.1)
+            step(qoct.StateVector([1, 0]), free_hamiltonian(), np.nan, 0.1)
 
 
 class TestPropagateForward:
@@ -231,21 +233,21 @@ class TestConjugationSymmetry:
         phi = qoct.StateVector(problem.psi0.amplitudes.conj())
         worst = 0.0
         for k in range(grid.n_steps):
-            phi = qoct.step(phi, H, float(field.samples[k]), grid.dt, Direction.BACKWARD)
+            phi = step(phi, H, float(field.samples[k]), grid.dt, Direction.BACKWARD)
             worst = max(worst, np.linalg.norm(phi.amplitudes - traj.node(k + 1).conj()))
         assert worst < 1e-12
 
 
 def step_matrices(H, samples, dt):
-    """The forward reference steps ``qoct.step_matrix`` (complex eigh) at every sample, stacked."""
-    return np.array([qoct.step_matrix(H, float(eps), dt, Direction.FORWARD) for eps in samples])
+    """The forward reference steps ``step_matrix`` (complex eigh) at every sample, stacked."""
+    return np.array([step_matrix(H, float(eps), dt, Direction.FORWARD) for eps in samples])
 
 
 def march_by_step(x0, H, samples, dt, direction):
     """Nodes of a per-step march with qoct.step, in the order the steps are applied."""
     nodes = [np.asarray(x0, dtype=complex)]
     for eps in samples:
-        nodes.append(qoct.step(qoct.StateVector(nodes[-1]), H, float(eps), dt, direction).amplitudes)
+        nodes.append(step(qoct.StateVector(nodes[-1]), H, float(eps), dt, direction).amplitudes)
     return np.array(nodes)
 
 
@@ -260,7 +262,7 @@ class TestComplexHermitian:
             drift=random_hermitian(rng, dim), coupling=random_hermitian(rng, dim)
         )
         samples = rng.uniform(-1.5, 1.5, 40)
-        us = _u_stack(H, samples, 0.07)
+        us = u_stack(H, samples, 0.07)
         r0 = random_state(rng, dim).amplitudes
         rows = _march_rows(us, r0)
         assert np.array_equal(rows.conj(), _march_forward(_adjoint(us), r0.conj()))
@@ -308,7 +310,7 @@ class TestComplexHermitian:
                 drift=random_hermitian(rng, dim), coupling=random_hermitian(rng, dim)
             )
             for eps in rng.uniform(-1.5, 1.5, 3):
-                du = qoct.step_control_derivative(H, float(eps), dt)
+                du = step_control_derivative(H, float(eps), dt)
                 ref = scipy.linalg.expm_frechet(
                     -1j * H.evaluate(eps) * dt, -1j * H.control_derivative * dt,
                     compute_expm=False,
@@ -327,7 +329,7 @@ class TestRealSymmetric:
         )
         samples, dt = rng.uniform(-1.5, 1.5, 30), 0.07
         assert _operators(H)[0].dtype == np.float64
-        us = _u_stack(H, samples, dt)
+        us = u_stack(H, samples, dt)
         assert np.max(np.abs(us - step_matrices(H, samples, dt))) <= 1e-14
         assert np.max(np.abs(us @ _adjoint(us) - np.eye(dim))) <= 1e-14
 
@@ -343,7 +345,7 @@ class TestRealSymmetric:
         rows = _law_gap(du, sol.psi, chi, field, problem.eps_ref, problem.alpha, dt)[0]
         chi_next = np.concatenate([chi.states[1:m], chi.chi_T_minus[None, :]])
         ref = np.array([
-            chi_next[k].conj() @ qoct.step_control_derivative(H, eps, dt) / dt
+            chi_next[k].conj() @ step_control_derivative(H, eps, dt) / dt
             for k, eps in enumerate(field.samples[:m])
         ])
         assert np.max(np.abs(rows - ref)) <= 1e-13
@@ -352,7 +354,7 @@ class TestRealSymmetric:
 class TestTaylorExponential:
     """The stack kernel at every dimension pinned to ``step_matrix`` in both dtypes.
 
-    ``_u_stack`` reads one ``_field_series`` over the stack's samples, up to
+    A stack (``_stacks``' U) reads one ``_field_series`` over the stack's samples, up to
     its squaring branch.
     """
 
@@ -379,7 +381,7 @@ class TestTaylorExponential:
         for j, norm in enumerate(self.NORMS):
             H, samples = self.problem(draw, dim, norm, tau, 100 * dim + j)
             ref = step_matrices(H, samples, tau)
-            u = _u_stack(H, samples, tau)
+            u = u_stack(H, samples, tau)
             assert u.dtype == np.complex128 and u.shape == (samples.size, dim, dim)
             assert np.max(np.abs(u - ref)) <= 1e-14 * max(1.0, norm)
             assert np.max(np.abs(u @ _adjoint(u) - np.eye(dim))) <= 1e-13
@@ -408,7 +410,7 @@ class TestTaylorExponential:
             samples = scale * field.samples
             bound = np.max(np.abs(samples))
             norm = max(np.linalg.norm(H.evaluate(e) * dt, 1) for e in (bound, -bound))
-            u = _u_stack(H, samples, dt)
+            u = u_stack(H, samples, dt)
             assert taken[-1] == _taylor_plan(norm)[0]
             ref = step_matrices(H, samples, dt)
             assert u.dtype == np.complex128 and u.shape == (samples.size, dim, dim)
@@ -430,15 +432,15 @@ class TestTaylorExponential:
         )
         assert _operators(H)[0].dtype == dtype
         c = np.array([0.0, 1e-3, -0.4, 3.0, -60.0])
-        u = _u_stack(H, c, tau)
+        u = u_stack(H, c, tau)
         x = (c * tau)[:, None, None]
         ref = np.cos(x) * np.eye(dim) - 1j * np.sin(x) * j
         assert np.max(np.abs(u - ref)) <= 1e-14 * max(1.0, 60.0 * tau)
         # zero samples with zero drift give the identity exactly: the series'
         # constant term is I and every other term is weighted by 0^j = 0
-        zero = _u_stack(H, np.zeros(3), tau)
+        zero = u_stack(H, np.zeros(3), tau)
         assert np.array_equal(zero, np.broadcast_to(np.eye(dim), zero.shape))
-        empty = _u_stack(H, np.zeros(0), tau)
+        empty = u_stack(H, np.zeros(0), tau)
         assert empty.shape == (0, dim, dim) and empty.dtype == np.complex128
 
     def test_plan_bounds_the_remainder(self):
@@ -462,7 +464,7 @@ class TestTaylorExponential:
         )
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError, match="non-finite"):
-                _u_stack(H, np.array([0.1, bad]), 0.1)
+                u_stack(H, np.array([0.1, bad]), 0.1)
 
     def test_refuses_a_step_phase_past_the_bound(self):
         # past 2^53 no double fixes a step's phase: no stack is built there
@@ -473,7 +475,7 @@ class TestTaylorExponential:
         dt = 0.1
         eps = 2.0 * propagator.MAX_STEP_PHASE / (dt * np.linalg.norm(H.coupling.matrix, 1))
         with pytest.raises(ValueError, match="> 9.007e"):
-            _u_stack(H, np.array([0.1, eps]), dt)
+            u_stack(H, np.array([0.1, eps]), dt)
 
 
 class TestSeriesDerivative:
@@ -491,7 +493,7 @@ class TestSeriesDerivative:
         du = _du_stack(H, samples, dt)
         assert du.dtype == np.complex128 and du.shape == (samples.size, H.dim, H.dim)
         for eps, d in zip(samples, du):
-            ref = qoct.step_control_derivative(H, float(eps), dt)
+            ref = step_control_derivative(H, float(eps), dt)
             frechet = scipy.linalg.expm_frechet(
                 -1j * H.evaluate(eps) * dt, -1j * H.control_derivative * dt,
                 compute_expm=False,
@@ -596,7 +598,7 @@ class TestUnsquaredBand:
             H, samples = self.problem(draw, dim, norm, dt, 300 + 10 * dim + j)
             assert _operators(H)[0].dtype == (np.float64 if draw is random_symmetric else np.complex128)
             taken.clear()
-            u = _u_stack(H, samples, dt)
+            u = u_stack(H, samples, dt)
             assert taken == [0]
             assert u.dtype == np.complex128 and u.shape == (samples.size, dim, dim)
             assert np.max(np.abs(u - step_matrices(H, samples, dt))) <= 1e-14 * max(1.0, norm)
@@ -689,7 +691,7 @@ class TestFieldSeries:
             u = self.step(s, c, eps / bound)
             h = H.evaluate(eps)
             tol = 1e-14 * max(1.0, np.linalg.norm(h * dt, 1))
-            assert np.max(np.abs(u - qoct.step_matrix(H, eps, dt, Direction.FORWARD))) <= tol
+            assert np.max(np.abs(u - step_matrix(H, eps, dt, Direction.FORWARD))) <= tol
             assert np.max(np.abs(u - scipy.linalg.expm(-1j * h * dt))) <= tol
 
     @pytest.mark.parametrize("draw", [random_symmetric, random_hermitian])
@@ -782,7 +784,7 @@ class TestTwoLevelScalarStep:
             drift=qoct.HermitianOperator(h), coupling=qoct.HermitianOperator(np.zeros((2, 2)))
         )
         direction = Direction.FORWARD if tau >= 0 else Direction.BACKWARD
-        assert np.max(np.abs(q - qoct.step_matrix(H, 0.0, abs(tau), direction) @ psi)) < 1e-14
+        assert np.max(np.abs(q - step_matrix(H, 0.0, abs(tau), direction) @ psi)) < 1e-14
         assert np.max(np.abs(q - scipy.linalg.expm(-1j * h * tau) @ psi)) < 1e-14
 
     def test_random_complex_hermitian(self):
@@ -820,7 +822,7 @@ class TestChunkedMarch:
         rng = np.random.default_rng(seed)
         draw = random_hermitian if complex_ else random_symmetric
         H = qoct.ControlHamiltonian(drift=draw(rng, dim), coupling=draw(rng, dim))
-        return _u_stack(H, rng.uniform(-1.5, 1.5, n), 0.07), random_state(rng, dim).amplitudes
+        return u_stack(H, rng.uniform(-1.5, 1.5, n), 0.07), random_state(rng, dim).amplitudes
 
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("dim", [2, 3, 8])
@@ -932,7 +934,7 @@ class TestProbeMarch:
         monkeypatch.setattr(propagator, "_field_series", counting)
         probes = propagator._march_probes(nodes, us, H, field, grid, h, series)
         assert len(built) == past
-        moved = _u_stack(H, (field.samples[:m, None] + [h, -h]).ravel(), dt)
+        moved = u_stack(H, (field.samples[:m, None] + [h, -h]).ravel(), dt)
         alone = np.empty((dim, 2 * m), dtype=complex)
         for p in range(2 * m):
             k = p // 2
@@ -1001,8 +1003,9 @@ def bits(value):
 class TestLastSolve:
     """``propagator``'s last forward solve: reused behind the public calls, never needed.
 
-    Every forward solve keeps its stack and trajectory, keyed on the
-    identity of psi0, the field's samples and H, and on dt.
+    Every forward solve is kept as one record of its trajectory, stack,
+    series and step views, found by the identity of the field's samples
+    and of H, and by dt; a solve from the same psi0 object is served whole.
     """
 
     N_STEPS = 40
@@ -1211,10 +1214,10 @@ class TestLastSolve:
 
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_optimize_solves_on_the_kept_stack(self, dim, monkeypatch):
-        # each evaluation keeps its window's m + 1 steps, built with the rows'
-        # m derivatives by one _stacks call, and its solve marches on them
-        # with no further stack or series; after the run no solve is kept, so
-        # the whole-grid solve that follows builds its own stack, as cold
+        # each evaluation solves its window's m + 1 steps, built with the rows'
+        # m derivatives by one _stacks call, keeps that solve and builds no
+        # further stack or series; after the run no solve is kept, so the
+        # whole-grid solve that follows builds its own stack, as cold
         problem, field = seeded_problem(102, dim, self.N_STEPS, 1.0)
         H, O, grid = problem.hamiltonian, problem.observable, problem.grid
         n, m = grid.n_steps, grid.index_T
@@ -1229,21 +1232,22 @@ class TestLastSolve:
 
             monkeypatch.setattr(propagator, name, wrapper)
 
-        for name in ("_stacks", "_u_stack", "_field_series"):
+        for name in ("_stacks", "_field_series"):
             counting(name)
         solves = []
 
-        def recording(*args):
-            kept = propagator._last_solve
-            assert kept.traj is None and kept.samples is args[1].samples
-            sol = qoct.solve(*args)
-            assert propagator._last_solve.us is kept.us
-            assert propagator._last_solve.traj is sol.psi
-            log.append(("solve",))
-            solves.append(sol)
-            return sol
+        def recording(psi0, field, h, g, n_du=0):
+            solved, du = forward(psi0, field, h, g, n_du)
+            assert propagator._last_solve is solved and solved.samples is field.samples
+            assert solved.psi0 is psi0 and solved.traj is not None
+            assert solved.us.shape[0] == m + 1 and du.shape[0] == n_du == m
+            log.append(("_forward",))
+            solves.append(solved)
+            return solved, du
 
-        monkeypatch.setattr(gradient, "solve", recording)
+        # the evaluations' solves, as gradient reaches them
+        forward = propagator._forward
+        monkeypatch.setattr(gradient, "_forward", recording)
         qoct.solve(problem, field, qoct.CostateBoundary.canonical())
         before = propagator._last_solve
         log.clear()
@@ -1254,7 +1258,7 @@ class TestLastSolve:
         result = qoct.optimize(problem.psi0, H, O, grid, config)
         k = result.evaluations_run
         assert k == len(solves) >= 3
-        assert log == [("_stacks", m + 1), ("_field_series",), ("solve",)] * k
+        assert log == [("_stacks", m + 1), ("_field_series",), ("_forward",)] * k
         assert before is not None and propagator._last_solve is None
 
         log.clear()
@@ -1329,14 +1333,56 @@ class TestLastSolve:
 
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_views_made_before_the_solve_is_kept_once(self, dim, views):
-        # an evaluation keeps the stack before any march (no views yet); its
-        # solve's march makes them, and the report's probes walk them
+        # an evaluation's solve makes the views with its stack and keeps
+        # them; the report's probes and a later solve of the field walk them
         problem, field = seeded_problem(133 + dim, dim, self.N_STEPS, 1.0)
         qoct.gradient_report(problem, field)
         assert [steps for steps, _ in views] == [self.N_STEPS]
         assert propagator._last_solve.steps is not None
         qoct.solve(problem, field, qoct.CostateBoundary.canonical())
         assert len(views) == 1
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_another_trajectory_reads_the_kept_stack(self, dim, complex_, views, monkeypatch):
+        # a trajectory of another psi0 on the kept field is served by a record
+        # for the call alone, which reads the kept stack and walks its views:
+        # its costates and residual make no stack and no list of views, and
+        # give a cold call's bits
+        problem, field = seeded_problem(
+            140 + dim, dim, self.N_STEPS, 1.0, complex_hermitian=complex_
+        )
+        H, O, grid = problem.hamiltonian, problem.observable, problem.grid
+        psi0 = random_state(np.random.default_rng(150 + dim), dim)
+        other = qoct.propagate_forward(psi0, field, H, grid)
+        qoct.solve(problem, field, qoct.CostateBoundary.canonical())
+        last = propagator._last_solve
+        assert last.traj is not other and last.us is not None
+        stacks = []
+
+        def counting(*args, **kwargs):
+            stacks.append(len(args[1]))
+            return build(*args, **kwargs)
+
+        build = propagator._stacks
+        monkeypatch.setattr(propagator, "_stacks", counting)
+        views.clear()
+        calls = {
+            "propagate_costate": lambda: qoct.propagate_costate(
+                other, O, field, H, grid, qoct.CostateBoundary.canonical()
+            ),
+            "propagate_costate(2)": lambda: qoct.propagate_costate(
+                other, O, field, H, grid, qoct.CostateBoundary.continuous(2)
+            ),
+            "tdse_residual": lambda: qoct.tdse_residual(other, field, H, grid),
+        }
+        reused = {name: bits(call()) for name, call in calls.items()}
+        assert stacks == [] and views == []
+        assert propagator._last_solve is last
+        for name, call in calls.items():
+            propagator._clear_last_solve()
+            assert bits(call()) == reused[name], name
+        assert stacks == [self.N_STEPS] * len(calls)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_optimize_drops_its_views(self, dim, views):

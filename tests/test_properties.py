@@ -19,6 +19,7 @@ import qoct
 from conftest import random_hermitian, random_state, random_symmetric, seeded_problem
 from qoct import cli
 from qoct.propagator import _adjoint, _forward, _operators
+from reference import Direction, step_matrix
 from test_cli import as_pairs_matrix, as_pairs_vector, finite_outputs
 
 
@@ -59,14 +60,14 @@ def test_steps_are_unitary_and_backward_undoes_forward(seed, dim, n_steps, dt, c
     )
     H = problem.hamiltonian
     assert _operators(H)[0].dtype == (np.complex128 if complex_hermitian else np.float64)
-    solved = _forward(problem.psi0, field, H, problem.grid)
+    solved = _forward(problem.psi0, field, H, problem.grid)[0]
     psi, us = solved.traj, solved.us
     assert np.max(np.abs(us @ _adjoint(us) - np.eye(dim))) <= 1e-13
     # the reference backward steps (complex eigh) march psi(T_hat) back
     # through every forward node
     back = [psi.states[-1]]
     for eps in field.samples[::-1]:
-        u = qoct.step_matrix(H, float(eps), problem.grid.dt, qoct.Direction.BACKWARD)
+        u = step_matrix(H, float(eps), problem.grid.dt, Direction.BACKWARD)
         back.append(u @ back[-1])
     assert np.max(np.abs(np.array(back[::-1]) - psi.states)) <= 1e-12
 
