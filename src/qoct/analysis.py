@@ -101,10 +101,10 @@ def solve(problem: ControlProblem, field: ControlField, boundary: CostateBoundar
     """Propagate the state forward and the costate in the given regime, on one stack.
 
     The forward solve becomes ``propagator``'s last one, so the checks
-    that follow on the same field read its stack, step views, step
-    defects and adjoint solution instead of forming them again; a solve
-    of the field kept beforehand (an evaluation's, or one from another
-    psi0) lends its stack as it is.
+    that follow on its trajectory, or from the same psi0, read its stack,
+    step views, step defects and adjoint solution instead of forming them
+    again; a solve of the same psi0 on the field kept beforehand (an
+    evaluation's) serves it as it is.
     """
     solved = _forward(problem.psi0, field, problem.hamiltonian, problem.grid)[0]
     return _solution(problem, field, boundary, solved)
@@ -181,10 +181,11 @@ def check_continuous_family(
     The costate is (i / 2 pi n) times the one adjoint solution through
     O psi(T) that the canonical costate runs before T, and so are its step
     defects: the residual is continuous(1)'s over |n| (bitwise its own for
-    n = +-2^k, within round-off otherwise). After ``solve`` on the same
-    field it reads that solve's stack, defects and adjoint solution, and
-    continuous(1)'s residual is formed once: the first n marches only the
-    tail after T and forms it, and any other n forms nothing.
+    n = +-2^k, within round-off otherwise). Handed the trajectory of the
+    last ``solve``, it reads that solve's stack, defects and adjoint
+    solution, and continuous(1)'s residual is formed once: the first n
+    marches only the tail after T and forms it, and any other n forms
+    nothing.
     """
     _check_grid(grid, [field], [psi_traj])
     solved = _solve_on(psi_traj, field, H, grid.dt)

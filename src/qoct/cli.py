@@ -165,6 +165,11 @@ class ProblemConfig:
         alpha = _require(raw, "alpha", float)
         if not alpha > 0:
             raise ConfigError("alpha", f"must be positive, got {alpha!r}")
+        # the field law's |eps - ref| = |Re(rho psi)| / alpha is at most this
+        if not _law_bound(observable, mu) / alpha <= np.finfo(np.float64).max:
+            raise ConfigError(
+                "alpha", f"{alpha!r}: the field law's bound ||O|| ||mu|| / alpha is past the largest double"
+            )
 
         eps_ref = _parse_eps_ref(raw, grid)
 
@@ -543,6 +548,11 @@ def _require_step_phase(problem: ControlProblem, eps: float, field: str, where: 
         raise ConfigError(field, f"{where}: step phase ||H dt||_1 = {phase:.3e} > {MAX_STEP_PHASE:.3e}")
 
 
+def _law_bound(O: HermitianOperator, mu: HermitianOperator) -> float:
+    """||O||_2 ||mu||_2, which bounds |Re(rho_k psi_k)| in the field law, as a Python float."""
+    return float(np.linalg.norm(O.matrix, 2)) * float(np.linalg.norm(mu.matrix, 2))
+
+
 def _require_finite_gradient(problem: ControlProblem, field: ControlField, h: float) -> None:
     """ConfigError("alpha") unless the field's gradient and its central differences stay finite.
 
@@ -553,8 +563,7 @@ def _require_finite_gradient(problem: ControlProblem, field: ControlField, h: fl
     4 dt (alpha (max |eps - ref| + h) + ||O|| ||mu||) bounds both.
     """
     dev = float(np.max(np.abs(field.samples - problem.eps_ref.samples))) + h
-    mu = problem.hamiltonian.coupling.matrix
-    law = float(np.linalg.norm(problem.observable.matrix, 2) * np.linalg.norm(mu, 2))
+    law = _law_bound(problem.observable, problem.hamiltonian.coupling)
     scale = 4.0 * problem.grid.dt * (problem.alpha * dev + law)
     if not scale <= np.finfo(np.float64).max:
         raise ConfigError(

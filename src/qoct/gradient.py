@@ -169,10 +169,9 @@ def _gradient(gap, field, eps_ref, alpha, dt):
 def _evaluate(problem: ControlProblem, field: ControlField):
     """(Solution, rows, gap, solve record) of the field: its ``_law_gap`` on its canonical solve.
 
-    One ``propagator._forward`` call solves the field, keeps the solve,
-    and builds the derivatives before T from the series its steps came
-    from: with the steps, in one ``_stacks`` call, or from the series of
-    a solve of the field kept already, which stays.
+    One ``propagator._forward`` call solves the field on a stack of its
+    own, keeps the solve, and builds the derivatives before T with the
+    steps, in one ``_stacks`` call.
     """
     grid = problem.grid
     solved, du = _forward(problem.psi0, field, problem.hamiltonian, grid, grid.index_T)
@@ -227,11 +226,9 @@ def gradient_report(
     analytic gradient is ``_gradient`` of the field's ``_evaluate``, the
     law gap ``optimize`` certifies, which hands back its solve record:
     the probes walk that record's step views and evaluate its series. The
-    solve stays kept, so a ``solve`` of the same field afterwards reads it,
-    and a solve of the field kept beforehand stays, so only its
-    derivatives are built. The probes' 2m moved steps evaluate the series
-    wherever its reach covers every eps_k +- h, so one report builds one
-    series.
+    solve stays kept, so a ``solve`` of the same field and psi0 afterwards
+    reads it. The probes' 2m moved steps evaluate the series wherever its
+    reach covers every eps_k +- h, so one report builds one series.
     """
     h = probe_step
     if not (math.isfinite(h) and h > 0):

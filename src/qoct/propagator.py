@@ -26,18 +26,16 @@ Every forward solve is one record (``_Solve``): the trajectory of psi0
 on the stack of the field's samples under H at dt, with the series the
 stack came from and its step views, made once with the stack. The last
 solve is kept (``_last_solve``) and found by one key, the identity of
-the samples and of H, and dt (``_kept_solve``); it is reached two ways.
-``_forward`` solves and keeps: on the kept stack when only psi0 differs,
-else on a stack it builds. An evaluation of a field
-(``gradient._evaluate``, the one route of ``optimize`` and the gradient
-oracle) also asks it for the derivatives before T, which the field law
-(``gradient._law_gap``) pairs with the costate; they come from the
-stack's own ``_stacks`` call, or from the kept series alone.
-``_solve_on`` serves the calls that take a trajectory: the last solve
-when it marched that trajectory, else a record for the call alone, which
-reads the kept stack, series and views when it is of the same field and
-builds a stack otherwise. So each solved field has one series, which the
-stacks built later for it, the FD probes' moved steps
+the samples and of H, and dt (``_kept_solve``). The kept solve is served
+to the same psi0 and to the trajectory it marched, and everything else
+builds: ``_forward`` returns it to a solve of the same psi0 that asks for
+no derivatives, ``_solve_on`` to a call handed that trajectory, and
+every other solve, or record for one call, builds its own stack. An
+evaluation of a field (``gradient._evaluate``, the one route of
+``optimize`` and the gradient oracle) asks ``_forward`` for the
+derivatives before T as well, which the field law (``gradient._law_gap``)
+pairs with the costate; they come from the stack's own ``_stacks`` call.
+So each solved field has one series, which the FD probes' moved steps
 (``_march_probes``) and the exact gradient's derivatives evaluate
 wherever its reach, the widest |eps| its plan still covers, takes their
 samples; and every walk of a kept stack (the canonical adjoint, the
@@ -304,7 +302,7 @@ def _stacks(
     so dU/deps = D_s / bound reads the squarings U takes, and with no
     squarings and no U only P' is formed. No caller reads eigenpairs, so
     none are formed. One series gives the derivatives bitwise alike with
-    U or without (the tests pin it: ``_forward`` on a kept solve builds
+    U or without (``analytic_gradient`` after a solve of the field builds
     them without U); series of other ranges agree at round-off.
     """
     if not u:
@@ -501,15 +499,14 @@ def _worst_defect(defects: NDArrayComplex) -> float:
 class _Solve:
     """One forward solve: the trajectory of psi0 on the stack of the field's samples under H at dt.
 
-    ``series`` is the ``_field_series`` the stack came from, which stacks
-    built later for the same field evaluate too. ``steps`` are the steps
-    its marches walk: in a kept solve the stack's step views
-    (``_step_views``), made once with the stack and shared by every solve
-    on it, so each later walk of the stack (the canonical adjoint, the
-    continuous tail, the conjugate check's rows, the probes' suffix
-    products) makes no view of its own. A record made for one call
-    (``_solve_on``) is never kept and has no psi0; it walks the kept views
-    when it reads the kept stack, else its stack itself. The trajectory's
+    ``series`` is the ``_field_series`` the stack came from, which the
+    probes' moved steps and the exact gradient's derivatives evaluate too.
+    ``steps`` are the steps its marches walk: in a kept solve the stack's
+    step views (``_step_views``), made once with the stack, so each later
+    walk of the stack (the canonical adjoint, the continuous tail, the
+    conjugate check's rows, the probes' suffix products) makes no view of
+    its own. A record made for one call (``_solve_on``) is never kept, has
+    no psi0 and walks its own stack itself. The trajectory's
     step defects (``_defects``) and, for one observable O and measurement
     node m, the unit adjoint solution (``_unit_adjoint``), whose tail after
     T is marched once a continuous costate asks for it, and the
@@ -555,9 +552,8 @@ def _forward(
     """The solve of psi0 on the field, kept as the last solve, and dU of its first n_du samples.
 
     The last solve serves itself when psi0, the field's samples and H are
-    the same objects at the same dt, and its stack, series and step views
-    when only psi0 differs; dU (None when n_du is 0) then comes from its
-    series alone. Otherwise U and dU come from one ``_stacks`` call, one
+    the same objects at the same dt and no dU is asked for. Otherwise U
+    and dU (None when n_du is 0) come from one ``_stacks`` call, one
     series, one set of powers and one chain of squarings, and the stack's
     views are made then (``_step_views``); with n_du the last solve is
     dropped first, so an evaluation's old stack is freed before the new
@@ -577,20 +573,14 @@ def _forward(
         raise ValueError(f"dimension mismatch: state {psi0.dim} vs Hamiltonian {H.dim}")
     _check_grid(grid, [field])
     global _last_solve
+    if n_du:
+        _clear_last_solve()
     kept = _kept_solve(H, field, grid.dt)
-    du = None
-    if kept is None:
-        if n_du:
-            _clear_last_solve()
-        us, du, series = _stacks(H, field.samples, grid.dt, n_du)
-        us = _freeze(us)
-        steps = _step_views(us)
-    else:
-        if n_du:
-            du = _du_stack(H, field.samples[:n_du], grid.dt, kept.series)
-        if kept.psi0 is psi0:
-            return kept, du
-        us, series, steps = kept.us, kept.series, kept.steps
+    if kept is not None and kept.psi0 is psi0:
+        return kept, None
+    us, du, series = _stacks(H, field.samples, grid.dt, n_du)
+    us = _freeze(us)
+    steps = _step_views(us)
     try:
         traj = StateTrajectory(_freeze(_march_forward(steps, psi0.amplitudes)))
     except ValueError as exc:
@@ -604,18 +594,14 @@ def _solve_on(
 ) -> _Solve:
     """The solve record of ``traj`` on the field: the last solve when it marched ``traj``.
 
-    Otherwise a record for this call alone, so what is formed in it lives
-    only for the call: it reads the last solve's stack, series and step
-    views when that solve is of the field, and else builds a stack of its
-    own and walks it itself.
+    Otherwise a record for this call alone, on a stack of its own, so what
+    is formed in it lives only for the call.
     """
     kept = _kept_solve(H, field, dt)
-    if kept is None:
-        us, _, series = _stacks(H, field.samples, dt)
-        return _Solve(None, field.samples, H, dt, _freeze(us), series, traj, us)
-    if kept.traj is traj:
+    if kept is not None and kept.traj is traj:
         return kept
-    return _Solve(None, field.samples, H, dt, kept.us, kept.series, traj, kept.steps)
+    us, _, series = _stacks(H, field.samples, dt)
+    return _Solve(None, field.samples, H, dt, _freeze(us), series, traj, us)
 
 
 def _defects(solved: _Solve) -> NDArrayComplex:

@@ -15,7 +15,7 @@ from conftest import (
     u_stack,
 )
 from reference import Direction, step_control_derivative, step_matrix
-from test_cli import as_pairs_matrix, as_pairs_vector, write_config
+from test_cli import as_pairs_matrix, as_pairs_vector, write_config, write_example_config
 from test_propagator import bits
 
 
@@ -264,7 +264,8 @@ class TestOneStackPerCall:
     """Count the steps each call forms and the matrices it decomposes: one stack per field.
 
     A call builds at most one forward stack, and none when ``propagator``'s
-    last forward solve marched its field; after that solve the checks also
+    last forward solve is the one it asks for: a solve from the same psi0,
+    or the trajectory the call is handed. After that solve the checks also
     read its step defects and its adjoint solution instead of forming or
     marching them again.
 
@@ -338,9 +339,13 @@ class TestOneStackPerCall:
         def conjugate():
             qoct.check_conjugate_independence(problem.psi0, field, H, grid)
 
-        sol = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
-        counts = {
-            "solve": logged(cold(lambda: qoct.solve(problem, field, qoct.CostateBoundary.canonical()))),
+        # the checks read the trajectory of the cold solve, the one kept
+        solved = []
+        counts = {"solve": logged(cold(
+            lambda: solved.append(qoct.solve(problem, field, qoct.CostateBoundary.canonical()))
+        ))}
+        sol = solved[0]
+        counts.update({
             "continuous_family": logged(family),
             "conjugate": logged(conjugate),
             "gradient": logged(
@@ -348,7 +353,7 @@ class TestOneStackPerCall:
             ),
             "cold continuous_family": logged(cold(family)),
             "cold conjugate": logged(cold(conjugate)),
-        }
+        })
         n, m = grid.n_steps, grid.index_T
         # (stack steps, series built, decomposed): a solve builds one stack of
         # n from one series, and the checks after it on the same field read
@@ -489,14 +494,18 @@ class TestOneStackPerCall:
         monkeypatch.setattr(propagator, "_march", counting)
         problem, field = seeded_problem(71, dim, 40, 1.0)
         sol = qoct.solve(problem, field, qoct.CostateBoundary.canonical())
+        for log in (eigh_log, stack_log, series_log, marches):
+            log.clear()
         report = qoct.gradient_report(problem, field)
         n, m = problem.grid.n_steps, problem.grid.index_T
-        # the solve's stack and series stay kept: the report builds only its
-        # m derivatives and the probes' 2m moved steps from that series, and
-        # its solve is the kept one, marched by nothing
+        # the report asks for derivatives, so it drops the solve kept before
+        # it and builds its own stack of n with its m derivatives from one
+        # series, and the probes' 2m moved steps from the same series; it
+        # marches its own solve and its costate, and keeps that solve
         assert (stack_log, len(series_log), matrices(eigh_log)) == ([n, 2 * m], 1, [])
         assert marches == [(n, False), (m, True)]
-        assert propagator._last_solve.traj is sol.psi
+        kept = propagator._last_solve
+        assert kept.traj is not sol.psi and kept.us.shape[0] == n
         propagator._clear_last_solve()
         cold = qoct.gradient_report(problem, field)
         assert bits(report) == bits(cold)
@@ -556,6 +565,44 @@ class TestOneStackPerCall:
         # it, the continuous family and the conjugate pair read, and the
         # probes' 2m moved steps from the same series; nothing is decomposed
         assert (sum(stack_log), len(series_log), matrices(eigh_log)) == (n + 2 * m, 1, [])
+
+    @pytest.mark.parametrize("command", ["propagate", "gradcheck", "optimize"])
+    def test_each_subcommand_builds_its_stacks(self, monkeypatch, series_log, tmp_path, command):
+        built, served = [], []
+
+        def counting(H, samples, dt, n_du=0, u=True, series=None):
+            if u:
+                built.append((int(np.size(samples)), n_du))
+            return stacks(H, samples, dt, n_du, u, series)
+
+        def serving(traj, field, H, dt):
+            solved = solve_on(traj, field, H, dt)
+            served.append(solved is propagator._last_solve)
+            return solved
+
+        stacks = patch_everywhere(monkeypatch, "_stacks", counting)
+        solve_on = patch_everywhere(monkeypatch, "_solve_on", serving)
+        config = write_example_config(tmp_path / "cfg.json", "readme")
+        n, m = 420, 400
+        args = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        if command == "propagate":
+            field = tmp_path / "field.csv"
+            field.write_text("t,eps\n" + "".join(f"{k * 0.025!r},0.0\n" for k in range(n)))
+            args += ["--field", str(field)]
+        assert cli.main(args) == 0
+        # (steps, derivatives) per stack built, the series built, and whether
+        # each call handed a trajectory was served the solve that marched it:
+        # propagate's residual reads its solve; gradcheck builds its stack
+        # with the gradient's m derivatives and the probes' 2m moved steps
+        # from one series; each of optimize's 26 evaluations builds its
+        # window of m + 1 steps with m derivatives, and populations.csv is
+        # one whole-grid solve
+        expected = {
+            "propagate": ([(n, 0)], 1, [True]),
+            "gradcheck": ([(n, m), (2 * m, 0)], 1, []),
+            "optimize": ([(m + 1, m)] * 26 + [(n, 0)], 27, [True] * 26),
+        }[command]
+        assert (built, len(series_log), served) == expected
 
     @staticmethod
     def run_every_route(problem, field):

@@ -148,6 +148,9 @@ class TestConfigValidation:
         "key, value, named",
         [
             ("alpha", BIG, "alpha"),
+            # the field law's bound ||O|| ||mu|| / alpha is past the largest
+            # double: verify and gradcheck wrote Infinity, optimize blamed eps_ref
+            ("alpha", 1e-320, "alpha"),
             ("T_hat", BIG, "T_hat"),
             ("dt", BIG, "dt"),
             ("j_tol", BIG, "j_tol"),
@@ -165,7 +168,7 @@ class TestConfigValidation:
             ("dt", 5e-324, "T"),
         ],
         ids=[
-            "alpha", "T_hat", "dt", "j_tol", "stationarity_tol", "h0", "psi0",
+            "alpha", "alpha-tiny", "T_hat", "dt", "j_tol", "stationarity_tol", "h0", "psi0",
             "eps_ref-constant", "eps_ref-samples", "seed", "T_hat-steps", "dt-steps",
             "dt-subnormal",
         ],
@@ -238,6 +241,18 @@ class TestConfigValidation:
             with pytest.raises(cli.ConfigError, match="step phase") as info:
                 cli.ProblemConfig.from_dict(cfg)
             assert info.value.field == "eps_ref"
+
+    @pytest.mark.parametrize("alpha, ok", [(1e-308, True), (5e-309, False)])
+    def test_alpha_bound_is_the_largest_double(self, alpha, ok):
+        # README's ||O|| ||mu|| is 1: 1 / alpha is 1e308 and 2e308
+        cfg = readme_config()
+        cfg["alpha"] = alpha
+        if ok:
+            assert cli.ProblemConfig.from_dict(cfg).problem.alpha == alpha
+        else:
+            with pytest.raises(cli.ConfigError, match="largest double") as info:
+                cli.ProblemConfig.from_dict(cfg)
+            assert info.value.field == "alpha"
 
     def test_readme_example_parses(self):
         cfg = cli.ProblemConfig.from_dict(readme_config())

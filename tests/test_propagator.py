@@ -1005,7 +1005,9 @@ class TestLastSolve:
 
     Every forward solve is kept as one record of its trajectory, stack,
     series and step views, found by the identity of the field's samples
-    and of H, and by dt; a solve from the same psi0 object is served whole.
+    and of H, and by dt. It is served to a solve from the same psi0 object
+    and to a call handed the trajectory it marched; every other call
+    builds its own stack.
     """
 
     N_STEPS = 40
@@ -1110,9 +1112,9 @@ class TestLastSolve:
             traj = qoct.propagate_forward(psi0, f, h, g)
             assert traj is not solved
             seen[name] = dict(built)
-        # a new psi0 marches again on the same stack; anything else builds it too
+        # each builds its own stack and marches it
         assert seen == {
-            "psi0": {"_stacks": 0, "_march_forward": 1},
+            "psi0": {"_stacks": 1, "_march_forward": 1},
             "field": {"_stacks": 1, "_march_forward": 1},
             "H": {"_stacks": 1, "_march_forward": 1},
             "dt": {"_stacks": 1, "_march_forward": 1},
@@ -1287,8 +1289,8 @@ class TestLastSolve:
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_a_kept_stack_makes_its_views_once(self, dim, complex_, views, monkeypatch):
         # the solve's forward march makes the stack's views; the canonical
-        # adjoint, the continuous tail, the conjugate check's rows and the
-        # probes' suffix products all walk that list and make none
+        # adjoint, the continuous tail and the conjugate check's rows all walk
+        # that list and make none, as a report's probes walk its own solve's
         problem, field = seeded_problem(
             130 + dim, dim, self.N_STEPS, 1.0, complex_hermitian=complex_
         )
@@ -1314,22 +1316,23 @@ class TestLastSolve:
             qoct.check_continuous_family(sol.psi, O, field, H, grid, n)
         for beta in (1.0, 0.3 + 0.7j):
             qoct.check_conjugate_independence(problem.psi0, field, H, grid, beta)
-        qoct.gradient_report(problem, field)
         assert len(views) == 1 and propagator._last_solve is last
-        # the forward march, the adjoint, the tail, two conjugate row marches
-        # and the probes, each over the list or a slice of it
-        assert walked[:5] == [list] * 5 and walked[5] is last.steps and len(walked) == 6
-        # a new psi0 marches on the same stack and shares its views
-        again = qoct.StateVector(problem.psi0.amplitudes)
-        qoct.propagate_forward(again, field, H, grid)
-        assert len(views) == 1 and propagator._last_solve.steps is last.steps
-        del last
+        # the report asks for derivatives: it drops the solve and makes the
+        # views of the stack it builds, which its own marches and probes walk
+        qoct.gradient_report(problem, field)
+        report = propagator._last_solve
+        assert [steps for steps, _ in views] == [self.N_STEPS] * 2 and report is not last
+        # the forward march, the adjoint, the tail and two conjugate row
+        # marches over the solve's list or a slice of it, then the report's
+        # forward march and adjoint over its own, and its probes
+        assert walked[:7] == [list] * 7 and walked[7] is report.steps and len(walked) == 8
+        del last, report
         walked.clear()
         gc.collect()
-        assert views[0][1]() is not None
+        assert views[0][1]() is None and views[1][1]() is not None
         propagator._clear_last_solve()
         gc.collect()
-        assert views[0][1]() is None
+        assert views[1][1]() is None
 
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_views_made_before_the_solve_is_kept_once(self, dim, views):
@@ -1344,11 +1347,11 @@ class TestLastSolve:
 
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("dim", [2, 3, 8])
-    def test_another_trajectory_reads_the_kept_stack(self, dim, complex_, views, monkeypatch):
+    def test_another_trajectory_builds_its_own_stack(self, dim, complex_, views, monkeypatch):
         # a trajectory of another psi0 on the kept field is served by a record
-        # for the call alone, which reads the kept stack and walks its views:
-        # its costates and residual make no stack and no list of views, and
-        # give a cold call's bits
+        # for the call alone, on one stack of n it builds and walks itself:
+        # its costates and residual make no list of views, leave the kept
+        # solve as it is, and give a cold call's bits
         problem, field = seeded_problem(
             140 + dim, dim, self.N_STEPS, 1.0, complex_hermitian=complex_
         )
@@ -1376,12 +1379,13 @@ class TestLastSolve:
             ),
             "tdse_residual": lambda: qoct.tdse_residual(other, field, H, grid),
         }
-        reused = {name: bits(call()) for name, call in calls.items()}
-        assert stacks == [] and views == []
+        with_kept = {name: bits(call()) for name, call in calls.items()}
+        assert stacks == [self.N_STEPS] * len(calls) and views == []
         assert propagator._last_solve is last
+        stacks.clear()
         for name, call in calls.items():
             propagator._clear_last_solve()
-            assert bits(call()) == reused[name], name
+            assert bits(call()) == with_kept[name], name
         assert stacks == [self.N_STEPS] * len(calls)
 
     @pytest.mark.parametrize("dim", [2, 3])
