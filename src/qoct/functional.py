@@ -10,6 +10,20 @@ Quadrature is left-Riemann on intervals, exact for piecewise-constant
 integrands, and the discrete time-derivative inside the multiplier term
 is defined through the exact stepper so that propagated trajectories
 annihilate the integrand identically instead of to O(dt^2).
+
+The multiplier convention, stated once here: step k's defect
+psi_{k+1} - U_k psi_k is paired with lambda_k = -i chi_{k+1}, and the last
+step before the measurement node with lambda_{m-1} = -i chi(T-), as the
+costate march (chi_k = U_k^dagger chi_{k+1}) and the exact gradient
+(2 Re <chi_{k+1} | dU_k/deps psi_k>) pair them. With it the sum of the
+three terms, L = j_opt + j_cost - 2 Im sum_k <lambda_k | psi_{k+1} - U_k psi_k>,
+is the discrete Lagrangian whose Euler-Lagrange equations are qoct's.
+dL/dconj(lambda) = 0 is the state march. dL/dconj(psi_j) =
+U_j^dagger chi'_{j+1} - chi'_j + [j = m] O psi_m, where chi'_j is chi_j
+but chi(T-) at j = m, vanishes at every node after node 0 for the
+canonical costate: its march before T, and its jump at T (chi(T-) =
+O psi(T), zero after), are these equations. dL/d eps_k at fixed psi and
+chi is the exact gradient.
 """
 
 from __future__ import annotations
@@ -88,18 +102,25 @@ def eval_j_tdse(
     H: ControlHamiltonian,
     grid: TimeGrid,
 ) -> float:
-    """Multiplier term -2 Im sum_k <chi_k | r_k> dt over the whole grid.
+    """Multiplier term -2 Im sum_k <lambda_k | r_k> dt over the whole grid.
 
     r_k is the one-step defect (psi_{k+1} - U_k psi_k) / dt, i.e. the
     discrete realization of (i d/dt - H) psi consistent with the exact
-    stepper; it reuses the forward march's product, so propagated
-    trajectories give exactly zero for any costate. On the last forward
-    solve's trajectory it reads the defects that solve kept.
+    stepper, and lambda_k = -i chi_{k+1} its multiplier, with
+    lambda_{m-1} = -i chi(T-) at the last step before T (the module's
+    convention); so the term is -2 Re sum_k <chi_{k+1} | d_k> over the
+    defects d_k, one product over the costate's nodes after node 0 with
+    node m read from the left limit. It reuses the forward march's
+    product, so propagated trajectories give exactly zero for any
+    costate. On the last forward solve's trajectory it reads the defects
+    that solve kept.
     """
     _check_grid(grid, [field], [psi_traj, chi_traj])
     defects = _defects(_solve_on(psi_traj, field, H, grid.dt))
-    overlaps = np.einsum("ki,ki->k", chi_traj.states[:-1].conj(), defects)
-    return float(-2.0 * np.imag(np.sum(overlaps)))
+    multipliers = chi_traj.states[1:].conj()
+    multipliers[chi_traj.index_T - 1] = chi_traj.chi_T_minus.conj()
+    overlaps = np.einsum("ki,ki->k", multipliers, defects)
+    return float(-2.0 * np.real(np.sum(overlaps)))
 
 
 def eval_total(
@@ -112,7 +133,7 @@ def eval_total(
     H: ControlHamiltonian,
     grid: TimeGrid,
 ) -> FunctionalBreakdown:
-    """Evaluate all three terms on one configuration."""
+    """Evaluate all three terms on one configuration; j_total is the discrete Lagrangian L."""
     return FunctionalBreakdown(
         j_opt=eval_j_opt(psi_traj, O, grid),
         j_cost=eval_j_cost(field, eps_ref, alpha, grid),

@@ -39,14 +39,16 @@ So each solved field has one series, which the FD probes' moved steps
 (``_march_probes``) and the exact gradient's derivatives evaluate
 wherever its reach, the widest |eps| its plan still covers, takes their
 samples; and every walk of a kept stack (the canonical adjoint, the
-continuous tail, the conjugate check's rows, the probes' suffix
+continuous tail, the conjugate check's companion, the probes' suffix
 products) reads its views, so a step of those marches creates no view.
 What derives from a trajectory is formed once per record, when first
 asked for: its step defects (``_defects``), which the costate's
-equation-of-motion gate, ``eval_j_tdse`` and ``tdse_residual`` read, and
-for one observable the unit adjoint solution through O psi(T), from
-which every costate on that trajectory is built (``_unit_adjoint``),
-with the continuous(1) costate's worst step defect (``_unit_residual``).
+equation-of-motion gate, ``eval_j_tdse`` and ``tdse_residual`` read; for
+one observable the unit adjoint solution through O psi(T), from which
+every costate on that trajectory is built (``_unit_adjoint``), with the
+continuous(1) costate's worst step defect (``_unit_residual``); and the
+unit companion's worst deviation from the trajectory
+(``_unit_companion``), from which the conjugate check reads every beta.
 
 The delta source feeding the costate at the measurement time is never
 discretized as a narrow pulse; it is imposed as an exact boundary
@@ -59,7 +61,10 @@ condition in one of two regimes:
 
 Both are read off one homogeneous solution through O psi(T): the
 canonical costate is that solution before T, and continuous(n) is
-(i / 2 pi n) times it on the whole grid.
+(i / 2 pi n) times it on the whole grid. Step k's multiplier in the
+discrete Lagrangian (``functional.eval_j_tdse``) is -i chi_{k+1}, and
+-i chi(T-) for the last step before T, the pairing the costate march and
+the gradient use.
 """
 
 from __future__ import annotations
@@ -492,7 +497,7 @@ def _step_defects(us: NDArrayComplex, nodes: NDArrayComplex) -> NDArrayComplex:
 
 
 def _worst_defect(defects: NDArrayComplex) -> float:
-    """The largest norm among ``_step_defects``' rows."""
+    """The largest norm among the rows: ``_step_defects``', or a march's deviations."""
     return float(np.max(np.linalg.norm(defects, axis=1)))
 
 
@@ -504,25 +509,26 @@ class _Solve:
     ``steps`` are the steps its marches walk: in a kept solve the stack's
     step views (``_step_views``), made once with the stack, so each later
     walk of the stack (the canonical adjoint, the continuous tail, the
-    conjugate check's rows, the probes' suffix products) makes no view of
-    its own. A record made for one call (``_solve_on``) is never kept, has
-    no psi0 and walks its own stack itself. The trajectory's
-    step defects (``_defects``) and, for one observable O and measurement
+    conjugate check's companion, the probes' suffix products) makes no view
+    of its own. A record made for one call (``_solve_on``) is never kept,
+    has no psi0 and walks its own stack itself. The trajectory's
+    step defects (``_defects``); for one observable O and measurement
     node m, the unit adjoint solution (``_unit_adjoint``), whose tail after
     T is marched once a continuous costate asks for it, and the
-    continuous(1) costate's worst step defect (``_unit_residual``) are
-    each formed once per record, when first asked for, and go with it.
+    continuous(1) costate's worst step defect (``_unit_residual``); and the
+    unit companion's worst deviation (``_unit_companion``) are each formed
+    once per record, when first asked for, and go with it.
     """
 
     __slots__ = (
         "psi0", "samples", "H", "dt", "us", "series", "traj", "steps", "defects", "O", "m",
-        "adjoint", "tail", "residual",
+        "adjoint", "tail", "residual", "companion",
     )
 
     def __init__(self, psi0, samples, H, dt, us, series, traj, steps):
         self.psi0, self.samples, self.H, self.dt = psi0, samples, H, dt
         self.us, self.series, self.traj, self.steps = us, series, traj, steps
-        self.defects = self.O = self.m = self.adjoint = self.residual = None
+        self.defects = self.O = self.m = self.adjoint = self.residual = self.companion = None
         self.tail = False
 
 
@@ -650,6 +656,24 @@ def _unit_residual(solved: _Solve) -> float:
         costate = (1j / (2.0 * np.pi)) * solved.adjoint
         solved.residual = _worst_defect(_step_defects(solved.us, costate))
     return solved.residual
+
+
+def _unit_companion(solved: _Solve) -> float:
+    """Worst deviation max_k ||r_k - psi_k|| of the unit companion from the record's trajectory.
+
+    The companion advances conj(psi0) with the backward stepper, the
+    sign-flipped equation; it is marched as its conjugate rows,
+    r_0 = psi0 and r_{k+1} = r_k U_k on the record's steps, so neither the
+    stack nor the trajectory is conjugated, and the deviation is formed in
+    place. The march is linear in its start, so the companion from
+    beta conj(psi0) deviates by |beta| times this (``analysis``'s conjugate
+    check). Formed once per record, on a solve of psi0 (``_forward``).
+    """
+    if solved.companion is None:
+        rows = _march_rows(solved.steps, solved.psi0.amplitudes)
+        rows -= solved.traj.states
+        solved.companion = _worst_defect(rows)
+    return solved.companion
 
 
 def propagate_forward(

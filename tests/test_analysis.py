@@ -256,6 +256,79 @@ class TestConjugateIndependence:
         assert dev < 1e-12
 
 
+    # conj(beta) for 1, 2i and -4 scales a march exactly, for 0.3 + 0.7i not
+    BETAS = (1.0, 2j, 0.3 + 0.7j, -4.0)
+    EXACT = (1.0, 2j, -4.0)
+
+    @staticmethod
+    def direct_deviation(problem, field, beta):
+        """The companion marched from conj(beta) psi0, step by step, on a stack of the field."""
+        H, grid = problem.hamiltonian, problem.grid
+        traj = qoct.propagate_forward(problem.psi0, field, H, grid)
+        row = np.conj(beta) * problem.psi0.amplitudes
+        worst = np.linalg.norm(row - np.conj(beta) * traj.states[0])
+        for u, psi in zip(u_stack(H, field.samples, grid.dt), traj.states[1:]):
+            row = row.dot(u)
+            worst = max(worst, np.linalg.norm(row - np.conj(beta) * psi))
+        return float(worst)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_one_companion_serves_every_beta(self, dim, monkeypatch):
+        marches = []
+
+        def counting(us, x0, rows):
+            marches.append("rows" if rows else "forward")
+            return march(us, x0, rows)
+
+        march = propagator._march
+        monkeypatch.setattr(propagator, "_march", counting)
+        problem, field = seeded_problem(160 + dim, dim, 40, 1.0)
+        H, grid = problem.hamiltonian, problem.grid
+
+        def devs(psi0, f):
+            marches.clear()
+            seen = {b: qoct.check_conjugate_independence(psi0, f, H, grid, b) for b in self.BETAS}
+            return seen, marches[:]
+
+        qoct.solve(problem, field, qoct.CostateBoundary.canonical())
+        kept, seen = devs(problem.psi0, field)
+        # one companion march for the four beta, and none when they are asked again
+        assert seen == ["rows"]
+        assert devs(problem.psi0, field) == (kept, [])
+        # a new field, or another psi0 object, solves and marches its companion again
+        fresh = qoct.ControlField(np.array(field.samples))
+        assert devs(problem.psi0, fresh) == (kept, ["forward", "rows"])
+        other = qoct.StateVector(problem.psi0.amplitudes)
+        assert devs(other, field) == (kept, ["forward", "rows"])
+        one = kept[1.0]
+        assert one < 1e-13
+        for beta, dev in kept.items():
+            if beta in self.EXACT:
+                assert dev == abs(beta) * one, beta
+            else:
+                assert dev == pytest.approx(abs(beta) * one, rel=1e-15, abs=0.0)
+            direct = self.direct_deviation(problem, field, beta)
+            assert abs(dev - direct) <= 1e-14 * abs(beta), beta
+            if beta in self.EXACT:
+                assert dev == direct, beta
+
+    @pytest.mark.parametrize("beta", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+    def test_refuses_a_non_finite_beta(self, beta):
+        problem, field = seeded_problem(5, 3, 40, 1.0)
+        with pytest.raises(ValueError, match="beta"):
+            qoct.check_conjugate_independence(
+                problem.psi0, field, problem.hamiltonian, problem.grid, beta
+            )
+
+    def test_largest_beta_is_finite(self):
+        # the march never sees beta: no overflow, and |beta| times beta = 1's
+        problem, field = seeded_problem(5, 3, 40, 1.0)
+        H, grid = problem.hamiltonian, problem.grid
+        dev = qoct.check_conjugate_independence(problem.psi0, field, H, grid, 1e308)
+        one = qoct.check_conjugate_independence(problem.psi0, field, H, grid)
+        assert np.isfinite(dev) and dev == 1e308 * one
+
+
 def matrices(log):
     return [n for n, _ in log]
 
@@ -551,7 +624,17 @@ class TestOneStackPerCall:
         assert (stack_log, len(series_log), matrices(eigh_log)) == expected
         assert calls == {"_step_defects": k, "_worst_defect": k}
 
-    def test_verify_solves_its_probe_field_once(self, eigh_log, stack_log, series_log, tmp_path):
+    def test_verify_solves_its_probe_field_once(
+        self, eigh_log, stack_log, series_log, tmp_path, monkeypatch
+    ):
+        marches = []
+
+        def counting(us, x0, rows):
+            marches.append(("rows" if rows else "forward", len(us)))
+            return march(us, x0, rows)
+
+        march = propagator._march
+        monkeypatch.setattr(propagator, "_march", counting)
         rng = np.random.default_rng(73)
         h0, mu, observable = (as_pairs_matrix(random_symmetric(rng, 3).matrix) for _ in range(3))
         config = write_config(
@@ -565,6 +648,9 @@ class TestOneStackPerCall:
         # it, the continuous family and the conjugate pair read, and the
         # probes' 2m moved steps from the same series; nothing is decomposed
         assert (sum(stack_log), len(series_log), matrices(eigh_log)) == (n + 2 * m, 1, [])
+        # its forward march, the adjoint before T, the continuous tail after
+        # it, and one companion for both beta
+        assert marches == [("forward", n), ("rows", m), ("forward", n - m), ("rows", n)]
 
     @pytest.mark.parametrize("command", ["propagate", "gradcheck", "optimize"])
     def test_each_subcommand_builds_its_stacks(self, monkeypatch, series_log, tmp_path, command):

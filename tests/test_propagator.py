@@ -1289,8 +1289,8 @@ class TestLastSolve:
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_a_kept_stack_makes_its_views_once(self, dim, complex_, views, monkeypatch):
         # the solve's forward march makes the stack's views; the canonical
-        # adjoint, the continuous tail and the conjugate check's rows all walk
-        # that list and make none, as a report's probes walk its own solve's
+        # adjoint, the continuous tail and the conjugate check's companion all
+        # walk that list and make none, as a report's probes walk its own solve's
         problem, field = seeded_problem(
             130 + dim, dim, self.N_STEPS, 1.0, complex_hermitian=complex_
         )
@@ -1322,10 +1322,10 @@ class TestLastSolve:
         qoct.gradient_report(problem, field)
         report = propagator._last_solve
         assert [steps for steps, _ in views] == [self.N_STEPS] * 2 and report is not last
-        # the forward march, the adjoint, the tail and two conjugate row
-        # marches over the solve's list or a slice of it, then the report's
-        # forward march and adjoint over its own, and its probes
-        assert walked[:7] == [list] * 7 and walked[7] is report.steps and len(walked) == 8
+        # the forward march, the adjoint, the tail and the one companion march
+        # that serves both beta over the solve's list or a slice of it, then
+        # the report's forward march and adjoint over its own, and its probes
+        assert walked[:6] == [list] * 6 and walked[6] is report.steps and len(walked) == 7
         del last, report
         walked.clear()
         gc.collect()
